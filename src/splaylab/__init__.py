@@ -18,7 +18,7 @@ from .machine import (
     shape_of,
     tree_from_shape,
 )
-from .splay import SplayRecord, SplayStep, serve_queries, splay, splay_step, total_access_cost
+from .splay import SplayRecord, serve_queries, splay, splay_step, total_access_cost
 from .potential import (
     PotentialSnapshot,
     WeightAssignment,

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 from .generators import GENERATOR_NAMES, ExperimentConfig, parse_generator
-from .suites import SUITES, default_trials, render_report, run_suite
+from .suites import SUITES, check_config, default_trials, render_report, run_suite
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,6 +57,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     if args.trials is None and (not args.config or config.trials == 1):
         config.trials = default_trials(args.suite)
     parse_generator(config.generator)  # validate early
+    check_config(args.suite, config)
     return config
 
 

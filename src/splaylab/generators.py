@@ -7,7 +7,7 @@ import random
 import re
 from dataclasses import asdict, dataclass
 
-from .machine import TreeState, build_tree
+from .machine import TreeState
 
 
 def rng_for_trial(seed: int, trial: int) -> random.Random:
@@ -15,17 +15,32 @@ def rng_for_trial(seed: int, trial: int) -> random.Random:
     return random.Random(f"{seed}:{trial}")
 
 
-def random_shape(n: int, rng: random.Random) -> str:
-    """Random shape descriptor on n nodes (uniform random root split)."""
-    if n == 0:
-        return "."
-    left = rng.randrange(n)
-    return "(" + random_shape(left, rng) + random_shape(n - 1 - left, rng) + ")"
+def random_tree(n: int, rng: random.Random) -> TreeState:
+    """Random tree on keys 0..n-1: every subtree's root is uniform over its keys.
 
-
-def random_tree(n: int, rng: random.Random, keys=None) -> TreeState:
-    shape = random_shape(n, rng)
-    return build_tree(sorted(keys) if keys is not None else range(n), shape)
+    Roots are drawn in preorder (root, left subtree, right subtree).
+    """
+    if n < 1:
+        raise ValueError("random tree needs at least one node")
+    left = dict.fromkeys(range(n))
+    right = dict.fromkeys(range(n))
+    parent = dict.fromkeys(range(n))
+    root = None
+    stack = [(0, n, None, None)]  # (lowest key, size, parent, parent's child links)
+    while stack:
+        lo, size, par, links = stack.pop()
+        key = lo + rng.randrange(size)
+        if par is None:
+            root = key
+        else:
+            parent[key] = par
+            links[par] = key
+        hi = lo + size
+        if key + 1 < hi:
+            stack.append((key + 1, hi - key - 1, key, right))
+        if key > lo:
+            stack.append((lo, key - lo, key, left))
+    return TreeState(left, right, parent, root)
 
 
 def random_pair(n: int, rng: random.Random) -> tuple[TreeState, TreeState]:

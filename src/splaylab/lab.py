@@ -11,19 +11,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .machine import IllegalOpError, OpKind, TreeState, apply_op
+from .machine import IllegalOpError, OpKind, TreeState
 from .oracle import FrequencyTable, per_query_segments, static_optimal
 from .potential import (
     RANK_TOL,
     WeightAssignment,
     assign_weights,
-    phi,
+    potential,
     potential_of,
     subtree_sums,
 )
 from .report import CheckReport
-from .restricted import init_prime, op_sequence, commit_sim
-from .splay import ZIG, splay_step, total_access_cost
+from .restricted import apply_t_op, init_prime
+from .splay import ROTATIONS, ZIG, splay_step, total_access_cost
 
 ROTATION_DELTA_BOUND = 11 + math.log2(11)
 ROTATION_DELTA_BOUND_SHALLOW = 7 + math.log2(11)
@@ -99,7 +99,7 @@ def checked_splay(
     amortized checks need."""
     bias = 2 * wa.scale_exponent
     sums = subtree_sums(S, wa)
-    pot_before = sum(math.log2(s) for s in sums.values()) - bias * len(S)
+    pot_before = potential(sums, wa)
     ev = SplayEvent(
         kind=kind,
         key=key,
@@ -116,28 +116,25 @@ def checked_splay(
         if per_step:
             step = splay_step(S, key)
             sums = subtree_sums(S, wa)
-            pot_after = sum(math.log2(s) for s in sums.values()) - bias * len(S)
+            pot_after = potential(sums, wa)
             r_after = math.log2(sums[key]) - bias
             ev.steps.append(
-                StepCheck(step.kind, step.rotations, r_key, r_after, pot, pot_after)
+                StepCheck(step, ROTATIONS[step], r_key, r_after, pot, pot_after)
             )
             pot, r_key = pot_after, r_after
         else:
             splay_step(S, key)
-    if per_step:
-        ev.pot_after = pot
-    else:
-        ev.pot_after = potential_of(S, wa)
+    ev.pot_after = pot if per_step else potential_of(S, wa)
     S.cursor = S.root
     return ev
 
 
-def check_access_lemma(ev: SplayEvent, tol: float = RANK_TOL) -> CheckReport:
+def check_access_lemma(ev: SplayEvent) -> CheckReport:
     """Amortized splay cost <= 1 + 3[r(root) - r(key)], plus per-step bounds."""
     report = CheckReport("access-bound")
     report.tick()
     bound = 1 + 3 * (ev.r_root_before - ev.r_key_before)
-    if ev.amortized > bound + tol:
+    if ev.amortized > bound + RANK_TOL:
         report.fail(
             f"splay {ev.key}: amortized {ev.amortized:.9f} > 1+3*dr = {bound:.9f}"
         )
@@ -145,7 +142,7 @@ def check_access_lemma(ev: SplayEvent, tol: float = RANK_TOL) -> CheckReport:
         report.tick()
         dr = 3 * (step.r_key_after - step.r_key_before)
         step_bound = 1 + dr if step.kind == ZIG else dr
-        if step.amortized > step_bound + tol:
+        if step.amortized > step_bound + RANK_TOL:
             report.fail(
                 f"splay {ev.key} step {i} ({step.kind}): "
                 f"amortized {step.amortized:.9f} > {step_bound:.9f}"
@@ -153,33 +150,33 @@ def check_access_lemma(ev: SplayEvent, tol: float = RANK_TOL) -> CheckReport:
     return report
 
 
-def check_amortized_depth(ev: SplayEvent, tol: float = RANK_TOL) -> CheckReport:
+def check_amortized_depth(ev: SplayEvent) -> CheckReport:
     """Amortized splay cost <= 4 + 6 * depth of the key in the reference tree."""
     report = CheckReport("amortized-depth")
     if ev.depth_ref is None:
         raise ValueError("event carries no reference-tree depth")
     report.tick()
     bound = 4 + 6 * ev.depth_ref
-    if ev.amortized > bound + tol:
+    if ev.amortized > bound + RANK_TOL:
         report.fail(
             f"splay {ev.key}: amortized {ev.amortized:.9f} > 4+6d = {bound}"
         )
     return report
 
 
-def check_rotation_delta(ev: RotationEvent, tol: float = RANK_TOL) -> CheckReport:
+def check_rotation_delta(ev: RotationEvent) -> CheckReport:
     """Potential jump of a shallow reference rotation stays under 11 + log2(11);
     depth-1 rotations satisfy the tighter 7 + log2(11) subtotal."""
     report = CheckReport("rotation-delta")
     report.tick()
-    if ev.delta > ROTATION_DELTA_BOUND + tol:
+    if ev.delta > ROTATION_DELTA_BOUND + RANK_TOL:
         report.fail(
             f"rotation at {ev.key} (depth {ev.depth_ref}): "
             f"delta-phi {ev.delta:.9f} > {ROTATION_DELTA_BOUND:.9f}"
         )
     if ev.depth_ref == 1:
         report.tick()
-        if ev.delta > ROTATION_DELTA_BOUND_SHALLOW + tol:
+        if ev.delta > ROTATION_DELTA_BOUND_SHALLOW + RANK_TOL:
             report.fail(
                 f"rotation at {ev.key} (depth 1): "
                 f"delta-phi {ev.delta:.9f} > {ROTATION_DELTA_BOUND_SHALLOW:.9f}"
@@ -209,31 +206,29 @@ class InterleavedRun:
     """A splay tree S evolving against a reference tree T over the same keys.
 
     Weights always derive from T's current depths; they are frozen during
-    splays in S and reassigned at every T rotation.
+    splays in S and reassigned at every T rotation.  `phi` is the current
+    potential P(S) - P(T); P(T) is recomputed only when T rotates.
     """
 
-    def __init__(self, S: TreeState, T: TreeState, tol: float = RANK_TOL, per_step: bool = False):
+    def __init__(self, S: TreeState, T: TreeState, per_step: bool = False):
         if sorted(S.in_order()) != sorted(T.in_order()):
             raise KeyError("S and T must share one key set")
         self.S = S
         self.T = T
-        self.tol = tol
         self.per_step = per_step
-        self.wa = assign_weights(T)
         self.events = []
         self.reports = []
-        self.snapshots = [phi(S, T)]
         self.organizing_count = 0
         self.s_cost = 0
         self.sum_amortized = 0.0
+        self._reweight()
+        self.phi_initial = self.phi
 
-    @property
-    def phi_initial(self) -> float:
-        return self.snapshots[0].phi
-
-    @property
-    def phi_final(self) -> float:
-        return self.snapshots[-1].phi
+    def _reweight(self) -> None:
+        """Weights, P(T) and phi from T's current shape."""
+        self.wa = assign_weights(self.T)
+        self.p_T = potential_of(self.T, self.wa)
+        self.phi = potential_of(self.S, self.wa) - self.p_T
 
     def violations(self) -> list:
         return [v for r in self.reports for v in r.violations]
@@ -248,9 +243,9 @@ class InterleavedRun:
         if kind == "organizing":
             self.organizing_count += 1
         self.events.append(ev)
-        self.snapshots.append(phi(self.S, self.T))
-        self.reports.append(check_access_lemma(ev, self.tol))
-        self.reports.append(check_amortized_depth(ev, self.tol))
+        self.phi = ev.pot_after - self.p_T
+        self.reports.append(check_access_lemma(ev))
+        self.reports.append(check_amortized_depth(ev))
         return ev
 
     def apply_T_rotation(self, rotated: int) -> RotationEvent:
@@ -259,20 +254,18 @@ class InterleavedRun:
         depth = self.T.depth(rotated)
         for key in plan.splay_keys:
             self.splay_query(key, kind="organizing")
-        phi_before = self.snapshots[-1].phi
+        phi_before = self.phi
         self.T.rotate_up(rotated)
-        self.wa = assign_weights(self.T)
-        snap = phi(self.S, self.T)
-        self.snapshots.append(snap)
-        ev = RotationEvent(rotated, depth, plan, phi_before, snap.phi)
+        self._reweight()
+        ev = RotationEvent(rotated, depth, plan, phi_before, self.phi)
         self.sum_amortized += ev.delta  # zero real cost for S
         self.events.append(ev)
-        self.reports.append(check_rotation_delta(ev, self.tol))
+        self.reports.append(check_rotation_delta(ev))
         return ev
 
     def telescoping_residual(self) -> float:
-        """(sum of amortized - sum of real) - (phi_final - phi_initial)."""
-        return (self.sum_amortized - self.s_cost) - (self.phi_final - self.phi_initial)
+        """(sum of amortized - sum of real) - (final phi - initial phi)."""
+        return (self.sum_amortized - self.s_cost) - (self.phi - self.phi_initial)
 
 
 # -- regular-access trials ----------------------------------------------------
@@ -294,13 +287,14 @@ def regular_access_trial(S0: TreeState, base, extras) -> tuple[int, int, float]:
             raise KeyError(f"unknown key {key!r}")
     c_base = total_access_cost(S0.copy(), base)
     c_aug = total_access_cost(S0.copy(), merge_extras(base, extras))
-    if c_base == 0 and c_aug == 0:
-        ratio = 1.0
-    elif c_aug == 0:
-        ratio = math.inf
-    else:
-        ratio = c_base / c_aug
-    return c_base, c_aug, ratio
+    return c_base, c_aug, cost_ratio(c_base, c_aug)
+
+
+def cost_ratio(c_base: int, c_aug: int) -> float:
+    """c_base / c_aug; 1.0 when both are zero, infinite when only c_aug is."""
+    if c_aug == 0:
+        return 1.0 if c_base == 0 else math.inf
+    return c_base / c_aug
 
 
 def merge_extras(base, extras) -> list:
@@ -395,15 +389,7 @@ def accounting_run(n: int, queries, strategy: str = "oracle-witness") -> Account
     for k, q in enumerate(queries):
         run.splay_query(q)
         for t_op in segments[k]:
-            for op in op_sequence(st, t_op):
-                if op.kind is OpKind.ROTATE:
-                    run.apply_T_rotation(st.prime.cursor)
-                    st.ledger.rotations += 1
-                else:
-                    apply_op(st.prime, st.ledger, op)
-            commit_sim(st, t_op)
-            if st.prime.root != st.sim.cursor:
-                raise IllegalOpError("restricted-tree root lost the simulated cursor key")
+            apply_t_op(st, t_op, rotate=run.apply_T_rotation)
 
     m_prime, r_prime = st.ledger.moves, st.ledger.rotations
     counts_exact = (m_prime == 4 * M + 3 * R) and (r_prime == 2 * M + R)
@@ -419,7 +405,7 @@ def accounting_run(n: int, queries, strategy: str = "oracle-witness") -> Account
         R_prime=r_prime,
         total_S_cost=run.s_cost,
         phi_initial=run.phi_initial,
-        phi_final=run.phi_final,
+        phi_final=run.phi,
         sum_amortized=run.sum_amortized,
         telescoping_residual=run.telescoping_residual(),
         counts_exact=counts_exact,

@@ -259,18 +259,6 @@ def parse_shape(text: str):
     return result
 
 
-def shape_size(shape) -> int:
-    count = 0
-    stack = [shape]
-    while stack:
-        node = stack.pop()
-        if node is None:
-            continue
-        count += 1
-        stack.extend(node)
-    return count
-
-
 def tree_from_shape(shape, keys) -> TreeState:
     """Build a TreeState with `keys` assigned in-order to the shape's slots."""
     if shape is None:
@@ -445,8 +433,3 @@ def run_program(state: TreeState, program, ledger: CostLedger | None = None) -> 
         apply_op(state, ledger, op, index=i)
         trace.steps.append((op.kind.value, state.cursor))
     return trace
-
-
-def return_to_root_ops(state: TreeState) -> list:
-    """Upward moves that bring the cursor back to the root (charged moves)."""
-    return [MachineOp(OpKind.UP)] * state.depth(state.cursor)

@@ -156,10 +156,6 @@ def opt_cost(n: int, queries, initial_shape) -> tuple[int, MachineProgram]:
     return len(ops), MachineProgram(ops)
 
 
-def oracle_result_json(n: int, queries, cost: int, witness: MachineProgram) -> dict:
-    return {"n": n, "queries": list(queries), "opt_cost": cost, "witness": witness.to_json()}
-
-
 def program_search(T0: TreeState, queries, budget: int) -> bool:
     """Depth-bounded search of the raw op space, driven through the machine.
 

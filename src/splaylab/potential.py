@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .machine import TreeState
 from .report import CheckReport
@@ -28,9 +27,6 @@ class WeightAssignment:
     @property
     def unit(self) -> int:
         return 4 ** self.scale_exponent
-
-    def weight_fraction(self, key: int) -> Fraction:
-        return Fraction(self.weights[key], self.unit)
 
 
 def assign_weights(optimal: TreeState) -> WeightAssignment:
@@ -71,10 +67,14 @@ def ranks_of(tree: TreeState, wa: WeightAssignment) -> dict:
     return {v: math.log2(s) - bias for v, s in subtree_sums(tree, wa).items()}
 
 
+def potential(sums: dict, wa: WeightAssignment) -> float:
+    """Sum of the ranks of all nodes, from their exact scaled subtree sums."""
+    return sum(map(math.log2, sums.values())) - 2 * wa.scale_exponent * len(sums)
+
+
 def potential_of(tree: TreeState, wa: WeightAssignment) -> float:
-    """Sum of the ranks of all nodes."""
-    bias = 2 * wa.scale_exponent
-    return sum(math.log2(s) for s in subtree_sums(tree, wa).values()) - bias * len(tree)
+    """Sum of the ranks of all nodes of `tree`."""
+    return potential(subtree_sums(tree, wa), wa)
 
 
 @dataclass
@@ -88,25 +88,13 @@ class PotentialSnapshot:
     p_S: float
     phi: float
 
-    def to_json(self) -> dict:
-        return {
-            "scale_exponent": self.scale_exponent,
-            "sums_T": {str(k): str(v) for k, v in sorted(self.sums_T.items())},
-            "sums_S": {str(k): str(v) for k, v in sorted(self.sums_S.items())},
-            "P_T": self.p_T,
-            "P_S": self.p_S,
-            "phi": self.phi,
-        }
-
 
 def phi(S: TreeState, T: TreeState) -> PotentialSnapshot:
     """Cross-tree potential P(S) - P(T), weights taken from T's depths."""
     wa = assign_weights(T)
     sums_t = subtree_sums(T, wa)
     sums_s = subtree_sums(S, wa)
-    bias = 2 * wa.scale_exponent
-    p_t = sum(math.log2(s) for s in sums_t.values()) - bias * len(T)
-    p_s = sum(math.log2(s) for s in sums_s.values()) - bias * len(S)
+    p_t, p_s = potential(sums_t, wa), potential(sums_s, wa)
     return PotentialSnapshot(wa.scale_exponent, sums_t, sums_s, p_t, p_s, p_s - p_t)
 
 
@@ -145,12 +133,12 @@ def check_weight_sum_bounds(S: TreeState, T: TreeState) -> CheckReport:
     return report
 
 
-def check_potential_floor(S: TreeState, T: TreeState, tol: float = RANK_TOL) -> CheckReport:
+def check_potential_floor(S: TreeState, T: TreeState) -> CheckReport:
     """-n < phi, with a small tolerance on the real-valued side."""
     report = CheckReport("potential-floor")
     snap = phi(S, T)
     n = len(T)
     report.tick()
-    if not snap.phi > -n - tol:
+    if not snap.phi > -n - RANK_TOL:
         report.fail(f"phi {snap.phi} is not above -n = {-n}")
     return report

@@ -22,15 +22,3 @@ class CheckReport:
 
     def fail(self, message: str) -> None:
         self.violations.append(message)
-
-    def merge(self, other: "CheckReport") -> None:
-        self.checked += other.checked
-        self.violations.extend(other.violations)
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "checked": self.checked,
-            "passed": self.passed,
-            "violations": list(self.violations),
-        }

@@ -121,11 +121,19 @@ def commit_sim(st: SentineledTree, t_op: MachineOp) -> None:
         sim.cursor = sim.parent[sim.cursor]
 
 
-def apply_t_op(st: SentineledTree, t_op: MachineOp) -> tuple:
-    """Translate and execute one simulated op on the restricted tree."""
+def apply_t_op(st: SentineledTree, t_op: MachineOp, rotate=None) -> tuple:
+    """Translate and execute one simulated op on the restricted tree.
+
+    `rotate(key)`, if given, performs each emitted rotation of the cursor's
+    key in place of `apply_op` (the ledger is still charged).
+    """
     seq = op_sequence(st, t_op)
     for op in seq:
-        apply_op(st.prime, st.ledger, op)
+        if rotate is not None and op.kind is OpKind.ROTATE:
+            rotate(st.prime.cursor)
+            st.ledger.rotations += 1
+        else:
+            apply_op(st.prime, st.ledger, op)
     commit_sim(st, t_op)
     if st.prime.root != st.sim.cursor:  # pinned-root invariant
         raise IllegalOpError("restricted-tree root lost the simulated cursor key")
@@ -145,7 +153,7 @@ def simulate_rotation(st: SentineledTree) -> list:
     return list(apply_t_op(st, MachineOp(OpKind.ROTATE)))
 
 
-def simulate_program(T: TreeState, program: MachineProgram, verify: bool = True):
+def simulate_program(T: TreeState, program: MachineProgram):
     """Translate a whole cursor program; emits 4M+3R moves and 2M+R rotations."""
     st = init_prime(T)
     out = []
@@ -155,8 +163,7 @@ def simulate_program(T: TreeState, program: MachineProgram, verify: bool = True)
         except IllegalOpError as exc:
             raise IllegalOpError(str(exc), index=i) from None
     result = MachineProgram(out)
-    if verify:
-        result.restricted = check_restricted(init_prime(T).prime, result).passed
+    result.restricted = check_restricted(init_prime(T).prime, result).passed
     return result, st.ledger
 
 

@@ -10,28 +10,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import ceil
 
-from .machine import CostLedger, IllegalOpError, Trace, TreeState
+from .machine import IllegalOpError, Trace, TreeState
 
 ZIG = "zig"
 ZIGZIG = "zigzig"
 ZIGZAG = "zigzag"
-
-
-@dataclass(frozen=True)
-class SplayStep:
-    kind: str  # zig | zigzig | zigzag
-    side: str  # side of the splayed node relative to its parent before the step
-
-    @property
-    def rotations(self) -> int:
-        return 1 if self.kind == ZIG else 2
+ROTATIONS = {ZIG: 1, ZIGZIG: 2, ZIGZAG: 2}
 
 
 @dataclass
 class SplayRecord:
     key: int
     depth_before: int
-    steps: list = field(default_factory=list)
+    steps: list = field(default_factory=list)  # step kinds, in order
 
     @property
     def move_cost(self) -> int:
@@ -39,20 +30,22 @@ class SplayRecord:
 
     @property
     def rotation_count(self) -> int:
-        return sum(step.rotations for step in self.steps)
+        return sum(ROTATIONS[kind] for kind in self.steps)
 
 
-def splay_step(state: TreeState, key: int) -> SplayStep:
-    """Apply one zig / zigzig / zigzag step to `key`; its depth drops by 1 or 2."""
+def splay_step(state: TreeState, key: int) -> str:
+    """Apply one zig / zigzig / zigzag step to `key`; its depth drops by 1 or 2.
+
+    Returns the step kind.
+    """
     p = state.parent[key]
     if p is None:
         raise IllegalOpError("splay step at root")
-    side = "left" if state.left[p] == key else "right"
     g = state.parent[p]
     if g is None:
         state.rotate_up(key)
         kind = ZIG
-    elif (state.left[g] == p) == (side == "left"):
+    elif (state.left[g] == p) == (state.left[p] == key):
         state.rotate_up(p)
         state.rotate_up(key)
         kind = ZIGZIG
@@ -61,7 +54,7 @@ def splay_step(state: TreeState, key: int) -> SplayStep:
         state.rotate_up(key)
         kind = ZIGZAG
     state.cursor = key
-    return SplayStep(kind, side)
+    return kind
 
 
 def splay(state: TreeState, key: int) -> SplayRecord:
@@ -84,8 +77,7 @@ def serve_queries(state: TreeState, queries) -> tuple[TreeState, Trace]:
         record = splay(state, key)
         trace.ledger.moves += record.move_cost
         trace.ledger.rotations += record.rotation_count
-        for step in record.steps:
-            trace.steps.append((step.kind, key))
+        trace.steps.extend((kind, key) for kind in record.steps)
     return state, trace
 
 

@@ -21,11 +21,12 @@ from .generators import (
     rng_for_trial,
     spine_tree,
 )
-from .lab import InterleavedRun, accounting_run, merge_extras
+from .lab import InterleavedRun, accounting_run, cost_ratio, merge_extras
 from .oracle import opt_cost, program_search
 from .machine import shape_of
 from .potential import check_potential_floor, check_weight_sum_bounds
-from .restricted import check_restricted, cursor_trace, init_prime, is_subsequence, simulate_program
+from .report import CheckReport
+from .restricted import cursor_trace, init_prime, is_subsequence, simulate_program
 from .splay import total_access_cost
 
 SCHEMA_VERSION = 1
@@ -47,8 +48,15 @@ def _base_report(name: str, config: ExperimentConfig) -> dict:
     }
 
 
+def _absorb(report: dict, label: str, check: CheckReport) -> None:
+    """Add one checker's count and its violations, each prefixed by `label`."""
+    report["checked"] += check.checked
+    report["violations"].extend(f"{label}: {v}" for v in check.violations)
+
+
 def _finish(report: dict) -> tuple[int, dict]:
-    report["passed"] = not report["violations"]
+    """A suite passes only if it checked something and nothing failed."""
+    report["passed"] = report["checked"] > 0 and not report["violations"]
     return (0 if report["passed"] else 1), report
 
 
@@ -59,9 +67,7 @@ def run_lemma1(config: ExperimentConfig) -> tuple[int, dict]:
         rng = rng_for_trial(config.seed, trial)
         n = rng.randint(1, config.n)
         S, T = random_pair(n, rng)
-        r = check_weight_sum_bounds(S, T)
-        report["checked"] += r.checked
-        report["violations"].extend(f"trial {trial}: {v}" for v in r.violations)
+        _absorb(report, f"trial {trial}", check_weight_sum_bounds(S, T))
     return _finish(report)
 
 
@@ -72,9 +78,7 @@ def run_lemma2(config: ExperimentConfig) -> tuple[int, dict]:
         rng = rng_for_trial(config.seed, trial)
         n = rng.randint(1, config.n)
         S, T = random_pair(n, rng)
-        r = check_potential_floor(S, T)
-        report["checked"] += r.checked
-        report["violations"].extend(f"trial {trial}: {v}" for v in r.violations)
+        _absorb(report, f"trial {trial}", check_potential_floor(S, T))
     return _finish(report)
 
 
@@ -123,8 +127,7 @@ def run_lemma4(config: ExperimentConfig) -> tuple[int, dict]:
             run.splay_query(rng.choice(T.in_order()))
             splays += 1
         for r in run.reports:
-            report["checked"] += r.checked
-            report["violations"].extend(f"trial {trial}: {v}" for v in r.violations)
+            _absorb(report, f"trial {trial}", r)
     report["splays"] = splays
     return _finish(report)
 
@@ -146,10 +149,7 @@ def run_lemma5(config: ExperimentConfig) -> tuple[int, dict]:
             run = InterleavedRun(S, T)
             run.apply_T_rotation(rng.choice(candidates))
             for r in run.reports:
-                report["checked"] += r.checked
-                report["violations"].extend(
-                    f"depth {depth_target} trial {trial}: {v}" for v in r.violations
-                )
+                _absorb(report, f"depth {depth_target} trial {trial}", r)
             done += 1
     return _finish(report)
 
@@ -165,8 +165,7 @@ def run_lemma6(config: ExperimentConfig) -> tuple[int, dict]:
         run = InterleavedRun(S, T, per_step=per_step)
         run.splay_query(rng.choice(T.in_order()))
         for r in run.reports:
-            report["checked"] += r.checked
-            report["violations"].extend(f"trial {trial}: {v}" for v in r.violations)
+            _absorb(report, f"trial {trial}", r)
     return _finish(report)
 
 
@@ -234,10 +233,7 @@ def run_conjecture(config: ExperimentConfig) -> tuple[int, dict]:
         candidate = list(extras)
         candidate[rng.randrange(extras_count)] = (rng.randrange(m + 1), rng.randrange(n))
         aug_cost = total_access_cost(S0.copy(), merge_extras(base, candidate))
-        if base_cost == 0 and aug_cost == 0:
-            ratio = 1.0
-        else:
-            ratio = base_cost / aug_cost if aug_cost else float("inf")
+        ratio = cost_ratio(base_cost, aug_cost)
         if ratio > best_ratio:
             best_ratio = ratio
             best_extras = list(candidate)
@@ -306,6 +302,11 @@ SUITES = {
     "oracle-crosscheck": (run_oracle_crosscheck, 200),
 }
 
+# The smallest --n each suite can draw a trial from (1 for the others), and
+# the smallest --m for the suites that read it.
+MIN_N = {"lemma3": 2, "lemma4": 2, "lemma5": 3, "theorem7": 2}
+MIN_M = {"theorem7": 1, "conjecture": 0}
+
 
 def run_suite(name: str, config: ExperimentConfig) -> tuple[int, dict]:
     if name not in SUITES:
@@ -316,6 +317,18 @@ def run_suite(name: str, config: ExperimentConfig) -> tuple[int, dict]:
 
 def default_trials(name: str) -> int:
     return SUITES[name][1]
+
+
+def check_config(name: str, config: ExperimentConfig) -> None:
+    """Raise ValueError, naming the flag and its minimum, for a config that
+    suite `name` would run vacuously or fail on."""
+    for flag, value, least in (
+        ("--trials", config.trials, 1),
+        ("--n", config.n, MIN_N.get(name, 1)),
+        ("--m", config.m, MIN_M.get(name)),
+    ):
+        if least is not None and value < least:
+            raise ValueError(f"{flag} must be at least {least} for suite {name}, got {value}")
 
 
 def render_report(name: str, config: ExperimentConfig, report: dict) -> str:

@@ -7,6 +7,22 @@ from splaylab.generators import ExperimentConfig, generate_sequence, parse_gener
 from splaylab.suites import rows_to_csv, run_suite
 
 
+# Suite arguments the CLI must reject, and the start of its message.
+BAD_INPUTS = [
+    (["lemma1", "--trials", "-5"], "--trials must be at least 1"),
+    (["lemma1", "--trials", "0"], "--trials must be at least 1"),
+    (["lemma3", "--n", "1"], "--n must be at least 2"),
+    (["lemma4", "--n", "1"], "--n must be at least 2"),
+    (["theorem7", "--n", "1"], "--n must be at least 2"),
+    (["theorem7", "--m", "0"], "--m must be at least 1"),
+    (["lemma5", "--n", "2"], "--n must be at least 3"),
+    (["conjecture", "--n", "0"], "--n must be at least 1"),
+    (["conjecture", "--m", "-1"], "--m must be at least 0"),
+    (["lemma6", "--n", "0"], "--n must be at least 1"),
+    (["scan9n", "--n", "0"], "--n must be at least 1"),
+]
+
+
 def run_cli(capsys, *args):
     code = main(list(args))
     out = capsys.readouterr().out
@@ -77,11 +93,23 @@ class TestCli:
         code = main(["--suite", "lemma1", "--generator", "bogus", "--trials", "1"])
         assert code == 2
 
+    @pytest.mark.parametrize("args, message", BAD_INPUTS,
+                             ids=[" ".join(args) for args, _ in BAD_INPUTS])
+    def test_bad_input_is_error_exit(self, capsys, args, message):
+        code = main(["--suite", *args])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"splaylab: error: {message}")
+
 
 class TestSuiteApi:
     def test_run_suite_unknown(self):
         with pytest.raises(ValueError):
             run_suite("bogus", ExperimentConfig())
+
+    def test_nothing_checked_is_not_a_pass(self):
+        code, report = run_suite("lemma1", ExperimentConfig(trials=0))
+        assert report["checked"] == 0 and not report["passed"] and code == 1
 
     def test_rows_to_csv_round_trip(self):
         rows = [{

@@ -169,3 +169,29 @@ def test_shape_round_trip_random(n, seed):
     tree = random_tree(n, rng_for_trial(seed, 0))
     rebuilt = build_tree(tree.in_order(), descriptor_of(tree))
     assert rebuilt.same_structure(tree)
+
+
+def descriptor_random_shape(n, rng):
+    """The descriptor-string construction random trees used to go through."""
+    if n == 0:
+        return "."
+    left = rng.randrange(n)
+    return ("(" + descriptor_random_shape(left, rng)
+            + descriptor_random_shape(n - 1 - left, rng) + ")")
+
+
+def test_random_tree_matches_descriptor_route():
+    for seed in range(4):
+        for n in range(1, 65):
+            rng_direct, rng_desc = rng_for_trial(seed, n), rng_for_trial(seed, n)
+            direct = random_tree(n, rng_direct)
+            via_desc = build_tree(range(n), descriptor_random_shape(n, rng_desc))
+            assert direct.root == via_desc.root and direct.cursor == via_desc.cursor
+            for links in ("left", "right", "parent"):
+                assert list(getattr(direct, links).items()) == list(getattr(via_desc, links).items())
+            assert rng_direct.random() == rng_desc.random()  # same draws consumed
+
+
+def test_random_tree_needs_a_node():
+    with pytest.raises(ValueError):
+        random_tree(0, rng_for_trial(0, 0))

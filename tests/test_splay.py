@@ -17,22 +17,19 @@ from splaylab.splay import (
 class TestSteps:
     def test_zig(self):
         tree = build_tree(range(3), "((..)(..))")
-        step = splay_step(tree, 0)
-        assert step.kind == ZIG
+        assert splay_step(tree, 0) == ZIG
         assert tree.root == 0
 
     def test_zigzig(self):
         tree = spine_tree(3, "right")  # 0 -> 1 -> 2
-        step = splay_step(tree, 2)
-        assert step.kind == ZIGZIG
+        assert splay_step(tree, 2) == ZIGZIG
         assert tree.root == 2
         # zig-zig leaves a left spine 2 -> 1 -> 0, not the naive swap
         assert tree.left[2] == 1 and tree.left[1] == 0
 
     def test_zigzag(self):
         tree = build_tree(range(3), "((.(..)).)")  # root 2, left 0, 0's right 1
-        step = splay_step(tree, 1)
-        assert step.kind == ZIGZAG
+        assert splay_step(tree, 1) == ZIGZAG
         assert tree.root == 1
         assert tree.left[1] == 0 and tree.right[1] == 2
 
@@ -102,3 +99,51 @@ def test_splay_preserves_order(n, seed):
     tree.validate()
     assert tree.root == key
     assert tree.in_order() == before
+
+
+def textbook_splay(tree, key):
+    """Bottom-up splay after Sleator & Tarjan, one case per step on `rotate_up`.
+
+    The cases are told apart by key order (x < p < g or x > p > g is a
+    zig-zig), not by child links.  Returns (depth before, step kinds).
+    """
+    depth = 0
+    node = key
+    while tree.parent[node] is not None:
+        node = tree.parent[node]
+        depth += 1
+    kinds = []
+    while tree.parent[key] is not None:
+        p = tree.parent[key]
+        g = tree.parent[p]
+        if g is None:
+            tree.rotate_up(key)
+            kinds.append("zig")
+        elif (key < p) == (p < g):
+            tree.rotate_up(p)
+            tree.rotate_up(key)
+            kinds.append("zigzig")
+        else:
+            tree.rotate_up(key)
+            tree.rotate_up(key)
+            kinds.append("zigzag")
+    return depth, kinds
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(1, 40), st.integers(0, 2**30))
+def test_kernel_matches_textbook_splayer(data, n, seed):
+    tree = random_tree(n, rng_for_trial(seed, 0))
+    queries = data.draw(st.lists(st.integers(0, n - 1), max_size=30))
+    reference, kernel, bulk = tree.copy(), tree.copy(), tree.copy()
+    expected_cost = 0
+    for key in queries:
+        depth, kinds = textbook_splay(reference, key)
+        record = splay(kernel, key)
+        assert record.steps == kinds
+        assert record.move_cost == depth
+        assert record.rotation_count == sum(1 if k == "zig" else 2 for k in kinds)
+        assert kernel.same_structure(reference)
+        expected_cost += depth
+    assert total_access_cost(bulk, queries) == expected_cost
+    assert bulk.same_structure(reference)
