@@ -34,9 +34,7 @@ from .restricted import (
     SentineledTree,
     check_restricted,
     init_prime,
-    simulate_move,
     simulate_program,
-    simulate_rotation,
 )
 from .oracle import (
     FrequencyTable,

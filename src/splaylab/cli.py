@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -25,7 +26,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="query generator, e.g. uniform, zipf(1.1), working-set(8); "
                              f"names: {', '.join(GENERATOR_NAMES)}")
     parser.add_argument("--strategy", default=None,
-                        choices=["static", "static-optimal", "oracle-witness"],
+                        choices=["static", "oracle-witness"],
                         help="reference-tree strategy for accounting runs")
     parser.add_argument("--trials", type=int, default=None,
                         help="number of randomized trials (suite-specific default)")
@@ -38,10 +39,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    if args.config:
-        config = ExperimentConfig.from_json(Path(args.config).read_text())
-    else:
-        config = ExperimentConfig()
+    text = Path(args.config).read_text() if args.config else "{}"
+    config = ExperimentConfig.from_json(text)
+    if "trials" not in json.loads(text):  # the file leaves it to the suite
+        config.trials = default_trials(args.suite)
     overrides = {
         "seed": args.seed,
         "n": args.n,
@@ -54,8 +55,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     for key, value in overrides.items():
         if value is not None:
             setattr(config, key, value)
-    if args.trials is None and (not args.config or config.trials == 1):
-        config.trials = default_trials(args.suite)
     parse_generator(config.generator)  # validate early
     check_config(args.suite, config)
     return config
@@ -66,15 +65,15 @@ def main(argv=None) -> int:
     try:
         config = config_from_args(args)
         code, report = run_suite(args.suite, config)
+        text = render_report(args.suite, config, report)
+        if config.output_path:
+            Path(config.output_path).write_text(text)
+            print(f"wrote {config.output_path}")
+        else:
+            sys.stdout.write(text)
     except (ValueError, KeyError, OSError) as exc:
         print(f"splaylab: error: {exc}", file=sys.stderr)
         return 2
-    text = render_report(args.suite, config, report)
-    if config.output_path:
-        Path(config.output_path).write_text(text)
-        print(f"wrote {config.output_path}")
-    else:
-        sys.stdout.write(text)
     return code
 
 

@@ -166,6 +166,18 @@ def generate_sequence(generator: str, n: int, m: int, rng: random.Random) -> lis
     return [0 if k % 2 == 0 else n - 1 for k in range(m)]
 
 
+# The JSON value types a config file may give each field.
+CONFIG_TYPES = {
+    "seed": (int, "an int"),
+    "n": (int, "an int"),
+    "m": (int, "an int"),
+    "generator": (str, "a string"),
+    "strategy": (str, "a string"),
+    "trials": (int, "an int"),
+    "output_path": ((str, type(None)), "a string or null"),
+}
+
+
 @dataclass
 class ExperimentConfig:
     seed: int = 0
@@ -179,9 +191,15 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError("config file must hold a JSON object")
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in data.items():
+            kind, name = CONFIG_TYPES[key]
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"config key {key!r} must be {name}, got {value!r}")
         return cls(**data)
 
     def to_json(self) -> str:

@@ -211,13 +211,12 @@ class InterleavedRun:
     """
 
     def __init__(self, S: TreeState, T: TreeState, per_step: bool = False):
-        if sorted(S.in_order()) != sorted(T.in_order()):
+        if S.left.keys() != T.left.keys():
             raise KeyError("S and T must share one key set")
         self.S = S
         self.T = T
         self.per_step = per_step
-        self.events = []
-        self.reports = []
+        self.report = CheckReport("interleaved-run")
         self.organizing_count = 0
         self.s_cost = 0
         self.sum_amortized = 0.0
@@ -230,9 +229,6 @@ class InterleavedRun:
         self.p_T = potential_of(self.T, self.wa)
         self.phi = potential_of(self.S, self.wa) - self.p_T
 
-    def violations(self) -> list:
-        return [v for r in self.reports for v in r.violations]
-
     def splay_query(self, key: int, kind: str = "query") -> SplayEvent:
         ev = checked_splay(
             self.S, self.wa, key,
@@ -242,10 +238,9 @@ class InterleavedRun:
         self.sum_amortized += ev.amortized
         if kind == "organizing":
             self.organizing_count += 1
-        self.events.append(ev)
         self.phi = ev.pot_after - self.p_T
-        self.reports.append(check_access_lemma(ev))
-        self.reports.append(check_amortized_depth(ev))
+        self.report.absorb(check_access_lemma(ev))
+        self.report.absorb(check_amortized_depth(ev))
         return ev
 
     def apply_T_rotation(self, rotated: int) -> RotationEvent:
@@ -259,8 +254,7 @@ class InterleavedRun:
         self._reweight()
         ev = RotationEvent(rotated, depth, plan, phi_before, self.phi)
         self.sum_amortized += ev.delta  # zero real cost for S
-        self.events.append(ev)
-        self.reports.append(check_rotation_delta(ev))
+        self.report.absorb(check_rotation_delta(ev))
         return ev
 
     def telescoping_residual(self) -> float:
@@ -324,45 +318,15 @@ class AccountingReport:
     total_S_cost: int
     phi_initial: float
     phi_final: float
-    sum_amortized: float
     telescoping_residual: float
     counts_exact: bool
     e_within_budget: bool
-    bound_terms: dict
     empirical_ratio: float
-    violations: list
+    check: CheckReport  # the five trial-level conditions, one tick each
 
     @property
     def passed(self) -> bool:
-        return (
-            not self.violations
-            and self.counts_exact
-            and self.e_within_budget
-            and abs(self.telescoping_residual) <= RANK_TOL
-            and self.phi_initial == 0.0
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "e": self.e,
-            "M": self.M,
-            "R": self.R,
-            "M_prime": self.M_prime,
-            "R_prime": self.R_prime,
-            "total_S_cost": self.total_S_cost,
-            "phi_initial": self.phi_initial,
-            "phi_final": self.phi_final,
-            "sum_amortized": self.sum_amortized,
-            "telescoping_residual": self.telescoping_residual,
-            "counts_exact": self.counts_exact,
-            "e_within_budget": self.e_within_budget,
-            "bound_terms": self.bound_terms,
-            "empirical_ratio": self.empirical_ratio,
-            "violations": list(self.violations),
-            "passed": self.passed,
-        }
+        return self.check.passed
 
 
 def accounting_run(n: int, queries, strategy: str = "oracle-witness") -> AccountingReport:
@@ -370,7 +334,10 @@ def accounting_run(n: int, queries, strategy: str = "oracle-witness") -> Account
     splays with organizing splays and per-event checks -> accounting report.
 
     The splay tree starts identical to the restricted tree (n+2 keys including
-    the sentinels), so the initial potential is exactly zero.
+    the sentinels), so the initial potential is exactly zero.  The report's
+    check holds five conditions: no interleaved-bound violation, exact
+    simulated op counts, e <= 3R', a telescoping residual within RANK_TOL and
+    a zero initial potential.
     """
     queries = list(queries)
     keys = range(n)
@@ -394,6 +361,17 @@ def accounting_run(n: int, queries, strategy: str = "oracle-witness") -> Account
     m_prime, r_prime = st.ledger.moves, st.ledger.rotations
     counts_exact = (m_prime == 4 * M + 3 * R) and (r_prime == 2 * M + R)
     e = run.organizing_count
+    e_within_budget = e <= ORGANIZING_SPLAYS_PER_ROTATION * r_prime
+    residual = run.telescoping_residual()
+    check = CheckReport("accounting", checked=5, violations=list(run.report.violations))
+    if not counts_exact:
+        check.fail("simulated op counts off")
+    if not e_within_budget:
+        check.fail(f"e={e} exceeds 3R'={ORGANIZING_SPLAYS_PER_ROTATION * r_prime}")
+    if abs(residual) > RANK_TOL:
+        check.fail(f"telescoping residual {residual}")
+    if run.phi_initial != 0.0:
+        check.fail(f"initial potential {run.phi_initial}")
     denom = n + m_prime + r_prime
     return AccountingReport(
         n=n,
@@ -406,23 +384,9 @@ def accounting_run(n: int, queries, strategy: str = "oracle-witness") -> Account
         total_S_cost=run.s_cost,
         phi_initial=run.phi_initial,
         phi_final=run.phi,
-        sum_amortized=run.sum_amortized,
-        telescoping_residual=run.telescoping_residual(),
+        telescoping_residual=residual,
         counts_exact=counts_exact,
-        e_within_budget=e <= ORGANIZING_SPLAYS_PER_ROTATION * r_prime,
-        bound_terms={
-            "rotation_delta_bound": ROTATION_DELTA_BOUND,
-            "rotation_delta_total": ROTATION_DELTA_BOUND * r_prime,
-            "query_amortized_sum": sum(
-                ev.amortized for ev in run.events if isinstance(ev, SplayEvent) and ev.kind == "query"
-            ),
-            "organizing_amortized_sum": sum(
-                ev.amortized for ev in run.events if isinstance(ev, SplayEvent) and ev.kind == "organizing"
-            ),
-            "rotation_delta_sum": sum(
-                ev.delta for ev in run.events if isinstance(ev, RotationEvent)
-            ),
-        },
+        e_within_budget=e_within_budget,
         empirical_ratio=(run.s_cost / denom) if denom else 0.0,
-        violations=run.violations(),
+        check=check,
     )

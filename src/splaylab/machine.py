@@ -353,10 +353,9 @@ def descriptor_of(tree: TreeState) -> str:
 
 @dataclass
 class MachineProgram:
-    """An op list plus the computed (never asserted) restricted flag."""
+    """An op list for the cursor machine."""
 
     ops: list
-    restricted: bool | None = None
 
     @property
     def move_count(self) -> int:

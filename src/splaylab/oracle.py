@@ -334,7 +334,7 @@ def split_program_by_service(T0: TreeState, ops, queries) -> list:
 
 def per_query_segments(strategy: str, T0: TreeState, queries) -> list:
     """Cursor-op segments, one per query, for the chosen reference strategy."""
-    if strategy in ("static", "static-optimal"):
+    if strategy == "static":
         segments = []
         for q in queries:
             down = path_ops(T0, q)

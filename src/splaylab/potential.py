@@ -38,7 +38,7 @@ def assign_weights(optimal: TreeState) -> WeightAssignment:
 
 def subtree_sums(tree: TreeState, wa: WeightAssignment) -> dict:
     """Exact scaled subtree weight sums s(v) = w(v) + s(left) + s(right)."""
-    if set(tree.left) != set(wa.weights):
+    if tree.left.keys() != wa.weights.keys():
         raise KeyError("tree and weight assignment cover different key sets")
     sums = {}
     stack = [(tree.root, False)]

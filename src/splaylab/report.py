@@ -22,3 +22,8 @@ class CheckReport:
 
     def fail(self, message: str) -> None:
         self.violations.append(message)
+
+    def absorb(self, other: "CheckReport") -> None:
+        """Add another checker's count and violations to this report."""
+        self.checked += other.checked
+        self.violations.extend(other.violations)

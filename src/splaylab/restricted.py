@@ -22,10 +22,6 @@ from .machine import (
 )
 from .report import CheckReport
 
-DOWN_LEFT = "down-left"
-DOWN_RIGHT = "down-right"
-UP = "up"
-
 _L = MachineOp(OpKind.LEFT)
 _R = MachineOp(OpKind.RIGHT)
 _U = MachineOp(OpKind.UP)
@@ -140,19 +136,6 @@ def apply_t_op(st: SentineledTree, t_op: MachineOp, rotate=None) -> tuple:
     return seq
 
 
-def simulate_move(st: SentineledTree, direction: str) -> list:
-    """One cursor move (down-left / down-right / up): 4 moves + 2 rotations."""
-    kind = {DOWN_LEFT: OpKind.LEFT, DOWN_RIGHT: OpKind.RIGHT, UP: OpKind.UP}.get(direction)
-    if kind is None:
-        raise IllegalOpError(f"unknown direction {direction!r}")
-    return list(apply_t_op(st, MachineOp(kind)))
-
-
-def simulate_rotation(st: SentineledTree) -> list:
-    """One upward rotation of the simulated cursor: 3 moves + 1 rotation."""
-    return list(apply_t_op(st, MachineOp(OpKind.ROTATE)))
-
-
 def simulate_program(T: TreeState, program: MachineProgram):
     """Translate a whole cursor program; emits 4M+3R moves and 2M+R rotations."""
     st = init_prime(T)
@@ -162,9 +145,7 @@ def simulate_program(T: TreeState, program: MachineProgram):
             out.extend(apply_t_op(st, t_op))
         except IllegalOpError as exc:
             raise IllegalOpError(str(exc), index=i) from None
-    result = MachineProgram(out)
-    result.restricted = check_restricted(init_prime(T).prime, result).passed
-    return result, st.ledger
+    return MachineProgram(out), st.ledger
 
 
 def check_restricted(initial: TreeState, program) -> CheckReport:
@@ -173,26 +154,30 @@ def check_restricted(initial: TreeState, program) -> CheckReport:
     state = initial.copy()
     ledger = CostLedger()
     report = CheckReport("restricted-sequence")
+    depth = state.depth(state.cursor)  # kept by counting from here on
     pending_return = False
     for i, op in enumerate(ops):
-        if op.kind is OpKind.COMPARE:
+        kind = op.kind
+        if kind is OpKind.COMPARE:
             apply_op(state, ledger, op, index=i)
             continue
         report.tick()
-        if op.kind is OpKind.ROTATE:
+        if kind is OpKind.ROTATE:
             if pending_return:
                 report.fail(f"index {i}: rotation before cursor returned to root")
-            if state.depth(state.cursor) >= 3:
+            if depth >= 3:
                 report.fail(f"index {i}: rotated node at depth >= 3")
             apply_op(state, ledger, op, index=i)
-            pending_return = state.cursor != state.root
+            depth -= 1
+            pending_return = depth != 0
         else:
-            if pending_return and op.kind is not OpKind.UP:
+            if pending_return and kind is not OpKind.UP:
                 report.fail(f"index {i}: sideways move before returning to root")
             apply_op(state, ledger, op, index=i)
-            if state.depth(state.cursor) >= 3:
+            depth += -1 if kind is OpKind.UP else 1
+            if depth >= 3:
                 report.fail(f"index {i}: cursor visited depth >= 3")
-            if state.cursor == state.root:
+            if depth == 0:
                 pending_return = False
     if pending_return:
         report.fail("program ends before cursor returns to root")

@@ -26,7 +26,13 @@ from .oracle import opt_cost, program_search
 from .machine import shape_of
 from .potential import check_potential_floor, check_weight_sum_bounds
 from .report import CheckReport
-from .restricted import cursor_trace, init_prime, is_subsequence, simulate_program
+from .restricted import (
+    check_restricted,
+    cursor_trace,
+    init_prime,
+    is_subsequence,
+    simulate_program,
+)
 from .splay import total_access_cost
 
 SCHEMA_VERSION = 1
@@ -92,20 +98,18 @@ def run_lemma3(config: ExperimentConfig) -> tuple[int, dict]:
         program = random_t_program(T, rng)
         M, R = program.move_count, program.rotation_count
         out, ledger = simulate_program(T, program)
+        prime = init_prime(T).prime
+        check = CheckReport("lemma3", checked=3)
         if (ledger.moves, ledger.rotations) != (4 * M + 3 * R, 2 * M + R):
-            report["violations"].append(
-                f"trial {trial}: cost ({ledger.moves},{ledger.rotations}) "
+            check.fail(
+                f"cost ({ledger.moves},{ledger.rotations}) "
                 f"!= (4M+3R,2M+R) for M={M} R={R}"
             )
-        report["checked"] += 1
-        if not out.restricted:
-            report["violations"].append(f"trial {trial}: output program not restricted")
-        report["checked"] += 1
-        sim_keys = [k for k in cursor_trace(T, program)]
-        prime_keys = cursor_trace(init_prime(T).prime, out)
-        if not is_subsequence(sim_keys, prime_keys):
-            report["violations"].append(f"trial {trial}: cursor trace not embedded")
-        report["checked"] += 1
+        if not check_restricted(prime, out).passed:
+            check.fail("output program not restricted")
+        if not is_subsequence(cursor_trace(T, program), cursor_trace(prime, out)):
+            check.fail("cursor trace not embedded")
+        _absorb(report, f"trial {trial}", check)
     return _finish(report)
 
 
@@ -126,8 +130,7 @@ def run_lemma4(config: ExperimentConfig) -> tuple[int, dict]:
                     continue
             run.splay_query(rng.choice(T.in_order()))
             splays += 1
-        for r in run.reports:
-            _absorb(report, f"trial {trial}", r)
+        _absorb(report, f"trial {trial}", run.report)
     report["splays"] = splays
     return _finish(report)
 
@@ -148,8 +151,7 @@ def run_lemma5(config: ExperimentConfig) -> tuple[int, dict]:
                 continue
             run = InterleavedRun(S, T)
             run.apply_T_rotation(rng.choice(candidates))
-            for r in run.reports:
-                _absorb(report, f"depth {depth_target} trial {trial}", r)
+            _absorb(report, f"depth {depth_target} trial {trial}", run.report)
             done += 1
     return _finish(report)
 
@@ -164,8 +166,7 @@ def run_lemma6(config: ExperimentConfig) -> tuple[int, dict]:
         per_step = trial % 20 == 0  # step-level checks on a subset; they are O(n) each
         run = InterleavedRun(S, T, per_step=per_step)
         run.splay_query(rng.choice(T.in_order()))
-        for r in run.reports:
-            _absorb(report, f"trial {trial}", r)
+        _absorb(report, f"trial {trial}", run.report)
     return _finish(report)
 
 
@@ -179,19 +180,7 @@ def run_theorem7(config: ExperimentConfig) -> tuple[int, dict]:
         m = rng.randint(1, min(8, config.m))
         queries = [rng.randrange(n) for _ in range(m)]
         acc = accounting_run(n, queries, strategy=config.strategy)
-        report["checked"] += 5
-        if acc.violations:
-            report["violations"].extend(f"trial {trial}: {v}" for v in acc.violations)
-        if not acc.counts_exact:
-            report["violations"].append(f"trial {trial}: simulated op counts off")
-        if not acc.e_within_budget:
-            report["violations"].append(f"trial {trial}: e={acc.e} exceeds 3R'={3 * acc.R_prime}")
-        if abs(acc.telescoping_residual) > 1e-6:
-            report["violations"].append(
-                f"trial {trial}: telescoping residual {acc.telescoping_residual}"
-            )
-        if acc.phi_initial != 0.0:
-            report["violations"].append(f"trial {trial}: initial potential {acc.phi_initial}")
+        _absorb(report, f"trial {trial}", acc.check)
         rows.append({
             "seed": config.seed, "n": n, "m": m, "M": acc.M, "R": acc.R,
             "M_prime": acc.M_prime, "R_prime": acc.R_prime, "e": acc.e,

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from splaylab import lab
 from splaylab.cli import main
 from splaylab.generators import ExperimentConfig, generate_sequence, parse_generator, rng_for_trial
+from splaylab.report import CheckReport
 from splaylab.suites import rows_to_csv, run_suite
 
 
@@ -20,6 +22,19 @@ BAD_INPUTS = [
     (["conjecture", "--m", "-1"], "--m must be at least 0"),
     (["lemma6", "--n", "0"], "--n must be at least 1"),
     (["scan9n", "--n", "0"], "--n must be at least 1"),
+]
+
+# Config-file contents the CLI must reject, and the start of its message.
+BAD_CONFIGS = [
+    ({"n": "64"}, "config key 'n' must be an int"),
+    ({"trials": 2.5}, "config key 'trials' must be an int"),
+    ({"trials": True}, "config key 'trials' must be an int"),
+    ({"seed": None}, "config key 'seed' must be an int"),
+    ({"m": [1]}, "config key 'm' must be an int"),
+    ({"generator": 5}, "config key 'generator' must be a string"),
+    ({"strategy": None}, "config key 'strategy' must be a string"),
+    ({"output_path": 3}, "config key 'output_path' must be a string or null"),
+    ([1], "config file must hold a JSON object"),
 ]
 
 
@@ -72,12 +87,57 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["--suite", "bogus"])
 
+    def test_unknown_strategy_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--suite", "theorem7", "--strategy", "static-optimal"])
+        assert exc.value.code == 2
+
     def test_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": 3, "n": 20, "trials": 10}))
         code, out = run_cli(capsys, "--suite", "lemma2", "--config", str(cfg))
         report = json.loads(out)
         assert code == 0 and report["seed"] == 3 and report["trials"] == 10
+
+    @pytest.mark.parametrize("fields, message", BAD_CONFIGS,
+                             ids=[json.dumps(fields) for fields, _ in BAD_CONFIGS])
+    def test_bad_config_file_is_error_exit(self, tmp_path, capsys, fields, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(fields))
+        code = main(["--suite", "lemma1", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"splaylab: error: {message}")
+
+    def test_config_file_single_trial_honoured(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": 1, "n": 8}))
+        code, out = run_cli(capsys, "--suite", "lemma3", "--config", str(cfg))
+        report = json.loads(out)
+        assert code == 0 and report["trials"] == 1 and report["checked"] == 3
+
+    def test_out_into_missing_directory_is_error_exit(self, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "r.json"
+        code = main(["--suite", "scan9n", "--n", "8", "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("splaylab: error: ")
+        assert not out_path.exists()
+
+    def test_theorem7_violation_reaches_report(self, monkeypatch, capsys):
+        def failing(ev):
+            report = CheckReport("rotation-delta", checked=1)
+            report.fail(f"forced failure at {ev.key}")
+            return report
+
+        monkeypatch.setattr(lab, "check_rotation_delta", failing)
+        code, out = run_cli(capsys, "--suite", "theorem7", "--trials", "3")
+        report = json.loads(out)
+        assert code == 1 and report["passed"] is False
+        assert report["checked"] == 15
+        assert report["violations"]
+        assert all(v.startswith("trial ") and ": forced failure at " in v
+                   for v in report["violations"])
 
     def test_csv_output(self, tmp_path, capsys):
         out_path = tmp_path / "runs.csv"

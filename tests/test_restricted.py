@@ -7,20 +7,17 @@ from splaylab.machine import (
     MachineOp,
     OpKind,
     TreeState,
+    apply_op,
     build_tree,
     run_program,
 )
 from splaylab.restricted import (
-    DOWN_LEFT,
-    DOWN_RIGHT,
-    UP,
+    apply_t_op,
     check_restricted,
     cursor_trace,
     init_prime,
     is_subsequence,
-    simulate_move,
     simulate_program,
-    simulate_rotation,
 )
 
 L, R, U, ROT = (MachineOp(k) for k in (OpKind.LEFT, OpKind.RIGHT, OpKind.UP, OpKind.ROTATE))
@@ -58,23 +55,21 @@ class TestMoveSimulation:
         T = build_tree(range(5), "(((..)(..))(..))")
         st = init_prime(T)
         before = st.prime.copy()
-        simulate_move(st, DOWN_LEFT)
+        apply_t_op(st, L)
         assert st.prime.root == 1  # new simulated cursor pinned at the root
-        simulate_move(st, UP)
+        apply_t_op(st, U)
         assert st.prime.same_structure(before)
         assert st.ledger.moves == 8 and st.ledger.rotations == 4
 
     def test_move_costs(self):
         T = build_tree(range(3), "((..)(..))")
         st = init_prime(T)
-        simulate_move(st, DOWN_RIGHT)
+        apply_t_op(st, R)
         assert (st.ledger.moves, st.ledger.rotations) == (4, 2)
-        simulate_rotation(st)
+        apply_t_op(st, ROT)
         assert (st.ledger.moves, st.ledger.rotations) == (7, 3)
 
     def test_in_order_preserved(self):
-        from splaylab.restricted import apply_t_op
-
         rng = rng_for_trial(23, 0)
         for _ in range(50):
             T = random_tree(rng.randint(2, 10), rng)
@@ -90,9 +85,9 @@ class TestMoveSimulation:
         T = TreeState.singleton(0)
         st = init_prime(T)
         with pytest.raises(IllegalOpError):
-            simulate_move(st, DOWN_LEFT)
+            apply_t_op(st, L)
         with pytest.raises(IllegalOpError):
-            simulate_rotation(st)
+            apply_t_op(st, ROT)
 
 
 class TestProgramSimulation:
@@ -105,7 +100,7 @@ class TestProgramSimulation:
             out, ledger = simulate_program(T, program)
             assert ledger.moves == 4 * M + 3 * Rc
             assert ledger.rotations == 2 * M + Rc
-            assert out.restricted
+            assert check_restricted(init_prime(T).prime, out).passed
 
     def test_simulation_tracks_t_program(self):
         # After the simulation, the subtrees hanging off the restricted tree's
@@ -118,8 +113,6 @@ class TestProgramSimulation:
             run_program(sim, program.ops, CostLedger())
             st = init_prime(T)
             for op in program.ops:
-                from splaylab.restricted import apply_t_op
-
                 apply_t_op(st, op)
             assert st.prime.root == sim.cursor
             assert st.prime.in_order() == [st.min_key] + sim.in_order() + [st.max_key]
@@ -162,6 +155,45 @@ class TestRestrictedChecker:
         prime = init_prime(T).prime
         report = check_restricted(prime, [L, ROT])  # zig; ends at the new root
         assert report.passed
+
+    def test_depth_counter_matches_depth_walk(self):
+        # Reference: the checker with a TreeState.depth walk per op (compare
+        # ops left out: neither program below has any).
+        def walked(initial, ops):
+            state, ledger, found, pending = initial.copy(), CostLedger(), [], False
+            for i, op in enumerate(ops):
+                if op.kind is OpKind.ROTATE:
+                    if pending:
+                        found.append(f"index {i}: rotation before cursor returned to root")
+                    if state.depth(state.cursor) >= 3:
+                        found.append(f"index {i}: rotated node at depth >= 3")
+                    apply_op(state, ledger, op, index=i)
+                    pending = state.cursor != state.root
+                else:
+                    if pending and op.kind is not OpKind.UP:
+                        found.append(f"index {i}: sideways move before returning to root")
+                    apply_op(state, ledger, op, index=i)
+                    if state.depth(state.cursor) >= 3:
+                        found.append(f"index {i}: cursor visited depth >= 3")
+                    if state.cursor == state.root:
+                        pending = False
+            if pending:
+                found.append("program ends before cursor returns to root")
+            return found
+
+        rng = rng_for_trial(41, 0)
+        flagged = 0
+        for _ in range(150):
+            T = random_tree(rng.randint(2, 10), rng)
+            prime = init_prime(T).prime
+            program = random_t_program(T, rng, max_moves=20, max_rotations=10)
+            out, _ = simulate_program(T, program)
+            for initial, ops in ((T, program.ops), (prime, out.ops)):
+                report = check_restricted(initial, ops)
+                assert report.violations == walked(initial, ops)
+                assert report.checked == len(ops)  # no compare ops in these programs
+                flagged += not report.passed
+        assert flagged > 0  # the arbitrary programs exercise the failure paths
 
     def test_is_subsequence(self):
         assert is_subsequence([1, 3], [1, 2, 3])
