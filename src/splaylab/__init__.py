@@ -4,21 +4,18 @@ from .machine import (
     CostLedger,
     IllegalOpError,
     MachineError,
-    MachineOp,
     MachineProgram,
     OpKind,
     ShapeError,
-    Trace,
     TreeState,
     apply_op,
     build_tree,
     descriptor_of,
     parse_shape,
-    run_program,
     shape_of,
     tree_from_shape,
 )
-from .splay import SplayRecord, serve_queries, splay, splay_step, total_access_cost
+from .splay import SplayRecord, splay, splay_step, total_access_cost
 from .potential import (
     PotentialSnapshot,
     WeightAssignment,

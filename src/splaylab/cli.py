@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 from .generators import GENERATOR_NAMES, ExperimentConfig, parse_generator
+from .oracle import STRATEGIES
 from .suites import SUITES, check_config, default_trials, render_report, run_suite
 
 
@@ -26,7 +27,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="query generator, e.g. uniform, zipf(1.1), working-set(8); "
                              f"names: {', '.join(GENERATOR_NAMES)}")
     parser.add_argument("--strategy", default=None,
-                        choices=["static", "oracle-witness"],
+                        choices=STRATEGIES,
                         help="reference-tree strategy for accounting runs")
     parser.add_argument("--trials", type=int, default=None,
                         help="number of randomized trials (suite-specific default)")
@@ -57,6 +58,9 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             setattr(config, key, value)
     parse_generator(config.generator)  # validate early
     check_config(args.suite, config)
+    parent = Path(config.output_path or ".").parent
+    if not parent.is_dir():
+        raise ValueError(f"--out {config.output_path}: directory {parent} does not exist")
     return config
 
 

@@ -5,9 +5,9 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
-from .machine import TreeState
+from .machine import CostLedger, MachineProgram, OpKind, TreeState, apply_op
 
 
 def rng_for_trial(seed: int, trial: int) -> random.Random:
@@ -97,8 +97,6 @@ def random_t_program(tree: TreeState, rng: random.Random,
 
     Returns a MachineProgram; the tree passed in is not modified.
     """
-    from .machine import CostLedger, MachineOp, MachineProgram, OpKind, apply_op
-
     work = tree.copy()
     ledger = CostLedger()
     ops = []
@@ -117,11 +115,10 @@ def random_t_program(tree: TreeState, rng: random.Random,
             choices.append(OpKind.ROTATE)
         if not choices:
             break
-        kind = rng.choice(choices)
-        op = MachineOp(kind)
+        op = rng.choice(choices)
         apply_op(work, ledger, op)
         ops.append(op)
-        if kind is OpKind.ROTATE:
+        if op is OpKind.ROTATE:
             rotations -= 1
         else:
             moves -= 1
@@ -201,6 +198,3 @@ class ExperimentConfig:
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise ValueError(f"config key {key!r} must be {name}, got {value!r}")
         return cls(**data)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2)

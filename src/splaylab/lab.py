@@ -347,8 +347,8 @@ def accounting_run(n: int, queries, strategy: str = "oracle-witness") -> Account
     freq = FrequencyTable.from_queries(keys, queries)
     T0 = static_optimal(freq)
     segments = per_query_segments(strategy, T0, queries)
-    M = sum(1 for seg in segments for op in seg if op.kind is not OpKind.ROTATE)
-    R = sum(1 for seg in segments for op in seg if op.kind is OpKind.ROTATE)
+    M = sum(1 for seg in segments for op in seg if op is not OpKind.ROTATE)
+    R = sum(1 for seg in segments for op in seg if op is OpKind.ROTATE)
 
     st = init_prime(T0)
     S = st.prime.copy()

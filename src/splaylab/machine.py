@@ -2,13 +2,14 @@
 
 Trees hold a finite set of distinct integer keys.  A single cursor moves
 between adjacent nodes; the only structural primitive is an upward rotation
-of the node at the cursor.  Moves and rotations are charged on a ledger,
-comparisons are free.
+of the node at the cursor.  A program is a sequence of `OpKind` members.
+Moves and rotations are charged on a ledger; a key comparison is free and
+is not an op.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -31,7 +32,8 @@ class IllegalOpError(MachineError):
 
 
 class OpKind(Enum):
-    COMPARE = "compare"
+    """One cursor-machine op; a program is a sequence of these."""
+
     LEFT = "left"
     RIGHT = "right"
     UP = "up"
@@ -40,40 +42,13 @@ class OpKind(Enum):
 
 MOVE_KINDS = frozenset({OpKind.LEFT, OpKind.RIGHT, OpKind.UP})
 
-# Short codes used by serialized cursor-program files.
-SHORT_CODES = {
-    "L": OpKind.LEFT,
-    "R": OpKind.RIGHT,
-    "U": OpKind.UP,
-    "ROT": OpKind.ROTATE,
-    "CMP": OpKind.COMPARE,
-}
-CODES_SHORT = {v: k for k, v in SHORT_CODES.items()}
-
-
-@dataclass(frozen=True)
-class MachineOp:
-    kind: OpKind
-    operand: int | None = None  # optional key annotation for trace readability
-
 
 @dataclass
 class CostLedger:
-    """Monotone per-tree tally.  Comparisons are tracked but never charged."""
+    """Monotone per-tree tally of charged moves and rotations."""
 
     moves: int = 0
     rotations: int = 0
-    comparisons: int = 0
-
-    def copy(self) -> "CostLedger":
-        return CostLedger(self.moves, self.rotations, self.comparisons)
-
-    def as_dict(self) -> dict:
-        return {
-            "moves": self.moves,
-            "rotations": self.rotations,
-            "comparisons": self.comparisons,
-        }
 
 
 class TreeState:
@@ -348,7 +323,7 @@ def descriptor_of(tree: TreeState) -> str:
     return "".join(out)
 
 
-# -- programs and traces ------------------------------------------------------
+# -- programs ------------------------------------------------------------------
 
 
 @dataclass
@@ -359,76 +334,38 @@ class MachineProgram:
 
     @property
     def move_count(self) -> int:
-        return sum(1 for op in self.ops if op.kind in MOVE_KINDS)
+        return sum(1 for op in self.ops if op in MOVE_KINDS)
 
     @property
     def rotation_count(self) -> int:
-        return sum(1 for op in self.ops if op.kind is OpKind.ROTATE)
-
-    def to_json(self) -> list:
-        return [{"op": CODES_SHORT[op.kind]} for op in self.ops]
-
-    @classmethod
-    def from_json(cls, items) -> "MachineProgram":
-        return cls([MachineOp(SHORT_CODES[item["op"]]) for item in items])
+        return sum(1 for op in self.ops if op is OpKind.ROTATE)
 
 
-@dataclass
-class Trace:
-    """Replayable step list: (op label, key at cursor after the op)."""
-
-    steps: list = field(default_factory=list)
-    ledger: CostLedger = field(default_factory=CostLedger)
-
-    def to_json(self, initial: TreeState) -> dict:
-        return {
-            "initial_shape": descriptor_of(initial),
-            "keys": initial.in_order(),
-            "steps": [{"op": op, "cursor": cur} for op, cur in self.steps],
-            "ledger": self.ledger.as_dict(),
-        }
-
-
-def apply_op(state: TreeState, ledger: CostLedger, op: MachineOp, index: int | None = None) -> None:
+def apply_op(state: TreeState, ledger: CostLedger, op: OpKind, index: int | None = None) -> None:
     """Apply one machine op in place, charging the ledger."""
-    kind = op.kind
-    if kind is OpKind.COMPARE:
-        ledger.comparisons += 1
-        return
     cursor = state.cursor
-    if kind is OpKind.LEFT:
+    if op is OpKind.LEFT:
         dest = state.left[cursor]
         if dest is None:
             raise IllegalOpError(f"no left child at {cursor}", index)
         state.cursor = dest
         ledger.moves += 1
-    elif kind is OpKind.RIGHT:
+    elif op is OpKind.RIGHT:
         dest = state.right[cursor]
         if dest is None:
             raise IllegalOpError(f"no right child at {cursor}", index)
         state.cursor = dest
         ledger.moves += 1
-    elif kind is OpKind.UP:
+    elif op is OpKind.UP:
         dest = state.parent[cursor]
         if dest is None:
             raise IllegalOpError("no parent at root", index)
         state.cursor = dest
         ledger.moves += 1
-    elif kind is OpKind.ROTATE:
+    elif op is OpKind.ROTATE:
         if state.parent[cursor] is None:
             raise IllegalOpError("cannot rotate at root", index)
         state.rotate_up(cursor)
         ledger.rotations += 1
     else:  # pragma: no cover
-        raise IllegalOpError(f"unknown op kind {kind}", index)
-
-
-def run_program(state: TreeState, program, ledger: CostLedger | None = None) -> Trace:
-    """Run a program (MachineProgram or op list) in place, returning its trace."""
-    ops = program.ops if isinstance(program, MachineProgram) else list(program)
-    ledger = ledger if ledger is not None else CostLedger()
-    trace = Trace(ledger=ledger)
-    for i, op in enumerate(ops):
-        apply_op(state, ledger, op, index=i)
-        trace.steps.append((op.kind.value, state.cursor))
-    return trace
+        raise IllegalOpError(f"unknown op {op!r}", index)

@@ -15,7 +15,6 @@ from functools import lru_cache
 from .machine import (
     CostLedger,
     IllegalOpError,
-    MachineOp,
     MachineProgram,
     OpKind,
     TreeState,
@@ -30,6 +29,9 @@ MAX_OPT_KEYS = 6
 MAX_OPT_QUERIES = 8
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
+
+# Reference strategies `per_query_segments` can build a program for.
+STRATEGIES = ("static", "oracle-witness")
 
 
 @lru_cache(maxsize=None)
@@ -85,7 +87,7 @@ def _rotated(shape, n, key):
     return shape_of(tree)
 
 
-def _normalize(shape, cursor, k, returned, queries, root):
+def _normalize(cursor, k, returned, queries, root):
     while returned and k < len(queries) and cursor == queries[k]:
         k += 1
         returned = cursor == root
@@ -114,7 +116,7 @@ def opt_cost(n: int, queries, initial_shape) -> tuple[int, MachineProgram]:
 
     m = len(queries)
     root0 = _decode(initial_shape, n)[3]
-    k0, ret0 = _normalize(initial_shape, root0, 0, True, queries, root0)
+    k0, ret0 = _normalize(root0, 0, True, queries, root0)
     start = (initial_shape, root0, k0, ret0)
     pred = {start: None}
     frontier = deque([start])
@@ -136,7 +138,7 @@ def opt_cost(n: int, queries, initial_shape) -> tuple[int, MachineProgram]:
         for kind, nshape, ncursor in moves:
             nroot = _decode(nshape, n)[3]
             nret = returned or ncursor == nroot
-            nk, nret = _normalize(nshape, ncursor, k, nret, queries, nroot)
+            nk, nret = _normalize(ncursor, k, nret, queries, nroot)
             nstate = (nshape, ncursor, nk, nret)
             if nstate in pred:
                 continue
@@ -151,7 +153,7 @@ def opt_cost(n: int, queries, initial_shape) -> tuple[int, MachineProgram]:
     state = goal
     while pred[state] is not None:
         state, kind = pred[state]
-        ops.append(MachineOp(kind))
+        ops.append(kind)
     ops.reverse()
     return len(ops), MachineProgram(ops)
 
@@ -185,7 +187,7 @@ def program_search(T0: TreeState, queries, budget: int) -> bool:
         parent = state.parent[cursor]
         for kind in (OpKind.LEFT, OpKind.RIGHT, OpKind.UP, OpKind.ROTATE):
             try:
-                apply_op(state, ledger, MachineOp(kind))
+                apply_op(state, ledger, kind)
             except IllegalOpError:
                 continue
             found = dfs(k, returned or state.cursor == state.root, remaining - 1)
@@ -205,10 +207,6 @@ def program_search(T0: TreeState, queries, budget: int) -> bool:
 @dataclass(frozen=True)
 class FrequencyTable:
     counts: dict
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
 
     @classmethod
     def from_queries(cls, keys, queries) -> "FrequencyTable":
@@ -291,10 +289,10 @@ def path_ops(tree: TreeState, key: int) -> list:
     node = tree.root
     while node != key:
         if key < node:
-            ops.append(MachineOp(OpKind.LEFT, key))
+            ops.append(OpKind.LEFT)
             node = tree.left[node]
         else:
-            ops.append(MachineOp(OpKind.RIGHT, key))
+            ops.append(OpKind.RIGHT)
             node = tree.right[node]
         if node is None:
             raise KeyError(f"unknown key {key!r}")
@@ -334,21 +332,13 @@ def split_program_by_service(T0: TreeState, ops, queries) -> list:
 
 def per_query_segments(strategy: str, T0: TreeState, queries) -> list:
     """Cursor-op segments, one per query, for the chosen reference strategy."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; choose from {list(STRATEGIES)}")
     if strategy == "static":
         segments = []
         for q in queries:
             down = path_ops(T0, q)
-            segments.append(down + [MachineOp(OpKind.UP)] * len(down))
+            segments.append(down + [OpKind.UP] * len(down))
         return segments
-    if strategy == "oracle-witness":
-        n = len(T0)
-        _, witness = opt_cost(n, queries, shape_of(T0))
-        return split_program_by_service(T0, witness.ops, queries)
-    raise ValueError(f"unknown strategy {strategy!r}")
-
-
-def strategy_program(strategy: str, T0: TreeState, queries) -> MachineProgram:
-    ops = []
-    for segment in per_query_segments(strategy, T0, queries):
-        ops.extend(segment)
-    return MachineProgram(ops)
+    _, witness = opt_cost(len(T0), queries, shape_of(T0))
+    return split_program_by_service(T0, witness.ops, queries)

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from .machine import (
     CostLedger,
     IllegalOpError,
-    MachineOp,
     MachineProgram,
     OpKind,
     TreeState,
@@ -22,10 +21,7 @@ from .machine import (
 )
 from .report import CheckReport
 
-_L = MachineOp(OpKind.LEFT)
-_R = MachineOp(OpKind.RIGHT)
-_U = MachineOp(OpKind.UP)
-_ROT = MachineOp(OpKind.ROTATE)
+_L, _R, _U, _ROT = OpKind.LEFT, OpKind.RIGHT, OpKind.UP, OpKind.ROTATE
 
 # Fixed op sequences; which one applies depends only on the tracked tree.
 _SEQ_DOWN_LEFT = (_L, _R, _ROT, _U, _L, _ROT)
@@ -76,48 +72,42 @@ def init_prime(T: TreeState) -> SentineledTree:
     return SentineledTree(prime, sim, mn, mx)
 
 
-def op_sequence(st: SentineledTree, t_op: MachineOp) -> tuple:
+def op_sequence(st: SentineledTree, t_op: OpKind) -> tuple:
     """Restricted ops for one simulated op; validates against the tracked tree."""
     sim = st.sim
     c = sim.cursor
-    kind = t_op.kind
-    if kind is OpKind.COMPARE:
-        return (MachineOp(OpKind.COMPARE),)
-    if kind is OpKind.LEFT:
+    if t_op is OpKind.LEFT:
         if sim.left[c] is None:
             raise IllegalOpError(f"no left child at {c}")
         return _SEQ_DOWN_LEFT
-    if kind is OpKind.RIGHT:
+    if t_op is OpKind.RIGHT:
         if sim.right[c] is None:
             raise IllegalOpError(f"no right child at {c}")
         return _SEQ_DOWN_RIGHT
     p = sim.parent[c]
     if p is None:
         raise IllegalOpError("simulated cursor is at the root")
-    if kind is OpKind.UP:
+    if t_op is OpKind.UP:
         return _SEQ_UP_FROM_LEFT if sim.left[p] == c else _SEQ_UP_FROM_RIGHT
-    if kind is OpKind.ROTATE:
+    if t_op is OpKind.ROTATE:
         return _SEQ_ROT_PARENT_ABOVE_RIGHT if p > c else _SEQ_ROT_PARENT_ABOVE_LEFT
-    raise IllegalOpError(f"unsupported op kind {kind}")  # pragma: no cover
+    raise IllegalOpError(f"unsupported op {t_op!r}")  # pragma: no cover
 
 
-def commit_sim(st: SentineledTree, t_op: MachineOp) -> None:
+def commit_sim(st: SentineledTree, t_op: OpKind) -> None:
     """Apply the simulated op to the tracked tree."""
     sim = st.sim
-    kind = t_op.kind
-    if kind is OpKind.COMPARE:
-        return
-    if kind is OpKind.ROTATE:
+    if t_op is OpKind.ROTATE:
         sim.rotate_up(sim.cursor)
-    elif kind is OpKind.LEFT:
+    elif t_op is OpKind.LEFT:
         sim.cursor = sim.left[sim.cursor]
-    elif kind is OpKind.RIGHT:
+    elif t_op is OpKind.RIGHT:
         sim.cursor = sim.right[sim.cursor]
     else:
         sim.cursor = sim.parent[sim.cursor]
 
 
-def apply_t_op(st: SentineledTree, t_op: MachineOp, rotate=None) -> tuple:
+def apply_t_op(st: SentineledTree, t_op: OpKind, rotate=None) -> tuple:
     """Translate and execute one simulated op on the restricted tree.
 
     `rotate(key)`, if given, performs each emitted rotation of the cursor's
@@ -125,7 +115,7 @@ def apply_t_op(st: SentineledTree, t_op: MachineOp, rotate=None) -> tuple:
     """
     seq = op_sequence(st, t_op)
     for op in seq:
-        if rotate is not None and op.kind is OpKind.ROTATE:
+        if rotate is not None and op is OpKind.ROTATE:
             rotate(st.prime.cursor)
             st.ledger.rotations += 1
         else:
@@ -136,8 +126,8 @@ def apply_t_op(st: SentineledTree, t_op: MachineOp, rotate=None) -> tuple:
     return seq
 
 
-def simulate_program(T: TreeState, program: MachineProgram):
-    """Translate a whole cursor program; emits 4M+3R moves and 2M+R rotations."""
+def simulate_program(T: TreeState, program: MachineProgram) -> tuple[list, CostLedger]:
+    """Translate a whole cursor program; the op list has 4M+3R moves and 2M+R rotations."""
     st = init_prime(T)
     out = []
     for i, t_op in enumerate(program.ops):
@@ -145,24 +135,19 @@ def simulate_program(T: TreeState, program: MachineProgram):
             out.extend(apply_t_op(st, t_op))
         except IllegalOpError as exc:
             raise IllegalOpError(str(exc), index=i) from None
-    return MachineProgram(out), st.ledger
+    return out, st.ledger
 
 
-def check_restricted(initial: TreeState, program) -> CheckReport:
-    """Replay a program, reporting depth>=3 visits and missed returns to root."""
-    ops = program.ops if isinstance(program, MachineProgram) else list(program)
+def check_restricted(initial: TreeState, ops) -> CheckReport:
+    """Replay an op sequence, reporting depth>=3 visits and missed returns to root."""
     state = initial.copy()
     ledger = CostLedger()
     report = CheckReport("restricted-sequence")
     depth = state.depth(state.cursor)  # kept by counting from here on
     pending_return = False
     for i, op in enumerate(ops):
-        kind = op.kind
-        if kind is OpKind.COMPARE:
-            apply_op(state, ledger, op, index=i)
-            continue
         report.tick()
-        if kind is OpKind.ROTATE:
+        if op is OpKind.ROTATE:
             if pending_return:
                 report.fail(f"index {i}: rotation before cursor returned to root")
             if depth >= 3:
@@ -171,10 +156,10 @@ def check_restricted(initial: TreeState, program) -> CheckReport:
             depth -= 1
             pending_return = depth != 0
         else:
-            if pending_return and kind is not OpKind.UP:
+            if pending_return and op is not OpKind.UP:
                 report.fail(f"index {i}: sideways move before returning to root")
             apply_op(state, ledger, op, index=i)
-            depth += -1 if kind is OpKind.UP else 1
+            depth += -1 if op is OpKind.UP else 1
             if depth >= 3:
                 report.fail(f"index {i}: cursor visited depth >= 3")
             if depth == 0:
@@ -184,9 +169,9 @@ def check_restricted(initial: TreeState, program) -> CheckReport:
     return report
 
 
-def cursor_trace(initial: TreeState, program) -> list:
-    """Keys visited by the cursor, starting at the root."""
-    ops = program.ops if isinstance(program, MachineProgram) else list(program)
+def cursor_trace(initial: TreeState, ops) -> list:
+    """Replay an op sequence on a copy of `initial`; the keys the cursor visits,
+    starting at the root."""
     state = initial.copy()
     ledger = CostLedger()
     trace = [state.cursor]

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import ceil
 
-from .machine import IllegalOpError, Trace, TreeState
+from .machine import IllegalOpError, TreeState
 
 ZIG = "zig"
 ZIGZIG = "zigzig"
@@ -66,19 +66,6 @@ def splay(state: TreeState, key: int) -> SplayRecord:
         record.steps.append(splay_step(state, key))
     state.cursor = state.root
     return record
-
-
-def serve_queries(state: TreeState, queries) -> tuple[TreeState, Trace]:
-    """Splay each query in order; the trace lists step kinds per splayed key."""
-    trace = Trace()
-    for i, key in enumerate(queries):
-        if key not in state.left:
-            raise KeyError(f"unknown key {key!r} at query index {i}")
-        record = splay(state, key)
-        trace.ledger.moves += record.move_cost
-        trace.ledger.rotations += record.rotation_count
-        trace.steps.extend((kind, key) for kind in record.steps)
-    return state, trace
 
 
 def total_access_cost(state: TreeState, queries) -> int:

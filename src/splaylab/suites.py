@@ -22,7 +22,7 @@ from .generators import (
     spine_tree,
 )
 from .lab import InterleavedRun, accounting_run, cost_ratio, merge_extras
-from .oracle import opt_cost, program_search
+from .oracle import STRATEGIES, opt_cost, program_search
 from .machine import shape_of
 from .potential import check_potential_floor, check_weight_sum_bounds
 from .report import CheckReport
@@ -107,7 +107,7 @@ def run_lemma3(config: ExperimentConfig) -> tuple[int, dict]:
             )
         if not check_restricted(prime, out).passed:
             check.fail("output program not restricted")
-        if not is_subsequence(cursor_trace(T, program), cursor_trace(prime, out)):
+        if not is_subsequence(cursor_trace(T, program.ops), cursor_trace(prime, out)):
             check.fail("cursor trace not embedded")
         _absorb(report, f"trial {trial}", check)
     return _finish(report)
@@ -318,6 +318,8 @@ def check_config(name: str, config: ExperimentConfig) -> None:
     ):
         if least is not None and value < least:
             raise ValueError(f"{flag} must be at least {least} for suite {name}, got {value}")
+    if config.strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {config.strategy!r}; choose from {list(STRATEGIES)}")
 
 
 def render_report(name: str, config: ExperimentConfig, report: dict) -> str:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from splaylab import lab
+from splaylab import cli, lab
 from splaylab.cli import main
 from splaylab.generators import ExperimentConfig, generate_sequence, parse_generator, rng_for_trial
 from splaylab.report import CheckReport
@@ -34,6 +34,7 @@ BAD_CONFIGS = [
     ({"generator": 5}, "config key 'generator' must be a string"),
     ({"strategy": None}, "config key 'strategy' must be a string"),
     ({"output_path": 3}, "config key 'output_path' must be a string or null"),
+    ({"strategy": "bogus"}, "unknown strategy 'bogus'"),
     ([1], "config file must hold a JSON object"),
 ]
 
@@ -116,12 +117,17 @@ class TestCli:
         report = json.loads(out)
         assert code == 0 and report["trials"] == 1 and report["checked"] == 3
 
-    def test_out_into_missing_directory_is_error_exit(self, tmp_path, capsys):
+    def test_out_into_missing_directory_is_error_exit(self, tmp_path, capsys, monkeypatch):
+        def must_not_run(name, config):
+            raise AssertionError("the suite ran before --out was checked")
+
+        monkeypatch.setattr(cli, "run_suite", must_not_run)
         out_path = tmp_path / "missing" / "r.json"
         code = main(["--suite", "scan9n", "--n", "8", "--out", str(out_path)])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("splaylab: error: ")
+        assert str(out_path) in captured.err
         assert not out_path.exists()
 
     def test_theorem7_violation_reaches_report(self, monkeypatch, capsys):

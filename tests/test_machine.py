@@ -4,21 +4,28 @@ from hypothesis import given, settings, strategies as st
 from splaylab.machine import (
     CostLedger,
     IllegalOpError,
-    MachineOp,
     MachineProgram,
     OpKind,
     ShapeError,
+    apply_op,
     build_tree,
     descriptor_of,
     parse_shape,
-    run_program,
     shape_of,
     tree_from_shape,
 )
 from splaylab.generators import random_tree, rng_for_trial
+from splaylab.restricted import cursor_trace
 
 
-L, R, U, ROT = (MachineOp(k) for k in (OpKind.LEFT, OpKind.RIGHT, OpKind.UP, OpKind.ROTATE))
+L, R, U, ROT = OpKind.LEFT, OpKind.RIGHT, OpKind.UP, OpKind.ROTATE
+
+
+def replay(state, ops, ledger):
+    """Apply `ops` to `state` in place, charging `ledger`."""
+    for i, op in enumerate(ops):
+        apply_op(state, ledger, op, index=i)
+    return ledger
 
 
 class TestShapes:
@@ -97,8 +104,7 @@ class TestRotation:
         while applied < 10_000:
             kind = rng.choice([OpKind.LEFT, OpKind.RIGHT, OpKind.UP, OpKind.ROTATE])
             try:
-                from splaylab.machine import apply_op
-                apply_op(tree, ledger, MachineOp(kind))
+                apply_op(tree, ledger, kind)
             except IllegalOpError:
                 continue
             applied += 1
@@ -108,11 +114,6 @@ class TestRotation:
 
 
 class TestPrograms:
-    def test_compare_is_free(self):
-        tree = build_tree(range(3), "((..)(..))")
-        trace = run_program(tree, [MachineOp(OpKind.COMPARE), L, U])
-        assert trace.ledger.as_dict() == {"moves": 2, "rotations": 0, "comparisons": 1}
-
     def test_ledger_additive_over_concatenation(self):
         from splaylab.generators import random_t_program
 
@@ -120,21 +121,21 @@ class TestPrograms:
         tree = random_tree(9, rng)
         p = random_t_program(tree, rng, max_moves=10, max_rotations=5).ops
         scratch = tree.copy()
-        run_program(scratch, p)
+        replay(scratch, p, CostLedger())
         q = random_t_program(scratch, rng, max_moves=10, max_rotations=5).ops
         t1 = tree.copy()
         ledger = CostLedger()
-        run_program(t1, p, ledger)
-        run_program(t1, q, ledger)
+        replay(t1, p, ledger)
+        replay(t1, q, ledger)
         t2 = tree.copy()
-        combined = run_program(t2, p + q).ledger
-        assert ledger.as_dict() == combined.as_dict()
+        combined = replay(t2, p + q, CostLedger())
+        assert ledger == combined
         assert t1.same_structure(t2)
 
     def test_illegal_op_reports_index(self):
         tree = build_tree(range(2), "(.(..))")  # root 0, right child 1
         with pytest.raises(IllegalOpError) as err:
-            run_program(tree, [R, R])
+            cursor_trace(tree, [R, R])
         assert err.value.index == 1
 
     def test_six_op_move_simulation_counts(self):
@@ -142,25 +143,16 @@ class TestPrograms:
         assert program.move_count == 4
         assert program.rotation_count == 2
 
-    def test_program_json_round_trip(self):
-        program = MachineProgram([L, R, U, ROT])
-        data = program.to_json()
-        assert data == [{"op": "L"}, {"op": "R"}, {"op": "U"}, {"op": "ROT"}]
-        again = MachineProgram.from_json(data)
-        assert [op.kind for op in again.ops] == [op.kind for op in program.ops]
-
-    def test_trace_json(self):
+    def test_cursor_trace(self):
         tree = build_tree(range(3), "((..)(..))")
-        trace = run_program(tree, [L, U, R])
-        data = trace.to_json(build_tree(range(3), "((..)(..))"))
-        assert data["initial_shape"] == "((..)(..))"
-        assert data["keys"] == [0, 1, 2]
-        assert data["steps"] == [
-            {"op": "left", "cursor": 0},
-            {"op": "up", "cursor": 1},
-            {"op": "right", "cursor": 2},
-        ]
-        assert data["ledger"]["moves"] == 3
+        assert cursor_trace(tree, []) == [tree.root] == [1]
+        assert cursor_trace(tree, [L, U, R]) == [1, 0, 1, 2]
+        assert cursor_trace(tree, [R, ROT, L]) == [1, 2, 2, 1]
+        # The replay runs on a copy: the rotation left the tree as it was.
+        assert tree.same_structure(build_tree(range(3), "((..)(..))")) and tree.cursor == 1
+        with pytest.raises(IllegalOpError) as err:
+            cursor_trace(tree, [L, U, U])
+        assert err.value.index == 2
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,7 +1,7 @@
 import pytest
 
 from splaylab.generators import random_tree, rng_for_trial
-from splaylab.machine import CostLedger, build_tree, run_program, shape_of
+from splaylab.machine import CostLedger, apply_op, build_tree, shape_of
 from splaylab.oracle import (
     CATALAN,
     FrequencyTable,
@@ -14,8 +14,8 @@ from splaylab.oracle import (
     split_program_by_service,
     static_cost,
     static_optimal,
-    strategy_program,
 )
+from splaylab.restricted import cursor_trace
 
 
 class TestShapeEnumeration:
@@ -51,7 +51,9 @@ class TestOptCost:
             T = random_tree(n, rng)
             queries = [rng.randrange(n) for _ in range(rng.randint(1, 5))]
             cost, witness = opt_cost(n, queries, shape_of(T))
-            ledger = run_program(T.copy(), witness.ops).ledger
+            state, ledger = T.copy(), CostLedger()
+            for op in witness.ops:
+                apply_op(state, ledger, op)
             assert ledger.moves + ledger.rotations == cost
 
     def test_agrees_with_program_space_search(self):
@@ -96,11 +98,11 @@ class TestStrategyPrograms:
         queries = [0, 4, 2]
         segments = per_query_segments("static", T, queries)
         assert len(segments) == 3
-        state = T.copy()
         for seg, q in zip(segments, queries):
-            trace = run_program(state, seg)
-            assert state.cursor == state.root
-            assert q in [cur for _, cur in trace.steps] or q == state.root
+            # Static segments never rotate, so each one replays on T itself.
+            keys = cursor_trace(T, seg)
+            assert keys[-1] == T.root
+            assert q in keys
 
     def test_split_covers_whole_program(self):
         rng = rng_for_trial(53, 0)
@@ -112,11 +114,3 @@ class TestStrategyPrograms:
             segments = split_program_by_service(T, witness.ops, queries)
             assert sum(len(s) for s in segments) == len(witness.ops)
             assert len(segments) == len(queries)
-
-    def test_strategy_program_serves_queries(self):
-        T = build_tree(range(4), "(((..).)(..))")
-        queries = [0, 3, 1]
-        program = strategy_program("oracle-witness", T, queries)
-        # Replaying with the service-consumption rule must finish all queries.
-        segments = split_program_by_service(T, program.ops, queries)
-        assert len(segments) == len(queries)

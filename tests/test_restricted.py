@@ -4,12 +4,10 @@ from splaylab.generators import random_t_program, random_tree, rng_for_trial
 from splaylab.machine import (
     CostLedger,
     IllegalOpError,
-    MachineOp,
     OpKind,
     TreeState,
     apply_op,
     build_tree,
-    run_program,
 )
 from splaylab.restricted import (
     apply_t_op,
@@ -20,7 +18,7 @@ from splaylab.restricted import (
     simulate_program,
 )
 
-L, R, U, ROT = (MachineOp(k) for k in (OpKind.LEFT, OpKind.RIGHT, OpKind.UP, OpKind.ROTATE))
+L, R, U, ROT = OpKind.LEFT, OpKind.RIGHT, OpKind.UP, OpKind.ROTATE
 
 
 class TestInitPrime:
@@ -109,8 +107,9 @@ class TestProgramSimulation:
         for _ in range(100):
             T = random_tree(rng.randint(2, 8), rng)
             program = random_t_program(T, rng, max_moves=20, max_rotations=10)
-            sim = T.copy()
-            run_program(sim, program.ops, CostLedger())
+            sim, ledger = T.copy(), CostLedger()
+            for op in program.ops:
+                apply_op(sim, ledger, op)
             st = init_prime(T)
             for op in program.ops:
                 apply_t_op(st, op)
@@ -123,7 +122,7 @@ class TestProgramSimulation:
             T = random_tree(rng.randint(2, 10), rng)
             program = random_t_program(T, rng, max_moves=30, max_rotations=10)
             out, _ = simulate_program(T, program)
-            sim_keys = cursor_trace(T, program)
+            sim_keys = cursor_trace(T, program.ops)
             prime_keys = cursor_trace(init_prime(T).prime, out)
             assert is_subsequence(sim_keys, prime_keys)
 
@@ -157,12 +156,11 @@ class TestRestrictedChecker:
         assert report.passed
 
     def test_depth_counter_matches_depth_walk(self):
-        # Reference: the checker with a TreeState.depth walk per op (compare
-        # ops left out: neither program below has any).
+        # Reference: the checker with a TreeState.depth walk per op.
         def walked(initial, ops):
             state, ledger, found, pending = initial.copy(), CostLedger(), [], False
             for i, op in enumerate(ops):
-                if op.kind is OpKind.ROTATE:
+                if op is ROT:
                     if pending:
                         found.append(f"index {i}: rotation before cursor returned to root")
                     if state.depth(state.cursor) >= 3:
@@ -170,7 +168,7 @@ class TestRestrictedChecker:
                     apply_op(state, ledger, op, index=i)
                     pending = state.cursor != state.root
                 else:
-                    if pending and op.kind is not OpKind.UP:
+                    if pending and op is not U:
                         found.append(f"index {i}: sideways move before returning to root")
                     apply_op(state, ledger, op, index=i)
                     if state.depth(state.cursor) >= 3:
@@ -188,10 +186,10 @@ class TestRestrictedChecker:
             prime = init_prime(T).prime
             program = random_t_program(T, rng, max_moves=20, max_rotations=10)
             out, _ = simulate_program(T, program)
-            for initial, ops in ((T, program.ops), (prime, out.ops)):
+            for initial, ops in ((T, program.ops), (prime, out)):
                 report = check_restricted(initial, ops)
                 assert report.violations == walked(initial, ops)
-                assert report.checked == len(ops)  # no compare ops in these programs
+                assert report.checked == len(ops)
                 flagged += not report.passed
         assert flagged > 0  # the arbitrary programs exercise the failure paths
 

@@ -7,7 +7,6 @@ from splaylab.splay import (
     ZIGZAG,
     ZIGZIG,
     depth_halving_violations,
-    serve_queries,
     splay,
     splay_step,
     total_access_cost,
@@ -57,17 +56,11 @@ class TestCosts:
 
     def test_repeated_query_costs_nothing(self):
         tree = random_tree(16, rng_for_trial(9, 0))
-        _, trace = serve_queries(tree, [5, 5, 5])
+        for key in (5, 5, 5):
+            splay(tree, key)
         first = tree.depth(5)  # now 0
         assert first == 0
         assert total_access_cost(tree, [5, 5]) == 0
-
-    def test_serve_queries_matches_bulk_cost(self):
-        rng = rng_for_trial(13, 0)
-        tree = random_tree(24, rng)
-        queries = [rng.randrange(24) for _ in range(40)]
-        _, trace = serve_queries(tree.copy(), queries)
-        assert trace.ledger.moves == total_access_cost(tree.copy(), queries)
 
     def test_scan_small_bound(self):
         tree = spine_tree(8, "left")
