@@ -58,9 +58,12 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             setattr(config, key, value)
     parse_generator(config.generator)  # validate early
     check_config(args.suite, config)
-    parent = Path(config.output_path or ".").parent
-    if not parent.is_dir():
-        raise ValueError(f"--out {config.output_path}: directory {parent} does not exist")
+    if config.output_path:
+        out = Path(config.output_path)
+        if out.is_dir():
+            raise ValueError(f"--out {config.output_path}: is a directory")
+        if not out.parent.is_dir():
+            raise ValueError(f"--out {config.output_path}: directory {out.parent} does not exist")
     return config
 
 

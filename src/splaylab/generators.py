@@ -7,7 +7,7 @@ import random
 import re
 from dataclasses import dataclass
 
-from .machine import CostLedger, MachineProgram, OpKind, TreeState, apply_op
+from .machine import CostLedger, MachineProgram, OpKind, TreeState, apply_op, tree_from_roots
 
 
 def rng_for_trial(seed: int, trial: int) -> random.Random:
@@ -20,27 +20,7 @@ def random_tree(n: int, rng: random.Random) -> TreeState:
 
     Roots are drawn in preorder (root, left subtree, right subtree).
     """
-    if n < 1:
-        raise ValueError("random tree needs at least one node")
-    left = dict.fromkeys(range(n))
-    right = dict.fromkeys(range(n))
-    parent = dict.fromkeys(range(n))
-    root = None
-    stack = [(0, n, None, None)]  # (lowest key, size, parent, parent's child links)
-    while stack:
-        lo, size, par, links = stack.pop()
-        key = lo + rng.randrange(size)
-        if par is None:
-            root = key
-        else:
-            parent[key] = par
-            links[par] = key
-        hi = lo + size
-        if key + 1 < hi:
-            stack.append((key + 1, hi - key - 1, key, right))
-        if key > lo:
-            stack.append((lo, key - lo, key, left))
-    return TreeState(left, right, parent, root)
+    return tree_from_roots(range(n), rng.randrange)
 
 
 def random_pair(n: int, rng: random.Random) -> tuple[TreeState, TreeState]:
@@ -50,45 +30,16 @@ def random_pair(n: int, rng: random.Random) -> tuple[TreeState, TreeState]:
 
 def spine_tree(n: int, side: str = "right") -> TreeState:
     """Path tree: keys 0..n-1, each node's single child on `side`."""
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', not {side!r}")
-    if n < 1:
-        raise ValueError("spine needs at least one node")
-    keys = list(range(n) if side == "right" else range(n - 1, -1, -1))
-    left = {k: None for k in keys}
-    right = {k: None for k in keys}
-    parent = {keys[0]: None}
-    for prev, key in zip(keys, keys[1:]):
-        parent[key] = prev
-        if side == "right":
-            right[prev] = key
-        else:
-            left[prev] = key
-    return TreeState(left, right, parent, keys[0])
+    if side == "right":
+        return tree_from_roots(range(n), lambda i, j: i)
+    if side == "left":
+        return tree_from_roots(range(n), lambda i, j: j - 1)
+    raise ValueError(f"side must be 'left' or 'right', not {side!r}")
 
 
 def balanced_tree(n: int) -> TreeState:
     """Perfectly balanced tree over keys 0..n-1 (median roots)."""
-    if n < 1:
-        raise ValueError("balanced tree needs at least one node")
-    left = {k: None for k in range(n)}
-    right = {k: None for k in range(n)}
-    parent = {k: None for k in range(n)}
-    root = (0 + n) // 2
-    stack = [(0, n, None, None)]
-    while stack:
-        lo, hi, par, slot = stack.pop()
-        if lo >= hi:
-            continue
-        mid = (lo + hi) // 2
-        parent[mid] = par
-        if slot == "left":
-            left[par] = mid
-        elif slot == "right":
-            right[par] = mid
-        stack.append((lo, mid, mid, "left"))
-        stack.append((mid + 1, hi, mid, "right"))
-    return TreeState(left, right, parent, root)
+    return tree_from_roots(range(n), lambda i, j: (i + j) // 2)
 
 
 def random_t_program(tree: TreeState, rng: random.Random,

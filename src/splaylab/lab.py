@@ -68,17 +68,9 @@ class SplayEvent:
 
 
 @dataclass
-class OrganizingPlan:
-    rotated_key: int
-    splay_keys: list
-    depths_ref: list
-
-
-@dataclass
 class RotationEvent:
     key: int
     depth_ref: int
-    plan: OrganizingPlan
     phi_before: float
     phi_after: float
 
@@ -184,10 +176,10 @@ def check_rotation_delta(ev: RotationEvent) -> CheckReport:
     return report
 
 
-def plan_organizing_splays(S: TreeState, T: TreeState, rotated: int) -> OrganizingPlan:
-    """Splay the rotated key, then its reference parent, then (for depth-2
-    rotations) the reference root.  At most 3 keys, none deeper than the
-    rotated key."""
+def plan_organizing_splays(T: TreeState, rotated: int) -> list:
+    """The keys to splay before rotating `rotated` in T: the rotated key, then
+    its reference parent, then (for depth-2 rotations) the reference root.  At
+    most 3 keys, none deeper than the rotated key."""
     parent = T.parent[rotated]
     if parent is None:
         raise IllegalOpError("cannot plan around a rotation of the root")
@@ -195,11 +187,9 @@ def plan_organizing_splays(S: TreeState, T: TreeState, rotated: int) -> Organizi
     if depth >= 3:
         raise IllegalOpError(f"rotation at depth {depth} violates the depth restriction")
     keys = [rotated, parent]
-    depths = [depth, depth - 1]
     if depth == 2:
         keys.append(T.parent[parent])
-        depths.append(0)
-    return OrganizingPlan(rotated, keys, depths)
+    return keys
 
 
 class InterleavedRun:
@@ -245,14 +235,13 @@ class InterleavedRun:
 
     def apply_T_rotation(self, rotated: int) -> RotationEvent:
         """Organizing splays in S, then the rotation in T, then reweighting."""
-        plan = plan_organizing_splays(self.S, self.T, rotated)
         depth = self.T.depth(rotated)
-        for key in plan.splay_keys:
+        for key in plan_organizing_splays(self.T, rotated):
             self.splay_query(key, kind="organizing")
         phi_before = self.phi
         self.T.rotate_up(rotated)
         self._reweight()
-        ev = RotationEvent(rotated, depth, plan, phi_before, self.phi)
+        ev = RotationEvent(rotated, depth, phi_before, self.phi)
         self.sum_amortized += ev.delta  # zero real cost for S
         self.report.absorb(check_rotation_delta(ev))
         return ev

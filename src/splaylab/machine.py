@@ -173,6 +173,41 @@ class TreeState:
             self.right[g] = key
 
 
+def tree_from_roots(keys, pick) -> TreeState:
+    """The tree over the increasing `keys` whose subtree over keys[i:j] is
+    rooted at keys[pick(i, j)].
+
+    `pick` is called once per node, in preorder with the left subtree first.
+    """
+    keys = list(keys)
+    n = len(keys)
+    if n < 1:
+        raise ValueError("a tree needs at least one key")
+    left = dict.fromkeys(keys)
+    right = dict.fromkeys(keys)
+    parent = dict.fromkeys(keys)
+    r = pick(0, n)
+    root = keys[r]
+    # Pending intervals (i, j, parent key, the parent's child links).  Each one
+    # popped is followed down its left chain; nonempty right intervals wait here.
+    stack = [(r + 1, n, root, right)] if r + 1 < n else []
+    if r:
+        stack.append((0, r, root, left))
+    while stack:
+        i, j, par, links = stack.pop()
+        while True:
+            r = pick(i, j)
+            key = keys[r]
+            parent[key] = par
+            links[par] = key
+            if r + 1 < j:
+                stack.append((r + 1, j, key, right))
+            if r == i:
+                break
+            j, par, links = r, key, left
+    return TreeState(left, right, parent, root)
+
+
 # -- shape descriptors ------------------------------------------------------
 #
 # Grammar: S ::= "(" S S ")" | "."   with "." an empty subtree and one node
@@ -241,48 +276,25 @@ def tree_from_shape(shape, keys) -> TreeState:
     keys = list(keys)
     if any(a >= b for a, b in zip(keys, keys[1:])):
         raise ShapeError("keys must be strictly increasing")
-    # Allocate slot ids in preorder, then relabel by in-order position.
-    lefts, rights, parents = [], [], []
-    root_id = None
-    stack = [(shape, None, None)]
-    while stack:
-        node, pid, side = stack.pop()
-        if node is None:
-            continue
-        nid = len(lefts)
-        lefts.append(None)
-        rights.append(None)
-        parents.append(pid)
-        if pid is None:
-            root_id = nid
-        elif side == "L":
-            lefts[pid] = nid
-        else:
-            rights[pid] = nid
-        l, r = node
-        stack.append((r, nid, "R"))
-        stack.append((l, nid, "L"))
-    if len(lefts) != len(keys):
-        raise ShapeError(f"shape has {len(lefts)} slots for {len(keys)} keys")
-    order = []
+    # A node's in-order rank is i + the size of its left subtree, where keys[i:j]
+    # is its interval.  An in-order walk pushes the nodes in preorder, the order
+    # in which tree_from_roots asks for them, so list the ranks in that order.
+    ranks = []
     walk = []
-    cur = root_id
-    while walk or cur is not None:
-        while cur is not None:
-            walk.append(cur)
-            cur = lefts[cur]
-        cur = walk.pop()
-        order.append(cur)
-        cur = rights[cur]
-    key_of = dict(zip(order, keys))
-    left = {}
-    right = {}
-    parent = {}
-    for nid, key in key_of.items():
-        left[key] = None if lefts[nid] is None else key_of[lefts[nid]]
-        right[key] = None if rights[nid] is None else key_of[rights[nid]]
-        parent[key] = None if parents[nid] is None else key_of[parents[nid]]
-    return TreeState(left, right, parent, key_of[root_id])
+    node, rank = shape, 0
+    while walk or node is not None:
+        while node is not None:
+            walk.append((node, len(ranks)))
+            ranks.append(None)
+            node = node[0]
+        node, pre = walk.pop()
+        ranks[pre] = rank
+        rank += 1
+        node = node[1]
+    if len(ranks) != len(keys):
+        raise ShapeError(f"shape has {len(ranks)} slots for {len(keys)} keys")
+    next_rank = iter(ranks).__next__
+    return tree_from_roots(keys, lambda i, j: next_rank())
 
 
 def build_tree(keys, shape: str) -> TreeState:

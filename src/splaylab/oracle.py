@@ -21,6 +21,7 @@ from .machine import (
     apply_op,
     parse_shape,
     shape_of,
+    tree_from_roots,
     tree_from_shape,
 )
 
@@ -226,8 +227,6 @@ def static_optimal(freq: FrequencyTable) -> TreeState:
     """Interval DP for a tree minimizing the successful-search cost."""
     keys = sorted(freq.counts)
     n = len(keys)
-    if n == 0:
-        raise ValueError("empty key set")
     f = [freq.counts[k] for k in keys]
     prefix = [0] * (n + 1)
     for i, x in enumerate(f):
@@ -245,28 +244,7 @@ def static_optimal(freq: FrequencyTable) -> TreeState:
                     best, best_r = c, r
             cost[i][j] = best + prefix[j] - prefix[i]
             root[i][j] = best_r
-
-    left = {k: None for k in keys}
-    right = {k: None for k in keys}
-    parent = {k: None for k in keys}
-    stack = [(0, n, None, None)]
-    tree_root = None
-    while stack:
-        i, j, par, side = stack.pop()
-        if i >= j:
-            continue
-        r = root[i][j]
-        key = keys[r]
-        parent[key] = par
-        if par is None:
-            tree_root = key
-        elif side == "L":
-            left[par] = key
-        else:
-            right[par] = key
-        stack.append((i, r, key, "L"))
-        stack.append((r + 1, j, key, "R"))
-    return TreeState(left, right, parent, tree_root)
+    return tree_from_roots(keys, lambda i, j: root[i][j])
 
 
 def brute_force_static_cost(freq: FrequencyTable) -> int:

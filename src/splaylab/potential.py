@@ -79,23 +79,17 @@ def potential_of(tree: TreeState, wa: WeightAssignment) -> float:
 
 @dataclass
 class PotentialSnapshot:
-    """Exact scaled sums of both trees plus the real-valued potentials."""
+    """The reference tree's potential P(T) and the cross-tree potential phi."""
 
-    scale_exponent: int
-    sums_T: dict
-    sums_S: dict
     p_T: float
-    p_S: float
     phi: float
 
 
 def phi(S: TreeState, T: TreeState) -> PotentialSnapshot:
     """Cross-tree potential P(S) - P(T), weights taken from T's depths."""
     wa = assign_weights(T)
-    sums_t = subtree_sums(T, wa)
-    sums_s = subtree_sums(S, wa)
-    p_t, p_s = potential(sums_t, wa), potential(sums_s, wa)
-    return PotentialSnapshot(wa.scale_exponent, sums_t, sums_s, p_t, p_s, p_s - p_t)
+    p_t = potential_of(T, wa)
+    return PotentialSnapshot(p_t, potential_of(S, wa) - p_t)
 
 
 def check_weight_sum_bounds(S: TreeState, T: TreeState) -> CheckReport:

@@ -251,9 +251,10 @@ def run_scan9n(config: ExperimentConfig) -> tuple[int, dict]:
     ):
         cost = total_access_cost(tree, range(n))
         results[label] = cost
-        report["checked"] += 1
+        check = CheckReport("scan9n", checked=1)
         if cost > 9 * n:
-            report["violations"].append(f"{label}: scan cost {cost} > 9n = {9 * n}")
+            check.fail(f"scan cost {cost} > 9n = {9 * n}")
+        _absorb(report, label, check)
     report["n"] = n
     report["costs"] = results
     report["bound"] = 9 * n
@@ -270,11 +271,12 @@ def run_oracle_crosscheck(config: ExperimentConfig) -> tuple[int, dict]:
         T = random_tree(n, rng)
         queries = [rng.randrange(n) for _ in range(m)]
         cost, _ = opt_cost(n, queries, shape_of(T))
-        report["checked"] += 2
+        check = CheckReport("oracle-crosscheck", checked=2)
         if cost and program_search(T, queries, cost - 1):
-            report["violations"].append(f"trial {trial}: program search beat the oracle")
+            check.fail("program search beat the oracle")
         if not program_search(T, queries, cost):
-            report["violations"].append(f"trial {trial}: oracle cost not reachable")
+            check.fail("oracle cost not reachable")
+        _absorb(report, f"trial {trial}", check)
     return _finish(report)
 
 

@@ -122,13 +122,14 @@ class TestCli:
             raise AssertionError("the suite ran before --out was checked")
 
         monkeypatch.setattr(cli, "run_suite", must_not_run)
-        out_path = tmp_path / "missing" / "r.json"
-        code = main(["--suite", "scan9n", "--n", "8", "--out", str(out_path)])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert captured.err.startswith("splaylab: error: ")
-        assert str(out_path) in captured.err
-        assert not out_path.exists()
+        # A file in a missing directory, and a path that is an existing directory.
+        for out_path in (tmp_path / "missing" / "r.json", tmp_path):
+            code = main(["--suite", "scan9n", "--n", "8", "--out", str(out_path)])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert captured.err.startswith("splaylab: error: ")
+            assert str(out_path) in captured.err
+            assert not out_path.is_file()
 
     def test_theorem7_violation_reaches_report(self, monkeypatch, capsys):
         def failing(ev):

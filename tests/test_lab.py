@@ -21,26 +21,25 @@ from splaylab.potential import assign_weights
 class TestOrganizingPlans:
     def test_depth_one_plan(self):
         T = build_tree(range(3), "((..)(..))")
-        S = T.copy()
-        plan = plan_organizing_splays(S, T, 0)
-        assert plan.splay_keys == [0, 1]
-        assert plan.depths_ref == [1, 0]
+        keys = plan_organizing_splays(T, 0)
+        assert keys == [0, 1]
+        assert [T.depth(k) for k in keys] == [1, 0]
 
     def test_depth_two_plan(self):
         T = build_tree(range(5), "(((..)(..))(..))")  # 0 at depth 2 under 1 under 3
-        plan = plan_organizing_splays(T.copy(), T, 0)
-        assert plan.splay_keys == [0, 1, 3]
-        assert plan.depths_ref == [2, 1, 0]
+        keys = plan_organizing_splays(T, 0)
+        assert keys == [0, 1, 3]
+        assert [T.depth(k) for k in keys] == [2, 1, 0]
 
     def test_root_rejected(self):
         T = build_tree(range(3), "((..)(..))")
         with pytest.raises(IllegalOpError):
-            plan_organizing_splays(T.copy(), T, T.root)
+            plan_organizing_splays(T, T.root)
 
     def test_deep_rotation_rejected(self):
         T = spine_tree(5, "right")
         with pytest.raises(IllegalOpError):
-            plan_organizing_splays(T.copy(), T, 3)
+            plan_organizing_splays(T, 3)
 
 
 class TestPerSplayBounds:

@@ -7,14 +7,17 @@ from splaylab.machine import (
     MachineProgram,
     OpKind,
     ShapeError,
+    TreeState,
     apply_op,
     build_tree,
     descriptor_of,
     parse_shape,
     shape_of,
+    tree_from_roots,
     tree_from_shape,
 )
-from splaylab.generators import random_tree, rng_for_trial
+from splaylab.generators import balanced_tree, random_tree, rng_for_trial, spine_tree
+from splaylab.oracle import FrequencyTable, static_optimal
 from splaylab.restricted import cursor_trace
 
 
@@ -187,3 +190,147 @@ def test_random_tree_matches_descriptor_route():
 def test_random_tree_needs_a_node():
     with pytest.raises(ValueError):
         random_tree(0, rng_for_trial(0, 0))
+
+
+# -- the parent's hand-built constructions, kept as references for tree_from_roots
+
+
+def hand_built_spine(n, side):
+    keys = list(range(n) if side == "right" else range(n - 1, -1, -1))
+    left = {k: None for k in keys}
+    right = {k: None for k in keys}
+    parent = {keys[0]: None}
+    for prev, key in zip(keys, keys[1:]):
+        parent[key] = prev
+        if side == "right":
+            right[prev] = key
+        else:
+            left[prev] = key
+    return TreeState(left, right, parent, keys[0])
+
+
+def hand_built_balanced(n):
+    left = {k: None for k in range(n)}
+    right = {k: None for k in range(n)}
+    parent = {k: None for k in range(n)}
+    stack = [(0, n, None, None)]
+    while stack:
+        lo, hi, par, slot = stack.pop()
+        if lo >= hi:
+            continue
+        mid = (lo + hi) // 2
+        parent[mid] = par
+        if slot == "left":
+            left[par] = mid
+        elif slot == "right":
+            right[par] = mid
+        stack.append((lo, mid, mid, "left"))
+        stack.append((mid + 1, hi, mid, "right"))
+    return TreeState(left, right, parent, n // 2)
+
+
+def hand_built_static_optimal(freq):
+    keys = sorted(freq.counts)
+    n = len(keys)
+    f = [freq.counts[k] for k in keys]
+    prefix = [0] * (n + 1)
+    for i, x in enumerate(f):
+        prefix[i + 1] = prefix[i] + x
+    cost = [[0] * (n + 1) for _ in range(n + 1)]
+    root = [[0] * (n + 1) for _ in range(n + 1)]
+    for length in range(1, n + 1):
+        for i in range(n - length + 1):
+            j = i + length
+            best, best_r = float("inf"), i
+            for r in range(i, j):
+                c = cost[i][r] + cost[r + 1][j]
+                if c < best:
+                    best, best_r = c, r
+            cost[i][j] = best + prefix[j] - prefix[i]
+            root[i][j] = best_r
+    left = {k: None for k in keys}
+    right = {k: None for k in keys}
+    parent = {k: None for k in keys}
+    stack = [(0, n, None, None)]
+    tree_root = None
+    while stack:
+        i, j, par, side = stack.pop()
+        if i >= j:
+            continue
+        r = root[i][j]
+        key = keys[r]
+        parent[key] = par
+        if par is None:
+            tree_root = key
+        elif side == "L":
+            left[par] = key
+        else:
+            right[par] = key
+        stack.append((i, r, key, "L"))
+        stack.append((r + 1, j, key, "R"))
+    return TreeState(left, right, parent, tree_root)
+
+
+def assert_same_tree(built, reference, ordered=True):
+    """Same root and cursor, and the same link items (in the same order if `ordered`)."""
+    assert built.root == reference.root and built.cursor == reference.cursor
+    for links in ("left", "right", "parent"):
+        got, want = getattr(built, links), getattr(reference, links)
+        assert (list(got.items()) == list(want.items())) if ordered else got == want
+    built.validate()
+
+
+def test_builders_match_hand_built_references():
+    for n in range(1, 65):
+        assert_same_tree(balanced_tree(n), hand_built_balanced(n))
+        assert_same_tree(spine_tree(n, "right"), hand_built_spine(n, "right"))
+        # The hand-built left spine listed its keys in descending order; the
+        # links are the same, only the dicts list them ascending now.
+        assert_same_tree(spine_tree(n, "left"), hand_built_spine(n, "left"), ordered=False)
+
+
+def test_static_optimal_matches_hand_built_reference():
+    rng = rng_for_trial(5, 0)
+    for _ in range(200):
+        n = rng.randint(1, 24)
+        keys = sorted(rng.sample(range(-50, 50), n))
+        freq = FrequencyTable({k: rng.choice((0, 1, rng.randrange(100))) for k in keys})
+        assert_same_tree(static_optimal(freq), hand_built_static_optimal(freq))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=40, unique=True), st.randoms())
+def test_tree_from_roots_random_pick(keys, rnd):
+    keys = sorted(keys)
+    calls = []
+
+    def pick(i, j):
+        r = rnd.randrange(i, j)
+        calls.append((i, j, r))
+        return r
+
+    tree = tree_from_roots(keys, pick)
+    tree.validate()
+    assert tree.in_order() == keys
+    # One call per node, in preorder with the left subtree first, each on the
+    # interval of keys that node's subtree holds.
+    preorder, stack = [], [tree.root]
+    while stack:
+        node = stack.pop()
+        if node is not None:
+            preorder.append(node)
+            stack += [tree.right[node], tree.left[node]]
+    assert [keys[r] for _, _, r in calls] == preorder
+    for i, j, r in calls:
+        assert sorted(tree.subtree_keys(keys[r])) == keys[i:j]
+
+
+def test_builders_need_a_node():
+    for build in (balanced_tree, spine_tree, lambda n: spine_tree(n, "left"),
+                  lambda n: tree_from_roots(range(n), lambda i, j: i)):
+        with pytest.raises(ValueError):
+            build(0)
+    with pytest.raises(ValueError):
+        spine_tree(3, "up")
+    with pytest.raises(ValueError):
+        static_optimal(FrequencyTable({}))
