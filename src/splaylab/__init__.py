@@ -10,12 +10,11 @@ from .machine import (
     TreeState,
     apply_op,
     build_tree,
-    descriptor_of,
     parse_shape,
     shape_of,
     tree_from_shape,
 )
-from .splay import SplayRecord, splay, splay_step, total_access_cost
+from .splay import splay_step, total_access_cost
 from .potential import (
     PotentialSnapshot,
     WeightAssignment,
@@ -24,7 +23,6 @@ from .potential import (
     check_weight_sum_bounds,
     phi,
     potential_of,
-    ranks_of,
     subtree_sums,
 )
 from .restricted import (
@@ -35,11 +33,8 @@ from .restricted import (
 )
 from .oracle import (
     FrequencyTable,
-    brute_force_static_cost,
-    enumerate_shapes,
     opt_cost,
     program_search,
-    static_cost,
     static_optimal,
 )
 from .lab import (
@@ -53,7 +48,6 @@ from .lab import (
     check_rotation_delta,
     checked_splay,
     plan_organizing_splays,
-    regular_access_trial,
 )
 from .report import CheckReport
 

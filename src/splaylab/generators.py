@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 import re
 from dataclasses import dataclass
@@ -82,11 +83,30 @@ GENERATOR_NAMES = ("uniform", "sequential", "zipf", "working-set", "repeated-ext
 
 
 def parse_generator(text: str) -> tuple[str, float | None]:
+    """Split a spec such as zipf(1.1) into its name and its argument, if any."""
     match = _GENERATOR_RE.match(text.strip())
     if not match or match.group(1) not in GENERATOR_NAMES:
-        raise ValueError(f"unknown generator {text!r}")
-    name, arg = match.group(1), match.group(2)
-    return name, (float(arg) if arg else None)
+        raise ValueError(f"--generator {text!r}: unknown name; names: {', '.join(GENERATOR_NAMES)}")
+    name, arg = match.groups()
+    if arg is None:
+        return name, None
+    try:
+        value = float(arg)
+    except ValueError:
+        value = math.nan
+    if name == "zipf" and 0 <= value < math.inf:
+        return name, value
+    if name == "working-set" and value >= 1 and value.is_integer():
+        return name, value
+    rule = {"zipf": "a finite exponent of at least 0", "working-set": "a positive integer size"}
+    raise ValueError(f"--generator {text!r}: {name} takes {rule.get(name, 'no argument')}")
+
+
+def _zipf_weight(rank: int, s: float) -> float:
+    try:
+        return 1.0 / rank ** s
+    except OverflowError:  # rank ** s is past the float range: the weight is 0
+        return 0.0
 
 
 def generate_sequence(generator: str, n: int, m: int, rng: random.Random) -> list:
@@ -98,7 +118,7 @@ def generate_sequence(generator: str, n: int, m: int, rng: random.Random) -> lis
         return [k % n for k in range(m)]
     if name == "zipf":
         s = arg if arg is not None else 1.1
-        weights = [1.0 / (k + 1) ** s for k in range(n)]
+        weights = [_zipf_weight(k + 1, s) for k in range(n)]
         return rng.choices(range(n), weights=weights, k=m)
     if name == "working-set":
         size = int(arg) if arg is not None else max(1, n // 8)

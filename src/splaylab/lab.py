@@ -23,7 +23,7 @@ from .potential import (
 )
 from .report import CheckReport
 from .restricted import apply_t_op, init_prime
-from .splay import ROTATIONS, ZIG, splay_step, total_access_cost
+from .splay import ROTATIONS, ZIG, splay_step
 
 ROTATION_DELTA_BOUND = 11 + math.log2(11)
 ROTATION_DELTA_BOUND_SHALLOW = 7 + math.log2(11)
@@ -48,7 +48,6 @@ class StepCheck:
 
 @dataclass
 class SplayEvent:
-    kind: str  # "query" | "organizing"
     key: int
     depth_before: int
     depth_ref: int | None
@@ -84,7 +83,6 @@ def checked_splay(
     wa: WeightAssignment,
     key: int,
     depth_ref: int | None = None,
-    kind: str = "query",
     per_step: bool = False,
 ) -> SplayEvent:
     """Splay `key` in S under fixed weights, recording everything the
@@ -93,7 +91,6 @@ def checked_splay(
     sums = subtree_sums(S, wa)
     pot_before = potential(sums, wa)
     ev = SplayEvent(
-        kind=kind,
         key=key,
         depth_before=S.depth(key),
         depth_ref=depth_ref,
@@ -179,7 +176,8 @@ def check_rotation_delta(ev: RotationEvent) -> CheckReport:
 def plan_organizing_splays(T: TreeState, rotated: int) -> list:
     """The keys to splay before rotating `rotated` in T: the rotated key, then
     its reference parent, then (for depth-2 rotations) the reference root.  At
-    most 3 keys, none deeper than the rotated key."""
+    most 3 keys, none deeper than the rotated key; the rotated key's depth is
+    one less than their number."""
     parent = T.parent[rotated]
     if parent is None:
         raise IllegalOpError("cannot plan around a rotation of the root")
@@ -222,7 +220,7 @@ class InterleavedRun:
     def splay_query(self, key: int, kind: str = "query") -> SplayEvent:
         ev = checked_splay(
             self.S, self.wa, key,
-            depth_ref=self.T.depth(key), kind=kind, per_step=self.per_step,
+            depth_ref=self.T.depth(key), per_step=self.per_step,
         )
         self.s_cost += ev.cost
         self.sum_amortized += ev.amortized
@@ -235,13 +233,13 @@ class InterleavedRun:
 
     def apply_T_rotation(self, rotated: int) -> RotationEvent:
         """Organizing splays in S, then the rotation in T, then reweighting."""
-        depth = self.T.depth(rotated)
-        for key in plan_organizing_splays(self.T, rotated):
+        plan = plan_organizing_splays(self.T, rotated)
+        for key in plan:
             self.splay_query(key, kind="organizing")
         phi_before = self.phi
         self.T.rotate_up(rotated)
         self._reweight()
-        ev = RotationEvent(rotated, depth, phi_before, self.phi)
+        ev = RotationEvent(rotated, len(plan) - 1, phi_before, self.phi)
         self.sum_amortized += ev.delta  # zero real cost for S
         self.report.absorb(check_rotation_delta(ev))
         return ev
@@ -252,25 +250,6 @@ class InterleavedRun:
 
 
 # -- regular-access trials ----------------------------------------------------
-
-
-def regular_access_trial(S0: TreeState, base, extras) -> tuple[int, int, float]:
-    """Cost of the base splay sequence vs the same sequence with extra splays.
-
-    `extras` is a list of (position, key) pairs; each extra splay is inserted
-    before the base query at that position (position == len(base) appends).
-    Returns (base cost, augmented cost, their ratio).  No bound is asserted.
-    """
-    base = list(base)
-    m = len(base)
-    for pos, key in extras:
-        if not 0 <= pos <= m:
-            raise IndexError(f"extra position {pos} outside 0..{m}")
-        if key not in S0.left:
-            raise KeyError(f"unknown key {key!r}")
-    c_base = total_access_cost(S0.copy(), base)
-    c_aug = total_access_cost(S0.copy(), merge_extras(base, extras))
-    return c_base, c_aug, cost_ratio(c_base, c_aug)
 
 
 def cost_ratio(c_base: int, c_aug: int) -> float:

@@ -65,10 +65,6 @@ class TreeState:
 
     # -- construction -----------------------------------------------------
 
-    @classmethod
-    def singleton(cls, key: int) -> "TreeState":
-        return cls({key: None}, {key: None}, {key: None}, key)
-
     def copy(self) -> "TreeState":
         return TreeState(dict(self.left), dict(self.right), dict(self.parent), self.root, self.cursor)
 
@@ -76,9 +72,6 @@ class TreeState:
 
     def __len__(self) -> int:
         return len(self.left)
-
-    def __contains__(self, key: int) -> bool:
-        return key in self.left
 
     def depth(self, key: int) -> int:
         if key not in self.parent:
@@ -114,36 +107,6 @@ class TreeState:
             out.append(node)
             node = self.right[node]
         return out
-
-    def subtree_keys(self, key: int) -> set:
-        keys = set()
-        stack = [key]
-        while stack:
-            node = stack.pop()
-            keys.add(node)
-            for child in (self.left[node], self.right[node]):
-                if child is not None:
-                    stack.append(child)
-        return keys
-
-    def same_structure(self, other: "TreeState") -> bool:
-        return self.root == other.root and self.left == other.left and self.right == other.right
-
-    def validate(self) -> None:
-        """Raise if the BST / link invariants are broken (test hook)."""
-        order = self.in_order()
-        if len(order) != len(self.left):
-            raise MachineError("traversal does not visit every node exactly once")
-        if any(a >= b for a, b in zip(order, order[1:])):
-            raise MachineError("in-order traversal is not strictly increasing")
-        if self.parent[self.root] is not None:
-            raise MachineError("root has a parent")
-        for key in self.left:
-            for side, child in (("left", self.left[key]), ("right", self.right[key])):
-                if child is not None and self.parent[child] != key:
-                    raise MachineError(f"{side} child {child} of {key} has bad parent link")
-        if self.cursor not in self.left:
-            raise MachineError("cursor is not a node of the tree")
 
     # -- structural mutation ------------------------------------------------
 
@@ -316,23 +279,6 @@ def shape_of(tree: TreeState):
             stack.append((tree.left[node], False))
             stack.append((tree.right[node], False))
     return memo[tree.root]
-
-
-def descriptor_of(tree: TreeState) -> str:
-    out = []
-    work = [tree.root]
-    while work:
-        item = work.pop()
-        if isinstance(item, str):
-            out.append(item)
-        elif item is None:
-            out.append(".")
-        else:
-            out.append("(")
-            work.append(")")
-            work.append(tree.right[item])
-            work.append(tree.left[item])
-    return "".join(out)
 
 
 # -- programs ------------------------------------------------------------------

@@ -19,54 +19,20 @@ from .machine import (
     OpKind,
     TreeState,
     apply_op,
-    parse_shape,
     shape_of,
     tree_from_roots,
     tree_from_shape,
 )
 
-MAX_ENUM_KEYS = 8
 MAX_OPT_KEYS = 6
 MAX_OPT_QUERIES = 8
-
-CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 
 # Reference strategies `per_query_segments` can build a program for.
 STRATEGIES = ("static", "oracle-witness")
 
 
-@lru_cache(maxsize=None)
-def _shapes(n: int) -> tuple:
-    if n == 0:
-        return (None,)
-    out = []
-    for i in range(n):
-        for l in _shapes(i):
-            for r in _shapes(n - 1 - i):
-                out.append((l, r))
-    return tuple(out)
-
-
-def enumerate_shapes(n: int) -> list:
-    """All binary tree shapes on n nodes, canonical order (left size ascending)."""
-    if not 1 <= n <= MAX_ENUM_KEYS:
-        raise ValueError(f"n must be in 1..{MAX_ENUM_KEYS}, got {n}")
-    return list(_shapes(n))
-
-
 def shape_size(shape) -> int:
     return 0 if shape is None else 1 + shape_size(shape[0]) + shape_size(shape[1])
-
-
-def shape_index(shape) -> int:
-    """Rank of a shape within the canonical enumeration of its size."""
-    if shape is None:
-        return 0
-    left, right = shape
-    i = shape_size(left)
-    n = 1 + i + shape_size(right)
-    offset = sum(CATALAN[j] * CATALAN[n - 1 - j] for j in range(i))
-    return offset + shape_index(left) * CATALAN[n - 1 - i] + shape_index(right)
 
 
 # -- offline-optimal cursor cost ----------------------------------------------
@@ -96,7 +62,8 @@ def _normalize(cursor, k, returned, queries, root):
 
 
 def opt_cost(n: int, queries, initial_shape) -> tuple[int, MachineProgram]:
-    """Minimum moves+rotations to serve the queries in order from a given shape.
+    """Minimum moves+rotations to serve the queries in order from a given shape
+    (nested `(left, right)` tuples, as `shape_of` and `parse_shape` return).
 
     The cursor must visit each queried key in sequence and pass through the
     root between consecutive services (and after the last one).  Returns the
@@ -110,8 +77,6 @@ def opt_cost(n: int, queries, initial_shape) -> tuple[int, MachineProgram]:
     for q in queries:
         if not 0 <= q < n:
             raise KeyError(f"unknown key {q!r}")
-    if isinstance(initial_shape, str):
-        initial_shape = parse_shape(initial_shape)
     if shape_size(initial_shape) != n:
         raise ValueError("initial shape does not have n nodes")
 
@@ -217,12 +182,6 @@ class FrequencyTable:
         return cls(counts)
 
 
-def static_cost(tree: TreeState, freq: FrequencyTable) -> int:
-    """Total successful-search cost: sum of f(v) * (depth(v) + 1)."""
-    depths = tree.all_depths()
-    return sum(freq.counts[v] * (depths[v] + 1) for v in depths)
-
-
 def static_optimal(freq: FrequencyTable) -> TreeState:
     """Interval DP for a tree minimizing the successful-search cost."""
     keys = sorted(freq.counts)
@@ -245,17 +204,6 @@ def static_optimal(freq: FrequencyTable) -> TreeState:
             cost[i][j] = best + prefix[j] - prefix[i]
             root[i][j] = best_r
     return tree_from_roots(keys, lambda i, j: root[i][j])
-
-
-def brute_force_static_cost(freq: FrequencyTable) -> int:
-    """Minimum successful-search cost over every shape (exhaustive oracle)."""
-    keys = sorted(freq.counts)
-    best = None
-    for shape in enumerate_shapes(len(keys)):
-        c = static_cost(tree_from_shape(shape, keys), freq)
-        if best is None or c < best:
-            best = c
-    return best
 
 
 # -- strategy programs -----------------------------------------------------------

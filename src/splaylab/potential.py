@@ -61,12 +61,6 @@ def subtree_sums(tree: TreeState, wa: WeightAssignment) -> dict:
     return sums
 
 
-def ranks_of(tree: TreeState, wa: WeightAssignment) -> dict:
-    """r(v) = log2 s(v), in weight units (scale divided out)."""
-    bias = 2 * wa.scale_exponent
-    return {v: math.log2(s) - bias for v, s in subtree_sums(tree, wa).items()}
-
-
 def potential(sums: dict, wa: WeightAssignment) -> float:
     """Sum of the ranks of all nodes, from their exact scaled subtree sums."""
     return sum(map(math.log2, sums.values())) - 2 * wa.scale_exponent * len(sums)

@@ -1,0 +1,79 @@
+"""Plain references the tests compare splaylab against.
+
+`brute_force_static_cost` tries every tree shape, so it checks the interval
+dynamic program `splaylab.oracle.static_optimal` without sharing its recurrence.
+`subtree_keys` lists a subtree by walking it, with no sums and no intervals.
+`validate` and `same_structure` read a tree's links directly.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+
+from splaylab.machine import TreeState, tree_from_shape
+from splaylab.oracle import FrequencyTable
+
+MAX_ENUM_KEYS = 8
+
+
+def same_structure(a: TreeState, b: TreeState) -> bool:
+    """The same root and the same child links; the cursors may differ."""
+    return a.root == b.root and a.left == b.left and a.right == b.right
+
+
+def validate(tree: TreeState) -> None:
+    """Fail unless `tree` is a BST whose parent links, root and cursor agree."""
+    order = tree.in_order()
+    assert len(order) == len(tree.left), "traversal does not visit every node exactly once"
+    assert all(a < b for a, b in zip(order, order[1:])), "in-order keys are not increasing"
+    assert tree.parent[tree.root] is None, "root has a parent"
+    for key in tree.left:
+        for side, child in (("left", tree.left[key]), ("right", tree.right[key])):
+            assert child is None or tree.parent[child] == key, \
+                f"{side} child {child} of {key} has a bad parent link"
+    assert tree.cursor in tree.left, "cursor is not a node of the tree"
+
+
+def subtree_keys(tree: TreeState, key: int) -> set:
+    """The keys of the subtree rooted at `key`."""
+    keys = set()
+    stack = [key]
+    while stack:
+        node = stack.pop()
+        keys.add(node)
+        for child in (tree.left[node], tree.right[node]):
+            if child is not None:
+                stack.append(child)
+    return keys
+
+
+@lru_cache(maxsize=None)
+def _shapes(n: int) -> tuple:
+    if n == 0:
+        return (None,)
+    out = []
+    for i in range(n):
+        for l in _shapes(i):
+            for r in _shapes(n - 1 - i):
+                out.append((l, r))
+    return tuple(out)
+
+
+def enumerate_shapes(n: int) -> list:
+    """All binary tree shapes on n nodes, canonical order (left size ascending)."""
+    if not 1 <= n <= MAX_ENUM_KEYS:
+        raise ValueError(f"n must be in 1..{MAX_ENUM_KEYS}, got {n}")
+    return list(_shapes(n))
+
+
+def static_cost(tree: TreeState, freq: FrequencyTable) -> int:
+    """Total successful-search cost: sum of f(v) * (depth(v) + 1)."""
+    depths = tree.all_depths()
+    return sum(freq.counts[v] * (depths[v] + 1) for v in depths)
+
+
+def brute_force_static_cost(freq: FrequencyTable) -> int:
+    """Minimum successful-search cost over every shape (exhaustive oracle)."""
+    keys = sorted(freq.counts)
+    return min(static_cost(tree_from_shape(shape, keys), freq)
+               for shape in enumerate_shapes(len(keys)))

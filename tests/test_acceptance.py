@@ -13,10 +13,12 @@ import pytest
 
 from splaylab.generators import ExperimentConfig
 from splaylab.machine import build_tree
-from splaylab.oracle import FrequencyTable, brute_force_static_cost, static_cost, static_optimal
+from splaylab.oracle import FrequencyTable, static_optimal
 from splaylab.potential import phi
 from splaylab.suites import render_report, run_suite
 from splaylab.generators import rng_for_trial
+
+from reference import brute_force_static_cost, static_cost
 
 
 def _passline(n):

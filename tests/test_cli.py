@@ -22,6 +22,27 @@ BAD_INPUTS = [
     (["conjecture", "--m", "-1"], "--m must be at least 0"),
     (["lemma6", "--n", "0"], "--n must be at least 1"),
     (["scan9n", "--n", "0"], "--n must be at least 1"),
+    (["conjecture", "--generator", "zipf(-5000)"],
+     "--generator 'zipf(-5000)': zipf takes a finite exponent of at least 0"),
+    (["conjecture", "--generator", "zipf(inf)"],
+     "--generator 'zipf(inf)': zipf takes a finite exponent of at least 0"),
+    (["conjecture", "--generator", "zipf(nan)"],
+     "--generator 'zipf(nan)': zipf takes a finite exponent of at least 0"),
+    (["conjecture", "--generator", "zipf(abc)"],
+     "--generator 'zipf(abc)': zipf takes a finite exponent of at least 0"),
+    (["conjecture", "--generator", "zipf()"],
+     "--generator 'zipf()': zipf takes a finite exponent of at least 0"),
+    (["conjecture", "--generator", "working-set(inf)"],
+     "--generator 'working-set(inf)': working-set takes a positive integer size"),
+    (["conjecture", "--generator", "working-set(2.5)"],
+     "--generator 'working-set(2.5)': working-set takes a positive integer size"),
+    (["conjecture", "--generator", "working-set(0)"],
+     "--generator 'working-set(0)': working-set takes a positive integer size"),
+    (["conjecture", "--generator", "uniform(3)"], "--generator 'uniform(3)': uniform takes no argument"),
+    (["conjecture", "--generator", "sequential(1)"],
+     "--generator 'sequential(1)': sequential takes no argument"),
+    (["conjecture", "--generator", "repeated-extremes(2)"],
+     "--generator 'repeated-extremes(2)': repeated-extremes takes no argument"),
 ]
 
 # Config-file contents the CLI must reject, and the start of its message.
@@ -62,6 +83,10 @@ class TestGenerators:
     def test_sequential_and_extremes(self):
         assert generate_sequence("sequential", 3, 5, rng_for_trial(0, 0)) == [0, 1, 2, 0, 1]
         assert generate_sequence("repeated-extremes", 4, 4, rng_for_trial(0, 0)) == [0, 3, 0, 3]
+
+    def test_steep_zipf_concentrates_on_key_zero(self):
+        # 64 ** 400 overflows a float; that key's weight is 0, not an error.
+        assert generate_sequence("zipf(400)", 64, 50, rng_for_trial(0, 0)) == [0] * 50
 
 
 class TestCli:
@@ -159,6 +184,7 @@ class TestCli:
     def test_bad_generator_is_error_exit(self, capsys):
         code = main(["--suite", "lemma1", "--generator", "bogus", "--trials", "1"])
         assert code == 2
+        assert capsys.readouterr().err.startswith("splaylab: error: --generator 'bogus': unknown name")
 
     @pytest.mark.parametrize("args, message", BAD_INPUTS,
                              ids=[" ".join(args) for args, _ in BAD_INPUTS])

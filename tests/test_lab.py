@@ -12,7 +12,6 @@ from splaylab.lab import (
     check_amortized_depth,
     merge_extras,
     plan_organizing_splays,
-    regular_access_trial,
 )
 from splaylab.machine import IllegalOpError, build_tree
 from splaylab.potential import assign_weights
@@ -88,7 +87,10 @@ class TestInterleavedRun:
             S, T = random_pair(rng.randint(3, 32), rng)
             candidates = [k for k in T.in_order() if 1 <= T.depth(k) <= 2]
             run = InterleavedRun(S, T)
-            ev = run.apply_T_rotation(rng.choice(candidates))
+            rotated = rng.choice(candidates)
+            depth = T.depth(rotated)
+            ev = run.apply_T_rotation(rotated)
+            assert ev.depth_ref == depth
             worst = max(worst, ev.delta)
             assert not run.report.violations
         assert worst <= ROTATION_DELTA_BOUND + 1e-6
@@ -101,25 +103,8 @@ class TestInterleavedRun:
 
 
 class TestRegularAccessTrials:
-    def test_no_extras_ratio_one(self):
-        S = random_tree(16, rng_for_trial(73, 0))
-        base = [3, 7, 1, 9]
-        c, c_aug, ratio = regular_access_trial(S, base, [])
-        assert c == c_aug and ratio == 1.0
-
-    def test_empty_base_and_extras(self):
-        S = random_tree(4, rng_for_trial(73, 1))
-        assert regular_access_trial(S, [], []) == (0, 0, 1.0)
-
     def test_merge_positions(self):
         assert merge_extras([10, 20], [(0, 1), (2, 2), (1, 3)]) == [1, 10, 3, 20, 2]
-
-    def test_bad_extra_rejected(self):
-        S = random_tree(4, rng_for_trial(73, 2))
-        with pytest.raises(IndexError):
-            regular_access_trial(S, [0], [(5, 0)])
-        with pytest.raises(KeyError):
-            regular_access_trial(S, [0], [(0, 99)])
 
 
 class TestAccountingRun:

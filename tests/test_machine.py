@@ -10,7 +10,6 @@ from splaylab.machine import (
     TreeState,
     apply_op,
     build_tree,
-    descriptor_of,
     parse_shape,
     shape_of,
     tree_from_roots,
@@ -19,6 +18,8 @@ from splaylab.machine import (
 from splaylab.generators import balanced_tree, random_tree, rng_for_trial, spine_tree
 from splaylab.oracle import FrequencyTable, static_optimal
 from splaylab.restricted import cursor_trace
+
+from reference import same_structure, subtree_keys, validate
 
 
 L, R, U, ROT = OpKind.LEFT, OpKind.RIGHT, OpKind.UP, OpKind.ROTATE
@@ -41,7 +42,6 @@ class TestShapes:
     def test_round_trip(self):
         desc = "(((..)(..))(..))"
         tree = build_tree(range(5), desc)
-        assert descriptor_of(tree) == desc
         assert shape_of(tree) == parse_shape(desc)
 
     @pytest.mark.parametrize("bad", ["", "(", ")", "(.", "(...)", "()", "(..)(..)", "x"])
@@ -69,7 +69,12 @@ class TestShapes:
         right_spine = "(." * n + "." + ")" * n
         tree = build_tree(range(n), right_spine)
         assert tree.depth(n - 1) == n - 1
-        assert descriptor_of(tree) == right_spine
+        # `==` on the nested shapes would recurse once per level: walk the spine.
+        shape, expected = shape_of(tree), parse_shape(right_spine)
+        for _ in range(n):
+            assert shape[0] is None and expected[0] is None
+            shape, expected = shape[1], expected[1]
+        assert shape is None and expected is None
 
 
 class TestRotation:
@@ -79,7 +84,7 @@ class TestRotation:
         tree.rotate_up(2)
         assert tree.root == 2
         assert tree.left[2] == 1 and tree.right[1] is None
-        tree.validate()
+        validate(tree)
 
     def test_rotation_inverse(self):
         rng = rng_for_trial(7, 0)
@@ -89,7 +94,7 @@ class TestRotation:
             key = rng.choice([k for k in tree.in_order() if tree.parent[k] is not None])
             parent = tree.parent[key]
             tree.rotate_up(key)
-            tree.validate()
+            validate(tree)
             tree.rotate_up(parent)
             assert shape_of(tree) == before
 
@@ -111,7 +116,7 @@ class TestRotation:
             except IllegalOpError:
                 continue
             applied += 1
-        tree.validate()
+        validate(tree)
         assert tree.in_order() == order
         assert ledger.moves + ledger.rotations == 10_000
 
@@ -133,7 +138,7 @@ class TestPrograms:
         t2 = tree.copy()
         combined = replay(t2, p + q, CostLedger())
         assert ledger == combined
-        assert t1.same_structure(t2)
+        assert same_structure(t1, t2)
 
     def test_illegal_op_reports_index(self):
         tree = build_tree(range(2), "(.(..))")  # root 0, right child 1
@@ -152,7 +157,7 @@ class TestPrograms:
         assert cursor_trace(tree, [L, U, R]) == [1, 0, 1, 2]
         assert cursor_trace(tree, [R, ROT, L]) == [1, 2, 2, 1]
         # The replay runs on a copy: the rotation left the tree as it was.
-        assert tree.same_structure(build_tree(range(3), "((..)(..))")) and tree.cursor == 1
+        assert same_structure(tree, build_tree(range(3), "((..)(..))")) and tree.cursor == 1
         with pytest.raises(IllegalOpError) as err:
             cursor_trace(tree, [L, U, U])
         assert err.value.index == 2
@@ -162,8 +167,8 @@ class TestPrograms:
 @given(st.integers(1, 40), st.integers(0, 2**30))
 def test_shape_round_trip_random(n, seed):
     tree = random_tree(n, rng_for_trial(seed, 0))
-    rebuilt = build_tree(tree.in_order(), descriptor_of(tree))
-    assert rebuilt.same_structure(tree)
+    rebuilt = tree_from_shape(shape_of(tree), tree.in_order())
+    assert same_structure(rebuilt, tree)
 
 
 def descriptor_random_shape(n, rng):
@@ -277,7 +282,7 @@ def assert_same_tree(built, reference, ordered=True):
     for links in ("left", "right", "parent"):
         got, want = getattr(built, links), getattr(reference, links)
         assert (list(got.items()) == list(want.items())) if ordered else got == want
-    built.validate()
+    validate(built)
 
 
 def test_builders_match_hand_built_references():
@@ -310,7 +315,7 @@ def test_tree_from_roots_random_pick(keys, rnd):
         return r
 
     tree = tree_from_roots(keys, pick)
-    tree.validate()
+    validate(tree)
     assert tree.in_order() == keys
     # One call per node, in preorder with the left subtree first, each on the
     # interval of keys that node's subtree holds.
@@ -322,7 +327,7 @@ def test_tree_from_roots_random_pick(keys, rnd):
             stack += [tree.right[node], tree.left[node]]
     assert [keys[r] for _, _, r in calls] == preorder
     for i, j, r in calls:
-        assert sorted(tree.subtree_keys(keys[r])) == keys[i:j]
+        assert sorted(subtree_keys(tree, keys[r])) == keys[i:j]
 
 
 def test_builders_need_a_node():

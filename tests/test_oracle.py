@@ -1,21 +1,20 @@
 import pytest
 
 from splaylab.generators import random_tree, rng_for_trial
-from splaylab.machine import CostLedger, apply_op, build_tree, shape_of
+from splaylab.machine import CostLedger, apply_op, build_tree, parse_shape, shape_of
 from splaylab.oracle import (
-    CATALAN,
     FrequencyTable,
-    brute_force_static_cost,
-    enumerate_shapes,
     opt_cost,
     program_search,
     per_query_segments,
-    shape_index,
     split_program_by_service,
-    static_cost,
     static_optimal,
 )
 from splaylab.restricted import cursor_trace
+
+from reference import brute_force_static_cost, enumerate_shapes, static_cost
+
+CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 
 
 class TestShapeEnumeration:
@@ -27,21 +26,16 @@ class TestShapeEnumeration:
         # C(6) = 132 via the convolution, matching the frozen table.
         assert sum(CATALAN[i] * CATALAN[5 - i] for i in range(6)) == CATALAN[6] == 132
 
-    def test_shape_index_is_a_bijection(self):
-        for n in range(1, 6):
-            shapes = enumerate_shapes(n)
-            assert [shape_index(s) for s in shapes] == list(range(len(shapes)))
-
 
 class TestOptCost:
     def test_query_at_root_is_free(self):
-        cost, witness = opt_cost(3, [1, 1, 1], "((..)(..))")
+        cost, witness = opt_cost(3, [1, 1, 1], parse_shape("((..)(..))"))
         assert cost == 0 and witness.ops == []
 
     def test_single_child_query(self):
         # Root 0 with right child 1: either walk down and back (2 moves) or
         # rotate 1 up and return (rotation + move); both cost 2.
-        cost, witness = opt_cost(2, [1], "(.(..))")
+        cost, witness = opt_cost(2, [1], parse_shape("(.(..))"))
         assert cost == 2
 
     def test_witness_replays_to_claimed_cost(self):
@@ -69,7 +63,7 @@ class TestOptCost:
 
     def test_rejects_oversized_instances(self):
         with pytest.raises(ValueError):
-            opt_cost(7, [0], "(((((((..).).).).).).)")
+            opt_cost(7, [0], parse_shape("(((((((..).).).).).).)"))
 
 
 class TestStaticOptimal:

@@ -19,9 +19,10 @@ from splaylab.potential import (
     check_weight_sum_bounds,
     phi,
     potential_of,
-    ranks_of,
     subtree_sums,
 )
+
+from reference import subtree_keys
 
 # Five keys 0..4; reference tree T rooted at 3, splay tree S rooted at 1.
 T_DESC = "(((..)(..))(..))"
@@ -56,9 +57,11 @@ class TestWorkedExample:
 
     def test_rank_difference_drives_phi(self):
         S, T = worked_example()
-        r_S = ranks_of(S, assign_weights(T))
-        r_T = ranks_of(T, assign_weights(T))
-        delta = sum(r_S.values()) - sum(r_T.values())
+        wa = assign_weights(T)
+        bias = 2 * wa.scale_exponent  # r(v) = log2 s(v), the scale divided out
+        r_S = [math.log2(s) - bias for s in subtree_sums(S, wa).values()]
+        r_T = [math.log2(s) - bias for s in subtree_sums(T, wa).values()]
+        delta = sum(r_S) - sum(r_T)
         assert delta == pytest.approx(phi(S, T).phi, abs=1e-12)
 
 
@@ -84,7 +87,7 @@ class TestIndependentOracles:
         def p(tree):
             total = 0.0
             for v in tree.in_order():
-                s = sum(w[u] for u in tree.subtree_keys(v))
+                s = sum(w[u] for u in subtree_keys(tree, v))
                 total += math.log2(s)
             return total
 

@@ -5,7 +5,6 @@ from splaylab.machine import (
     CostLedger,
     IllegalOpError,
     OpKind,
-    TreeState,
     apply_op,
     build_tree,
 )
@@ -18,12 +17,14 @@ from splaylab.restricted import (
     simulate_program,
 )
 
+from reference import same_structure, validate
+
 L, R, U, ROT = OpKind.LEFT, OpKind.RIGHT, OpKind.UP, OpKind.ROTATE
 
 
 class TestInitPrime:
     def test_singleton(self):
-        st = init_prime(TreeState.singleton(5))
+        st = init_prime(build_tree([5], "(..)"))
         prime = st.prime
         assert prime.root == 5
         assert prime.left[5] == 4 and prime.right[5] == 6
@@ -56,7 +57,7 @@ class TestMoveSimulation:
         apply_t_op(st, L)
         assert st.prime.root == 1  # new simulated cursor pinned at the root
         apply_t_op(st, U)
-        assert st.prime.same_structure(before)
+        assert same_structure(st.prime, before)
         assert st.ledger.moves == 8 and st.ledger.rotations == 4
 
     def test_move_costs(self):
@@ -76,11 +77,11 @@ class TestMoveSimulation:
             program = random_t_program(T, rng, max_moves=30, max_rotations=15)
             for op in program.ops:
                 apply_t_op(st, op)
-                st.prime.validate()
+                validate(st.prime)
             assert st.prime.in_order() == order
 
     def test_illegal_move_rejected(self):
-        T = TreeState.singleton(0)
+        T = build_tree([0], "(..)")
         st = init_prime(T)
         with pytest.raises(IllegalOpError):
             apply_t_op(st, L)

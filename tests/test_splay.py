@@ -1,16 +1,35 @@
+from math import ceil
+
 from hypothesis import given, settings, strategies as st
 
 from splaylab.generators import random_tree, rng_for_trial, spine_tree
 from splaylab.machine import build_tree
-from splaylab.splay import (
-    ZIG,
-    ZIGZAG,
-    ZIGZIG,
-    depth_halving_violations,
-    splay,
-    splay_step,
-    total_access_cost,
-)
+from splaylab.splay import ROTATIONS, ZIG, ZIGZAG, ZIGZIG, splay_step, total_access_cost
+
+from reference import same_structure, validate
+
+
+def splay_kinds(tree, key):
+    """Splay `key` to the root by kernel steps; returns the step kinds."""
+    kinds = []
+    while tree.parent[key] is not None:
+        kinds.append(splay_step(tree, key))
+    return kinds
+
+
+def depth_halving_violations(tree, key):
+    """Nodes on the splay path whose depth fails the classic halving estimate,
+    as (node, depth before, depth after); `tree` is left as it was."""
+    path = []
+    node = key
+    while node is not None:
+        path.append(node)
+        node = tree.parent[node]
+    before = {v: tree.depth(v) for v in path}
+    work = tree.copy()
+    total_access_cost(work, [key])
+    return [(v, before[v], work.depth(v)) for v in path
+            if work.depth(v) > ceil((before[v] + 1) / 2) + 1]
 
 
 class TestSteps:
@@ -38,28 +57,25 @@ class TestSteps:
             tree = random_tree(rng.randint(1, 30), rng)
             key = rng.choice(tree.in_order())
             other = tree.copy()
-            record = splay(tree, key)
-            steps = 0
-            while other.parent[key] is not None:
-                splay_step(other, key)
-                steps += 1
-            assert other.same_structure(tree)
-            assert len(record.steps) == steps
-            assert record.rotation_count >= record.depth_before // 2
+            depth = tree.depth(key)
+            assert total_access_cost(tree, [key]) == depth
+            kinds = splay_kinds(other, key)
+            assert same_structure(other, tree)
+            # Each step lifts the key by its rotation count; only the last may be a zig.
+            assert sum(ROTATIONS[kind] for kind in kinds) == depth
+            assert len(kinds) == (depth + 1) // 2
 
 
 class TestCosts:
     def test_cost_is_depth_before(self):
         tree = spine_tree(8, "right")
-        record = splay(tree, 7)
-        assert record.move_cost == 7
+        assert total_access_cost(tree, [7]) == 7
+        assert tree.root == 7
 
     def test_repeated_query_costs_nothing(self):
         tree = random_tree(16, rng_for_trial(9, 0))
-        for key in (5, 5, 5):
-            splay(tree, key)
-        first = tree.depth(5)  # now 0
-        assert first == 0
+        total_access_cost(tree, [5, 5, 5])
+        assert tree.depth(5) == 0
         assert total_access_cost(tree, [5, 5]) == 0
 
     def test_scan_small_bound(self):
@@ -88,8 +104,8 @@ def test_splay_preserves_order(n, seed):
     tree = random_tree(n, rng)
     key = rng.choice(tree.in_order())
     before = tree.in_order()
-    splay(tree, key)
-    tree.validate()
+    total_access_cost(tree, [key])
+    validate(tree)
     assert tree.root == key
     assert tree.in_order() == before
 
@@ -128,15 +144,14 @@ def textbook_splay(tree, key):
 def test_kernel_matches_textbook_splayer(data, n, seed):
     tree = random_tree(n, rng_for_trial(seed, 0))
     queries = data.draw(st.lists(st.integers(0, n - 1), max_size=30))
-    reference, kernel, bulk = tree.copy(), tree.copy(), tree.copy()
+    reference, kernel, single, bulk = tree.copy(), tree.copy(), tree.copy(), tree.copy()
     expected_cost = 0
     for key in queries:
         depth, kinds = textbook_splay(reference, key)
-        record = splay(kernel, key)
-        assert record.steps == kinds
-        assert record.move_cost == depth
-        assert record.rotation_count == sum(1 if k == "zig" else 2 for k in kinds)
-        assert kernel.same_structure(reference)
+        assert splay_kinds(kernel, key) == kinds
+        assert total_access_cost(single, [key]) == depth
+        assert same_structure(kernel, reference)
+        assert same_structure(single, reference)
         expected_cost += depth
     assert total_access_cost(bulk, queries) == expected_cost
-    assert bulk.same_structure(reference)
+    assert same_structure(bulk, reference)
