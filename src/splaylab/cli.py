@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .generators import GENERATOR_NAMES, ExperimentConfig, parse_generator
 from .oracle import STRATEGIES
-from .suites import SUITES, check_config, default_trials, render_report, run_suite
+from .suites import SUITES, check_config, render_report, run_suite
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,7 +43,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     text = Path(args.config).read_text() if args.config else "{}"
     config = ExperimentConfig.from_json(text)
     if "trials" not in json.loads(text):  # the file leaves it to the suite
-        config.trials = default_trials(args.suite)
+        config.trials = SUITES[args.suite].trials
     overrides = {
         "seed": args.seed,
         "n": args.n,

@@ -122,7 +122,8 @@ def generate_sequence(generator: str, n: int, m: int, rng: random.Random) -> lis
         return rng.choices(range(n), weights=weights, k=m)
     if name == "working-set":
         size = int(arg) if arg is not None else max(1, n // 8)
-        size = max(1, min(size, n))
+        if size > n:
+            raise ValueError(f"--generator {generator!r}: working-set size {size} exceeds --n {n}")
         window = list(range(size))
         out = []
         for _ in range(m):

@@ -217,15 +217,13 @@ class InterleavedRun:
         self.p_T = potential_of(self.T, self.wa)
         self.phi = potential_of(self.S, self.wa) - self.p_T
 
-    def splay_query(self, key: int, kind: str = "query") -> SplayEvent:
+    def splay_query(self, key: int) -> SplayEvent:
         ev = checked_splay(
             self.S, self.wa, key,
             depth_ref=self.T.depth(key), per_step=self.per_step,
         )
         self.s_cost += ev.cost
         self.sum_amortized += ev.amortized
-        if kind == "organizing":
-            self.organizing_count += 1
         self.phi = ev.pot_after - self.p_T
         self.report.absorb(check_access_lemma(ev))
         self.report.absorb(check_amortized_depth(ev))
@@ -235,7 +233,8 @@ class InterleavedRun:
         """Organizing splays in S, then the rotation in T, then reweighting."""
         plan = plan_organizing_splays(self.T, rotated)
         for key in plan:
-            self.splay_query(key, kind="organizing")
+            self.splay_query(key)
+        self.organizing_count += len(plan)
         phi_before = self.phi
         self.T.rotate_up(rotated)
         self._reweight()

@@ -23,7 +23,9 @@ class CheckReport:
     def fail(self, message: str) -> None:
         self.violations.append(message)
 
-    def absorb(self, other: "CheckReport") -> None:
-        """Add another checker's count and violations to this report."""
+    def absorb(self, other: "CheckReport", label: str = "") -> None:
+        """Add another checker's count and violations, each prefixed by
+        `label: ` when a label is given."""
         self.checked += other.checked
-        self.violations.extend(other.violations)
+        prefix = f"{label}: " if label else ""
+        self.violations.extend(prefix + v for v in other.violations)

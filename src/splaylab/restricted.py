@@ -139,11 +139,15 @@ def simulate_program(T: TreeState, program: MachineProgram) -> tuple[list, CostL
 
 
 def check_restricted(initial: TreeState, ops) -> CheckReport:
-    """Replay an op sequence, reporting depth>=3 visits and missed returns to root."""
-    state = initial.copy()
-    ledger = CostLedger()
+    """Report depth>=3 visits and missed returns to root in an op sequence.
+
+    The cursor depth follows from the op kinds alone (a move down adds one, a
+    move up or a rotation removes one), so nothing is replayed and legality is
+    not checked here: `cursor_trace` replays the sequence and raises on an
+    illegal op.
+    """
     report = CheckReport("restricted-sequence")
-    depth = state.depth(state.cursor)  # kept by counting from here on
+    depth = initial.depth(initial.cursor)
     pending_return = False
     for i, op in enumerate(ops):
         report.tick()
@@ -152,13 +156,11 @@ def check_restricted(initial: TreeState, ops) -> CheckReport:
                 report.fail(f"index {i}: rotation before cursor returned to root")
             if depth >= 3:
                 report.fail(f"index {i}: rotated node at depth >= 3")
-            apply_op(state, ledger, op, index=i)
             depth -= 1
             pending_return = depth != 0
         else:
             if pending_return and op is not OpKind.UP:
                 report.fail(f"index {i}: sideways move before returning to root")
-            apply_op(state, ledger, op, index=i)
             depth += -1 if op is OpKind.UP else 1
             if depth >= 3:
                 report.fail(f"index {i}: cursor visited depth >= 3")

@@ -1,8 +1,9 @@
 """Named verification suites behind the command-line harness.
 
-Each suite runs a batch of randomized or exhaustive checks and returns a
-deterministic JSON-serializable report plus an exit code (0 = all checks
-passed; the conjecture suite is observational and always exits 0).
+Each suite runs a batch of randomized or exhaustive checks into one
+CheckReport; `run_suite` turns it into a deterministic JSON-serializable
+report plus an exit code (0 = at least one check ran and none failed).  The
+conjecture suite is observational: it ticks once per trial and never fails.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass
 
 from .generators import (
     ExperimentConfig,
@@ -43,83 +46,71 @@ CSV_COLUMNS = [
 ]
 
 
-def _base_report(name: str, config: ExperimentConfig) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "suite": name,
-        "seed": config.seed,
-        "trials": config.trials,
-        "checked": 0,
-        "violations": [],
-    }
+@dataclass(frozen=True)
+class Suite:
+    """One suite: its runner, its default --trials and the ranges it draws from.
+
+    A trial's key count n is drawn from min_n up to --n, capped at max_n when
+    set; min_m is the least --m, None for suites that do not read it.
+    """
+
+    runner: Callable
+    trials: int
+    min_n: int = 1
+    max_n: int | None = None
+    min_m: int | None = None
+
+    def trials_of(self, config: ExperimentConfig) -> Iterator:
+        """Per trial k: its label, its own RNG and its key count n, drawn first."""
+        high = config.n if self.max_n is None else min(self.max_n, config.n)
+        for k in range(config.trials):
+            rng = rng_for_trial(config.seed, k)
+            yield f"trial {k}", rng, rng.randint(self.min_n, high)
 
 
-def _absorb(report: dict, label: str, check: CheckReport) -> None:
-    """Add one checker's count and its violations, each prefixed by `label`."""
-    report["checked"] += check.checked
-    report["violations"].extend(f"{label}: {v}" for v in check.violations)
-
-
-def _finish(report: dict) -> tuple[int, dict]:
-    """A suite passes only if it checked something and nothing failed."""
-    report["passed"] = report["checked"] > 0 and not report["violations"]
-    return (0 if report["passed"] else 1), report
-
-
-def run_lemma1(config: ExperimentConfig) -> tuple[int, dict]:
+def run_lemma1(suite: Suite, config: ExperimentConfig, report: CheckReport) -> dict:
     """Weight and subtree-sum bounds over random tree pairs."""
-    report = _base_report("lemma1", config)
-    for trial in range(config.trials):
-        rng = rng_for_trial(config.seed, trial)
-        n = rng.randint(1, config.n)
-        S, T = random_pair(n, rng)
-        _absorb(report, f"trial {trial}", check_weight_sum_bounds(S, T))
-    return _finish(report)
+    for label, rng, n in suite.trials_of(config):
+        report.absorb(check_weight_sum_bounds(*random_pair(n, rng)), label)
+    return {}
 
 
-def run_lemma2(config: ExperimentConfig) -> tuple[int, dict]:
+def run_lemma2(suite: Suite, config: ExperimentConfig, report: CheckReport) -> dict:
     """Potential floor -n < phi over random tree pairs."""
-    report = _base_report("lemma2", config)
-    for trial in range(config.trials):
-        rng = rng_for_trial(config.seed, trial)
-        n = rng.randint(1, config.n)
-        S, T = random_pair(n, rng)
-        _absorb(report, f"trial {trial}", check_potential_floor(S, T))
-    return _finish(report)
+    for label, rng, n in suite.trials_of(config):
+        report.absorb(check_potential_floor(*random_pair(n, rng)), label)
+    return {}
 
 
-def run_lemma3(config: ExperimentConfig) -> tuple[int, dict]:
-    """Restricted simulation: exact costs, legality, cursor correspondence."""
-    report = _base_report("lemma3", config)
-    for trial in range(config.trials):
-        rng = rng_for_trial(config.seed, trial)
-        n = rng.randint(2, min(10, config.n))
+def run_lemma3(suite: Suite, config: ExperimentConfig, report: CheckReport) -> dict:
+    """Restricted simulation: exact costs, legality, cursor correspondence.
+
+    Legality of the output is checked by `cursor_trace`, which replays it and
+    raises IllegalOpError on an illegal op; `check_restricted` only counts depths.
+    """
+    for label, rng, n in suite.trials_of(config):
         T = random_tree(n, rng)
         program = random_t_program(T, rng)
         M, R = program.move_count, program.rotation_count
         out, ledger = simulate_program(T, program)
         prime = init_prime(T).prime
-        check = CheckReport("lemma3", checked=3)
+        report.tick(3)
         if (ledger.moves, ledger.rotations) != (4 * M + 3 * R, 2 * M + R):
-            check.fail(
-                f"cost ({ledger.moves},{ledger.rotations}) "
+            report.fail(
+                f"{label}: cost ({ledger.moves},{ledger.rotations}) "
                 f"!= (4M+3R,2M+R) for M={M} R={R}"
             )
         if not check_restricted(prime, out).passed:
-            check.fail("output program not restricted")
+            report.fail(f"{label}: output program not restricted")
         if not is_subsequence(cursor_trace(T, program.ops), cursor_trace(prime, out)):
-            check.fail("cursor trace not embedded")
-        _absorb(report, f"trial {trial}", check)
-    return _finish(report)
+            report.fail(f"{label}: cursor trace not embedded")
+    return {}
 
 
-def run_lemma4(config: ExperimentConfig) -> tuple[int, dict]:
+def run_lemma4(suite: Suite, config: ExperimentConfig, report: CheckReport) -> dict:
     """Per-splay amortized bounds during interleaved runs with T rotations."""
-    report = _base_report("lemma4", config)
     splays = 0
-    for trial in range(config.trials):
-        rng = rng_for_trial(config.seed, trial)
-        n = rng.randint(2, config.n)
+    for label, rng, n in suite.trials_of(config):
         S, T = random_pair(n, rng)
         run = InterleavedRun(S, T)
         for _ in range(rng.randint(1, 8)):
@@ -130,66 +121,59 @@ def run_lemma4(config: ExperimentConfig) -> tuple[int, dict]:
                     continue
             run.splay_query(rng.choice(T.in_order()))
             splays += 1
-        _absorb(report, f"trial {trial}", run.report)
-    report["splays"] = splays
-    return _finish(report)
+        report.absorb(run.report, label)
+    return {"splays": splays}
 
 
-def run_lemma5(config: ExperimentConfig) -> tuple[int, dict]:
-    """Potential jump bound for reference rotations at depth 1 and depth 2."""
-    report = _base_report("lemma5", config)
+def run_lemma5(suite: Suite, config: ExperimentConfig, report: CheckReport) -> dict:
+    """Potential jump bound for reference rotations at depth 1 and depth 2.
+
+    Trials are seeded per depth and retried until the tree has a key there,
+    so this suite keeps its own loop; its labels count trials from 1.
+    """
     for depth_target in (1, 2):
         done = 0
         trial = 0
         while done < config.trials:
             rng = rng_for_trial(config.seed, 10 ** 6 * depth_target + trial)
             trial += 1
-            n = rng.randint(3, config.n)
-            S, T = random_pair(n, rng)
+            S, T = random_pair(rng.randint(suite.min_n, config.n), rng)
             candidates = [k for k in T.in_order() if T.depth(k) == depth_target]
             if not candidates:
                 continue
             run = InterleavedRun(S, T)
             run.apply_T_rotation(rng.choice(candidates))
-            _absorb(report, f"depth {depth_target} trial {trial}", run.report)
+            report.absorb(run.report, f"depth {depth_target} trial {trial}")
             done += 1
-    return _finish(report)
+    return {}
 
 
-def run_lemma6(config: ExperimentConfig) -> tuple[int, dict]:
+def run_lemma6(suite: Suite, config: ExperimentConfig, report: CheckReport) -> dict:
     """Access bound for single splays under reference-derived weights."""
-    report = _base_report("lemma6", config)
-    for trial in range(config.trials):
-        rng = rng_for_trial(config.seed, trial)
-        n = rng.randint(1, config.n)
+    for k, (label, rng, n) in enumerate(suite.trials_of(config)):
         S, T = random_pair(n, rng)
-        per_step = trial % 20 == 0  # step-level checks on a subset; they are O(n) each
+        per_step = k % 20 == 0  # step-level checks on a subset; they are O(n) each
         run = InterleavedRun(S, T, per_step=per_step)
         run.splay_query(rng.choice(T.in_order()))
-        _absorb(report, f"trial {trial}", run.report)
-    return _finish(report)
+        report.absorb(run.report, label)
+    return {}
 
 
-def run_theorem7(config: ExperimentConfig) -> tuple[int, dict]:
+def run_theorem7(suite: Suite, config: ExperimentConfig, report: CheckReport) -> dict:
     """End-to-end accounting runs against oracle-optimal reference programs."""
-    report = _base_report("theorem7", config)
     rows = []
-    for trial in range(config.trials):
-        rng = rng_for_trial(config.seed, trial)
-        n = rng.randint(2, min(6, config.n))
-        m = rng.randint(1, min(8, config.m))
+    for label, rng, n in suite.trials_of(config):
+        m = rng.randint(suite.min_m, min(8, config.m))
         queries = [rng.randrange(n) for _ in range(m)]
         acc = accounting_run(n, queries, strategy=config.strategy)
-        _absorb(report, f"trial {trial}", acc.check)
+        report.absorb(acc.check, label)
         rows.append({
             "seed": config.seed, "n": n, "m": m, "M": acc.M, "R": acc.R,
             "M_prime": acc.M_prime, "R_prime": acc.R_prime, "e": acc.e,
             "total_S_cost": acc.total_S_cost, "phi_final": acc.phi_final,
             "max_ratio": acc.empirical_ratio,
         })
-    report["runs"] = rows
-    report["max_ratio"] = max((r["max_ratio"] for r in rows), default=0.0)
-    return _finish(report)
+    return {"runs": rows, "max_ratio": max((r["max_ratio"] for r in rows), default=0.0)}
 
 
 def rows_to_csv(rows) -> str:
@@ -201,11 +185,11 @@ def rows_to_csv(rows) -> str:
     return buf.getvalue()
 
 
-def run_conjecture(config: ExperimentConfig) -> tuple[int, dict]:
+def run_conjecture(suite: Suite, config: ExperimentConfig, report: CheckReport) -> dict:
     """Search for base sequences whose cost is beaten by adding extra splays.
 
     Hill-climbs over extra-splay placements; the best cost ratio found is
-    reported, never asserted.  Exit code is always 0.
+    reported, never asserted, so each trial only ticks the report.
     """
     n, m = config.n, config.m
     rng0 = rng_for_trial(config.seed, 0)
@@ -223,100 +207,97 @@ def run_conjecture(config: ExperimentConfig) -> tuple[int, dict]:
         candidate[rng.randrange(extras_count)] = (rng.randrange(m + 1), rng.randrange(n))
         aug_cost = total_access_cost(S0.copy(), merge_extras(base, candidate))
         ratio = cost_ratio(base_cost, aug_cost)
+        report.tick()
         if ratio > best_ratio:
             best_ratio = ratio
             best_extras = list(candidate)
             extras = candidate
-    report = _base_report("conjecture", config)
-    report.update({
+    return {
         "n": n, "m": m, "generator": config.generator,
         "base_cost": base_cost, "extras": sorted(best_extras),
         "max_ratio": best_ratio,
         "exceeds_one": best_ratio > 1.0,
-        "checked": config.trials,
-    })
-    report["passed"] = True
-    return 0, report
+    }
 
 
-def run_scan9n(config: ExperimentConfig) -> tuple[int, dict]:
-    """Sequential scan 0..n-1 costs at most 9n from spine and balanced starts."""
-    report = _base_report("scan9n", config)
+def run_scan9n(suite: Suite, config: ExperimentConfig, report: CheckReport) -> dict:
+    """Sequential scan 0..n-1 costs at most 9n from spine and balanced starts.
+
+    One deterministic pass; --trials is not read.
+    """
     n = config.n
-    results = {}
+    costs = {}
     for label, tree in (
         ("right-spine", spine_tree(n, "right")),
         ("left-spine", spine_tree(n, "left")),
         ("balanced", balanced_tree(n)),
     ):
-        cost = total_access_cost(tree, range(n))
-        results[label] = cost
-        check = CheckReport("scan9n", checked=1)
+        cost = costs[label] = total_access_cost(tree, range(n))
+        report.tick()
         if cost > 9 * n:
-            check.fail(f"scan cost {cost} > 9n = {9 * n}")
-        _absorb(report, label, check)
-    report["n"] = n
-    report["costs"] = results
-    report["bound"] = 9 * n
-    return _finish(report)
+            report.fail(f"{label}: scan cost {cost} > 9n = {9 * n}")
+    return {"n": n, "costs": costs, "bound": 9 * n}
 
 
-def run_oracle_crosscheck(config: ExperimentConfig) -> tuple[int, dict]:
+def run_oracle_crosscheck(suite: Suite, config: ExperimentConfig, report: CheckReport) -> dict:
     """The two independent optimal-cost searches agree on tiny instances."""
-    report = _base_report("oracle-crosscheck", config)
-    for trial in range(config.trials):
-        rng = rng_for_trial(config.seed, trial)
-        n = rng.randint(1, 4)
+    for label, rng, n in suite.trials_of(config):
         m = rng.randint(1, 4)
         T = random_tree(n, rng)
         queries = [rng.randrange(n) for _ in range(m)]
         cost, _ = opt_cost(n, queries, shape_of(T))
-        check = CheckReport("oracle-crosscheck", checked=2)
+        report.tick(2)
         if cost and program_search(T, queries, cost - 1):
-            check.fail("program search beat the oracle")
+            report.fail(f"{label}: program search beat the oracle")
         if not program_search(T, queries, cost):
-            check.fail("oracle cost not reachable")
-        _absorb(report, f"trial {trial}", check)
-    return _finish(report)
+            report.fail(f"{label}: oracle cost not reachable")
+    return {}
 
 
 SUITES = {
-    "lemma1": (run_lemma1, 1000),
-    "lemma2": (run_lemma2, 1000),
-    "lemma3": (run_lemma3, 10_000),
-    "lemma4": (run_lemma4, 10_000),
-    "lemma5": (run_lemma5, 1000),
-    "lemma6": (run_lemma6, 10_000),
-    "theorem7": (run_theorem7, 100),
-    "conjecture": (run_conjecture, 10_000),
-    "scan9n": (run_scan9n, 1),
-    "oracle-crosscheck": (run_oracle_crosscheck, 200),
+    "lemma1": Suite(run_lemma1, 1000),
+    "lemma2": Suite(run_lemma2, 1000),
+    "lemma3": Suite(run_lemma3, 10_000, min_n=2, max_n=10),
+    "lemma4": Suite(run_lemma4, 10_000, min_n=2),
+    "lemma5": Suite(run_lemma5, 1000, min_n=3),
+    "lemma6": Suite(run_lemma6, 10_000),
+    "theorem7": Suite(run_theorem7, 100, min_n=2, max_n=6, min_m=1),
+    "conjecture": Suite(run_conjecture, 10_000, min_m=0),
+    "scan9n": Suite(run_scan9n, 1),
+    "oracle-crosscheck": Suite(run_oracle_crosscheck, 200, max_n=4),
 }
-
-# The smallest --n each suite can draw a trial from (1 for the others), and
-# the smallest --m for the suites that read it.
-MIN_N = {"lemma3": 2, "lemma4": 2, "lemma5": 3, "theorem7": 2}
-MIN_M = {"theorem7": 1, "conjecture": 0}
 
 
 def run_suite(name: str, config: ExperimentConfig) -> tuple[int, dict]:
+    """Run suite `name`; its exit code (0 only if it checked something and
+    nothing failed) and its report."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    runner, _ = SUITES[name]
-    return runner(config)
-
-
-def default_trials(name: str) -> int:
-    return SUITES[name][1]
+    suite = SUITES[name]
+    check = CheckReport(name)
+    extra = suite.runner(suite, config, check)
+    passed = check.checked > 0 and not check.violations
+    report = {
+        "schema_version": SCHEMA_VERSION,
+        "suite": name,
+        "seed": config.seed,
+        "trials": config.trials,
+        "checked": check.checked,
+        "violations": check.violations,
+        "passed": passed,
+        **extra,
+    }
+    return (0 if passed else 1), report
 
 
 def check_config(name: str, config: ExperimentConfig) -> None:
     """Raise ValueError, naming the flag and its minimum, for a config that
     suite `name` would run vacuously or fail on."""
+    suite = SUITES[name]
     for flag, value, least in (
         ("--trials", config.trials, 1),
-        ("--n", config.n, MIN_N.get(name, 1)),
-        ("--m", config.m, MIN_M.get(name)),
+        ("--n", config.n, suite.min_n),
+        ("--m", config.m, suite.min_m),
     ):
         if least is not None and value < least:
             raise ValueError(f"{flag} must be at least {least} for suite {name}, got {value}")

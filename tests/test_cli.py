@@ -38,6 +38,8 @@ BAD_INPUTS = [
      "--generator 'working-set(2.5)': working-set takes a positive integer size"),
     (["conjecture", "--generator", "working-set(0)"],
      "--generator 'working-set(0)': working-set takes a positive integer size"),
+    (["conjecture", "--n", "8", "--generator", "working-set(100)"],
+     "--generator 'working-set(100)': working-set size 100 exceeds --n 8"),
     (["conjecture", "--generator", "uniform(3)"], "--generator 'uniform(3)': uniform takes no argument"),
     (["conjecture", "--generator", "sequential(1)"],
      "--generator 'sequential(1)': sequential takes no argument"),
