@@ -32,7 +32,6 @@ from .restricted import (
     simulate_program,
 )
 from .oracle import (
-    FrequencyTable,
     opt_cost,
     program_search,
     static_optimal,

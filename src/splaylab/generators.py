@@ -8,7 +8,7 @@ import random
 import re
 from dataclasses import dataclass
 
-from .machine import CostLedger, MachineProgram, OpKind, TreeState, apply_op, tree_from_roots
+from .machine import MachineProgram, OpKind, TreeState, apply_op, tree_from_roots
 
 
 def rng_for_trial(seed: int, trial: int) -> random.Random:
@@ -50,7 +50,6 @@ def random_t_program(tree: TreeState, rng: random.Random,
     Returns a MachineProgram; the tree passed in is not modified.
     """
     work = tree.copy()
-    ledger = CostLedger()
     ops = []
     moves = rng.randrange(max_moves + 1)
     rotations = rng.randrange(max_rotations + 1)
@@ -68,7 +67,7 @@ def random_t_program(tree: TreeState, rng: random.Random,
         if not choices:
             break
         op = rng.choice(choices)
-        apply_op(work, ledger, op)
+        apply_op(work, op)
         ops.append(op)
         if op is OpKind.ROTATE:
             rotations -= 1

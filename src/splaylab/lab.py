@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from .machine import IllegalOpError, OpKind, TreeState
-from .oracle import FrequencyTable, per_query_segments, static_optimal
+from .oracle import per_query_segments, static_optimal
 from .potential import (
     RANK_TOL,
     WeightAssignment,
@@ -50,7 +50,7 @@ class StepCheck:
 class SplayEvent:
     key: int
     depth_before: int
-    depth_ref: int | None
+    depth_ref: int
     r_root_before: float
     r_key_before: float
     pot_before: float
@@ -82,7 +82,7 @@ def checked_splay(
     S: TreeState,
     wa: WeightAssignment,
     key: int,
-    depth_ref: int | None = None,
+    depth_ref: int,
     per_step: bool = False,
 ) -> SplayEvent:
     """Splay `key` in S under fixed weights, recording everything the
@@ -142,8 +142,6 @@ def check_access_lemma(ev: SplayEvent) -> CheckReport:
 def check_amortized_depth(ev: SplayEvent) -> CheckReport:
     """Amortized splay cost <= 4 + 6 * depth of the key in the reference tree."""
     report = CheckReport("amortized-depth")
-    if ev.depth_ref is None:
-        raise ValueError("event carries no reference-tree depth")
     report.tick()
     bound = 4 + 6 * ev.depth_ref
     if ev.amortized > bound + RANK_TOL:
@@ -275,8 +273,6 @@ def merge_extras(base, extras) -> list:
 
 @dataclass
 class AccountingReport:
-    n: int
-    m: int
     e: int
     M: int
     R: int
@@ -307,12 +303,12 @@ def accounting_run(n: int, queries, strategy: str = "oracle-witness") -> Account
     a zero initial potential.
     """
     queries = list(queries)
-    keys = range(n)
+    counts = dict.fromkeys(range(n), 0)
     for q in queries:
         if not 0 <= q < n:
             raise KeyError(f"unknown key {q!r}")
-    freq = FrequencyTable.from_queries(keys, queries)
-    T0 = static_optimal(freq)
+        counts[q] += 1
+    T0 = static_optimal(counts)
     segments = per_query_segments(strategy, T0, queries)
     M = sum(1 for seg in segments for op in seg if op is not OpKind.ROTATE)
     R = sum(1 for seg in segments for op in seg if op is OpKind.ROTATE)
@@ -341,8 +337,6 @@ def accounting_run(n: int, queries, strategy: str = "oracle-witness") -> Account
         check.fail(f"initial potential {run.phi_initial}")
     denom = n + m_prime + r_prime
     return AccountingReport(
-        n=n,
-        m=len(queries),
         e=e,
         M=M,
         R=R,

@@ -1,10 +1,11 @@
-"""Cursor-based binary search tree machine with per-operation cost accounting.
+"""Cursor-based binary search tree machine.
 
 Trees hold a finite set of distinct integer keys.  A single cursor moves
 between adjacent nodes; the only structural primitive is an upward rotation
-of the node at the cursor.  A program is a sequence of `OpKind` members.
-Moves and rotations are charged on a ledger; a key comparison is free and
-is not an op.
+of the node at the cursor.  A program is a sequence of `OpKind` members, and
+`apply_op` is the one transition that steps a tree by one of them.  A move or
+a rotation costs 1 and a key comparison is free and is not an op; `apply_op`
+charges nothing, so a caller that counts costs keeps its own `CostLedger`.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ class TreeState:
     # -- structural mutation ------------------------------------------------
 
     def rotate_up(self, key: int) -> None:
-        """Rotate `key` one level upward.  Does not touch cursor or ledgers."""
+        """Rotate `key` one level upward.  Does not move the cursor."""
         p = self.parent[key]
         if p is None:
             raise IllegalOpError("cannot rotate the root")
@@ -299,31 +300,28 @@ class MachineProgram:
         return sum(1 for op in self.ops if op is OpKind.ROTATE)
 
 
-def apply_op(state: TreeState, ledger: CostLedger, op: OpKind, index: int | None = None) -> None:
-    """Apply one machine op in place, charging the ledger."""
+def apply_op(state: TreeState, op: OpKind, index: int | None = None) -> None:
+    """Apply one machine op in place.  An illegal op raises IllegalOpError
+    (naming `index`, if given) and leaves the tree and its cursor as they were."""
     cursor = state.cursor
     if op is OpKind.LEFT:
         dest = state.left[cursor]
         if dest is None:
             raise IllegalOpError(f"no left child at {cursor}", index)
         state.cursor = dest
-        ledger.moves += 1
     elif op is OpKind.RIGHT:
         dest = state.right[cursor]
         if dest is None:
             raise IllegalOpError(f"no right child at {cursor}", index)
         state.cursor = dest
-        ledger.moves += 1
     elif op is OpKind.UP:
         dest = state.parent[cursor]
         if dest is None:
             raise IllegalOpError("no parent at root", index)
         state.cursor = dest
-        ledger.moves += 1
     elif op is OpKind.ROTATE:
         if state.parent[cursor] is None:
             raise IllegalOpError("cannot rotate at root", index)
         state.rotate_up(cursor)
-        ledger.rotations += 1
     else:  # pragma: no cover
         raise IllegalOpError(f"unknown op {op!r}", index)

@@ -9,13 +9,10 @@ program for a statically optimal tree.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .machine import (
-    CostLedger,
     IllegalOpError,
-    MachineProgram,
     OpKind,
     TreeState,
     apply_op,
@@ -61,13 +58,15 @@ def _normalize(cursor, k, returned, queries, root):
     return k, returned
 
 
-def opt_cost(n: int, queries, initial_shape) -> tuple[int, MachineProgram]:
+def opt_cost(n: int, queries, initial_shape) -> tuple[int, list]:
     """Minimum moves+rotations to serve the queries in order from a given shape
     (nested `(left, right)` tuples, as `shape_of` and `parse_shape` return).
 
     The cursor must visit each queried key in sequence and pass through the
     root between consecutive services (and after the last one).  Returns the
-    optimum and a witness program achieving it.
+    optimum and a witness program achieving it, split into one op list per
+    query: each segment ends at the op that serves its query, and the last one
+    also holds the return to the root.
     """
     if not 1 <= n <= MAX_OPT_KEYS:
         raise ValueError(f"instance too large: n={n}")
@@ -115,13 +114,18 @@ def opt_cost(n: int, queries, initial_shape) -> tuple[int, MachineProgram]:
             frontier.append(nstate)
     if goal is None:  # pragma: no cover - the state graph is connected
         raise RuntimeError("no serving program found")
-    ops = []
+    # Each state holds k, the queries served before it: an op taken from a
+    # state with k served belongs to query k's segment (the last, once all are).
+    segments = [[] for _ in range(m)]
+    cost = 0
     state = goal
     while pred[state] is not None:
         state, kind = pred[state]
-        ops.append(kind)
-    ops.reverse()
-    return len(ops), MachineProgram(ops)
+        segments[min(state[2], m - 1)].append(kind)
+        cost += 1
+    for segment in segments:
+        segment.reverse()
+    return cost, segments
 
 
 def program_search(T0: TreeState, queries, budget: int) -> bool:
@@ -134,7 +138,6 @@ def program_search(T0: TreeState, queries, budget: int) -> bool:
     queries = list(queries)
     m = len(queries)
     state = T0.copy()
-    ledger = CostLedger()
     seen = {}
 
     def dfs(k, returned, remaining):
@@ -153,7 +156,7 @@ def program_search(T0: TreeState, queries, budget: int) -> bool:
         parent = state.parent[cursor]
         for kind in (OpKind.LEFT, OpKind.RIGHT, OpKind.UP, OpKind.ROTATE):
             try:
-                apply_op(state, ledger, kind)
+                apply_op(state, kind)
             except IllegalOpError:
                 continue
             found = dfs(k, returned or state.cursor == state.root, remaining - 1)
@@ -170,23 +173,12 @@ def program_search(T0: TreeState, queries, budget: int) -> bool:
 # -- static optimality ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FrequencyTable:
-    counts: dict
-
-    @classmethod
-    def from_queries(cls, keys, queries) -> "FrequencyTable":
-        counts = {k: 0 for k in keys}
-        for q in queries:
-            counts[q] += 1
-        return cls(counts)
-
-
-def static_optimal(freq: FrequencyTable) -> TreeState:
-    """Interval DP for a tree minimizing the successful-search cost."""
-    keys = sorted(freq.counts)
+def static_optimal(counts: dict) -> TreeState:
+    """Interval DP for a tree over the keys of `counts` ({key: access count})
+    minimizing the successful-search cost."""
+    keys = sorted(counts)
     n = len(keys)
-    f = [freq.counts[k] for k in keys]
+    f = [counts[k] for k in keys]
     prefix = [0] * (n + 1)
     for i, x in enumerate(f):
         prefix[i + 1] = prefix[i] + x
@@ -225,37 +217,6 @@ def path_ops(tree: TreeState, key: int) -> list:
     return ops
 
 
-def split_program_by_service(T0: TreeState, ops, queries) -> list:
-    """Per-query op segments: each ends at the op that serves its query."""
-    queries = list(queries)
-    m = len(queries)
-    state = T0.copy()
-    ledger = CostLedger()
-    boundaries = []
-    k, returned = 0, True
-    while returned and k < m and state.cursor == queries[k]:
-        boundaries.append(-1)
-        k += 1
-        returned = state.cursor == state.root
-    for i, op in enumerate(ops):
-        apply_op(state, ledger, op, index=i)
-        returned = returned or state.cursor == state.root
-        while returned and k < m and state.cursor == queries[k]:
-            boundaries.append(i)
-            k += 1
-            returned = state.cursor == state.root
-    if k < m:
-        raise ValueError("program does not serve every query")
-    segments = []
-    prev = -1
-    for k in range(m):
-        segments.append(list(ops[prev + 1 : boundaries[k] + 1]))
-        prev = boundaries[k]
-    if segments:
-        segments[-1].extend(ops[prev + 1 :])
-    return segments
-
-
 def per_query_segments(strategy: str, T0: TreeState, queries) -> list:
     """Cursor-op segments, one per query, for the chosen reference strategy."""
     if strategy not in STRATEGIES:
@@ -266,5 +227,4 @@ def per_query_segments(strategy: str, T0: TreeState, queries) -> list:
             down = path_ops(T0, q)
             segments.append(down + [OpKind.UP] * len(down))
         return segments
-    _, witness = opt_cost(len(T0), queries, shape_of(T0))
-    return split_program_by_service(T0, witness.ops, queries)
+    return opt_cost(len(T0), queries, shape_of(T0))[1]

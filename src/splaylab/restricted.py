@@ -23,7 +23,8 @@ from .report import CheckReport
 
 _L, _R, _U, _ROT = OpKind.LEFT, OpKind.RIGHT, OpKind.UP, OpKind.ROTATE
 
-# Fixed op sequences; which one applies depends only on the tracked tree.
+# Fixed op sequences; which one applies depends only on the simulated op and,
+# for UP and ROTATE, on which side of its parent the tracked cursor hangs.
 _SEQ_DOWN_LEFT = (_L, _R, _ROT, _U, _L, _ROT)
 _SEQ_DOWN_RIGHT = (_R, _L, _ROT, _U, _R, _ROT)
 _SEQ_UP_FROM_LEFT = (_R, _ROT, _L, _L, _ROT, _U)   # cursor is its parent's left child
@@ -37,7 +38,8 @@ class SentineledTree:
     """Restricted tree plus the tracked plain tree it simulates.
 
     The tracked tree is bookkeeping only; the restricted tree itself stores no
-    extra per-node information.
+    extra per-node information.  `ledger` counts the restricted ops that
+    `apply_t_op` has applied to `prime`.
     """
 
     prime: TreeState
@@ -73,55 +75,47 @@ def init_prime(T: TreeState) -> SentineledTree:
 
 
 def op_sequence(st: SentineledTree, t_op: OpKind) -> tuple:
-    """Restricted ops for one simulated op; validates against the tracked tree."""
+    """Apply one simulated op to the tracked tree and return the restricted ops
+    that simulate it.
+
+    `apply_op` raises IllegalOpError on an illegal op before anything moves.
+    The sequence follows from the op kind and, for UP and ROTATE, from whether
+    the cursor was its parent's left child: in a BST, exactly when its key is
+    the smaller.
+    """
     sim = st.sim
-    c = sim.cursor
+    cursor = sim.cursor
+    parent = sim.parent[cursor]
+    apply_op(sim, t_op)
     if t_op is OpKind.LEFT:
-        if sim.left[c] is None:
-            raise IllegalOpError(f"no left child at {c}")
         return _SEQ_DOWN_LEFT
     if t_op is OpKind.RIGHT:
-        if sim.right[c] is None:
-            raise IllegalOpError(f"no right child at {c}")
         return _SEQ_DOWN_RIGHT
-    p = sim.parent[c]
-    if p is None:
-        raise IllegalOpError("simulated cursor is at the root")
     if t_op is OpKind.UP:
-        return _SEQ_UP_FROM_LEFT if sim.left[p] == c else _SEQ_UP_FROM_RIGHT
-    if t_op is OpKind.ROTATE:
-        return _SEQ_ROT_PARENT_ABOVE_RIGHT if p > c else _SEQ_ROT_PARENT_ABOVE_LEFT
-    raise IllegalOpError(f"unsupported op {t_op!r}")  # pragma: no cover
-
-
-def commit_sim(st: SentineledTree, t_op: OpKind) -> None:
-    """Apply the simulated op to the tracked tree."""
-    sim = st.sim
-    if t_op is OpKind.ROTATE:
-        sim.rotate_up(sim.cursor)
-    elif t_op is OpKind.LEFT:
-        sim.cursor = sim.left[sim.cursor]
-    elif t_op is OpKind.RIGHT:
-        sim.cursor = sim.right[sim.cursor]
-    else:
-        sim.cursor = sim.parent[sim.cursor]
+        return _SEQ_UP_FROM_LEFT if parent > cursor else _SEQ_UP_FROM_RIGHT
+    return _SEQ_ROT_PARENT_ABOVE_RIGHT if parent > cursor else _SEQ_ROT_PARENT_ABOVE_LEFT
 
 
 def apply_t_op(st: SentineledTree, t_op: OpKind, rotate=None) -> tuple:
-    """Translate and execute one simulated op on the restricted tree.
+    """Translate and execute one simulated op on the restricted tree, charging
+    `st.ledger` for every restricted op.
 
     `rotate(key)`, if given, performs each emitted rotation of the cursor's
-    key in place of `apply_op` (the ledger is still charged).
+    key in place of `apply_op`; the rotation is charged all the same.
     """
     seq = op_sequence(st, t_op)
+    prime, ledger = st.prime, st.ledger
     for op in seq:
-        if rotate is not None and op is OpKind.ROTATE:
-            rotate(st.prime.cursor)
-            st.ledger.rotations += 1
+        if op is not OpKind.ROTATE:
+            apply_op(prime, op)
+            ledger.moves += 1
         else:
-            apply_op(st.prime, st.ledger, op)
-    commit_sim(st, t_op)
-    if st.prime.root != st.sim.cursor:  # pinned-root invariant
+            if rotate is None:
+                apply_op(prime, op)
+            else:
+                rotate(prime.cursor)
+            ledger.rotations += 1
+    if prime.root != st.sim.cursor:  # pinned-root invariant
         raise IllegalOpError("restricted-tree root lost the simulated cursor key")
     return seq
 
@@ -175,10 +169,9 @@ def cursor_trace(initial: TreeState, ops) -> list:
     """Replay an op sequence on a copy of `initial`; the keys the cursor visits,
     starting at the root."""
     state = initial.copy()
-    ledger = CostLedger()
     trace = [state.cursor]
     for i, op in enumerate(ops):
-        apply_op(state, ledger, op, index=i)
+        apply_op(state, op, index=i)
         trace.append(state.cursor)
     return trace
 

@@ -52,10 +52,12 @@ class Suite:
 
     A trial's key count n is drawn from min_n up to --n, capped at max_n when
     set; min_m is the least --m, None for suites that do not read it.
+    max_trials, when set, is the most --trials the suite can honour.
     """
 
     runner: Callable
     trials: int
+    max_trials: int | None = None
     min_n: int = 1
     max_n: int | None = None
     min_m: int | None = None
@@ -223,7 +225,7 @@ def run_conjecture(suite: Suite, config: ExperimentConfig, report: CheckReport) 
 def run_scan9n(suite: Suite, config: ExperimentConfig, report: CheckReport) -> dict:
     """Sequential scan 0..n-1 costs at most 9n from spine and balanced starts.
 
-    One deterministic pass; --trials is not read.
+    One deterministic pass, so its table entry allows only --trials 1.
     """
     n = config.n
     costs = {}
@@ -263,7 +265,7 @@ SUITES = {
     "lemma6": Suite(run_lemma6, 10_000),
     "theorem7": Suite(run_theorem7, 100, min_n=2, max_n=6, min_m=1),
     "conjecture": Suite(run_conjecture, 10_000, min_m=0),
-    "scan9n": Suite(run_scan9n, 1),
+    "scan9n": Suite(run_scan9n, 1, max_trials=1),
     "oracle-crosscheck": Suite(run_oracle_crosscheck, 200, max_n=4),
 }
 
@@ -291,8 +293,8 @@ def run_suite(name: str, config: ExperimentConfig) -> tuple[int, dict]:
 
 
 def check_config(name: str, config: ExperimentConfig) -> None:
-    """Raise ValueError, naming the flag and its minimum, for a config that
-    suite `name` would run vacuously or fail on."""
+    """Raise ValueError, naming the flag and its bound, for a config that
+    suite `name` would run vacuously, misreport or fail on."""
     suite = SUITES[name]
     for flag, value, least in (
         ("--trials", config.trials, 1),
@@ -301,6 +303,9 @@ def check_config(name: str, config: ExperimentConfig) -> None:
     ):
         if least is not None and value < least:
             raise ValueError(f"{flag} must be at least {least} for suite {name}, got {value}")
+    if suite.max_trials is not None and config.trials > suite.max_trials:
+        raise ValueError(
+            f"--trials must be at most {suite.max_trials} for suite {name}, got {config.trials}")
     if config.strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {config.strategy!r}; choose from {list(STRATEGIES)}")
 

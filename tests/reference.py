@@ -2,6 +2,9 @@
 
 `brute_force_static_cost` tries every tree shape, so it checks the interval
 dynamic program `splaylab.oracle.static_optimal` without sharing its recurrence.
+`split_program_by_service` replays a whole program to find where each query is
+served, so it checks the per-query segments `splaylab.oracle.opt_cost` reads
+off its search states.
 `subtree_keys` lists a subtree by walking it, with no sums and no intervals.
 `validate` and `same_structure` read a tree's links directly.
 """
@@ -10,8 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from splaylab.machine import TreeState, tree_from_shape
-from splaylab.oracle import FrequencyTable
+from splaylab.machine import TreeState, apply_op, tree_from_shape
 
 MAX_ENUM_KEYS = 8
 
@@ -66,14 +68,44 @@ def enumerate_shapes(n: int) -> list:
     return list(_shapes(n))
 
 
-def static_cost(tree: TreeState, freq: FrequencyTable) -> int:
+def static_cost(tree: TreeState, counts: dict) -> int:
     """Total successful-search cost: sum of f(v) * (depth(v) + 1)."""
     depths = tree.all_depths()
-    return sum(freq.counts[v] * (depths[v] + 1) for v in depths)
+    return sum(counts[v] * (depths[v] + 1) for v in depths)
 
 
-def brute_force_static_cost(freq: FrequencyTable) -> int:
+def brute_force_static_cost(counts: dict) -> int:
     """Minimum successful-search cost over every shape (exhaustive oracle)."""
-    keys = sorted(freq.counts)
-    return min(static_cost(tree_from_shape(shape, keys), freq)
+    keys = sorted(counts)
+    return min(static_cost(tree_from_shape(shape, keys), counts)
                for shape in enumerate_shapes(len(keys)))
+
+
+def split_program_by_service(T0: TreeState, ops, queries) -> list:
+    """Per-query op segments: each ends at the op that serves its query."""
+    queries = list(queries)
+    m = len(queries)
+    state = T0.copy()
+    boundaries = []
+    k, returned = 0, True
+    while returned and k < m and state.cursor == queries[k]:
+        boundaries.append(-1)
+        k += 1
+        returned = state.cursor == state.root
+    for i, op in enumerate(ops):
+        apply_op(state, op, index=i)
+        returned = returned or state.cursor == state.root
+        while returned and k < m and state.cursor == queries[k]:
+            boundaries.append(i)
+            k += 1
+            returned = state.cursor == state.root
+    if k < m:
+        raise ValueError("program does not serve every query")
+    segments = []
+    prev = -1
+    for k in range(m):
+        segments.append(list(ops[prev + 1 : boundaries[k] + 1]))
+        prev = boundaries[k]
+    if segments:
+        segments[-1].extend(ops[prev + 1 :])
+    return segments

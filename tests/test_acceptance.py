@@ -13,7 +13,7 @@ import pytest
 
 from splaylab.generators import ExperimentConfig
 from splaylab.machine import build_tree
-from splaylab.oracle import FrequencyTable, static_optimal
+from splaylab.oracle import static_optimal
 from splaylab.potential import phi
 from splaylab.suites import render_report, run_suite
 from splaylab.generators import rng_for_trial
@@ -98,8 +98,8 @@ def test_criterion_9_oracle_validity():
     for trial in range(100):
         rng = rng_for_trial(1, trial)
         n = rng.randint(1, 8)
-        freq = FrequencyTable({k: rng.randint(0, 20) for k in range(n)})
-        assert static_cost(static_optimal(freq), freq) == brute_force_static_cost(freq)
+        counts = {k: rng.randint(0, 20) for k in range(n)}
+        assert static_cost(static_optimal(counts), counts) == brute_force_static_cost(counts)
     _passline(9)
 
 

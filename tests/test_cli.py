@@ -22,6 +22,7 @@ BAD_INPUTS = [
     (["conjecture", "--m", "-1"], "--m must be at least 0"),
     (["lemma6", "--n", "0"], "--n must be at least 1"),
     (["scan9n", "--n", "0"], "--n must be at least 1"),
+    (["scan9n", "--n", "8", "--trials", "5"], "--trials must be at most 1"),
     (["conjecture", "--generator", "zipf(-5000)"],
      "--generator 'zipf(-5000)': zipf takes a finite exponent of at least 0"),
     (["conjecture", "--generator", "zipf(inf)"],
@@ -136,6 +137,15 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err.startswith(f"splaylab: error: {message}")
+
+    def test_scan9n_config_trials_is_error_exit(self, tmp_path, capsys):
+        # scan9n makes one pass, so a config file's trials other than 1 is refused too.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 8, "trials": 5}))
+        code = main(["--suite", "scan9n", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("splaylab: error: --trials must be at most 1 for suite scan9n")
 
     def test_config_file_single_trial_honoured(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from splaylab.machine import (
-    CostLedger,
     IllegalOpError,
     MachineProgram,
     OpKind,
@@ -16,7 +15,7 @@ from splaylab.machine import (
     tree_from_shape,
 )
 from splaylab.generators import balanced_tree, random_tree, rng_for_trial, spine_tree
-from splaylab.oracle import FrequencyTable, static_optimal
+from splaylab.oracle import static_optimal
 from splaylab.restricted import cursor_trace
 
 from reference import same_structure, subtree_keys, validate
@@ -25,11 +24,10 @@ from reference import same_structure, subtree_keys, validate
 L, R, U, ROT = OpKind.LEFT, OpKind.RIGHT, OpKind.UP, OpKind.ROTATE
 
 
-def replay(state, ops, ledger):
-    """Apply `ops` to `state` in place, charging `ledger`."""
+def replay(state, ops):
+    """Apply `ops` to `state` in place."""
     for i, op in enumerate(ops):
-        apply_op(state, ledger, op, index=i)
-    return ledger
+        apply_op(state, op, index=i)
 
 
 class TestShapes:
@@ -106,19 +104,17 @@ class TestRotation:
     def test_fuzz_invariants(self):
         rng = rng_for_trial(11, 0)
         tree = random_tree(20, rng)
-        ledger = CostLedger()
         order = tree.in_order()
         applied = 0
         while applied < 10_000:
             kind = rng.choice([OpKind.LEFT, OpKind.RIGHT, OpKind.UP, OpKind.ROTATE])
             try:
-                apply_op(tree, ledger, kind)
+                apply_op(tree, kind)
             except IllegalOpError:
                 continue
             applied += 1
         validate(tree)
         assert tree.in_order() == order
-        assert ledger.moves + ledger.rotations == 10_000
 
 
 class TestPrograms:
@@ -129,16 +125,14 @@ class TestPrograms:
         tree = random_tree(9, rng)
         p = random_t_program(tree, rng, max_moves=10, max_rotations=5).ops
         scratch = tree.copy()
-        replay(scratch, p, CostLedger())
+        replay(scratch, p)
         q = random_t_program(scratch, rng, max_moves=10, max_rotations=5).ops
         t1 = tree.copy()
-        ledger = CostLedger()
-        replay(t1, p, ledger)
-        replay(t1, q, ledger)
+        replay(t1, p)
+        replay(t1, q)
         t2 = tree.copy()
-        combined = replay(t2, p + q, CostLedger())
-        assert ledger == combined
-        assert same_structure(t1, t2)
+        replay(t2, p + q)
+        assert same_structure(t1, t2) and t1.cursor == t2.cursor
 
     def test_illegal_op_reports_index(self):
         tree = build_tree(range(2), "(.(..))")  # root 0, right child 1
@@ -234,10 +228,10 @@ def hand_built_balanced(n):
     return TreeState(left, right, parent, n // 2)
 
 
-def hand_built_static_optimal(freq):
-    keys = sorted(freq.counts)
+def hand_built_static_optimal(counts):
+    keys = sorted(counts)
     n = len(keys)
-    f = [freq.counts[k] for k in keys]
+    f = [counts[k] for k in keys]
     prefix = [0] * (n + 1)
     for i, x in enumerate(f):
         prefix[i + 1] = prefix[i] + x
@@ -299,8 +293,8 @@ def test_static_optimal_matches_hand_built_reference():
     for _ in range(200):
         n = rng.randint(1, 24)
         keys = sorted(rng.sample(range(-50, 50), n))
-        freq = FrequencyTable({k: rng.choice((0, 1, rng.randrange(100))) for k in keys})
-        assert_same_tree(static_optimal(freq), hand_built_static_optimal(freq))
+        counts = {k: rng.choice((0, 1, rng.randrange(100))) for k in keys}
+        assert_same_tree(static_optimal(counts), hand_built_static_optimal(counts))
 
 
 @settings(max_examples=200, deadline=None)
@@ -338,4 +332,4 @@ def test_builders_need_a_node():
     with pytest.raises(ValueError):
         spine_tree(3, "up")
     with pytest.raises(ValueError):
-        static_optimal(FrequencyTable({}))
+        static_optimal({})

@@ -1,18 +1,16 @@
 import pytest
 
 from splaylab.generators import random_tree, rng_for_trial
-from splaylab.machine import CostLedger, apply_op, build_tree, parse_shape, shape_of
-from splaylab.oracle import (
-    FrequencyTable,
-    opt_cost,
-    program_search,
-    per_query_segments,
-    split_program_by_service,
-    static_optimal,
-)
+from splaylab.machine import apply_op, build_tree, parse_shape, shape_of
+from splaylab.oracle import opt_cost, program_search, per_query_segments, static_optimal
 from splaylab.restricted import cursor_trace
 
-from reference import brute_force_static_cost, enumerate_shapes, static_cost
+from reference import (
+    brute_force_static_cost,
+    enumerate_shapes,
+    split_program_by_service,
+    static_cost,
+)
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 
@@ -29,13 +27,13 @@ class TestShapeEnumeration:
 
 class TestOptCost:
     def test_query_at_root_is_free(self):
-        cost, witness = opt_cost(3, [1, 1, 1], parse_shape("((..)(..))"))
-        assert cost == 0 and witness.ops == []
+        cost, segments = opt_cost(3, [1, 1, 1], parse_shape("((..)(..))"))
+        assert cost == 0 and segments == [[], [], []]
 
     def test_single_child_query(self):
         # Root 0 with right child 1: either walk down and back (2 moves) or
         # rotate 1 up and return (rotation + move); both cost 2.
-        cost, witness = opt_cost(2, [1], parse_shape("(.(..))"))
+        cost, segments = opt_cost(2, [1], parse_shape("(.(..))"))
         assert cost == 2
 
     def test_witness_replays_to_claimed_cost(self):
@@ -44,11 +42,12 @@ class TestOptCost:
             n = rng.randint(1, 5)
             T = random_tree(n, rng)
             queries = [rng.randrange(n) for _ in range(rng.randint(1, 5))]
-            cost, witness = opt_cost(n, queries, shape_of(T))
-            state, ledger = T.copy(), CostLedger()
-            for op in witness.ops:
-                apply_op(state, ledger, op)
-            assert ledger.moves + ledger.rotations == cost
+            cost, segments = opt_cost(n, queries, shape_of(T))
+            witness = [op for segment in segments for op in segment]
+            state = T.copy()
+            for op in witness:
+                apply_op(state, op)
+            assert len(witness) == cost
 
     def test_agrees_with_program_space_search(self):
         rng = rng_for_trial(43, 0)
@@ -68,20 +67,20 @@ class TestOptCost:
 
 class TestStaticOptimal:
     def test_dominant_key_becomes_root(self):
-        freq = FrequencyTable({0: 1, 1: 100, 2: 1, 3: 1})
-        assert static_optimal(freq).root == 1
+        counts = {0: 1, 1: 100, 2: 1, 3: 1}
+        assert static_optimal(counts).root == 1
 
     def test_matches_brute_force(self):
         rng = rng_for_trial(47, 0)
         for _ in range(100):
             n = rng.randint(1, 8)
-            freq = FrequencyTable({k: rng.randint(0, 20) for k in range(n)})
-            tree = static_optimal(freq)
-            assert static_cost(tree, freq) == brute_force_static_cost(freq)
+            counts = {k: rng.randint(0, 20) for k in range(n)}
+            tree = static_optimal(counts)
+            assert static_cost(tree, counts) == brute_force_static_cost(counts)
 
     def test_cost_monotone_in_frequency(self):
-        freq_lo = FrequencyTable({0: 1, 1: 1, 2: 1})
-        freq_hi = FrequencyTable({0: 1, 1: 5, 2: 1})
+        freq_lo = {0: 1, 1: 1, 2: 1}
+        freq_hi = {0: 1, 1: 5, 2: 1}
         t_lo, t_hi = static_optimal(freq_lo), static_optimal(freq_hi)
         assert static_cost(t_hi, freq_hi) <= static_cost(t_lo, freq_hi)
 
@@ -104,7 +103,9 @@ class TestStrategyPrograms:
             n = rng.randint(2, 5)
             T = random_tree(n, rng)
             queries = [rng.randrange(n) for _ in range(rng.randint(1, 5))]
-            _, witness = opt_cost(n, queries, shape_of(T))
-            segments = split_program_by_service(T, witness.ops, queries)
-            assert sum(len(s) for s in segments) == len(witness.ops)
+            cost, segments = opt_cost(n, queries, shape_of(T))
+            witness = [op for segment in segments for op in segment]
+            # The segments read off the search states equal a replay's split.
+            assert segments == split_program_by_service(T, witness, queries)
+            assert sum(len(s) for s in segments) == len(witness) == cost
             assert len(segments) == len(queries)

@@ -1,8 +1,9 @@
+from dataclasses import replace
+
 import pytest
 
 from splaylab.generators import random_t_program, random_tree, rng_for_trial
 from splaylab.machine import (
-    CostLedger,
     IllegalOpError,
     OpKind,
     apply_op,
@@ -88,6 +89,22 @@ class TestMoveSimulation:
         with pytest.raises(IllegalOpError):
             apply_t_op(st, ROT)
 
+    def test_illegal_op_changes_nothing(self):
+        # The tracked tree steps first, inside op_sequence: an illegal simulated
+        # op must leave the restricted tree, the tracked tree and the ledger alone.
+        T = build_tree(range(5), "(((..)(..))(..))")  # root 3; 0 is a leaf under 1
+        st = init_prime(T)
+        for steps, illegal in (([], (U, ROT)), ([L, L], (L, R))):
+            for op in steps:
+                apply_t_op(st, op)
+            prime, sim, ledger = st.prime.copy(), st.sim.copy(), replace(st.ledger)
+            for op in illegal:
+                with pytest.raises(IllegalOpError):
+                    apply_t_op(st, op)
+                assert same_structure(st.prime, prime) and st.prime.cursor == prime.cursor
+                assert same_structure(st.sim, sim) and st.sim.cursor == sim.cursor
+                assert st.ledger == ledger
+
 
 class TestProgramSimulation:
     def test_exact_counts_fuzzed(self):
@@ -108,9 +125,9 @@ class TestProgramSimulation:
         for _ in range(100):
             T = random_tree(rng.randint(2, 8), rng)
             program = random_t_program(T, rng, max_moves=20, max_rotations=10)
-            sim, ledger = T.copy(), CostLedger()
+            sim = T.copy()
             for op in program.ops:
-                apply_op(sim, ledger, op)
+                apply_op(sim, op)
             st = init_prime(T)
             for op in program.ops:
                 apply_t_op(st, op)
@@ -159,19 +176,19 @@ class TestRestrictedChecker:
     def test_depth_counter_matches_depth_walk(self):
         # Reference: the checker with a TreeState.depth walk per op.
         def walked(initial, ops):
-            state, ledger, found, pending = initial.copy(), CostLedger(), [], False
+            state, found, pending = initial.copy(), [], False
             for i, op in enumerate(ops):
                 if op is ROT:
                     if pending:
                         found.append(f"index {i}: rotation before cursor returned to root")
                     if state.depth(state.cursor) >= 3:
                         found.append(f"index {i}: rotated node at depth >= 3")
-                    apply_op(state, ledger, op, index=i)
+                    apply_op(state, op, index=i)
                     pending = state.cursor != state.root
                 else:
                     if pending and op is not U:
                         found.append(f"index {i}: sideways move before returning to root")
-                    apply_op(state, ledger, op, index=i)
+                    apply_op(state, op, index=i)
                     if state.depth(state.cursor) >= 3:
                         found.append(f"index {i}: cursor visited depth >= 3")
                     if state.cursor == state.root:
