@@ -10,9 +10,6 @@ from .machine import (
     TreeState,
     apply_op,
     build_tree,
-    parse_shape,
-    shape_of,
-    tree_from_shape,
 )
 from .splay import splay_step, total_access_cost
 from .potential import (

@@ -7,9 +7,9 @@ import json
 import sys
 from pathlib import Path
 
-from .generators import GENERATOR_NAMES, ExperimentConfig, parse_generator
+from .generators import GENERATOR_NAMES, ExperimentConfig
 from .oracle import STRATEGIES
-from .suites import SUITES, check_config, render_report, run_suite
+from .suites import SUITES, render_report, run_suite
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,8 +56,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     for key, value in overrides.items():
         if value is not None:
             setattr(config, key, value)
-    parse_generator(config.generator)  # validate early
-    check_config(args.suite, config)
     if config.output_path:
         out = Path(config.output_path)
         if out.is_dir():

@@ -179,107 +179,56 @@ def tree_from_roots(keys, pick) -> TreeState:
 # "(.)" is accepted as an alias for the singleton "(..)".
 
 
-def parse_shape(text: str):
-    """Parse a descriptor into nested `(left, right)` tuples (None = empty)."""
-    compact = "".join(text.split()).replace("(.)", "(..)")
+def build_tree(keys, shape: str) -> TreeState:
+    """Build the tree of descriptor `shape` with the increasing `keys`
+    assigned in-order to its nodes."""
+    compact = "".join(shape.split()).replace("(.)", "(..)")
     if not compact:
         raise ShapeError("empty shape descriptor")
-    # Iterative parse; descriptors for spine trees can be deeply nested.
-    stack = []  # each frame: [left, right, n_children_seen]
-    result = None
-
-    def close(value):
-        nonlocal result
-        while True:
-            if not stack:
-                if result is not None:
-                    raise ShapeError("trailing content after shape")
-                result = value
-                return
-            frame = stack[-1]
-            if frame[2] >= 2:
-                raise ShapeError("node with more than two children")
-            frame[frame[2]] = value
-            frame[2] += 1
-            return
-
-    i = 0
-    while i < len(compact):
-        ch = compact[i]
+    # One pass over the descriptor.  A node's in-order rank is fixed when its
+    # left slot fills; the nodes open in preorder, the order in which
+    # tree_from_roots asks for them, so list the ranks in that order.
+    ranks = []
+    rank = 0
+    open_nodes = []  # [preorder index, child slots filled] per open node
+    closed = False  # the top-level node is complete
+    for ch in compact:
+        if closed:
+            raise ShapeError("trailing content after shape")
         if ch == "(":
-            stack.append([None, None, 0])
-        elif ch == ".":
-            if not stack:
-                if result is not None or i + 1 != len(compact):
-                    raise ShapeError("unexpected '.'")
-                return None
-            close(None)
-            if stack and stack[-1][2] > 2:
-                raise ShapeError("node with more than two children")
-        elif ch == ")":
-            if not stack:
+            open_nodes.append([len(ranks), 0])
+            ranks.append(None)
+            continue
+        if ch == ")":
+            if not open_nodes:
                 raise ShapeError("unbalanced ')'")
-            frame = stack.pop()
-            if frame[2] != 2:
+            if open_nodes.pop()[1] != 2:
                 raise ShapeError("node must have exactly two child slots")
-            close((frame[0], frame[1]))
+            if not open_nodes:
+                closed = True
+                continue
+        elif ch == ".":
+            if not open_nodes:
+                raise ShapeError("unexpected '.'")
         else:
             raise ShapeError(f"unexpected character {ch!r}")
-        i += 1
-    if stack:
+        # A subtree ("." or a closed node) fills the next slot of its parent.
+        node = open_nodes[-1]
+        if node[1] == 2:
+            raise ShapeError("node with more than two children")
+        if node[1] == 0:
+            ranks[node[0]] = rank
+            rank += 1
+        node[1] += 1
+    if open_nodes:
         raise ShapeError("unbalanced '('")
-    if result is None:
-        raise ShapeError("shape has no nodes")
-    return result
-
-
-def tree_from_shape(shape, keys) -> TreeState:
-    """Build a TreeState with `keys` assigned in-order to the shape's slots."""
-    if shape is None:
-        raise ShapeError("shape has no nodes")
     keys = list(keys)
     if any(a >= b for a, b in zip(keys, keys[1:])):
         raise ShapeError("keys must be strictly increasing")
-    # A node's in-order rank is i + the size of its left subtree, where keys[i:j]
-    # is its interval.  An in-order walk pushes the nodes in preorder, the order
-    # in which tree_from_roots asks for them, so list the ranks in that order.
-    ranks = []
-    walk = []
-    node, rank = shape, 0
-    while walk or node is not None:
-        while node is not None:
-            walk.append((node, len(ranks)))
-            ranks.append(None)
-            node = node[0]
-        node, pre = walk.pop()
-        ranks[pre] = rank
-        rank += 1
-        node = node[1]
     if len(ranks) != len(keys):
         raise ShapeError(f"shape has {len(ranks)} slots for {len(keys)} keys")
     next_rank = iter(ranks).__next__
     return tree_from_roots(keys, lambda i, j: next_rank())
-
-
-def build_tree(keys, shape: str) -> TreeState:
-    return tree_from_shape(parse_shape(shape), keys)
-
-
-def shape_of(tree: TreeState):
-    """Nested-tuple shape of a tree (inverse of tree_from_shape, keys dropped)."""
-    memo = {None: None}
-    stack = [(tree.root, False)]
-    while stack:
-        node, done = stack.pop()
-        if node is None:
-            continue
-        if done:
-            memo[node] = (memo[tree.left[node]], memo[tree.right[node]])
-        else:
-            stack.append((node, True))
-            stack.append((tree.left[node], False))
-            stack.append((tree.right[node], False))
-    return memo[tree.root]
 
 
 # -- programs ------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Ground-truth cost oracles.
 
-Exhaustive offline-optimal cursor cost on tiny instances (uniform-cost search
-over tree shape x cursor x query progress), a depth-bounded program-space
-search used as an independent cross-check, and the classic interval dynamic
-program for a statically optimal tree.
+Exhaustive offline-optimal cursor cost on tiny instances (breadth-first search
+over tree x cursor x query progress), a depth-bounded program-space search
+used as an independent cross-check, and the classic interval dynamic program
+for a statically optimal tree.  Both searches key a tree by its parent tuple:
+the parent of each key in a fixed key order, which fixes the shape.
 """
 
 from __future__ import annotations
@@ -16,9 +17,7 @@ from .machine import (
     OpKind,
     TreeState,
     apply_op,
-    shape_of,
     tree_from_roots,
-    tree_from_shape,
 )
 
 MAX_OPT_KEYS = 6
@@ -28,27 +27,37 @@ MAX_OPT_QUERIES = 8
 STRATEGIES = ("static", "oracle-witness")
 
 
-def shape_size(shape) -> int:
-    return 0 if shape is None else 1 + shape_size(shape[0]) + shape_size(shape[1])
-
-
 # -- offline-optimal cursor cost ----------------------------------------------
 
 
 @lru_cache(maxsize=None)
-def _decode(shape, n):
-    tree = tree_from_shape(shape, range(n))
-    left = tuple(tree.left[k] for k in range(n))
-    right = tuple(tree.right[k] for k in range(n))
-    parent = tuple(tree.parent[k] for k in range(n))
-    return left, right, parent, tree.root
+def _links(parent):
+    """Left children, right children and root of the tree over the keys
+    0..n-1 whose key k has parent `parent[k]` (None at the root)."""
+    left = [None] * len(parent)
+    right = [None] * len(parent)
+    root = None
+    for key, p in enumerate(parent):
+        if p is None:
+            root = key
+        elif key < p:
+            left[p] = key
+        else:
+            right[p] = key
+    return tuple(left), tuple(right), root
 
 
 @lru_cache(maxsize=None)
-def _rotated(shape, n, key):
-    tree = tree_from_shape(shape, range(n))
-    tree.rotate_up(key)
-    return shape_of(tree)
+def _rotated(parent, key):
+    """The parent tuple after rotating `key` up over its parent."""
+    left, right, _ = _links(parent)
+    p = parent[key]
+    inner = right[key] if key < p else left[key]  # the subtree that moves to p
+    out = list(parent)
+    out[key], out[p] = parent[p], key
+    if inner is not None:
+        out[inner] = p
+    return tuple(out)
 
 
 def _normalize(cursor, k, returned, queries, root):
@@ -58,9 +67,9 @@ def _normalize(cursor, k, returned, queries, root):
     return k, returned
 
 
-def opt_cost(n: int, queries, initial_shape) -> tuple[int, list]:
-    """Minimum moves+rotations to serve the queries in order from a given shape
-    (nested `(left, right)` tuples, as `shape_of` and `parse_shape` return).
+def opt_cost(T0: TreeState, queries) -> tuple[int, list]:
+    """Minimum moves+rotations to serve the queries in order from tree `T0`
+    over the keys 0..n-1, with the cursor starting at its root.
 
     The cursor must visit each queried key in sequence and pass through the
     root between consecutive services (and after the last one).  Returns the
@@ -68,21 +77,21 @@ def opt_cost(n: int, queries, initial_shape) -> tuple[int, list]:
     query: each segment ends at the op that serves its query, and the last one
     also holds the return to the root.
     """
+    n = len(T0)
     if not 1 <= n <= MAX_OPT_KEYS:
         raise ValueError(f"instance too large: n={n}")
     queries = list(queries)
     if len(queries) > MAX_OPT_QUERIES:
         raise ValueError(f"instance too large: m={len(queries)}")
+    if set(T0.parent) != set(range(n)):
+        raise ValueError(f"tree keys must be 0..{n - 1}")
     for q in queries:
         if not 0 <= q < n:
             raise KeyError(f"unknown key {q!r}")
-    if shape_size(initial_shape) != n:
-        raise ValueError("initial shape does not have n nodes")
 
     m = len(queries)
-    root0 = _decode(initial_shape, n)[3]
-    k0, ret0 = _normalize(root0, 0, True, queries, root0)
-    start = (initial_shape, root0, k0, ret0)
+    k0, ret0 = _normalize(T0.root, 0, True, queries, T0.root)
+    start = (tuple(T0.parent[k] for k in range(n)), T0.root, k0, ret0)
     pred = {start: None}
     frontier = deque([start])
     goal = None
@@ -90,21 +99,21 @@ def opt_cost(n: int, queries, initial_shape) -> tuple[int, list]:
         goal = start
     while frontier and goal is None:
         state = frontier.popleft()
-        shape, cursor, k, returned = state
-        left, right, parent, root = _decode(shape, n)
+        parent, cursor, k, returned = state
+        left, right, root = _links(parent)
         moves = []
         if left[cursor] is not None:
-            moves.append((OpKind.LEFT, shape, left[cursor]))
+            moves.append((OpKind.LEFT, parent, left[cursor]))
         if right[cursor] is not None:
-            moves.append((OpKind.RIGHT, shape, right[cursor]))
+            moves.append((OpKind.RIGHT, parent, right[cursor]))
         if parent[cursor] is not None:
-            moves.append((OpKind.UP, shape, parent[cursor]))
-            moves.append((OpKind.ROTATE, _rotated(shape, n, cursor), cursor))
-        for kind, nshape, ncursor in moves:
-            nroot = _decode(nshape, n)[3]
+            moves.append((OpKind.UP, parent, parent[cursor]))
+            moves.append((OpKind.ROTATE, _rotated(parent, cursor), cursor))
+        for kind, nparent, ncursor in moves:
+            nroot = _links(nparent)[2]
             nret = returned or ncursor == nroot
             nk, nret = _normalize(ncursor, k, nret, queries, nroot)
-            nstate = (nshape, ncursor, nk, nret)
+            nstate = (nparent, ncursor, nk, nret)
             if nstate in pred:
                 continue
             pred[nstate] = (state, kind)
@@ -148,7 +157,8 @@ def program_search(T0: TreeState, queries, budget: int) -> bool:
             return True
         if remaining == 0:
             return False
-        key = (shape_of(state), state.cursor, k, returned)
+        # The parent links, listed in T0's fixed key order, key the shape.
+        key = (tuple(state.parent.values()), state.cursor, k, returned)
         if seen.get(key, -1) >= remaining:
             return False
         seen[key] = remaining
@@ -227,4 +237,4 @@ def per_query_segments(strategy: str, T0: TreeState, queries) -> list:
             down = path_ops(T0, q)
             segments.append(down + [OpKind.UP] * len(down))
         return segments
-    return opt_cost(len(T0), queries, shape_of(T0))[1]
+    return opt_cost(T0, queries)[1]

@@ -18,6 +18,7 @@ from .generators import (
     ExperimentConfig,
     balanced_tree,
     generate_sequence,
+    parse_generator,
     random_pair,
     random_t_program,
     random_tree,
@@ -25,8 +26,7 @@ from .generators import (
     spine_tree,
 )
 from .lab import InterleavedRun, accounting_run, cost_ratio, merge_extras
-from .oracle import STRATEGIES, opt_cost, program_search
-from .machine import shape_of
+from .oracle import MAX_OPT_KEYS, MAX_OPT_QUERIES, STRATEGIES, opt_cost, program_search
 from .potential import check_potential_floor, check_weight_sum_bounds
 from .report import CheckReport
 from .restricted import (
@@ -165,7 +165,7 @@ def run_theorem7(suite: Suite, config: ExperimentConfig, report: CheckReport) ->
     """End-to-end accounting runs against oracle-optimal reference programs."""
     rows = []
     for label, rng, n in suite.trials_of(config):
-        m = rng.randint(suite.min_m, min(8, config.m))
+        m = rng.randint(suite.min_m, min(MAX_OPT_QUERIES, config.m))
         queries = [rng.randrange(n) for _ in range(m)]
         acc = accounting_run(n, queries, strategy=config.strategy)
         report.absorb(acc.check, label)
@@ -247,7 +247,7 @@ def run_oracle_crosscheck(suite: Suite, config: ExperimentConfig, report: CheckR
         m = rng.randint(1, 4)
         T = random_tree(n, rng)
         queries = [rng.randrange(n) for _ in range(m)]
-        cost, _ = opt_cost(n, queries, shape_of(T))
+        cost, _ = opt_cost(T, queries)
         report.tick(2)
         if cost and program_search(T, queries, cost - 1):
             report.fail(f"{label}: program search beat the oracle")
@@ -263,7 +263,7 @@ SUITES = {
     "lemma4": Suite(run_lemma4, 10_000, min_n=2),
     "lemma5": Suite(run_lemma5, 1000, min_n=3),
     "lemma6": Suite(run_lemma6, 10_000),
-    "theorem7": Suite(run_theorem7, 100, min_n=2, max_n=6, min_m=1),
+    "theorem7": Suite(run_theorem7, 100, min_n=2, max_n=MAX_OPT_KEYS, min_m=1),
     "conjecture": Suite(run_conjecture, 10_000, min_m=0),
     "scan9n": Suite(run_scan9n, 1, max_trials=1),
     "oracle-crosscheck": Suite(run_oracle_crosscheck, 200, max_n=4),
@@ -272,9 +272,11 @@ SUITES = {
 
 def run_suite(name: str, config: ExperimentConfig) -> tuple[int, dict]:
     """Run suite `name`; its exit code (0 only if it checked something and
-    nothing failed) and its report."""
+    nothing failed) and its report.  A config `check_config` refuses raises
+    ValueError before any trial runs."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    check_config(name, config)
     suite = SUITES[name]
     check = CheckReport(name)
     extra = suite.runner(suite, config, check)
@@ -307,7 +309,9 @@ def check_config(name: str, config: ExperimentConfig) -> None:
         raise ValueError(
             f"--trials must be at most {suite.max_trials} for suite {name}, got {config.trials}")
     if config.strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {config.strategy!r}; choose from {list(STRATEGIES)}")
+        raise ValueError(f"unknown strategy {config.strategy!r} for --strategy; "
+                         f"choose from {list(STRATEGIES)}")
+    parse_generator(config.generator)
 
 
 def render_report(name: str, config: ExperimentConfig, report: dict) -> str:

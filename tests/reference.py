@@ -7,13 +7,15 @@ served, so it checks the per-query segments `splaylab.oracle.opt_cost` reads
 off its search states.
 `subtree_keys` lists a subtree by walking it, with no sums and no intervals.
 `validate` and `same_structure` read a tree's links directly.
+`descriptor` writes a tree's shape descriptor, the inverse of
+`splaylab.machine.build_tree` with the keys dropped.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from splaylab.machine import TreeState, apply_op, tree_from_shape
+from splaylab.machine import TreeState, apply_op, build_tree
 
 MAX_ENUM_KEYS = 8
 
@@ -49,20 +51,37 @@ def subtree_keys(tree: TreeState, key: int) -> set:
     return keys
 
 
+def descriptor(tree: TreeState) -> str:
+    """The shape descriptor of `tree`, written without recursion."""
+    parts = []
+    stack = [tree.root]  # subtrees to write, and the ")" that closes each node
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif item is None:
+            parts.append(".")
+        else:
+            parts.append("(")
+            stack += [")", tree.right[item], tree.left[item]]
+    return "".join(parts)
+
+
 @lru_cache(maxsize=None)
 def _shapes(n: int) -> tuple:
     if n == 0:
-        return (None,)
+        return (".",)
     out = []
     for i in range(n):
         for l in _shapes(i):
             for r in _shapes(n - 1 - i):
-                out.append((l, r))
+                out.append(f"({l}{r})")
     return tuple(out)
 
 
 def enumerate_shapes(n: int) -> list:
-    """All binary tree shapes on n nodes, canonical order (left size ascending)."""
+    """The descriptors of all binary tree shapes on n nodes, in canonical
+    order (left size ascending)."""
     if not 1 <= n <= MAX_ENUM_KEYS:
         raise ValueError(f"n must be in 1..{MAX_ENUM_KEYS}, got {n}")
     return list(_shapes(n))
@@ -77,7 +96,7 @@ def static_cost(tree: TreeState, counts: dict) -> int:
 def brute_force_static_cost(counts: dict) -> int:
     """Minimum successful-search cost over every shape (exhaustive oracle)."""
     keys = sorted(counts)
-    return min(static_cost(tree_from_shape(shape, keys), counts)
+    return min(static_cost(build_tree(keys, shape), counts)
                for shape in enumerate_shapes(len(keys)))
 
 

@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from splaylab import cli, lab
+from splaylab import cli, lab, suites
 from splaylab.cli import main
 from splaylab.generators import ExperimentConfig, generate_sequence, parse_generator, rng_for_trial
 from splaylab.report import CheckReport
@@ -212,9 +213,28 @@ class TestSuiteApi:
         with pytest.raises(ValueError):
             run_suite("bogus", ExperimentConfig())
 
-    def test_nothing_checked_is_not_a_pass(self):
-        code, report = run_suite("lemma1", ExperimentConfig(trials=0))
-        assert report["checked"] == 0 and not report["passed"] and code == 1
+    def test_nothing_checked_is_not_a_pass(self, monkeypatch):
+        idle = dataclasses.replace(suites.SUITES["lemma1"], runner=lambda suite, config, report: {})
+        monkeypatch.setitem(suites.SUITES, "lemma1", idle)
+        code, report = run_suite("lemma1", ExperimentConfig(trials=3))
+        assert report["checked"] == 0 and report["passed"] is False and code == 1
+
+    @pytest.mark.parametrize("name, fields, flag", [
+        ("scan9n", dict(n=8, trials=5), "--trials"),
+        ("lemma1", dict(trials=0), "--trials"),
+        ("lemma3", dict(n=1), "--n"),
+        ("theorem7", dict(m=0), "--m"),
+        ("lemma1", dict(generator="bogus"), "--generator"),
+        ("theorem7", dict(strategy="bogus"), "--strategy"),
+    ], ids=["scan9n-trials", "lemma1-trials", "lemma3-n", "theorem7-m", "generator", "strategy"])
+    def test_refused_before_any_trial(self, monkeypatch, name, fields, flag):
+        def must_not_run(suite, config, report):
+            raise AssertionError("a trial ran on a refused config")
+
+        refused = dataclasses.replace(suites.SUITES[name], runner=must_not_run)
+        monkeypatch.setitem(suites.SUITES, name, refused)
+        with pytest.raises(ValueError, match=flag):
+            run_suite(name, ExperimentConfig(**fields))
 
     def test_rows_to_csv_round_trip(self):
         rows = [{

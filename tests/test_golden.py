@@ -2,13 +2,19 @@
 
 Each digest is the sha256 of `render_report` for seed 3.  A refactor must
 leave every one unchanged; a deliberate change of report bytes bumps
-`schema_version` and re-pins these digests in the same change.
+`schema_version` and re-pins these digests in the same change.  The
+benchmark's workloads are pinned too, by the digests `splaybench/run.py`
+declares for its default seed.
 """
 
 import hashlib
+import importlib.util
+import sys
+from pathlib import Path
 
 import pytest
 
+from splaylab import cli
 from splaylab.generators import ExperimentConfig
 from splaylab.suites import render_report, run_suite
 
@@ -55,3 +61,27 @@ def test_report_digest(suite, fields, digest):
     _, report = run_suite(suite, config)
     text = render_report(suite, config, report)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def load_bench_run():
+    """splaybench/run.py, loaded under its own module name."""
+    path = Path(__file__).resolve().parent.parent / "splaybench" / "run.py"
+    spec = importlib.util.spec_from_file_location("splaybench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH = load_bench_run()
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH.WORKLOADS))
+def test_benchmark_workload_digest(workload):
+    # The path a benchmark sample takes: parse the arguments, build the
+    # config, run the suite and render its report.
+    args = cli.build_parser().parse_args(BENCH.splaylab_argv(workload, BENCH.DEFAULT_SEED))
+    config = cli.config_from_args(args)
+    _, report = cli.run_suite(args.suite, config)
+    text = cli.render_report(args.suite, config, report)
+    assert hashlib.sha256(text.encode()).hexdigest() == BENCH.WORKLOADS[workload].digest

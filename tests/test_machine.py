@@ -9,16 +9,13 @@ from splaylab.machine import (
     TreeState,
     apply_op,
     build_tree,
-    parse_shape,
-    shape_of,
     tree_from_roots,
-    tree_from_shape,
 )
 from splaylab.generators import balanced_tree, random_tree, rng_for_trial, spine_tree
 from splaylab.oracle import static_optimal
 from splaylab.restricted import cursor_trace
 
-from reference import same_structure, subtree_keys, validate
+from reference import descriptor, same_structure, subtree_keys, validate
 
 
 L, R, U, ROT = OpKind.LEFT, OpKind.RIGHT, OpKind.UP, OpKind.ROTATE
@@ -32,20 +29,23 @@ def replay(state, ops):
 
 class TestShapes:
     def test_singleton_descriptor(self):
-        assert parse_shape("(..)") == (None, None)
+        tree = build_tree([7], "(..)")
+        assert tree.root == 7 and tree.left == {7: None} and tree.right == {7: None}
 
     def test_singleton_alias(self):
-        assert parse_shape("(.)") == (None, None)
+        assert same_structure(build_tree([7], "(.)"), build_tree([7], "(..)"))
 
     def test_round_trip(self):
         desc = "(((..)(..))(..))"
         tree = build_tree(range(5), desc)
-        assert shape_of(tree) == parse_shape(desc)
+        assert descriptor(tree) == desc
 
-    @pytest.mark.parametrize("bad", ["", "(", ")", "(.", "(...)", "()", "(..)(..)", "x"])
+    @pytest.mark.parametrize("bad", ["", "(", ")", "(.", "(...)", "()", "(..)(..)", "x",
+                                     ".", "..", "(..).", "(..))", "(.(..)(..))"])
     def test_malformed(self, bad):
+        # As many keys as the descriptor opens nodes, so no slot count is at fault.
         with pytest.raises(ShapeError):
-            parse_shape(bad)
+            build_tree(range(bad.count("(")), bad)
 
     def test_key_count_mismatch(self):
         with pytest.raises(ShapeError):
@@ -53,7 +53,7 @@ class TestShapes:
 
     def test_keys_must_increase(self):
         with pytest.raises(ShapeError):
-            tree_from_shape(parse_shape("((..)(..))"), [3, 2, 1])
+            build_tree([3, 2, 1], "((..)(..))")
 
     def test_fig5_tree(self):
         tree = build_tree(range(5), "(((..)(..))(..))")
@@ -67,12 +67,13 @@ class TestShapes:
         right_spine = "(." * n + "." + ")" * n
         tree = build_tree(range(n), right_spine)
         assert tree.depth(n - 1) == n - 1
-        # `==` on the nested shapes would recurse once per level: walk the spine.
-        shape, expected = shape_of(tree), parse_shape(right_spine)
-        for _ in range(n):
-            assert shape[0] is None and expected[0] is None
-            shape, expected = shape[1], expected[1]
-        assert shape is None and expected is None
+        # Walk the spine: each key's only child is its right child, the next key.
+        node = tree.root
+        for key in range(n):
+            assert node == key and tree.left[node] is None
+            node = tree.right[node]
+        assert node is None
+        assert descriptor(tree) == right_spine
 
 
 class TestRotation:
@@ -88,13 +89,13 @@ class TestRotation:
         rng = rng_for_trial(7, 0)
         for trial in range(50):
             tree = random_tree(rng.randint(2, 12), rng)
-            before = shape_of(tree)
+            before = tree.copy()
             key = rng.choice([k for k in tree.in_order() if tree.parent[k] is not None])
             parent = tree.parent[key]
             tree.rotate_up(key)
             validate(tree)
             tree.rotate_up(parent)
-            assert shape_of(tree) == before
+            assert same_structure(tree, before)
 
     def test_rotate_root_fails(self):
         tree = build_tree(range(3), "((..)(..))")
@@ -161,8 +162,8 @@ class TestPrograms:
 @given(st.integers(1, 40), st.integers(0, 2**30))
 def test_shape_round_trip_random(n, seed):
     tree = random_tree(n, rng_for_trial(seed, 0))
-    rebuilt = tree_from_shape(shape_of(tree), tree.in_order())
-    assert same_structure(rebuilt, tree)
+    # The same root and cursor, and the same links listed in the same order.
+    assert_same_tree(build_tree(tree.in_order(), descriptor(tree)), tree)
 
 
 def descriptor_random_shape(n, rng):

@@ -1,7 +1,7 @@
 import pytest
 
 from splaylab.generators import random_tree, rng_for_trial
-from splaylab.machine import apply_op, build_tree, parse_shape, shape_of
+from splaylab.machine import apply_op, build_tree
 from splaylab.oracle import opt_cost, program_search, per_query_segments, static_optimal
 from splaylab.restricted import cursor_trace
 
@@ -27,13 +27,13 @@ class TestShapeEnumeration:
 
 class TestOptCost:
     def test_query_at_root_is_free(self):
-        cost, segments = opt_cost(3, [1, 1, 1], parse_shape("((..)(..))"))
+        cost, segments = opt_cost(build_tree(range(3), "((..)(..))"), [1, 1, 1])
         assert cost == 0 and segments == [[], [], []]
 
     def test_single_child_query(self):
         # Root 0 with right child 1: either walk down and back (2 moves) or
         # rotate 1 up and return (rotation + move); both cost 2.
-        cost, segments = opt_cost(2, [1], parse_shape("(.(..))"))
+        cost, segments = opt_cost(build_tree(range(2), "(.(..))"), [1])
         assert cost == 2
 
     def test_witness_replays_to_claimed_cost(self):
@@ -42,7 +42,7 @@ class TestOptCost:
             n = rng.randint(1, 5)
             T = random_tree(n, rng)
             queries = [rng.randrange(n) for _ in range(rng.randint(1, 5))]
-            cost, segments = opt_cost(n, queries, shape_of(T))
+            cost, segments = opt_cost(T, queries)
             witness = [op for segment in segments for op in segment]
             state = T.copy()
             for op in witness:
@@ -55,14 +55,19 @@ class TestOptCost:
             n = rng.randint(1, 4)
             T = random_tree(n, rng)
             queries = [rng.randrange(n) for _ in range(rng.randint(1, 4))]
-            cost, _ = opt_cost(n, queries, shape_of(T))
+            cost, _ = opt_cost(T, queries)
             assert program_search(T, queries, cost)
             if cost > 0:
                 assert not program_search(T, queries, cost - 1)
 
     def test_rejects_oversized_instances(self):
         with pytest.raises(ValueError):
-            opt_cost(7, [0], parse_shape("(((((((..).).).).).).)"))
+            opt_cost(build_tree(range(7), "(((((((..).).).).).).)"), [0])
+
+    def test_rejects_keys_other_than_0_to_n_minus_1(self):
+        for keys in ([1, 2, 3], [0, 1, 3], [-1, 0, 1]):
+            with pytest.raises(ValueError):
+                opt_cost(build_tree(keys, "((..)(..))"), [1])
 
 
 class TestStaticOptimal:
@@ -103,7 +108,7 @@ class TestStrategyPrograms:
             n = rng.randint(2, 5)
             T = random_tree(n, rng)
             queries = [rng.randrange(n) for _ in range(rng.randint(1, 5))]
-            cost, segments = opt_cost(n, queries, shape_of(T))
+            cost, segments = opt_cost(T, queries)
             witness = [op for segment in segments for op in segment]
             # The segments read off the search states equal a replay's split.
             assert segments == split_program_by_service(T, witness, queries)

@@ -77,7 +77,7 @@ def test_scan9n_violation_is_labelled(monkeypatch):
 @pytest.mark.parametrize("name", sorted(suites.SUITES))
 def test_suite_passes_at_its_table_minimum(name):
     suite = suites.SUITES[name]
-    fields = dict(n=suite.min_n, trials=2)
+    fields = dict(n=suite.min_n, trials=min(2, suite.max_trials or 2))
     if suite.min_m is not None:
         fields["m"] = suite.min_m
     code, report = run_suite(name, ExperimentConfig(**fields))
