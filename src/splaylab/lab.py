@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .machine import IllegalOpError, OpKind, TreeState
 from .oracle import per_query_segments, static_optimal
@@ -257,14 +258,19 @@ def cost_ratio(c_base: int, c_aug: int) -> float:
 
 
 def merge_extras(base, extras) -> list:
-    slots = [[] for _ in range(len(base) + 1)]
-    for pos, key in extras:
-        slots[pos].append(key)
+    """`base` with each (position, key) of `extras` inserted before
+    base[position], or after the end at position len(base); extras at one
+    position keep their order in `extras`."""
+    extras = sorted(extras, key=itemgetter(0))
+    if extras and not 0 <= extras[0][0] <= extras[-1][0] <= len(base):
+        raise IndexError(f"extra positions must lie in 0..{len(base)}")
     merged = []
-    for i, q in enumerate(base):
-        merged.extend(slots[i])
-        merged.append(q)
-    merged.extend(slots[len(base)])
+    start = 0
+    for pos, key in extras:
+        merged += base[start:pos]
+        merged.append(key)
+        start = pos
+    merged += base[start:]
     return merged
 
 

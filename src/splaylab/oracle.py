@@ -69,7 +69,8 @@ def _normalize(cursor, k, returned, queries, root):
 
 def opt_cost(T0: TreeState, queries) -> tuple[int, list]:
     """Minimum moves+rotations to serve the queries in order from tree `T0`
-    over the keys 0..n-1, with the cursor starting at its root.
+    over the keys 0..n-1, with the cursor starting at its root (a `T0` whose
+    cursor is elsewhere raises ValueError).
 
     The cursor must visit each queried key in sequence and pass through the
     root between consecutive services (and after the last one).  Returns the
@@ -85,6 +86,8 @@ def opt_cost(T0: TreeState, queries) -> tuple[int, list]:
         raise ValueError(f"instance too large: m={len(queries)}")
     if set(T0.parent) != set(range(n)):
         raise ValueError(f"tree keys must be 0..{n - 1}")
+    if T0.cursor != T0.root:
+        raise ValueError(f"the cursor must start at the root {T0.root}, not at {T0.cursor}")
     for q in queries:
         if not 0 <= q < n:
             raise KeyError(f"unknown key {q!r}")

@@ -18,40 +18,111 @@ ROTATIONS = {ZIG: 1, ZIGZIG: 2, ZIGZAG: 2}
 def splay_step(state: TreeState, key: int) -> str:
     """Apply one zig / zigzig / zigzag step to `key`; its depth drops by 1 or 2.
 
-    Returns the step kind.
+    The step writes its link updates directly: x = `key`, p its parent, g its
+    grandparent, b and c the subtrees of x (zig, zig-zag) or of x and p
+    (zig-zig) that change parent.  The cases follow key order, as in a BST
+    x < p < g or x > p > g is a zig-zig.  Returns the step kind.
     """
-    p = state.parent[key]
+    left, right, parent = state.left, state.right, state.parent
+    x = key
+    p = parent[x]
     if p is None:
         raise IllegalOpError("splay step at root")
-    g = state.parent[p]
+    state.cursor = x
+    g = parent[p]
     if g is None:
-        state.rotate_up(key)
-        kind = ZIG
-    elif (state.left[g] == p) == (state.left[p] == key):
-        state.rotate_up(p)
-        state.rotate_up(key)
+        if x < p:
+            b = right[x]
+            left[p] = b
+            right[x] = p
+        else:
+            b = left[x]
+            right[p] = b
+            left[x] = p
+        if b is not None:
+            parent[b] = p
+        parent[p] = x
+        parent[x] = None
+        state.root = x
+        return ZIG
+    gg = parent[g]
+    if x < p:
+        if p < g:  # zig-zig, x = left[p], p = left[g]
+            b = right[x]
+            c = right[p]
+            left[p] = b
+            right[p] = g
+            left[g] = c
+            right[x] = p
+            parent[g] = p
+            parent[p] = x
+            if b is not None:
+                parent[b] = p
+            if c is not None:
+                parent[c] = g
+            kind = ZIGZIG
+        else:  # zig-zag, x = left[p], p = right[g]
+            b = left[x]
+            c = right[x]
+            right[g] = b
+            left[p] = c
+            left[x] = g
+            right[x] = p
+            parent[g] = x
+            parent[p] = x
+            if b is not None:
+                parent[b] = g
+            if c is not None:
+                parent[c] = p
+            kind = ZIGZAG
+    elif p > g:  # zig-zig, x = right[p], p = right[g]
+        b = left[x]
+        c = left[p]
+        right[p] = b
+        left[p] = g
+        right[g] = c
+        left[x] = p
+        parent[g] = p
+        parent[p] = x
+        if b is not None:
+            parent[b] = p
+        if c is not None:
+            parent[c] = g
         kind = ZIGZIG
-    else:
-        state.rotate_up(key)
-        state.rotate_up(key)
+    else:  # zig-zag, x = right[p], p = left[g]
+        b = left[x]
+        c = right[x]
+        right[p] = b
+        left[g] = c
+        left[x] = p
+        right[x] = g
+        parent[p] = x
+        parent[g] = x
+        if b is not None:
+            parent[b] = p
+        if c is not None:
+            parent[c] = g
         kind = ZIGZAG
-    state.cursor = key
+    parent[x] = gg
+    if gg is None:
+        state.root = x
+    elif left[gg] == g:
+        left[gg] = x
+    else:
+        right[gg] = x
     return kind
 
 
 def total_access_cost(state: TreeState, queries) -> int:
-    """Total move cost of splaying `queries` in order (bulk runner, in place)."""
+    """Total move cost of splaying `queries` in order (bulk runner, in place).
+
+    A key's depth before its splay equals the rotations the splay makes, so
+    the cost is summed from the step kinds with no separate depth walk.
+    """
     parent = state.parent
     total = 0
     for key in queries:
-        d = 0
-        node = parent[key]
-        while node is not None:
-            d += 1
-            node = parent[node]
-        total += d
         while parent[key] is not None:
-            splay_step(state, key)
+            total += ROTATIONS[splay_step(state, key)]
     state.cursor = state.root
     return total
-

@@ -7,6 +7,8 @@ served, so it checks the per-query segments `splaylab.oracle.opt_cost` reads
 off its search states.
 `subtree_keys` lists a subtree by walking it, with no sums and no intervals.
 `validate` and `same_structure` read a tree's links directly.
+`merge_by_slots` files each extra query into a list per base position, so it
+checks the sorted single pass of `splaylab.lab.merge_extras`.
 `descriptor` writes a tree's shape descriptor, the inverse of
 `splaylab.machine.build_tree` with the keys dropped.
 """
@@ -26,8 +28,23 @@ def same_structure(a: TreeState, b: TreeState) -> bool:
 
 
 def validate(tree: TreeState) -> None:
-    """Fail unless `tree` is a BST whose parent links, root and cursor agree."""
-    order = tree.in_order()
+    """Fail unless `tree` is a BST whose parent links, root and cursor agree.
+
+    The in-order walk refuses a node it reaches twice, so a cycle in the
+    child links fails here instead of walking forever."""
+    order = []
+    seen = set()
+    stack = []
+    node = tree.root
+    while stack or node is not None:
+        while node is not None:
+            assert node not in seen, f"node {node} is reached twice"
+            seen.add(node)
+            stack.append(node)
+            node = tree.left[node]
+        node = stack.pop()
+        order.append(node)
+        node = tree.right[node]
     assert len(order) == len(tree.left), "traversal does not visit every node exactly once"
     assert all(a < b for a, b in zip(order, order[1:])), "in-order keys are not increasing"
     assert tree.parent[tree.root] is None, "root has a parent"
@@ -128,3 +145,17 @@ def split_program_by_service(T0: TreeState, ops, queries) -> list:
     if segments:
         segments[-1].extend(ops[prev + 1 :])
     return segments
+
+
+def merge_by_slots(base, extras) -> list:
+    """`base` with each (position, key) of `extras` inserted before
+    base[position], built from one slot list per position."""
+    slots = [[] for _ in range(len(base) + 1)]
+    for pos, key in extras:
+        slots[pos].append(key)
+    merged = []
+    for i, q in enumerate(base):
+        merged.extend(slots[i])
+        merged.append(q)
+    merged.extend(slots[len(base)])
+    return merged

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from splaylab.generators import random_pair, random_tree, rng_for_trial, spine_tree
 from splaylab.lab import (
@@ -15,6 +16,8 @@ from splaylab.lab import (
 )
 from splaylab.machine import IllegalOpError, build_tree
 from splaylab.potential import assign_weights
+
+from reference import merge_by_slots
 
 
 class TestOrganizingPlans:
@@ -105,6 +108,21 @@ class TestInterleavedRun:
 class TestRegularAccessTrials:
     def test_merge_positions(self):
         assert merge_extras([10, 20], [(0, 1), (2, 2), (1, 3)]) == [1, 10, 3, 20, 2]
+
+    def test_merge_rejects_positions_outside_base(self):
+        for pos in (-1, 3):
+            with pytest.raises(IndexError):
+                merge_extras([10, 20], [(1, 5), (pos, 6)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.lists(st.integers(0, 9), max_size=12))
+def test_merge_matches_slot_reference(data, base):
+    # Few distinct positions, so repeated ones (whose order must stay stable),
+    # position 0 and position len(base) all come up often.
+    extras = data.draw(st.lists(
+        st.tuples(st.integers(0, len(base)), st.integers(100, 199)), max_size=10))
+    assert merge_extras(base, extras) == merge_by_slots(base, extras)
 
 
 class TestAccountingRun:

@@ -69,6 +69,16 @@ class TestOptCost:
             with pytest.raises(ValueError):
                 opt_cost(build_tree(keys, "((..)(..))"), [1])
 
+    def test_rejects_cursor_off_the_root(self):
+        # program_search starts at T0's cursor: from 0 the query is served at
+        # once and one UP returns to the root.  From the root opt_cost needs 2.
+        T = build_tree(range(3), "((..)(..))")
+        assert opt_cost(T, [0])[0] == 2
+        T.cursor = 0
+        assert program_search(T, [0], 1)
+        with pytest.raises(ValueError, match="not at 0"):
+            opt_cost(T, [0])
+
 
 class TestStaticOptimal:
     def test_dominant_key_becomes_root(self):

@@ -1,5 +1,7 @@
+from itertools import product
 from math import ceil
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from splaylab.generators import random_tree, rng_for_trial, spine_tree
@@ -155,3 +157,70 @@ def test_kernel_matches_textbook_splayer(data, n, seed):
         expected_cost += depth
     assert total_access_cost(bulk, queries) == expected_cost
     assert same_structure(bulk, reference)
+
+
+# -- the kernel's hand-written cases, one local configuration at a time ---------
+
+
+def attach(child, other, side):
+    """Descriptor of a node with `child` on `side` ("L" or "R") and `other` opposite."""
+    return f"({child}{other})" if side == "L" else f"({other}{child})"
+
+
+def local_configurations():
+    """(descriptor, path from the root to x, first step kind) for every zig,
+    zig-zig and zig-zag around x, with the great-grandparent on either side or
+    absent and each subtree next to the path present or absent."""
+    for side_x in "LR":
+        for a, b, c in product(("(..)", "."), repeat=3):
+            yield attach(f"({a}{b})", c, side_x), side_x, ZIG
+    for side_p, side_x, gg_side in product("LR", "LR", (None, "L", "R")):
+        kind = ZIGZIG if side_p == side_x else ZIGZAG
+        for a, b, c, d, e in product(("(..)", "."), repeat=5):
+            top = attach(attach(f"({a}{b})", c, side_x), d, side_p)
+            if gg_side is None:
+                if e != ".":
+                    continue
+                yield top, side_p + side_x, kind
+            else:
+                yield attach(top, e, gg_side), gg_side + side_p + side_x, kind
+
+
+def test_kernel_cases_match_textbook_link_for_link():
+    configurations = list(local_configurations())
+    # 2 sides x 8 for zig; 4 step shapes x (16 + 2 x 32) for zig-zig and zig-zag.
+    assert len(set(configurations)) == 2 * 8 + 4 * (16 + 2 * 32)
+    for shape, path, kind in configurations:
+        n = shape.count("(")
+        kernel = build_tree(range(n), shape)
+        x = kernel.root
+        for side in path:
+            x = kernel.left[x] if side == "L" else kernel.right[x]
+        reference = kernel.copy()
+        _, expected_kinds = textbook_splay(reference, x)
+        kinds = []
+        while kernel.parent[x] is not None:
+            kinds.append(splay_step(kernel, x))
+            assert kernel.cursor == x
+            validate(kernel)
+        assert kinds[0] == kind, shape
+        assert kinds == expected_kinds, shape
+        assert same_structure(kernel, reference), shape
+        assert kernel.parent == reference.parent, shape
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_cost_from_step_kinds_on_deep_spines(side, reverse):
+    n = 3000
+    queries = list(range(n))[::-1] if reverse else list(range(n))
+    tree = spine_tree(n, side)
+    reference = tree.copy()
+    expected = 0
+    for key in queries:
+        expected += reference.depth(key)
+        textbook_splay(reference, key)
+    assert total_access_cost(tree, queries) == expected
+    assert same_structure(tree, reference)
+    assert tree.cursor == tree.root == queries[-1]
+    validate(tree)
