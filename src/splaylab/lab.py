@@ -50,21 +50,18 @@ class StepCheck:
 @dataclass
 class SplayEvent:
     key: int
-    depth_before: int
+    cost: int  # the key's depth before the splay
     depth_ref: int
     r_root_before: float
     r_key_before: float
     pot_before: float
     pot_after: float
+    sums: dict  # S's subtree sums after the splay
     steps: list = field(default_factory=list)
 
     @property
-    def cost(self) -> int:
-        return self.depth_before
-
-    @property
     def amortized(self) -> float:
-        return self.depth_before + self.pot_after - self.pot_before
+        return self.cost + self.pot_after - self.pot_before
 
 
 @dataclass
@@ -82,39 +79,37 @@ class RotationEvent:
 def checked_splay(
     S: TreeState,
     wa: WeightAssignment,
+    sums: dict,
     key: int,
     depth_ref: int,
     per_step: bool = False,
 ) -> SplayEvent:
     """Splay `key` in S under fixed weights, recording everything the
-    amortized checks need."""
+    amortized checks need.  `sums` are S's subtree sums before the splay; the
+    event carries them after it, recomputed once (or once per step with
+    `per_step`), and not at all for a splay of the root."""
+    if key not in sums:
+        raise KeyError(f"unknown key {key!r}")
     bias = 2 * wa.scale_exponent
-    sums = subtree_sums(S, wa)
-    pot_before = potential(sums, wa)
+    pot = potential(sums, wa)
+    r_key = math.log2(sums[key]) - bias
     ev = SplayEvent(
-        key=key,
-        depth_before=S.depth(key),
-        depth_ref=depth_ref,
-        r_root_before=math.log2(sums[S.root]) - bias,
-        r_key_before=math.log2(sums[key]) - bias,
-        pot_before=pot_before,
-        pot_after=pot_before,
+        key=key, cost=0, depth_ref=depth_ref, r_root_before=math.log2(sums[S.root]) - bias,
+        r_key_before=r_key, pot_before=pot, pot_after=pot, sums=sums,
     )
-    pot = pot_before
-    r_key = ev.r_key_before
     while S.parent[key] is not None:
+        kind = splay_step(S, key)
+        ev.cost += ROTATIONS[kind]
         if per_step:
-            step = splay_step(S, key)
             sums = subtree_sums(S, wa)
             pot_after = potential(sums, wa)
             r_after = math.log2(sums[key]) - bias
-            ev.steps.append(
-                StepCheck(step, ROTATIONS[step], r_key, r_after, pot, pot_after)
-            )
+            ev.steps.append(StepCheck(kind, ROTATIONS[kind], r_key, r_after, pot, pot_after))
             pot, r_key = pot_after, r_after
-        else:
-            splay_step(S, key)
-    ev.pot_after = pot if per_step else potential_of(S, wa)
+    if ev.cost and not per_step:
+        sums = subtree_sums(S, wa)
+        pot = potential(sums, wa)
+    ev.sums, ev.pot_after = sums, pot
     S.cursor = S.root
     return ev
 
@@ -193,7 +188,8 @@ class InterleavedRun:
     """A splay tree S evolving against a reference tree T over the same keys.
 
     Weights always derive from T's current depths; they are frozen during
-    splays in S and reassigned at every T rotation.  `phi` is the current
+    splays in S and reassigned at every T rotation.  `sums` are S's subtree
+    sums for its current shape and weights, and `phi` is the current
     potential P(S) - P(T); P(T) is recomputed only when T rotates.
     """
 
@@ -211,16 +207,18 @@ class InterleavedRun:
         self.phi_initial = self.phi
 
     def _reweight(self) -> None:
-        """Weights, P(T) and phi from T's current shape."""
+        """Weights, P(T), S's subtree sums and phi from T's current shape."""
         self.wa = assign_weights(self.T)
         self.p_T = potential_of(self.T, self.wa)
-        self.phi = potential_of(self.S, self.wa) - self.p_T
+        self.sums = subtree_sums(self.S, self.wa)
+        self.phi = potential(self.sums, self.wa) - self.p_T
 
     def splay_query(self, key: int) -> SplayEvent:
         ev = checked_splay(
-            self.S, self.wa, key,
+            self.S, self.wa, self.sums, key,
             depth_ref=self.T.depth(key), per_step=self.per_step,
         )
+        self.sums = ev.sums
         self.s_cost += ev.cost
         self.sum_amortized += ev.amortized
         self.phi = ev.pot_after - self.p_T

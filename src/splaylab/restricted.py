@@ -167,7 +167,7 @@ def check_restricted(initial: TreeState, ops) -> CheckReport:
 
 def cursor_trace(initial: TreeState, ops) -> list:
     """Replay an op sequence on a copy of `initial`; the keys the cursor visits,
-    starting at the root."""
+    starting at `initial.cursor`."""
     state = initial.copy()
     trace = [state.cursor]
     for i, op in enumerate(ops):

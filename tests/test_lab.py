@@ -3,6 +3,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import splaylab.lab
+import splaylab.potential
 from splaylab.generators import random_pair, random_tree, rng_for_trial, spine_tree
 from splaylab.lab import (
     ROTATION_DELTA_BOUND,
@@ -15,7 +17,7 @@ from splaylab.lab import (
     plan_organizing_splays,
 )
 from splaylab.machine import IllegalOpError, build_tree
-from splaylab.potential import assign_weights
+from splaylab.potential import assign_weights, potential_of, subtree_sums
 
 from reference import merge_by_slots
 
@@ -50,7 +52,8 @@ class TestPerSplayBounds:
         for _ in range(100):
             S, T = random_pair(rng.randint(1, 32), rng)
             key = rng.choice(T.in_order())
-            ev = checked_splay(S, assign_weights(T), key, depth_ref=T.depth(key),
+            wa = assign_weights(T)
+            ev = checked_splay(S, wa, subtree_sums(S, wa), key, depth_ref=T.depth(key),
                                per_step=True)
             report = check_access_lemma(ev)
             assert report.passed, report.violations
@@ -59,8 +62,15 @@ class TestPerSplayBounds:
     def test_zero_depth_splay_is_free(self):
         T = build_tree(range(3), "((..)(..))")
         S = T.copy()
-        ev = checked_splay(S, assign_weights(T), T.root, depth_ref=0)
+        wa = assign_weights(T)
+        ev = checked_splay(S, wa, subtree_sums(S, wa), T.root, depth_ref=0)
         assert ev.cost == 0 and ev.amortized == 0.0
+
+    def test_unknown_key_rejected(self):
+        T = build_tree(range(3), "((..)(..))")
+        wa = assign_weights(T)
+        with pytest.raises(KeyError, match="unknown key 7"):
+            checked_splay(T, wa, subtree_sums(T, wa), 7, depth_ref=0)
 
 
 class TestInterleavedRun:
@@ -103,6 +113,80 @@ class TestInterleavedRun:
         run = InterleavedRun(T.copy(), T)
         run.apply_T_rotation(0)  # depth 2: three organizing splays
         assert run.organizing_count == 3
+
+
+class TestKeptSums:
+    """`InterleavedRun.sums` is S's one set of subtree sums: every splay and
+    every reference rotation leaves it equal to a from-scratch pass."""
+
+    @pytest.mark.parametrize("per_step", [False, True])
+    def test_kept_sums_match_a_fresh_pass(self, monkeypatch, per_step):
+        original = splaylab.lab.checked_splay
+
+        def checked(S, wa, sums, key, depth_ref, per_step=False):
+            depth = S.copy().depth(key)
+            ev = original(S, wa, sums, key, depth_ref, per_step)
+            assert ev.cost == depth
+            assert ev.sums == subtree_sums(S, wa)
+            return ev
+
+        monkeypatch.setattr(splaylab.lab, "checked_splay", checked)
+        rng = rng_for_trial(83, per_step)
+        splays = roots = rotations = 0
+        for _ in range(40):
+            S, T = random_pair(rng.randint(1, 16), rng)
+            run = InterleavedRun(S, T, per_step=per_step)
+            for _ in range(8):
+                shallow = [k for k in T.in_order() if 1 <= T.depth(k) <= 2]
+                roll = rng.random()
+                if shallow and roll < 0.3:
+                    run.apply_T_rotation(rng.choice(shallow))
+                    rotations += 1
+                else:
+                    key = run.S.root if roll < 0.45 else rng.choice(T.in_order())
+                    roots += key == run.S.root
+                    assert run.splay_query(key).sums is run.sums
+                    splays += 1
+                assert run.sums == subtree_sums(run.S, run.wa)
+                assert run.phi == potential_of(run.S, run.wa) - run.p_T
+            assert not run.report.violations
+        assert min(splays, roots, rotations) > 20
+
+    def test_one_sums_pass_per_tree_state(self, monkeypatch):
+        log = []
+        sums_of = splaylab.potential.subtree_sums
+        splay = splaylab.lab.checked_splay
+
+        def counted_sums(tree, wa):
+            log.append(tree)
+            return sums_of(tree, wa)
+
+        def marked_splay(*args, **kwargs):
+            ev = splay(*args, **kwargs)
+            log.append("splayed")
+            return ev
+
+        monkeypatch.setattr(splaylab.lab, "subtree_sums", counted_sums)
+        monkeypatch.setattr(splaylab.potential, "subtree_sums", counted_sums)
+        monkeypatch.setattr(splaylab.lab, "checked_splay", marked_splay)
+        T = build_tree(range(5), "(((..)(..))(..))")  # 0 at depth 2 under 1 under 3
+        run = InterleavedRun(T.copy(), T)
+
+        def passes():
+            names = ["S" if x is run.S else "T" if x is run.T else x for x in log]
+            log.clear()
+            return names
+
+        assert passes() == ["T", "S"]
+        run.splay_query(0)
+        assert passes() == ["S", "splayed"]
+        run.splay_query(run.S.root)
+        assert passes() == ["splayed"]
+        run.apply_T_rotation(0)  # organizing splays of 0 (S's root), 1 and 3
+        assert passes() == ["splayed", "S", "splayed", "S", "splayed", "T", "S"]
+        run.per_step = True
+        ev = run.splay_query(0)
+        assert ev.steps and passes() == ["S"] * len(ev.steps) + ["splayed"]
 
 
 class TestRegularAccessTrials:
