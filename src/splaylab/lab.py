@@ -33,18 +33,17 @@ ORGANIZING_SPLAYS_PER_ROTATION = 3
 
 @dataclass
 class StepCheck:
-    """One splay step with the rank and potential values around it."""
+    """One splay step with the key's rank around it and the change of P(S)."""
 
     kind: str
     cost: int  # 1 for zig, 2 for zigzig / zigzag
     r_key_before: float
     r_key_after: float
-    pot_before: float
-    pot_after: float
+    delta: float  # P(S) after the step minus P(S) before it
 
     @property
     def amortized(self) -> float:
-        return self.cost + self.pot_after - self.pot_before
+        return self.cost + self.delta
 
 
 @dataclass
@@ -54,14 +53,13 @@ class SplayEvent:
     depth_ref: int
     r_root_before: float
     r_key_before: float
-    pot_before: float
-    pot_after: float
-    sums: dict  # S's subtree sums after the splay
+    delta: float  # P(S) after the splay minus P(S) before it
+    sums: dict  # S's subtree sums, updated in place by the splay
     steps: list = field(default_factory=list)
 
     @property
     def amortized(self) -> float:
-        return self.cost + self.pot_after - self.pot_before
+        return self.cost + self.delta
 
 
 @dataclass
@@ -85,31 +83,45 @@ def checked_splay(
     per_step: bool = False,
 ) -> SplayEvent:
     """Splay `key` in S under fixed weights, recording everything the
-    amortized checks need.  `sums` are S's subtree sums before the splay; the
-    event carries them after it, recomputed once (or once per step with
-    `per_step`), and not at all for a splay of the root."""
+    amortized checks need.  `sums` are S's subtree sums before the splay.
+
+    A step changes the subtree sums of only the key x, its parent p and its
+    grandparent g: x takes the old sum of the top node of the three, and g
+    (below p after a zig-zig) then p are summed from their children.  The sums
+    are updated in place, and the change of P(S) is read off those nodes."""
     if key not in sums:
         raise KeyError(f"unknown key {key!r}")
+    log2 = math.log2
     bias = 2 * wa.scale_exponent
-    pot = potential(sums, wa)
-    r_key = math.log2(sums[key]) - bias
+    left, right, parent, weights = S.left, S.right, S.parent, wa.weights
+    r_key = log2(sums[key]) - bias
     ev = SplayEvent(
-        key=key, cost=0, depth_ref=depth_ref, r_root_before=math.log2(sums[S.root]) - bias,
-        r_key_before=r_key, pot_before=pot, pot_after=pot, sums=sums,
+        key=key, cost=0, depth_ref=depth_ref, r_root_before=log2(sums[S.root]) - bias,
+        r_key_before=r_key, delta=0.0, sums=sums,
     )
-    while S.parent[key] is not None:
+    while parent[key] is not None:
+        p = parent[key]
+        g = parent[p]
+        s_key, s_p = sums[key], sums[p]
+        s_top = s_p if g is None else sums[g]
         kind = splay_step(S, key)
+        # x's new sum is the top's old sum, so those two ranks cancel in the
+        # change of P(S): what is left is s'(p) [and s'(g)] over s(x) [and s(p)].
+        # An absent child is None, which `sums` never holds.
+        sums[key] = s_top
+        if g is None:
+            delta = 0.0
+        else:
+            sums[g] = s = weights[g] + sums.get(left[g], 0) + sums.get(right[g], 0)
+            delta = log2(s) - log2(s_p)
+        sums[p] = s = weights[p] + sums.get(left[p], 0) + sums.get(right[p], 0)
+        delta += log2(s) - log2(s_key)
         ev.cost += ROTATIONS[kind]
+        ev.delta += delta
         if per_step:
-            sums = subtree_sums(S, wa)
-            pot_after = potential(sums, wa)
-            r_after = math.log2(sums[key]) - bias
-            ev.steps.append(StepCheck(kind, ROTATIONS[kind], r_key, r_after, pot, pot_after))
-            pot, r_key = pot_after, r_after
-    if ev.cost and not per_step:
-        sums = subtree_sums(S, wa)
-        pot = potential(sums, wa)
-    ev.sums, ev.pot_after = sums, pot
+            r_after = log2(s_top) - bias
+            ev.steps.append(StepCheck(kind, ROTATIONS[kind], r_key, r_after, delta))
+            r_key = r_after
     S.cursor = S.root
     return ev
 
@@ -189,8 +201,9 @@ class InterleavedRun:
 
     Weights always derive from T's current depths; they are frozen during
     splays in S and reassigned at every T rotation.  `sums` are S's subtree
-    sums for its current shape and weights, and `phi` is the current
-    potential P(S) - P(T); P(T) is recomputed only when T rotates.
+    sums for its current shape and weights: each splay updates them in place
+    and each T rotation recomputes them.  P(T) is recomputed only when T
+    rotates, and `phi` = P(S) - P(T) is computed when it is read.
     """
 
     def __init__(self, S: TreeState, T: TreeState, per_step: bool = False):
@@ -204,24 +217,26 @@ class InterleavedRun:
         self.s_cost = 0
         self.sum_amortized = 0.0
         self._reweight()
-        self.phi_initial = self.phi
+        self.phi_initial = potential(self.sums, self.wa) - self.p_T
 
     def _reweight(self) -> None:
-        """Weights, P(T), S's subtree sums and phi from T's current shape."""
+        """Weights, P(T) and S's subtree sums from T's current shape."""
         self.wa = assign_weights(self.T)
         self.p_T = potential_of(self.T, self.wa)
         self.sums = subtree_sums(self.S, self.wa)
-        self.phi = potential(self.sums, self.wa) - self.p_T
+
+    @property
+    def phi(self) -> float:
+        """The current potential P(S) - P(T), from a fresh pass over S."""
+        return potential_of(self.S, self.wa) - self.p_T
 
     def splay_query(self, key: int) -> SplayEvent:
         ev = checked_splay(
             self.S, self.wa, self.sums, key,
-            depth_ref=self.T.depth(key), per_step=self.per_step,
+            depth_ref=self.wa.depth(key), per_step=self.per_step,
         )
-        self.sums = ev.sums
         self.s_cost += ev.cost
         self.sum_amortized += ev.amortized
-        self.phi = ev.pot_after - self.p_T
         self.report.absorb(check_access_lemma(ev))
         self.report.absorb(check_amortized_depth(ev))
         return ev
@@ -232,16 +247,19 @@ class InterleavedRun:
         for key in plan:
             self.splay_query(key)
         self.organizing_count += len(plan)
-        phi_before = self.phi
+        phi_before = potential(self.sums, self.wa) - self.p_T
         self.T.rotate_up(rotated)
         self._reweight()
-        ev = RotationEvent(rotated, len(plan) - 1, phi_before, self.phi)
+        phi_after = potential(self.sums, self.wa) - self.p_T
+        ev = RotationEvent(rotated, len(plan) - 1, phi_before, phi_after)
         self.sum_amortized += ev.delta  # zero real cost for S
         self.report.absorb(check_rotation_delta(ev))
         return ev
 
     def telescoping_residual(self) -> float:
-        """(sum of amortized - sum of real) - (final phi - initial phi)."""
+        """(sum of amortized - sum of real) - (final phi - initial phi): the
+        summed potential changes of every splay and rotation against a fresh
+        potential of the final trees."""
         return (self.sum_amortized - self.s_cost) - (self.phi - self.phi_initial)
 
 

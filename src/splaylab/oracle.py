@@ -60,11 +60,21 @@ def _rotated(parent, key):
     return tuple(out)
 
 
-def _normalize(cursor, k, returned, queries, root):
-    while returned and k < len(queries) and cursor == queries[k]:
-        k += 1
-        returned = cursor == root
-    return k, returned
+@lru_cache(maxsize=None)
+def _moves(parent, cursor):
+    """The ops legal at `cursor` in the tree `parent`, in the order LEFT,
+    RIGHT, UP, ROTATE, each as (op, parent after, cursor after, root after)."""
+    left, right, root = _links(parent)
+    moves = []
+    if left[cursor] is not None:
+        moves.append((OpKind.LEFT, parent, left[cursor], root))
+    if right[cursor] is not None:
+        moves.append((OpKind.RIGHT, parent, right[cursor], root))
+    if parent[cursor] is not None:
+        rotated = _rotated(parent, cursor)
+        moves.append((OpKind.UP, parent, parent[cursor], root))
+        moves.append((OpKind.ROTATE, rotated, cursor, _links(rotated)[2]))
+    return tuple(moves)
 
 
 def opt_cost(T0: TreeState, queries) -> tuple[int, list]:
@@ -93,29 +103,26 @@ def opt_cost(T0: TreeState, queries) -> tuple[int, list]:
             raise KeyError(f"unknown key {q!r}")
 
     m = len(queries)
-    k0, ret0 = _normalize(T0.root, 0, True, queries, T0.root)
-    start = (tuple(T0.parent[k] for k in range(n)), T0.root, k0, ret0)
+    # A state is (parent tuple, cursor, queries served, returned to the root
+    # since the last service); each state is normalised by serving every
+    # query it can serve at once.
+    root = T0.root
+    k0 = 0
+    while k0 < m and queries[k0] == root:
+        k0 += 1
+    start = (tuple(T0.parent[k] for k in range(n)), root, k0, True)
     pred = {start: None}
     frontier = deque([start])
-    goal = None
-    if k0 == m and ret0:
-        goal = start
+    goal = start if k0 == m else None
     while frontier and goal is None:
         state = frontier.popleft()
         parent, cursor, k, returned = state
-        left, right, root = _links(parent)
-        moves = []
-        if left[cursor] is not None:
-            moves.append((OpKind.LEFT, parent, left[cursor]))
-        if right[cursor] is not None:
-            moves.append((OpKind.RIGHT, parent, right[cursor]))
-        if parent[cursor] is not None:
-            moves.append((OpKind.UP, parent, parent[cursor]))
-            moves.append((OpKind.ROTATE, _rotated(parent, cursor), cursor))
-        for kind, nparent, ncursor in moves:
-            nroot = _links(nparent)[2]
+        for kind, nparent, ncursor, nroot in _moves(parent, cursor):
+            nk = k
             nret = returned or ncursor == nroot
-            nk, nret = _normalize(ncursor, k, nret, queries, nroot)
+            while nret and nk < m and ncursor == queries[nk]:
+                nk += 1
+                nret = ncursor == nroot
             nstate = (nparent, ncursor, nk, nret)
             if nstate in pred:
                 continue

@@ -28,6 +28,13 @@ class WeightAssignment:
     def unit(self) -> int:
         return 4 ** self.scale_exponent
 
+    def depth(self, key: int) -> int:
+        """The reference depth d of `key`, read off its weight 4^(D - d)."""
+        weight = self.weights.get(key)
+        if weight is None:
+            raise KeyError(f"unknown key {key!r}")
+        return self.scale_exponent - (weight.bit_length() - 1) // 2
+
 
 def assign_weights(optimal: TreeState) -> WeightAssignment:
     """Weight 4^(-depth) for every key, from the reference tree's shape."""
@@ -37,27 +44,33 @@ def assign_weights(optimal: TreeState) -> WeightAssignment:
 
 
 def subtree_sums(tree: TreeState, wa: WeightAssignment) -> dict:
-    """Exact scaled subtree weight sums s(v) = w(v) + s(left) + s(right)."""
+    """Exact scaled subtree weight sums s(v) = w(v) + s(left) + s(right).
+
+    One stack pass lists the nodes in preorder (node, left subtree, right
+    subtree); walking that list backwards fills each node after both its
+    subtrees, so the dict is in (right, left, node) post-order.
+    """
     if tree.left.keys() != wa.weights.keys():
         raise KeyError("tree and weight assignment cover different key sets")
-    sums = {}
-    stack = [(tree.root, False)]
+    left, right, weights = tree.left, tree.right, wa.weights
+    preorder = []
+    stack = [tree.root]
     while stack:
-        node, done = stack.pop()
-        if node is None:
-            continue
-        if done:
-            s = wa.weights[node]
-            l, r = tree.left[node], tree.right[node]
-            if l is not None:
-                s += sums[l]
-            if r is not None:
-                s += sums[r]
-            sums[node] = s
-        else:
-            stack.append((node, True))
-            stack.append((tree.left[node], False))
-            stack.append((tree.right[node], False))
+        node = stack.pop()
+        l, r = left[node], right[node]
+        preorder.append((node, l, r))
+        if r is not None:
+            stack.append(r)
+        if l is not None:
+            stack.append(l)
+    sums = {}
+    for node, l, r in reversed(preorder):
+        s = weights[node]
+        if l is not None:
+            s += sums[l]
+        if r is not None:
+            s += sums[r]
+        sums[node] = s
     return sums
 
 

@@ -11,13 +11,21 @@ off its search states.
 checks the sorted single pass of `splaylab.lab.merge_extras`.
 `descriptor` writes a tree's shape descriptor, the inverse of
 `splaylab.machine.build_tree` with the keys dropped.
+`reference_opt_cost` is the breadth-first search that builds each state's
+moves afresh and normalises through a helper, so it pins the witness, op for
+op, of `splaylab.oracle.opt_cost`, which reads its moves from a cache.
+`reference_subtree_sums` is the two-flag stack walk, so it pins the values and
+the dict order of `splaylab.potential.subtree_sums`.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from functools import lru_cache
 
-from splaylab.machine import TreeState, apply_op, build_tree
+from splaylab.machine import OpKind, TreeState, apply_op, build_tree
+from splaylab.oracle import _links, _rotated
+from splaylab.potential import WeightAssignment
 
 MAX_ENUM_KEYS = 8
 
@@ -159,3 +167,82 @@ def merge_by_slots(base, extras) -> list:
         merged.append(q)
     merged.extend(slots[len(base)])
     return merged
+
+
+def _normalize(cursor, k, returned, queries, root):
+    while returned and k < len(queries) and cursor == queries[k]:
+        k += 1
+        returned = cursor == root
+    return k, returned
+
+
+def reference_opt_cost(T0: TreeState, queries) -> tuple[int, list]:
+    """`splaylab.oracle.opt_cost` on a valid instance, each state's moves
+    listed afresh in the order LEFT, RIGHT, UP, ROTATE."""
+    n = len(T0)
+    queries = list(queries)
+    m = len(queries)
+    k0, ret0 = _normalize(T0.root, 0, True, queries, T0.root)
+    start = (tuple(T0.parent[k] for k in range(n)), T0.root, k0, ret0)
+    pred = {start: None}
+    frontier = deque([start])
+    goal = None
+    if k0 == m and ret0:
+        goal = start
+    while frontier and goal is None:
+        state = frontier.popleft()
+        parent, cursor, k, returned = state
+        left, right, root = _links(parent)
+        moves = []
+        if left[cursor] is not None:
+            moves.append((OpKind.LEFT, parent, left[cursor]))
+        if right[cursor] is not None:
+            moves.append((OpKind.RIGHT, parent, right[cursor]))
+        if parent[cursor] is not None:
+            moves.append((OpKind.UP, parent, parent[cursor]))
+            moves.append((OpKind.ROTATE, _rotated(parent, cursor), cursor))
+        for kind, nparent, ncursor in moves:
+            nroot = _links(nparent)[2]
+            nret = returned or ncursor == nroot
+            nk, nret = _normalize(ncursor, k, nret, queries, nroot)
+            nstate = (nparent, ncursor, nk, nret)
+            if nstate in pred:
+                continue
+            pred[nstate] = (state, kind)
+            if nk == m and nret:
+                goal = nstate
+                break
+            frontier.append(nstate)
+    segments = [[] for _ in range(m)]
+    cost = 0
+    state = goal
+    while pred[state] is not None:
+        state, kind = pred[state]
+        segments[min(state[2], m - 1)].append(kind)
+        cost += 1
+    for segment in segments:
+        segment.reverse()
+    return cost, segments
+
+
+def reference_subtree_sums(tree: TreeState, wa: WeightAssignment) -> dict:
+    """Scaled subtree sums from a stack of (node, children done) pairs."""
+    sums = {}
+    stack = [(tree.root, False)]
+    while stack:
+        node, done = stack.pop()
+        if node is None:
+            continue
+        if done:
+            s = wa.weights[node]
+            l, r = tree.left[node], tree.right[node]
+            if l is not None:
+                s += sums[l]
+            if r is not None:
+                s += sums[r]
+            sums[node] = s
+        else:
+            stack.append((node, True))
+            stack.append((tree.left[node], False))
+            stack.append((tree.right[node], False))
+    return sums

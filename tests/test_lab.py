@@ -179,14 +179,39 @@ class TestKeptSums:
 
         assert passes() == ["T", "S"]
         run.splay_query(0)
-        assert passes() == ["S", "splayed"]
+        assert passes() == ["splayed"]
         run.splay_query(run.S.root)
         assert passes() == ["splayed"]
         run.apply_T_rotation(0)  # organizing splays of 0 (S's root), 1 and 3
-        assert passes() == ["splayed", "S", "splayed", "S", "splayed", "T", "S"]
+        assert passes() == ["splayed", "splayed", "splayed", "T", "S"]
         run.per_step = True
         ev = run.splay_query(0)
-        assert ev.steps and passes() == ["S"] * len(ev.steps) + ["splayed"]
+        assert ev.steps and passes() == ["splayed"]
+
+    @pytest.mark.parametrize("per_step", [False, True])
+    def test_splay_delta_matches_fresh_potentials(self, per_step):
+        # The change of P(S) read off the 2-3 nodes of each step, against two
+        # whole-tree potentials; the step deltas add up to the splay's delta.
+        rng = rng_for_trial(89, per_step)
+        checked = 0
+        for _ in range(60):
+            S, T = random_pair(rng.randint(1, 48), rng)
+            run = InterleavedRun(S, T, per_step=per_step)
+            for _ in range(6):
+                shallow = [k for k in T.in_order() if 1 <= T.depth(k) <= 2]
+                if shallow and rng.random() < 0.25:
+                    run.apply_T_rotation(rng.choice(shallow))
+                    continue
+                before = potential_of(run.S, run.wa)
+                ev = run.splay_query(rng.choice(T.in_order()))
+                after = potential_of(run.S, run.wa)
+                assert abs(ev.delta - (after - before)) < 1e-9
+                if per_step:
+                    assert sum(step.cost for step in ev.steps) == ev.cost
+                    assert sum(step.delta for step in ev.steps) == pytest.approx(ev.delta, abs=1e-12)
+                checked += ev.cost > 0
+            assert abs(run.telescoping_residual()) < 1e-9
+        assert checked > 100
 
 
 class TestRegularAccessTrials:

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from splaylab.generators import random_tree, rng_for_trial
@@ -8,6 +10,7 @@ from splaylab.restricted import cursor_trace
 from reference import (
     brute_force_static_cost,
     enumerate_shapes,
+    reference_opt_cost,
     split_program_by_service,
     static_cost,
 )
@@ -78,6 +81,27 @@ class TestOptCost:
         assert program_search(T, [0], 1)
         with pytest.raises(ValueError, match="not at 0"):
             opt_cost(T, [0])
+
+
+class TestCachedMoves:
+    """The search reads each state's moves from a cache; its witness must stay
+    the one the uncached search finds, op for op."""
+
+    def test_every_small_instance(self):
+        for n in range(1, 5):
+            for shape in enumerate_shapes(n):
+                T = build_tree(range(n), shape)
+                for m in range(4):
+                    for queries in itertools.product(range(n), repeat=m):
+                        assert opt_cost(T, queries) == reference_opt_cost(T, queries)
+
+    def test_random_instances(self):
+        rng = rng_for_trial(97, 0)
+        for _ in range(500):
+            n = rng.randint(1, 6)
+            T = random_tree(n, rng)
+            queries = [rng.randrange(n) for _ in range(rng.randint(0, 8))]
+            assert opt_cost(T, queries) == reference_opt_cost(T, queries)
 
 
 class TestStaticOptimal:

@@ -10,8 +10,9 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from splaylab.generators import random_pair, rng_for_trial
+from splaylab.generators import random_pair, random_tree, rng_for_trial, spine_tree
 from splaylab.machine import build_tree
 from splaylab.potential import (
     assign_weights,
@@ -22,7 +23,7 @@ from splaylab.potential import (
     subtree_sums,
 )
 
-from reference import subtree_keys
+from reference import reference_subtree_sums, subtree_keys
 
 # Five keys 0..4; reference tree T rooted at 3, splay tree S rooted at 1.
 T_DESC = "(((..)(..))(..))"
@@ -135,3 +136,28 @@ class TestBoundSuites:
         T = build_tree(range(4), "((((..).).).)")
         with pytest.raises(KeyError):
             subtree_sums(S, assign_weights(T))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 64), st.integers(0, 2 ** 32))
+def test_subtree_sums_match_reference_in_order(n, seed):
+    # `potential` adds the logs in the dict's order, so the order is pinned too.
+    S, T = random_pair(n, rng_for_trial(seed, 0))
+    wa = assign_weights(T)
+    for tree in (S, T):
+        assert list(subtree_sums(tree, wa).items()) == list(reference_subtree_sums(tree, wa).items())
+
+
+class TestDepthFromWeight:
+    def test_matches_tree_depth(self):
+        rng = rng_for_trial(101, 0)
+        trees = [random_tree(rng.randint(1, 64), rng) for _ in range(100)]
+        trees += [random_tree(1, rng), spine_tree(64, "left"), spine_tree(64, "right")]
+        for T in trees:
+            wa = assign_weights(T)
+            assert {k: wa.depth(k) for k in T.in_order()} == {k: T.depth(k) for k in T.in_order()}
+
+    def test_unknown_key_rejected(self):
+        wa = assign_weights(build_tree(range(3), "((..)(..))"))
+        with pytest.raises(KeyError, match="unknown key 7"):
+            wa.depth(7)
