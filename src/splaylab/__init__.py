@@ -9,6 +9,7 @@ from .machine import (
     ShapeError,
     TreeState,
     apply_op,
+    apply_ops,
     build_tree,
 )
 from .splay import splay_step, total_access_cost

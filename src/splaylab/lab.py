@@ -256,11 +256,11 @@ class InterleavedRun:
         self.report.absorb(check_rotation_delta(ev))
         return ev
 
-    def telescoping_residual(self) -> float:
+    def telescoping_residual(self, phi_final: float) -> float:
         """(sum of amortized - sum of real) - (final phi - initial phi): the
-        summed potential changes of every splay and rotation against a fresh
-        potential of the final trees."""
-        return (self.sum_amortized - self.s_cost) - (self.phi - self.phi_initial)
+        summed potential changes of every splay and rotation against
+        `phi_final`, a fresh potential of the final trees read off `phi`."""
+        return (self.sum_amortized - self.s_cost) - (phi_final - self.phi_initial)
 
 
 # -- regular-access trials ----------------------------------------------------
@@ -347,7 +347,8 @@ def accounting_run(n: int, queries, strategy: str = "oracle-witness") -> Account
     counts_exact = (m_prime == 4 * M + 3 * R) and (r_prime == 2 * M + R)
     e = run.organizing_count
     e_within_budget = e <= ORGANIZING_SPLAYS_PER_ROTATION * r_prime
-    residual = run.telescoping_residual()
+    phi_final = run.phi
+    residual = run.telescoping_residual(phi_final)
     check = CheckReport("accounting", checked=5, violations=list(run.report.violations))
     if not counts_exact:
         check.fail("simulated op counts off")
@@ -366,7 +367,7 @@ def accounting_run(n: int, queries, strategy: str = "oracle-witness") -> Account
         R_prime=r_prime,
         total_S_cost=run.s_cost,
         phi_initial=run.phi_initial,
-        phi_final=run.phi,
+        phi_final=phi_final,
         telescoping_residual=residual,
         counts_exact=counts_exact,
         e_within_budget=e_within_budget,

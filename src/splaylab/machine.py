@@ -3,9 +3,10 @@
 Trees hold a finite set of distinct integer keys.  A single cursor moves
 between adjacent nodes; the only structural primitive is an upward rotation
 of the node at the cursor.  A program is a sequence of `OpKind` members, and
-`apply_op` is the one transition that steps a tree by one of them.  A move or
-a rotation costs 1 and a key comparison is free and is not an op; `apply_op`
-charges nothing, so a caller that counts costs keeps its own `CostLedger`.
+`apply_ops` is the one transition: it steps a tree through a whole op
+sequence in one call, and `apply_op` is its one-op form.  A move or a
+rotation costs 1 and a key comparison is free and is not an op; neither call
+charges anything, so a caller that counts costs keeps its own `CostLedger`.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ class IllegalOpError(MachineError):
     """An operation that is not legal at the current cursor position."""
 
     def __init__(self, message: str, index: int | None = None):
+        self.reason = message  # the message without the op index
         if index is not None:
             message = f"{message} (op index {index})"
         super().__init__(message)
@@ -41,7 +43,7 @@ class OpKind(Enum):
     ROTATE = "rotate"
 
 
-MOVE_KINDS = frozenset({OpKind.LEFT, OpKind.RIGHT, OpKind.UP})
+_L, _R, _U, _ROT = OpKind.LEFT, OpKind.RIGHT, OpKind.UP, OpKind.ROTATE
 
 
 @dataclass
@@ -242,35 +244,64 @@ class MachineProgram:
 
     @property
     def move_count(self) -> int:
-        return sum(1 for op in self.ops if op in MOVE_KINDS)
+        return len(self.ops) - self.ops.count(_ROT)
 
     @property
     def rotation_count(self) -> int:
-        return sum(1 for op in self.ops if op is OpKind.ROTATE)
+        return self.ops.count(_ROT)
+
+
+def apply_ops(state: TreeState, ops, trace: list | None = None, rotate=None) -> None:
+    """Apply the machine ops `ops` in order, in place.
+
+    The links and the cursor are held in locals for the whole sequence.  Each
+    key the cursor is at after an op (a rotation leaves it in place) is
+    appended to `trace`, if given.  Each rotation is handed to `rotate(key)`,
+    by default `state.rotate_up`, with `state.cursor` already current.  An
+    illegal op raises IllegalOpError naming its index in `ops`, and leaves the
+    tree and its cursor as the previous op left them.
+    """
+    left, right, parent = state.left, state.right, state.parent
+    if rotate is None:
+        rotate = state.rotate_up
+    cursor = state.cursor
+    for i, op in enumerate(ops):
+        if op is _L:
+            dest = left[cursor]
+            if dest is None:
+                state.cursor = cursor
+                raise IllegalOpError(f"no left child at {cursor}", i)
+            cursor = dest
+        elif op is _R:
+            dest = right[cursor]
+            if dest is None:
+                state.cursor = cursor
+                raise IllegalOpError(f"no right child at {cursor}", i)
+            cursor = dest
+        elif op is _U:
+            dest = parent[cursor]
+            if dest is None:
+                state.cursor = cursor
+                raise IllegalOpError("no parent at root", i)
+            cursor = dest
+        elif op is _ROT:
+            state.cursor = cursor
+            if parent[cursor] is None:
+                raise IllegalOpError("cannot rotate at root", i)
+            rotate(cursor)
+        else:  # pragma: no cover
+            state.cursor = cursor
+            raise IllegalOpError(f"unknown op {op!r}", i)
+        if trace is not None:
+            trace.append(cursor)
+    state.cursor = cursor
 
 
 def apply_op(state: TreeState, op: OpKind, index: int | None = None) -> None:
-    """Apply one machine op in place.  An illegal op raises IllegalOpError
-    (naming `index`, if given) and leaves the tree and its cursor as they were."""
-    cursor = state.cursor
-    if op is OpKind.LEFT:
-        dest = state.left[cursor]
-        if dest is None:
-            raise IllegalOpError(f"no left child at {cursor}", index)
-        state.cursor = dest
-    elif op is OpKind.RIGHT:
-        dest = state.right[cursor]
-        if dest is None:
-            raise IllegalOpError(f"no right child at {cursor}", index)
-        state.cursor = dest
-    elif op is OpKind.UP:
-        dest = state.parent[cursor]
-        if dest is None:
-            raise IllegalOpError("no parent at root", index)
-        state.cursor = dest
-    elif op is OpKind.ROTATE:
-        if state.parent[cursor] is None:
-            raise IllegalOpError("cannot rotate at root", index)
-        state.rotate_up(cursor)
-    else:  # pragma: no cover
-        raise IllegalOpError(f"unknown op {op!r}", index)
+    """Apply one machine op in place: `apply_ops` on a one-op sequence.  An
+    illegal op raises IllegalOpError (naming `index`, if given) and leaves the
+    tree and its cursor as they were."""
+    try:
+        apply_ops(state, (op,))
+    except IllegalOpError as exc:
+        raise IllegalOpError(exc.reason, index) from None

@@ -5,6 +5,9 @@ keeps the simulated cursor's key pinned at its root.  Every simulated move
 costs exactly 4 moves + 2 rotations, every simulated rotation exactly
 3 moves + 1 rotation, and the emitted program touches only nodes of depth
 less than 3, returning the cursor to the root after each rotation.
+
+Each restricted sequence runs in one `apply_ops` call, and the ledger is
+charged after it; `cursor_trace` replays a whole op list in one call too.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from .machine import (
     OpKind,
     TreeState,
     apply_op,
+    apply_ops,
 )
 from .report import CheckReport
 
@@ -97,24 +101,18 @@ def op_sequence(st: SentineledTree, t_op: OpKind) -> tuple:
 
 
 def apply_t_op(st: SentineledTree, t_op: OpKind, rotate=None) -> tuple:
-    """Translate and execute one simulated op on the restricted tree, charging
-    `st.ledger` for every restricted op.
+    """Translate and execute one simulated op on the restricted tree in one
+    `apply_ops` call, then charge `st.ledger` for every restricted op.
 
     `rotate(key)`, if given, performs each emitted rotation of the cursor's
-    key in place of `apply_op`; the rotation is charged all the same.
+    key in place of `TreeState.rotate_up`; the rotation is charged all the same.
     """
     seq = op_sequence(st, t_op)
     prime, ledger = st.prime, st.ledger
-    for op in seq:
-        if op is not OpKind.ROTATE:
-            apply_op(prime, op)
-            ledger.moves += 1
-        else:
-            if rotate is None:
-                apply_op(prime, op)
-            else:
-                rotate(prime.cursor)
-            ledger.rotations += 1
+    apply_ops(prime, seq, rotate=rotate)
+    rotations = seq.count(_ROT)
+    ledger.moves += len(seq) - rotations
+    ledger.rotations += rotations
     if prime.root != st.sim.cursor:  # pinned-root invariant
         raise IllegalOpError("restricted-tree root lost the simulated cursor key")
     return seq
@@ -141,10 +139,10 @@ def check_restricted(initial: TreeState, ops) -> CheckReport:
     illegal op.
     """
     report = CheckReport("restricted-sequence")
+    report.tick(len(ops))
     depth = initial.depth(initial.cursor)
     pending_return = False
     for i, op in enumerate(ops):
-        report.tick()
         if op is OpKind.ROTATE:
             if pending_return:
                 report.fail(f"index {i}: rotation before cursor returned to root")
@@ -166,16 +164,14 @@ def check_restricted(initial: TreeState, ops) -> CheckReport:
 
 
 def cursor_trace(initial: TreeState, ops) -> list:
-    """Replay an op sequence on a copy of `initial`; the keys the cursor visits,
-    starting at `initial.cursor`."""
+    """Replay an op sequence on a copy of `initial` in one `apply_ops` call;
+    the keys the cursor visits, starting at `initial.cursor`."""
     state = initial.copy()
     trace = [state.cursor]
-    for i, op in enumerate(ops):
-        apply_op(state, op, index=i)
-        trace.append(state.cursor)
+    apply_ops(state, ops, trace)
     return trace
 
 
 def is_subsequence(sub, seq) -> bool:
     it = iter(seq)
-    return all(any(x == y for y in it) for x in sub)
+    return all(x in it for x in sub)

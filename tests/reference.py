@@ -16,6 +16,12 @@ moves afresh and normalises through a helper, so it pins the witness, op for
 op, of `splaylab.oracle.opt_cost`, which reads its moves from a cache.
 `reference_subtree_sums` is the two-flag stack walk, so it pins the values and
 the dict order of `splaylab.potential.subtree_sums`.
+`reference_apply_op` is the one-op transition dispatched per op on its kind,
+and `reference_cursor_trace` and `reference_apply_t_op` call it once per op and
+charge the ledger per op, so they check the batched `splaylab.machine.apply_ops`
+behind `cursor_trace` and `apply_t_op`.
+`reference_is_subsequence` scans with a generator per element, so it checks
+`splaylab.restricted.is_subsequence`.
 """
 
 from __future__ import annotations
@@ -23,9 +29,10 @@ from __future__ import annotations
 from collections import deque
 from functools import lru_cache
 
-from splaylab.machine import OpKind, TreeState, apply_op, build_tree
+from splaylab.machine import IllegalOpError, OpKind, TreeState, apply_op, build_tree
 from splaylab.oracle import _links, _rotated
 from splaylab.potential import WeightAssignment
+from splaylab.restricted import SentineledTree, op_sequence
 
 MAX_ENUM_KEYS = 8
 
@@ -246,3 +253,65 @@ def reference_subtree_sums(tree: TreeState, wa: WeightAssignment) -> dict:
             stack.append((tree.left[node], False))
             stack.append((tree.right[node], False))
     return sums
+
+
+def reference_apply_op(state: TreeState, op: OpKind, index: int | None = None) -> None:
+    """One machine op in place, dispatched on its kind; an illegal op raises
+    IllegalOpError (naming `index`, if given) and changes nothing."""
+    cursor = state.cursor
+    if op is OpKind.LEFT:
+        dest = state.left[cursor]
+        if dest is None:
+            raise IllegalOpError(f"no left child at {cursor}", index)
+        state.cursor = dest
+    elif op is OpKind.RIGHT:
+        dest = state.right[cursor]
+        if dest is None:
+            raise IllegalOpError(f"no right child at {cursor}", index)
+        state.cursor = dest
+    elif op is OpKind.UP:
+        dest = state.parent[cursor]
+        if dest is None:
+            raise IllegalOpError("no parent at root", index)
+        state.cursor = dest
+    elif op is OpKind.ROTATE:
+        if state.parent[cursor] is None:
+            raise IllegalOpError("cannot rotate at root", index)
+        state.rotate_up(cursor)
+    else:
+        raise IllegalOpError(f"unknown op {op!r}", index)
+
+
+def reference_cursor_trace(initial: TreeState, ops) -> list:
+    """The keys the cursor visits replaying `ops` on a copy, one call per op."""
+    state = initial.copy()
+    trace = [state.cursor]
+    for i, op in enumerate(ops):
+        reference_apply_op(state, op, index=i)
+        trace.append(state.cursor)
+    return trace
+
+
+def reference_apply_t_op(st: SentineledTree, t_op: OpKind, rotate=None) -> tuple:
+    """One simulated op on the restricted tree, one call and one charge per
+    restricted op; `rotate(key)`, if given, performs each rotation."""
+    seq = op_sequence(st, t_op)
+    prime, ledger = st.prime, st.ledger
+    for op in seq:
+        if op is not OpKind.ROTATE:
+            reference_apply_op(prime, op)
+            ledger.moves += 1
+        else:
+            if rotate is None:
+                reference_apply_op(prime, op)
+            else:
+                rotate(prime.cursor)
+            ledger.rotations += 1
+    if prime.root != st.sim.cursor:
+        raise IllegalOpError("restricted-tree root lost the simulated cursor key")
+    return seq
+
+
+def reference_is_subsequence(sub, seq) -> bool:
+    it = iter(seq)
+    return all(any(x == y for y in it) for x in sub)

@@ -85,7 +85,7 @@ class TestInterleavedRun:
                     run.apply_T_rotation(rng.choice(shallow))
                 else:
                     run.splay_query(rng.choice(T.in_order()))
-            assert abs(run.telescoping_residual()) < 1e-6
+            assert abs(run.telescoping_residual(run.phi)) < 1e-6
             assert not run.report.violations
 
     def test_identical_start_zero_phi(self):
@@ -188,6 +188,41 @@ class TestKeptSums:
         ev = run.splay_query(0)
         assert ev.steps and passes() == ["splayed"]
 
+    def test_one_S_pass_at_the_end_of_accounting_run(self, monkeypatch):
+        # The final potential is read once, for phi_final and the residual alike.
+        log, runs = [], []
+        sums_of = splaylab.potential.subtree_sums
+
+        def counted_sums(tree, wa):
+            log.append(tree)
+            return sums_of(tree, wa)
+
+        class Logged(InterleavedRun):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                runs.append(self)
+
+            def splay_query(self, key):
+                ev = super().splay_query(key)
+                log.append("event")
+                return ev
+
+            def apply_T_rotation(self, rotated):
+                ev = super().apply_T_rotation(rotated)
+                log.append("event")
+                return ev
+
+        monkeypatch.setattr(splaylab.lab, "subtree_sums", counted_sums)
+        monkeypatch.setattr(splaylab.potential, "subtree_sums", counted_sums)
+        monkeypatch.setattr(splaylab.lab, "InterleavedRun", Logged)
+        acc = accounting_run(6, [1, 4, 0, 2, 0, 3])
+        (run,) = runs
+        assert acc.R > 0
+        last = len(log) - log[::-1].index("event")
+        assert log[last:] == [run.S]
+        assert acc.phi_final == run.phi
+        assert acc.telescoping_residual == run.telescoping_residual(run.phi)
+
     @pytest.mark.parametrize("per_step", [False, True])
     def test_splay_delta_matches_fresh_potentials(self, per_step):
         # The change of P(S) read off the 2-3 nodes of each step, against two
@@ -210,7 +245,7 @@ class TestKeptSums:
                     assert sum(step.cost for step in ev.steps) == ev.cost
                     assert sum(step.delta for step in ev.steps) == pytest.approx(ev.delta, abs=1e-12)
                 checked += ev.cost > 0
-            assert abs(run.telescoping_residual()) < 1e-9
+            assert abs(run.telescoping_residual(run.phi)) < 1e-9
         assert checked > 100
 
 

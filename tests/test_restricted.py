@@ -1,12 +1,18 @@
+import sys
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as hst
 
-from splaylab.generators import random_t_program, random_tree, rng_for_trial
+import splaylab.machine
+import splaylab.suites
+from splaylab.generators import ExperimentConfig, random_t_program, random_tree, rng_for_trial
 from splaylab.machine import (
+    CostLedger,
     IllegalOpError,
     OpKind,
     apply_op,
+    apply_ops,
     build_tree,
 )
 from splaylab.restricted import (
@@ -17,8 +23,16 @@ from splaylab.restricted import (
     is_subsequence,
     simulate_program,
 )
+from splaylab.suites import run_suite
 
-from reference import same_structure, validate
+from reference import (
+    reference_apply_op,
+    reference_apply_t_op,
+    reference_cursor_trace,
+    reference_is_subsequence,
+    same_structure,
+    validate,
+)
 
 L, R, U, ROT = OpKind.LEFT, OpKind.RIGHT, OpKind.UP, OpKind.ROTATE
 
@@ -104,6 +118,19 @@ class TestMoveSimulation:
                 assert same_structure(st.prime, prime) and st.prime.cursor == prime.cursor
                 assert same_structure(st.sim, sim) and st.sim.cursor == sim.cursor
                 assert st.ledger == ledger
+
+    def test_failed_rotation_hook_charges_nothing(self):
+        # The ledger is charged after the whole restricted sequence has run.
+        T = build_tree(range(3), "((..)(..))")
+        st = init_prime(T)
+
+        def refuse(key):
+            raise IllegalOpError(f"refused rotation at {key}")
+
+        with pytest.raises(IllegalOpError, match="refused rotation at 0"):
+            apply_t_op(st, L, rotate=refuse)
+        assert st.ledger == CostLedger()
+        assert st.prime.cursor == 0  # the moves before the refused rotation stand
 
 
 class TestProgramSimulation:
@@ -215,3 +242,132 @@ class TestRestrictedChecker:
         assert is_subsequence([1, 3], [1, 2, 3])
         assert not is_subsequence([3, 1], [1, 2, 3])
         assert is_subsequence([], [1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(hst.lists(hst.integers(0, 4), max_size=8), hst.lists(hst.integers(0, 4), max_size=12))
+    def test_is_subsequence_matches_reference(self, sub, seq):
+        assert is_subsequence(sub, seq) == reference_is_subsequence(sub, seq)
+
+
+def snapshot(tree):
+    """Everything a transition can change: the links, the root and the cursor."""
+    return dict(tree.left), dict(tree.right), dict(tree.parent), tree.root, tree.cursor
+
+
+def outcome(run):
+    """What `run()` returned, or the type, message and index of what it raised."""
+    try:
+        return "ok", run()
+    except IllegalOpError as exc:
+        return type(exc), str(exc), exc.index
+
+
+def illegal_at(tree):
+    """The ops that are illegal at the cursor of `tree`."""
+    c = tree.cursor
+    return [op for op, bad in ((L, tree.left[c] is None), (R, tree.right[c] is None),
+                               (U, tree.parent[c] is None), (ROT, tree.parent[c] is None)) if bad]
+
+
+def programs(seed, count, max_keys=10):
+    """Seeded (tree, op list) pairs: legal random programs, and every other one
+    with one op illegal where it stands, injected at a random index."""
+    rng = rng_for_trial(seed, 0)
+    injected = 0
+    for k in range(count):
+        T = random_tree(rng.randint(1, max_keys), rng)
+        ops = list(random_t_program(T, rng, max_moves=30, max_rotations=15).ops)
+        if k % 2:
+            at = rng.randint(0, len(ops))
+            state = T.copy()
+            for op in ops[:at]:
+                reference_apply_op(state, op)
+            bad = illegal_at(state)
+            if bad:
+                ops.insert(at, rng.choice(bad))
+                ops += random_t_program(T, rng, max_moves=3, max_rotations=2).ops
+                injected += 1
+        yield T, ops
+    assert injected > count // 6
+
+
+class TestBatchedTransition:
+    """`apply_ops` in one call against the per-op reference transition."""
+
+    def test_apply_ops_matches_per_op_reference(self):
+        for T, ops in programs(43, 300):
+            fast, slow = T.copy(), T.copy()
+            fast_trace, slow_trace = [fast.cursor], [slow.cursor]
+
+            def per_op():
+                for i, op in enumerate(ops):
+                    reference_apply_op(slow, op, index=i)
+                    slow_trace.append(slow.cursor)
+
+            assert outcome(lambda: apply_ops(fast, ops, fast_trace)) == outcome(per_op)
+            assert fast_trace == slow_trace
+            assert snapshot(fast) == snapshot(slow)
+            assert outcome(lambda: cursor_trace(T, ops)) == outcome(lambda: reference_cursor_trace(T, ops))
+
+    def test_apply_op_is_the_one_op_form(self):
+        rng = rng_for_trial(47, 0)
+        for T, ops in programs(47, 100):
+            fast, slow = T.copy(), T.copy()
+            for op in ops + [L, R, U, ROT]:
+                index = rng.choice([None, rng.randrange(100)])
+                got = outcome(lambda: apply_op(fast, op, index))
+                assert got == outcome(lambda: reference_apply_op(slow, op, index))
+                assert snapshot(fast) == snapshot(slow)
+
+    @pytest.mark.parametrize("hooked", [False, True])
+    def test_apply_t_op_matches_per_op_reference(self, hooked):
+        raised = hooked_calls = 0
+        for T, ops in programs(53 + hooked, 200):
+            runs = []
+            for step in (apply_t_op, reference_apply_t_op):
+                st, calls, results = init_prime(T), [], []
+
+                def hook(key, st=st, calls=calls):
+                    calls.append((key, st.prime.cursor))
+                    st.prime.rotate_up(key)
+
+                for op in ops:
+                    results.append(outcome(lambda: step(st, op, rotate=hook if hooked else None)))
+                    if results[-1][0] != "ok":
+                        break
+                runs.append((results, calls, snapshot(st.prime), snapshot(st.sim), st.ledger))
+            assert runs[0] == runs[1]
+            raised += any(r[0] != "ok" for r in runs[0][0])
+            hooked_calls += len(runs[0][1])
+        assert raised > 30
+        assert hooked_calls > 1000 if hooked else hooked_calls == 0
+
+    def test_lemma3_applies_no_op_per_restricted_op(self, monkeypatch):
+        # apply_op runs only for the simulated program's own steps: once as
+        # random_t_program draws each op and once as op_sequence steps the
+        # tracked tree.  The restricted ops and both replays run in apply_ops.
+        calls, drawn = [], []
+        original = splaylab.machine.apply_op
+
+        def counted(state, op, index=None):
+            calls.append(op)
+            return original(state, op, index)
+
+        for name, module in list(sys.modules.items()):
+            if name == "splaylab" or name.startswith("splaylab."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+        draw = splaylab.suites.random_t_program
+
+        def drawn_program(*args, **kwargs):
+            program = draw(*args, **kwargs)
+            drawn.append(program)
+            return program
+
+        monkeypatch.setattr(splaylab.suites, "random_t_program", drawn_program)
+        code, _ = run_suite("lemma3", ExperimentConfig(n=10, trials=1))
+        assert code == 0
+        (program,) = drawn
+        assert len(program.ops) > 10
+        assert calls == list(program.ops) * 2
