@@ -26,6 +26,7 @@ from .generators import (
     spine_tree,
 )
 from .lab import InterleavedRun, accounting_run, cost_ratio, merge_extras
+from .machine import TreeState
 from .oracle import MAX_OPT_KEYS, MAX_OPT_QUERIES, STRATEGIES, opt_cost, program_search
 from .potential import check_potential_floor, check_weight_sum_bounds
 from .report import CheckReport
@@ -154,7 +155,9 @@ def run_lemma6(suite: Suite, config: ExperimentConfig, report: CheckReport) -> d
     """Access bound for single splays under reference-derived weights."""
     for k, (label, rng, n) in enumerate(suite.trials_of(config)):
         S, T = random_pair(n, rng)
-        per_step = k % 20 == 0  # step-level checks on a subset; they are O(n) each
+        # Step-level checks on every 20th trial.  A step check is O(1), but each
+        # ticks `checked`, so the report's bytes pin this subset.
+        per_step = k % 20 == 0
         run = InterleavedRun(S, T, per_step=per_step)
         run.splay_query(rng.choice(T.in_order()))
         report.absorb(run.report, label)
@@ -187,11 +190,66 @@ def rows_to_csv(rows) -> str:
     return buf.getvalue()
 
 
+# Base positions between two checkpoints of a `PrefixReplay`.
+CHECKPOINT_SPACING = 16
+
+
+class PrefixReplay:
+    """The splay cost of `base` with extra queries merged in, replayed from
+    checkpoints of the current extras.
+
+    Checkpoint i holds the cost so far and the tree that splaying base[:b],
+    with every current extra at a position < b merged in, makes of S0, where
+    b = i * CHECKPOINT_SPACING <= len(base).  A candidate that agrees with the
+    current extras on every extra placed before `start` replays only from
+    the last checkpoint at or before `start`.
+    """
+
+    def __init__(self, S0: TreeState, base: list, extras: list):
+        self.base = base
+        self.extras = list(extras)
+        self.costs = [0]
+        self.trees = [S0.copy()]
+        self._rebuild(0)
+
+    def _merged(self, extras: list, lo: int, hi: int) -> list:
+        """base[lo:hi] with each extra at a position lo <= p < hi merged in;
+        extras at one position keep their order in `extras`."""
+        return merge_extras(self.base[lo:hi], [(p - lo, k) for p, k in extras if lo <= p < hi])
+
+    def cost(self, candidate: list, start: int) -> int:
+        """Total cost of base merged with `candidate`, which agrees with the
+        current extras, in order, on every extra at a position < `start`."""
+        i = start // CHECKPOINT_SPACING
+        b = i * CHECKPOINT_SPACING
+        suffix = self._merged(candidate, b, len(self.base) + 1)
+        return self.costs[i] + total_access_cost(self.trees[i].copy(), suffix)
+
+    def accept(self, candidate: list, start: int) -> None:
+        """Make `candidate` the current extras; checkpoints after the one
+        `cost(candidate, start)` replayed from are rebuilt."""
+        self.extras = list(candidate)
+        self._rebuild(start // CHECKPOINT_SPACING)
+
+    def _rebuild(self, i: int) -> None:
+        """Recompute every checkpoint after checkpoint i, one chunk a call."""
+        del self.costs[i + 1:], self.trees[i + 1:]
+        tree = self.trees[i].copy()
+        cost = self.costs[i]
+        step = CHECKPOINT_SPACING
+        for b in range(i * step, len(self.base) - step + 1, step):
+            cost += total_access_cost(tree, self._merged(self.extras, b, b + step))
+            self.costs.append(cost)
+            self.trees.append(tree.copy())
+
+
 def run_conjecture(suite: Suite, config: ExperimentConfig, report: CheckReport) -> dict:
     """Search for base sequences whose cost is beaten by adding extra splays.
 
     Hill-climbs over extra-splay placements; the best cost ratio found is
-    reported, never asserted, so each trial only ticks the report.
+    reported, never asserted, so each trial only ticks the report.  A
+    candidate changes one extra, so it is replayed by `PrefixReplay` from the
+    first position where it can differ from the current extras.
     """
     n, m = config.n, config.m
     rng0 = rng_for_trial(config.seed, 0)
@@ -202,18 +260,23 @@ def run_conjecture(suite: Suite, config: ExperimentConfig, report: CheckReport) 
     extras_count = 8
     best_ratio = 0.0
     best_extras = []
-    extras = [(rng0.randrange(m + 1), rng0.randrange(n)) for _ in range(extras_count)]
+    replay = PrefixReplay(S0, base, [(rng0.randrange(m + 1), rng0.randrange(n))
+                                     for _ in range(extras_count)])
     for trial in range(config.trials):
         rng = rng_for_trial(config.seed, trial + 1)
-        candidate = list(extras)
-        candidate[rng.randrange(extras_count)] = (rng.randrange(m + 1), rng.randrange(n))
-        aug_cost = total_access_cost(S0.copy(), merge_extras(base, candidate))
+        # The report pins this draw order: the new extra, then its slot.
+        new = (rng.randrange(m + 1), rng.randrange(n))
+        slot = rng.randrange(extras_count)
+        candidate = list(replay.extras)
+        candidate[slot] = new
+        start = min(replay.extras[slot][0], new[0])
+        aug_cost = replay.cost(candidate, start)
         ratio = cost_ratio(base_cost, aug_cost)
         report.tick()
         if ratio > best_ratio:
             best_ratio = ratio
-            best_extras = list(candidate)
-            extras = candidate
+            best_extras = candidate
+            replay.accept(candidate, start)
     return {
         "n": n, "m": m, "generator": config.generator,
         "base_cost": base_cost, "extras": sorted(best_extras),

@@ -22,6 +22,9 @@ charge the ledger per op, so they check the batched `splaylab.machine.apply_ops`
 behind `cursor_trace` and `apply_t_op`.
 `reference_is_subsequence` scans with a generator per element, so it checks
 `splaylab.restricted.is_subsequence`.
+`reference_run_conjecture` is the hill-climb that replays every candidate's
+whole augmented sequence from the start tree, so it checks the checkpointed
+replay of `splaylab.suites.run_conjecture`.
 """
 
 from __future__ import annotations
@@ -29,10 +32,13 @@ from __future__ import annotations
 from collections import deque
 from functools import lru_cache
 
+from splaylab.generators import generate_sequence, random_tree, rng_for_trial
+from splaylab.lab import cost_ratio, merge_extras
 from splaylab.machine import IllegalOpError, OpKind, TreeState, apply_op, build_tree
 from splaylab.oracle import _links, _rotated
 from splaylab.potential import WeightAssignment
 from splaylab.restricted import SentineledTree, op_sequence
+from splaylab.splay import total_access_cost
 
 MAX_ENUM_KEYS = 8
 
@@ -315,3 +321,34 @@ def reference_apply_t_op(st: SentineledTree, t_op: OpKind, rotate=None) -> tuple
 def reference_is_subsequence(sub, seq) -> bool:
     it = iter(seq)
     return all(any(x == y for y in it) for x in sub)
+
+
+def reference_run_conjecture(suite, config, report) -> dict:
+    """The conjecture hill-climb with every candidate replayed from S0."""
+    n, m = config.n, config.m
+    rng0 = rng_for_trial(config.seed, 0)
+    S0 = random_tree(n, rng0)
+    base = generate_sequence(config.generator, n, m, rng0)
+    base_cost = total_access_cost(S0.copy(), base)
+
+    extras_count = 8
+    best_ratio = 0.0
+    best_extras = []
+    extras = [(rng0.randrange(m + 1), rng0.randrange(n)) for _ in range(extras_count)]
+    for trial in range(config.trials):
+        rng = rng_for_trial(config.seed, trial + 1)
+        candidate = list(extras)
+        candidate[rng.randrange(extras_count)] = (rng.randrange(m + 1), rng.randrange(n))
+        aug_cost = total_access_cost(S0.copy(), merge_extras(base, candidate))
+        ratio = cost_ratio(base_cost, aug_cost)
+        report.tick()
+        if ratio > best_ratio:
+            best_ratio = ratio
+            best_extras = list(candidate)
+            extras = candidate
+    return {
+        "n": n, "m": m, "generator": config.generator,
+        "base_cost": base_cost, "extras": sorted(best_extras),
+        "max_ratio": best_ratio,
+        "exceeds_one": best_ratio > 1.0,
+    }

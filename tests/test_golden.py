@@ -54,8 +54,9 @@ GOLDEN = [
 
 HELD_OUT_SEED = 7
 
-# The suites whose reports rest on opt_cost's witnesses and on the potential's
-# float sums, at the held-out seed (same layout as GOLDEN).
+# The suites whose reports rest on opt_cost's witnesses, on the potential's
+# float sums and on the conjecture hill-climb's checkpointed replay, at the
+# held-out seed (same layout as GOLDEN).
 HELD_OUT = [
     ("theorem7-witness", "theorem7", dict(n=6, m=8, trials=300, strategy="oracle-witness"),
      "e25d744478b9a382064de497d6a6c758e794130cc4919b871bcd316d8731ba48"),
@@ -63,6 +64,15 @@ HELD_OUT = [
      "f5d88e5f2ff82a78b1aa96784f1a82b764464b6cdd1501da9a44c731c97f8f6c"),
     ("lemma6", "lemma6", dict(n=64, trials=60),
      "5db66802d3dadecc86c0fed8e5073f8ab01254c94bef78f677c702d6f16fcc83"),
+    ("conjecture-sequential", "conjecture",
+     dict(n=32, m=100, trials=50, generator="sequential"),
+     "e4633cdec8f232c121fd59855d1b8ee3ddcd8b210d5c2177ef7c2ec7f205a742"),
+    ("conjecture-working-set", "conjecture",
+     dict(n=32, m=100, trials=50, generator="working-set(8)"),
+     "114e1b31c8372f157fd39c8ce27d2ae696d16e4eddf44f24ee31628981ebb883"),
+    ("conjecture-repeated-extremes", "conjecture",
+     dict(n=32, m=100, trials=50, generator="repeated-extremes"),
+     "8fe9760b7ad9ae94618720c3f8e919642f1c87028ff6b2c25c72b78b3efc5c73"),
 ]
 
 

@@ -1,16 +1,22 @@
-"""The suite layer: violation labels, checked counts and the suite table."""
+"""The suite layer: violation labels, checked counts, the suite table and the
+conjecture hill-climb's checkpointed replay."""
 
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference
+from reference import reference_run_conjecture, same_structure
 from splaylab import lab, suites
 from splaylab.cli import main
-from splaylab.generators import ExperimentConfig, random_tree
+from splaylab.generators import ExperimentConfig, random_tree, rng_for_trial
+from splaylab.lab import merge_extras
 from splaylab.machine import IllegalOpError, OpKind
 from splaylab.report import CheckReport
 from splaylab.restricted import simulate_program
-from splaylab.suites import run_suite
+from splaylab.splay import total_access_cost
+from splaylab.suites import CHECKPOINT_SPACING, PrefixReplay, run_suite
 
 LAB_CHECKERS = ("check_access_lemma", "check_amortized_depth", "check_rotation_delta")
 
@@ -106,3 +112,80 @@ def test_lemma3_illegal_output_op_raises(monkeypatch):
     monkeypatch.setattr(suites, "simulate_program", simulate_then_up)
     with pytest.raises(IllegalOpError):
         run_suite("lemma3", ExperimentConfig(n=10, trials=1))
+
+
+# -- the conjecture hill-climb against its full-replay reference ---------------
+
+CONJECTURE_GENERATORS = ("uniform", "sequential", "zipf(1.1)", "working-set({size})",
+                         "repeated-extremes")
+
+
+def conjecture_both_ways(config):
+    """(report dict, checked) of run_conjecture and of the full-replay reference."""
+    suite = suites.SUITES["conjecture"]
+    results = []
+    for runner in (suites.run_conjecture, reference_run_conjecture):
+        check = CheckReport("conjecture")
+        results.append((runner(suite, config, check), check.checked))
+    return results
+
+
+@pytest.mark.parametrize("generator", CONJECTURE_GENERATORS)
+def test_conjecture_matches_full_replay(generator):
+    # m below, at and just past the checkpoint spacing, and one with a partial
+    # last chunk; n from a single key up.
+    K = CHECKPOINT_SPACING
+    for n in (1, 2, 5, 64):
+        for m in (0, 1, K - 1, K, K + 1, 100):
+            for seed in (0, 1, 5):
+                config = ExperimentConfig(seed=seed, n=n, m=m, trials=40,
+                                          generator=generator.format(size=min(4, n)))
+                got, want = conjecture_both_ways(config)
+                assert got == want, config
+
+
+def test_conjecture_splays_fewer_queries(monkeypatch):
+    # The deterministic form of the speed claim: the queries handed to the
+    # splay kernel, summed over calls, at the benchmark's n and m.
+    counts = {}
+
+    def counting(module):
+        kernel = module.total_access_cost
+
+        def wrapper(state, queries):
+            counts[module.__name__] = counts.get(module.__name__, 0) + len(queries)
+            return kernel(state, queries)
+        monkeypatch.setattr(module, "total_access_cost", wrapper)
+
+    counting(suites)
+    counting(reference)
+    got, want = conjecture_both_ways(ExperimentConfig(seed=0, n=64, m=512, trials=300))
+    assert got == want
+    assert counts["reference"] == 156_512
+    assert counts["splaylab.suites"] < 0.75 * counts["reference"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(1, 12), st.integers(0, 60), st.integers(0, 2**32))
+def test_prefix_replay_cost_matches_full_replay(data, n, m, seed):
+    rng = rng_for_trial(seed, 0)
+    S0 = random_tree(n, rng)
+    base = [rng.randrange(n) for _ in range(m)]
+    extra = st.tuples(st.integers(0, m), st.integers(0, n - 1))
+    extras = data.draw(st.lists(extra, min_size=1, max_size=8))
+    replay = PrefixReplay(S0, base, extras)
+    for _ in range(data.draw(st.integers(1, 4))):
+        slot = data.draw(st.integers(0, len(extras) - 1))
+        new = data.draw(extra)
+        candidate = list(extras)
+        candidate[slot] = new
+        start = min(extras[slot][0], new[0])
+        want = total_access_cost(S0.copy(), merge_extras(base, candidate))
+        assert replay.cost(candidate, start) == want
+        if data.draw(st.booleans()):
+            replay.accept(candidate, start)
+            extras = candidate
+            fresh = PrefixReplay(S0, base, extras)
+            assert replay.costs == fresh.costs
+            assert len(replay.trees) == len(fresh.trees) == m // CHECKPOINT_SPACING + 1
+            assert all(map(same_structure, replay.trees, fresh.trees))
