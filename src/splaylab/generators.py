@@ -8,7 +8,9 @@ import random
 import re
 from dataclasses import dataclass
 
-from .machine import MachineProgram, OpKind, TreeState, apply_op, tree_from_roots
+from .machine import MachineProgram, OpKind, TreeState, tree_from_roots
+
+_L, _R, _U, _ROT = OpKind.LEFT, OpKind.RIGHT, OpKind.UP, OpKind.ROTATE
 
 
 def rng_for_trial(seed: int, trial: int) -> random.Random:
@@ -16,12 +18,29 @@ def rng_for_trial(seed: int, trial: int) -> random.Random:
     return random.Random(f"{seed}:{trial}")
 
 
+def root_picker(rng: random.Random):
+    """pick(i, j): `rng.randrange(i, j)` with its unit-step path inlined, the
+    rejection loop of `random.Random._randbelow` over `rng.getrandbits`.  The
+    draws and the RNG state after them are the same as randrange's."""
+    getrandbits = rng.getrandbits
+
+    def pick(i: int, j: int) -> int:
+        width = j - i
+        k = width.bit_length()
+        r = getrandbits(k)
+        while r >= width:
+            r = getrandbits(k)
+        return i + r
+
+    return pick
+
+
 def random_tree(n: int, rng: random.Random) -> TreeState:
     """Random tree on keys 0..n-1: every subtree's root is uniform over its keys.
 
     Roots are drawn in preorder (root, left subtree, right subtree).
     """
-    return tree_from_roots(range(n), rng.randrange)
+    return tree_from_roots(range(n), root_picker(rng))
 
 
 def random_pair(n: int, rng: random.Random) -> tuple[TreeState, TreeState]:
@@ -47,31 +66,38 @@ def random_t_program(tree: TreeState, rng: random.Random,
                      max_moves: int = 100, max_rotations: int = 50):
     """Random legal move/rotate program for `tree` (consumed by simulation).
 
+    Each op is `rng.choice` over the legal kinds, listed in the order left,
+    right, up (while moves remain), rotate (while rotations remain).  The
+    cursor is held in a local and a rotation goes straight to `rotate_up`.
     Returns a MachineProgram; the tree passed in is not modified.
     """
     work = tree.copy()
+    left, right, parent = work.left, work.right, work.parent
+    cursor = work.cursor
+    choice = rng.choice
     ops = []
     moves = rng.randrange(max_moves + 1)
     rotations = rng.randrange(max_rotations + 1)
     while moves or rotations:
         choices = []
         if moves:
-            if work.left[work.cursor] is not None:
-                choices.append(OpKind.LEFT)
-            if work.right[work.cursor] is not None:
-                choices.append(OpKind.RIGHT)
-            if work.parent[work.cursor] is not None:
-                choices.append(OpKind.UP)
-        if rotations and work.parent[work.cursor] is not None:
-            choices.append(OpKind.ROTATE)
+            if left[cursor] is not None:
+                choices.append(_L)
+            if right[cursor] is not None:
+                choices.append(_R)
+            if parent[cursor] is not None:
+                choices.append(_U)
+        if rotations and parent[cursor] is not None:
+            choices.append(_ROT)
         if not choices:
             break
-        op = rng.choice(choices)
-        apply_op(work, op)
+        op = choice(choices)
         ops.append(op)
-        if op is OpKind.ROTATE:
+        if op is _ROT:
+            work.rotate_up(cursor)
             rotations -= 1
         else:
+            cursor = left[cursor] if op is _L else right[cursor] if op is _R else parent[cursor]
             moves -= 1
     return MachineProgram(tuple(ops))
 

@@ -202,8 +202,9 @@ class InterleavedRun:
     Weights always derive from T's current depths; they are frozen during
     splays in S and reassigned at every T rotation.  `sums` are S's subtree
     sums for its current shape and weights: each splay updates them in place
-    and each T rotation recomputes them.  P(T) is recomputed only when T
-    rotates, and `phi` = P(S) - P(T) is computed when it is read.
+    and each T rotation recomputes them.  P(T) is computed when it is first
+    read after T's latest rotation, and `phi` = P(S) - P(T) is computed when
+    it is read.
     """
 
     def __init__(self, S: TreeState, T: TreeState, per_step: bool = False):
@@ -217,13 +218,20 @@ class InterleavedRun:
         self.s_cost = 0
         self.sum_amortized = 0.0
         self._reweight()
-        self.phi_initial = potential(self.sums, self.wa) - self.p_T
 
     def _reweight(self) -> None:
-        """Weights, P(T) and S's subtree sums from T's current shape."""
+        """Weights and S's subtree sums from T's current shape; P(T) is left
+        for its first reader."""
         self.wa = assign_weights(self.T)
-        self.p_T = potential_of(self.T, self.wa)
+        self._p_T = None
         self.sums = subtree_sums(self.S, self.wa)
+
+    @property
+    def p_T(self) -> float:
+        """P(T) under the current weights, computed on its first read."""
+        if self._p_T is None:
+            self._p_T = potential_of(self.T, self.wa)
+        return self._p_T
 
     @property
     def phi(self) -> float:
@@ -256,11 +264,12 @@ class InterleavedRun:
         self.report.absorb(check_rotation_delta(ev))
         return ev
 
-    def telescoping_residual(self, phi_final: float) -> float:
+    def telescoping_residual(self, phi_initial: float, phi_final: float) -> float:
         """(sum of amortized - sum of real) - (final phi - initial phi): the
         summed potential changes of every splay and rotation against
-        `phi_final`, a fresh potential of the final trees read off `phi`."""
-        return (self.sum_amortized - self.s_cost) - (phi_final - self.phi_initial)
+        `phi_initial`, read before the first event, and `phi_final`, a fresh
+        potential of the final trees read off `phi`."""
+        return (self.sum_amortized - self.s_cost) - (phi_final - phi_initial)
 
 
 # -- regular-access trials ----------------------------------------------------
@@ -338,6 +347,7 @@ def accounting_run(n: int, queries, strategy: str = "oracle-witness") -> Account
     st = init_prime(T0)
     S = st.prime.copy()
     run = InterleavedRun(S, st.prime)
+    phi_initial = potential(run.sums, run.wa) - run.p_T
     for k, q in enumerate(queries):
         run.splay_query(q)
         for t_op in segments[k]:
@@ -348,7 +358,7 @@ def accounting_run(n: int, queries, strategy: str = "oracle-witness") -> Account
     e = run.organizing_count
     e_within_budget = e <= ORGANIZING_SPLAYS_PER_ROTATION * r_prime
     phi_final = run.phi
-    residual = run.telescoping_residual(phi_final)
+    residual = run.telescoping_residual(phi_initial, phi_final)
     check = CheckReport("accounting", checked=5, violations=list(run.report.violations))
     if not counts_exact:
         check.fail("simulated op counts off")
@@ -356,8 +366,8 @@ def accounting_run(n: int, queries, strategy: str = "oracle-witness") -> Account
         check.fail(f"e={e} exceeds 3R'={ORGANIZING_SPLAYS_PER_ROTATION * r_prime}")
     if abs(residual) > RANK_TOL:
         check.fail(f"telescoping residual {residual}")
-    if run.phi_initial != 0.0:
-        check.fail(f"initial potential {run.phi_initial}")
+    if phi_initial != 0.0:
+        check.fail(f"initial potential {phi_initial}")
     denom = n + m_prime + r_prime
     return AccountingReport(
         e=e,
@@ -366,7 +376,7 @@ def accounting_run(n: int, queries, strategy: str = "oracle-witness") -> Account
         M_prime=m_prime,
         R_prime=r_prime,
         total_S_cost=run.s_cost,
-        phi_initial=run.phi_initial,
+        phi_initial=phi_initial,
         phi_final=phi_final,
         telescoping_residual=residual,
         counts_exact=counts_exact,

@@ -110,19 +110,33 @@ def run_lemma3(suite: Suite, config: ExperimentConfig, report: CheckReport) -> d
     return {}
 
 
+def near_root(T: TreeState) -> tuple[list, list]:
+    """T's keys at depth 1 and at depth 2, each list in key order: the same
+    lists a scan of T's in-order by depth gives, read off the root's links."""
+    left, right = T.left, T.right
+    depth1 = [c for c in (left[T.root], right[T.root]) if c is not None]
+    depth2 = [g for c in depth1 for g in (left[c], right[c]) if g is not None]
+    return depth1, depth2
+
+
 def run_lemma4(suite: Suite, config: ExperimentConfig, report: CheckReport) -> dict:
-    """Per-splay amortized bounds during interleaved runs with T rotations."""
+    """Per-splay amortized bounds during interleaved runs with T rotations.
+
+    T's keys are 0..n-1 and rotations keep its in-order, so a splay key is
+    drawn from range(n).
+    """
     splays = 0
     for label, rng, n in suite.trials_of(config):
         S, T = random_pair(n, rng)
         run = InterleavedRun(S, T)
         for _ in range(rng.randint(1, 8)):
             if rng.random() < 0.25:
-                shallow = [k for k in T.in_order() if 1 <= T.depth(k) <= 2]
+                depth1, depth2 = near_root(T)
+                shallow = sorted(depth1 + depth2)
                 if shallow:
                     run.apply_T_rotation(rng.choice(shallow))
                     continue
-            run.splay_query(rng.choice(T.in_order()))
+            run.splay_query(rng.choice(range(n)))
             splays += 1
         report.absorb(run.report, label)
     return {"splays": splays}
@@ -141,7 +155,7 @@ def run_lemma5(suite: Suite, config: ExperimentConfig, report: CheckReport) -> d
             rng = rng_for_trial(config.seed, 10 ** 6 * depth_target + trial)
             trial += 1
             S, T = random_pair(rng.randint(suite.min_n, config.n), rng)
-            candidates = [k for k in T.in_order() if T.depth(k) == depth_target]
+            candidates = near_root(T)[depth_target - 1]
             if not candidates:
                 continue
             run = InterleavedRun(S, T)
@@ -159,7 +173,7 @@ def run_lemma6(suite: Suite, config: ExperimentConfig, report: CheckReport) -> d
         # ticks `checked`, so the report's bytes pin this subset.
         per_step = k % 20 == 0
         run = InterleavedRun(S, T, per_step=per_step)
-        run.splay_query(rng.choice(T.in_order()))
+        run.splay_query(rng.choice(range(n)))  # T's in-order is 0..n-1
         report.absorb(run.report, label)
     return {}
 

@@ -25,16 +25,27 @@ behind `cursor_trace` and `apply_t_op`.
 `reference_run_conjecture` is the hill-climb that replays every candidate's
 whole augmented sequence from the start tree, so it checks the checkpointed
 replay of `splaylab.suites.run_conjecture`.
+`reference_random_t_program` steps its work tree through `apply_op` once per
+drawn op, so it pins the ops and the RNG draws of
+`splaylab.generators.random_t_program`, which moves its cursor in a local.
 """
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from functools import lru_cache
 
 from splaylab.generators import generate_sequence, random_tree, rng_for_trial
 from splaylab.lab import cost_ratio, merge_extras
-from splaylab.machine import IllegalOpError, OpKind, TreeState, apply_op, build_tree
+from splaylab.machine import (
+    IllegalOpError,
+    MachineProgram,
+    OpKind,
+    TreeState,
+    apply_op,
+    build_tree,
+)
 from splaylab.oracle import _links, _rotated
 from splaylab.potential import WeightAssignment
 from splaylab.restricted import SentineledTree, op_sequence
@@ -352,3 +363,36 @@ def reference_run_conjecture(suite, config, report) -> dict:
         "max_ratio": best_ratio,
         "exceeds_one": best_ratio > 1.0,
     }
+
+
+def reference_random_t_program(tree: TreeState, rng: random.Random,
+                               max_moves: int = 100, max_rotations: int = 50):
+    """Random legal move/rotate program for `tree` (consumed by simulation).
+
+    Returns a MachineProgram; the tree passed in is not modified.
+    """
+    work = tree.copy()
+    ops = []
+    moves = rng.randrange(max_moves + 1)
+    rotations = rng.randrange(max_rotations + 1)
+    while moves or rotations:
+        choices = []
+        if moves:
+            if work.left[work.cursor] is not None:
+                choices.append(OpKind.LEFT)
+            if work.right[work.cursor] is not None:
+                choices.append(OpKind.RIGHT)
+            if work.parent[work.cursor] is not None:
+                choices.append(OpKind.UP)
+        if rotations and work.parent[work.cursor] is not None:
+            choices.append(OpKind.ROTATE)
+        if not choices:
+            break
+        op = rng.choice(choices)
+        apply_op(work, op)
+        ops.append(op)
+        if op is OpKind.ROTATE:
+            rotations -= 1
+        else:
+            moves -= 1
+    return MachineProgram(tuple(ops))

@@ -55,8 +55,9 @@ GOLDEN = [
 HELD_OUT_SEED = 7
 
 # The suites whose reports rest on opt_cost's witnesses, on the potential's
-# float sums and on the conjecture hill-climb's checkpointed replay, at the
-# held-out seed (same layout as GOLDEN).
+# float sums, on the conjecture hill-climb's checkpointed replay and on the
+# random trees and programs drawn for lemmas 1-3 and 5, at the held-out seed
+# (same layout as GOLDEN).
 HELD_OUT = [
     ("theorem7-witness", "theorem7", dict(n=6, m=8, trials=300, strategy="oracle-witness"),
      "e25d744478b9a382064de497d6a6c758e794130cc4919b871bcd316d8731ba48"),
@@ -73,6 +74,14 @@ HELD_OUT = [
     ("conjecture-repeated-extremes", "conjecture",
      dict(n=32, m=100, trials=50, generator="repeated-extremes"),
      "8fe9760b7ad9ae94618720c3f8e919642f1c87028ff6b2c25c72b78b3efc5c73"),
+    ("lemma1", "lemma1", dict(n=32, trials=50),
+     "632dc1a1a296727d6dd468f711af33acdc0c5df6b97de6d9c0ff8e828a9c2b43"),
+    ("lemma2", "lemma2", dict(n=32, trials=50),
+     "fedcd0cbf60301681fad17d934713cfb00aad206565e2e8588bc956d89a753e1"),
+    ("lemma3", "lemma3", dict(n=10, trials=50),
+     "cf29652f38df7e12a19a640099bae0f99265b620aa63a829f9e225aced17d83a"),
+    ("lemma5", "lemma5", dict(n=32, trials=20),
+     "d99113abd42cc01a82b1cba427c2dfbb5aa1c60d550f2059d5a16911f675c715"),
 ]
 
 

@@ -5,7 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 import splaylab.lab
 import splaylab.potential
-from splaylab.generators import random_pair, random_tree, rng_for_trial, spine_tree
+import splaylab.suites
+from splaylab.generators import (
+    ExperimentConfig,
+    random_pair,
+    random_tree,
+    rng_for_trial,
+    spine_tree,
+)
 from splaylab.lab import (
     ROTATION_DELTA_BOUND,
     InterleavedRun,
@@ -79,19 +86,20 @@ class TestInterleavedRun:
         for _ in range(30):
             S, T = random_pair(rng.randint(2, 24), rng)
             run = InterleavedRun(S, T)
+            phi_initial = run.phi
             for _ in range(6):
                 if rng.random() < 0.3:
                     shallow = [k for k in T.in_order() if 1 <= T.depth(k) <= 2]
                     run.apply_T_rotation(rng.choice(shallow))
                 else:
                     run.splay_query(rng.choice(T.in_order()))
-            assert abs(run.telescoping_residual(run.phi)) < 1e-6
+            assert abs(run.telescoping_residual(phi_initial, run.phi)) < 1e-6
             assert not run.report.violations
 
     def test_identical_start_zero_phi(self):
         T = random_tree(10, rng_for_trial(67, 0))
         run = InterleavedRun(T.copy(), T)
-        assert run.phi_initial == 0.0
+        assert run.phi == 0.0
 
     def test_rotation_delta_under_bound(self):
         rng = rng_for_trial(71, 0)
@@ -177,13 +185,15 @@ class TestKeptSums:
             log.clear()
             return names
 
-        assert passes() == ["T", "S"]
+        assert passes() == ["S"]  # P(T) waits for its first reader
         run.splay_query(0)
         assert passes() == ["splayed"]
         run.splay_query(run.S.root)
         assert passes() == ["splayed"]
         run.apply_T_rotation(0)  # organizing splays of 0 (S's root), 1 and 3
-        assert passes() == ["splayed", "splayed", "splayed", "T", "S"]
+        # P(T) before the rotation (phi_before), S's sums under the new
+        # weights, then P(T) after it (phi_after).
+        assert passes() == ["splayed", "splayed", "splayed", "T", "S", "T"]
         run.per_step = True
         ev = run.splay_query(0)
         assert ev.steps and passes() == ["splayed"]
@@ -200,6 +210,7 @@ class TestKeptSums:
         class Logged(InterleavedRun):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
+                self.phi_initial = self.phi
                 runs.append(self)
 
             def splay_query(self, key):
@@ -221,7 +232,37 @@ class TestKeptSums:
         last = len(log) - log[::-1].index("event")
         assert log[last:] == [run.S]
         assert acc.phi_final == run.phi
-        assert acc.telescoping_residual == run.telescoping_residual(run.phi)
+        assert acc.phi_initial == run.phi_initial
+        assert acc.telescoping_residual == run.telescoping_residual(run.phi_initial, run.phi)
+
+    def test_lemma6_trial_reads_no_P_of_T(self, monkeypatch):
+        # A lemma6 trial checks one splay against S's sums: they are its one
+        # whole-tree pass, and P(T), which no check reads, is never computed.
+        log, runs = [], []
+        sums_of = splaylab.potential.subtree_sums
+        potential_of_ = splaylab.potential.potential_of
+
+        def counted_sums(tree, wa):
+            log.append(tree)
+            return sums_of(tree, wa)
+
+        def counted_potential(tree, wa):
+            log.append("potential_of")
+            return potential_of_(tree, wa)
+
+        class Logged(InterleavedRun):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                runs.append(self)
+
+        for module in (splaylab.lab, splaylab.potential):
+            monkeypatch.setattr(module, "subtree_sums", counted_sums)
+            monkeypatch.setattr(module, "potential_of", counted_potential)
+        monkeypatch.setattr(splaylab.suites, "InterleavedRun", Logged)
+        code, _ = splaylab.suites.run_suite("lemma6", ExperimentConfig(n=64, trials=3))
+        assert code == 0
+        assert len(runs) == 3  # trial 0 checks every step
+        assert log == [run.S for run in runs]
 
     @pytest.mark.parametrize("per_step", [False, True])
     def test_splay_delta_matches_fresh_potentials(self, per_step):
@@ -232,6 +273,7 @@ class TestKeptSums:
         for _ in range(60):
             S, T = random_pair(rng.randint(1, 48), rng)
             run = InterleavedRun(S, T, per_step=per_step)
+            phi_initial = run.phi
             for _ in range(6):
                 shallow = [k for k in T.in_order() if 1 <= T.depth(k) <= 2]
                 if shallow and rng.random() < 0.25:
@@ -245,7 +287,7 @@ class TestKeptSums:
                     assert sum(step.cost for step in ev.steps) == ev.cost
                     assert sum(step.delta for step in ev.steps) == pytest.approx(ev.delta, abs=1e-12)
                 checked += ev.cost > 0
-            assert abs(run.telescoping_residual(run.phi)) < 1e-9
+            assert abs(run.telescoping_residual(phi_initial, run.phi)) < 1e-9
         assert checked > 100
 
 

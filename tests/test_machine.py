@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +13,13 @@ from splaylab.machine import (
     build_tree,
     tree_from_roots,
 )
-from splaylab.generators import balanced_tree, random_tree, rng_for_trial, spine_tree
+from splaylab.generators import (
+    balanced_tree,
+    random_tree,
+    rng_for_trial,
+    root_picker,
+    spine_tree,
+)
 from splaylab.oracle import static_optimal
 from splaylab.restricted import cursor_trace
 
@@ -185,6 +193,24 @@ def test_random_tree_matches_descriptor_route():
             for links in ("left", "right", "parent"):
                 assert list(getattr(direct, links).items()) == list(getattr(via_desc, links).items())
             assert rng_direct.random() == rng_desc.random()  # same draws consumed
+
+
+# Widths 1, 2^k and 2^k +- 1: where getrandbits' bit count steps up and where
+# the rejection loop rejects most often.
+WIDTHS = st.integers(0, 70).flatmap(
+    lambda k: st.sampled_from(sorted({max(1, 2**k + d) for d in (-1, 0, 1)})))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**64), st.lists(st.tuples(st.integers(-1000, 1000), WIDTHS), max_size=20))
+def test_root_picker_matches_randrange(seed, intervals):
+    # The inlined pick is randrange(i, j) on the running interpreter: the same
+    # value and the same RNG state after every draw.
+    ours, theirs = random.Random(seed), random.Random(seed)
+    pick = root_picker(ours)
+    for i, width in intervals:
+        assert pick(i, i + width) == theirs.randrange(i, i + width)
+        assert ours.getstate() == theirs.getstate()
 
 
 def test_random_tree_needs_a_node():

@@ -30,6 +30,7 @@ from reference import (
     reference_apply_t_op,
     reference_cursor_trace,
     reference_is_subsequence,
+    reference_random_t_program,
     same_structure,
     validate,
 )
@@ -343,9 +344,9 @@ class TestBatchedTransition:
         assert hooked_calls > 1000 if hooked else hooked_calls == 0
 
     def test_lemma3_applies_no_op_per_restricted_op(self, monkeypatch):
-        # apply_op runs only for the simulated program's own steps: once as
-        # random_t_program draws each op and once as op_sequence steps the
-        # tracked tree.  The restricted ops and both replays run in apply_ops.
+        # apply_op runs once per simulated op, as op_sequence steps the
+        # tracked tree.  random_t_program moves its own cursor, and the
+        # restricted ops and both replays run in apply_ops.
         calls, drawn = [], []
         original = splaylab.machine.apply_op
 
@@ -370,4 +371,18 @@ class TestBatchedTransition:
         assert code == 0
         (program,) = drawn
         assert len(program.ops) > 10
-        assert calls == list(program.ops) * 2
+        assert calls == list(program.ops)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hst.integers(1, 12), hst.integers(0, 2**30), hst.integers(0, 30), hst.integers(0, 15))
+def test_random_t_program_matches_reference(n, seed, max_moves, max_rotations):
+    # The same ops from the same draws, and the RNG left in the same state;
+    # the tree passed in is left as it was.
+    T = random_tree(n, rng_for_trial(seed, 0))
+    before = T.copy()
+    ours, theirs = rng_for_trial(seed, 1), rng_for_trial(seed, 1)
+    program = random_t_program(T, ours, max_moves, max_rotations)
+    assert program == reference_random_t_program(T, theirs, max_moves, max_rotations)
+    assert ours.getstate() == theirs.getstate()
+    assert same_structure(T, before) and T.cursor == before.cursor
