@@ -4,12 +4,20 @@ Runs a splay tree against a reference tree over the same keys, tracking the
 cross-tree potential, checking the per-splay amortized bounds and the
 constant bound on the potential jump of each reference rotation (preceded by
 its organizing splays), and producing full accounting reports.
+
+Every BST subtree holds a contiguous run of keys, so S's subtree sums are
+read as key-interval sums: with the weights listed in key order and `prefix`
+their prefix sums, the subtree over the keys of ranks lo..hi-1 sums to
+prefix[hi] - prefix[lo].  A splay reads the 2-3 sums each step changes; a
+reference rotation reads only the nodes on S's paths to the keys it splayed.
+Whole-tree passes are left to the potentials that reach a report (`phi`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from operator import itemgetter
 
 from .machine import IllegalOpError, OpKind, TreeState
@@ -19,19 +27,18 @@ from .potential import (
     WeightAssignment,
     assign_weights,
     potential,
-    potential_of,
     subtree_sums,
 )
 from .report import CheckReport
 from .restricted import apply_t_op, init_prime
-from .splay import ROTATIONS, ZIG, splay_step
+from .splay import ROTATIONS, ZIG, ZIGZIG, splay_step
 
 ROTATION_DELTA_BOUND = 11 + math.log2(11)
 ROTATION_DELTA_BOUND_SHALLOW = 7 + math.log2(11)
 ORGANIZING_SPLAYS_PER_ROTATION = 3
 
 
-@dataclass
+@dataclass(slots=True)
 class StepCheck:
     """One splay step with the key's rank around it and the change of P(S)."""
 
@@ -46,7 +53,7 @@ class StepCheck:
         return self.cost + self.delta
 
 
-@dataclass
+@dataclass(slots=True)
 class SplayEvent:
     key: int
     cost: int  # the key's depth before the splay
@@ -54,7 +61,6 @@ class SplayEvent:
     r_root_before: float
     r_key_before: float
     delta: float  # P(S) after the splay minus P(S) before it
-    sums: dict  # S's subtree sums, updated in place by the splay
     steps: list = field(default_factory=list)
 
     @property
@@ -62,59 +68,81 @@ class SplayEvent:
         return self.cost + self.delta
 
 
-@dataclass
+@dataclass(slots=True)
 class RotationEvent:
     key: int
     depth_ref: int
-    phi_before: float
-    phi_after: float
+    delta: float  # phi after the rotation minus phi after its organizing splays
 
-    @property
-    def delta(self) -> float:
-        return self.phi_after - self.phi_before
+
+def key_path(tree: TreeState, rank: dict, key: int) -> list:
+    """The path from `tree`'s root down to `key`, each node as (node, lo, hi):
+    its subtree holds exactly the keys of ranks lo..hi-1."""
+    left, right = tree.left, tree.right
+    node, lo, hi = tree.root, 0, len(rank)
+    path = [(node, lo, hi)]
+    while node != key:
+        if key < node:
+            hi = rank[node]
+            node = left[node]
+        else:
+            lo = rank[node] + 1
+            node = right[node]
+        path.append((node, lo, hi))
+    return path
 
 
 def checked_splay(
     S: TreeState,
     wa: WeightAssignment,
-    sums: dict,
+    prefix: list,
+    rank: dict,
     key: int,
     depth_ref: int,
     per_step: bool = False,
 ) -> SplayEvent:
     """Splay `key` in S under fixed weights, recording everything the
-    amortized checks need.  `sums` are S's subtree sums before the splay.
+    amortized checks need.  `rank` maps each key to its place in key order and
+    `prefix` lists the prefix sums of `wa`'s weights in that order, so the
+    subtree over the keys of ranks lo..hi-1 sums to prefix[hi] - prefix[lo].
 
     A step changes the subtree sums of only the key x, its parent p and its
-    grandparent g: x takes the old sum of the top node of the three, and g
-    (below p after a zig-zig) then p are summed from their children.  The sums
-    are updated in place, and the change of P(S) is read off those nodes."""
-    if key not in sums:
+    grandparent g.  x takes the key interval of the top node of the three; p
+    takes the part of it on p's side of x, and g (below p after a zig-zig)
+    the part on g's side of p after a zig-zig, of x after a zig-zag.  The
+    change of P(S) is read off those sums."""
+    if key not in rank:
         raise KeyError(f"unknown key {key!r}")
     log2 = math.log2
     bias = 2 * wa.scale_exponent
-    left, right, parent, weights = S.left, S.right, S.parent, wa.weights
-    r_key = log2(sums[key]) - bias
+    path = key_path(S, rank, key)
+    _, lo, hi = path.pop()
+    s_key = prefix[hi] - prefix[lo]
+    r_key = log2(s_key) - bias
     ev = SplayEvent(
-        key=key, cost=0, depth_ref=depth_ref, r_root_before=log2(sums[S.root]) - bias,
-        r_key_before=r_key, delta=0.0, sums=sums,
+        key=key, cost=0, depth_ref=depth_ref, r_root_before=log2(prefix[-1]) - bias,
+        r_key_before=r_key, delta=0.0,
     )
-    while parent[key] is not None:
-        p = parent[key]
-        g = parent[p]
-        s_key, s_p = sums[key], sums[p]
-        s_top = s_p if g is None else sums[g]
+    r_x = rank[key]
+    below_x, through_x = prefix[r_x], prefix[r_x + 1]
+    while path:
+        p, lo, hi = path.pop()
+        s_p = s_top = prefix[hi] - prefix[lo]
+        g = None
+        if path:
+            g, lo, hi = path.pop()
+            s_top = prefix[hi] - prefix[lo]
         kind = splay_step(S, key)
         # x's new sum is the top's old sum, so those two ranks cancel in the
         # change of P(S): what is left is s'(p) [and s'(g)] over s(x) [and s(p)].
-        # An absent child is None, which `sums` never holds.
-        sums[key] = s_top
         if g is None:
             delta = 0.0
         else:
-            sums[g] = s = weights[g] + sums.get(left[g], 0) + sums.get(right[g], 0)
+            pivot = p if kind == ZIGZIG else key
+            r = rank[pivot]
+            s = prefix[hi] - prefix[r + 1] if g > pivot else prefix[r] - prefix[lo]
             delta = log2(s) - log2(s_p)
-        sums[p] = s = weights[p] + sums.get(left[p], 0) + sums.get(right[p], 0)
+        s = prefix[hi] - through_x if p > key else below_x - prefix[lo]
         delta += log2(s) - log2(s_key)
         ev.cost += ROTATIONS[kind]
         ev.delta += delta
@@ -122,6 +150,7 @@ def checked_splay(
             r_after = log2(s_top) - bias
             ev.steps.append(StepCheck(kind, ROTATIONS[kind], r_key, r_after, delta))
             r_key = r_after
+        s_key = s_top
     S.cursor = S.root
     return ev
 
@@ -200,11 +229,13 @@ class InterleavedRun:
     """A splay tree S evolving against a reference tree T over the same keys.
 
     Weights always derive from T's current depths; they are frozen during
-    splays in S and reassigned at every T rotation.  `sums` are S's subtree
-    sums for its current shape and weights: each splay updates them in place
-    and each T rotation recomputes them.  P(T) is computed when it is first
-    read after T's latest rotation, and `phi` = P(S) - P(T) is computed when
-    it is read.
+    splays in S and reassigned at every T rotation.  `prefix` holds the
+    prefix sums of the weights in key order, rebuilt at every T rotation, and
+    `rank` each key's place in that order, built once because rotations keep
+    the in-order.  S's subtree sums are read off them as key-interval sums, so
+    neither a splay nor a rotation makes a whole-tree pass.  P(T) is computed
+    when it is first read after T's latest rotation, and `phi` = P(S) - P(T)
+    is computed, from fresh passes, when it is read.
     """
 
     def __init__(self, S: TreeState, T: TreeState, per_step: bool = False):
@@ -218,29 +249,30 @@ class InterleavedRun:
         self.s_cost = 0
         self.sum_amortized = 0.0
         self._reweight()
+        self.rank = {key: i for i, key in enumerate(self.wa.weights)}
 
     def _reweight(self) -> None:
-        """Weights and S's subtree sums from T's current shape; P(T) is left
+        """Weights and their prefix sums from T's current shape; P(T) is left
         for its first reader."""
         self.wa = assign_weights(self.T)
+        self.prefix = [0, *accumulate(self.wa.weights.values())]
         self._p_T = None
-        self.sums = subtree_sums(self.S, self.wa)
 
     @property
     def p_T(self) -> float:
         """P(T) under the current weights, computed on its first read."""
         if self._p_T is None:
-            self._p_T = potential_of(self.T, self.wa)
+            self._p_T = potential(subtree_sums(self.T, self.wa), self.wa)
         return self._p_T
 
     @property
     def phi(self) -> float:
         """The current potential P(S) - P(T), from a fresh pass over S."""
-        return potential_of(self.S, self.wa) - self.p_T
+        return potential(subtree_sums(self.S, self.wa), self.wa) - self.p_T
 
     def splay_query(self, key: int) -> SplayEvent:
         ev = checked_splay(
-            self.S, self.wa, self.sums, key,
+            self.S, self.wa, self.prefix, self.rank, key,
             depth_ref=self.wa.depth(key), per_step=self.per_step,
         )
         self.s_cost += ev.cost
@@ -250,16 +282,39 @@ class InterleavedRun:
         return ev
 
     def apply_T_rotation(self, rotated: int) -> RotationEvent:
-        """Organizing splays in S, then the rotation in T, then reweighting."""
+        """Organizing splays in S, then the rotation in T, then reweighting.
+
+        The change of phi is summed over Z, the nodes on S's paths from its
+        root to the splayed keys.  Rotating x = `rotated` over its parent p
+        scales the weights of each of the key ranges A, B and C (the subtrees
+        that change depth) and of the rest by one power of 4 each, and the
+        splayed keys (x, p and, at depth 2, T's root) separate those ranges.
+        A node outside Z has its S-subtree and its T-subtree in one range, so
+        its rank changes in S and in T are equal and cancel.  Of Z, only x and
+        p change their T-subtree; a change of the scale 4^D shifts a node's
+        two ranks alike, so each term reads the four sums alone."""
         plan = plan_organizing_splays(self.T, rotated)
         for key in plan:
             self.splay_query(key)
         self.organizing_count += len(plan)
-        phi_before = potential(self.sums, self.wa) - self.p_T
-        self.T.rotate_up(rotated)
+        S, T, rank, before = self.S, self.T, self.rank, self.prefix
+        in_S = {}
+        for key in plan:
+            for node, lo, hi in key_path(S, rank, key):
+                in_S[node] = lo, hi
+        in_T = {v: key_path(T, rank, v)[-1][1:] for v in in_S}
+        T.rotate_up(rotated)
         self._reweight()
-        phi_after = potential(self.sums, self.wa) - self.p_T
-        ev = RotationEvent(rotated, len(plan) - 1, phi_before, phi_after)
+        after = self.prefix
+        in_T_after = {v: key_path(T, rank, v)[-1][1:] for v in plan[:2]}
+        log2 = math.log2
+        delta = 0.0
+        for v, (lo, hi) in in_S.items():
+            t_lo, t_hi = in_T[v]
+            u_lo, u_hi = in_T_after.get(v, in_T[v])
+            delta += (log2(after[hi] - after[lo]) - log2(before[hi] - before[lo])
+                      - log2(after[u_hi] - after[u_lo]) + log2(before[t_hi] - before[t_lo]))
+        ev = RotationEvent(rotated, len(plan) - 1, delta)
         self.sum_amortized += ev.delta  # zero real cost for S
         self.report.absorb(check_rotation_delta(ev))
         return ev
@@ -347,7 +402,7 @@ def accounting_run(n: int, queries, strategy: str = "oracle-witness") -> Account
     st = init_prime(T0)
     S = st.prime.copy()
     run = InterleavedRun(S, st.prime)
-    phi_initial = potential(run.sums, run.wa) - run.p_T
+    phi_initial = run.phi
     for k, q in enumerate(queries):
         run.splay_query(q)
         for t_op in segments[k]:

@@ -86,18 +86,6 @@ class TreeState:
             node = self.parent[node]
         return d
 
-    def all_depths(self) -> dict:
-        depths = {self.root: 0}
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            d = depths[node] + 1
-            for child in (self.left[node], self.right[node]):
-                if child is not None:
-                    depths[child] = d
-                    stack.append(child)
-        return depths
-
     def in_order(self) -> list:
         out = []
         stack = []

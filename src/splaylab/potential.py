@@ -3,7 +3,10 @@
 Weights come from the reference tree's depths: a node at depth d weighs
 4^(-d).  All subtree sums are kept as exact integers at a common scale of
 4^D (D = the reference tree's maximum depth); floating point enters only at
-the final base-2 logarithms.
+the final base-2 logarithms.  The weights are listed in key order, so a BST
+subtree, which holds a contiguous run of keys, sums to the difference of two
+prefix sums of that list; `lab` reads S's sums that way between the
+whole-tree passes of `subtree_sums`.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ RANK_TOL = 1e-6
 
 @dataclass(frozen=True)
 class WeightAssignment:
-    """Integer weights at scale 4^scale_exponent; true weight = w / 4^D."""
+    """Integer weights at scale 4^scale_exponent; true weight = w / 4^D.
+    `weights` is keyed in increasing key order."""
 
     scale_exponent: int
     weights: dict
@@ -36,11 +40,31 @@ class WeightAssignment:
         return self.scale_exponent - (weight.bit_length() - 1) // 2
 
 
-def assign_weights(optimal: TreeState) -> WeightAssignment:
-    """Weight 4^(-depth) for every key, from the reference tree's shape."""
-    depths = optimal.all_depths()
-    scale = max(depths.values())
-    return WeightAssignment(scale, {k: 4 ** (scale - d) for k, d in depths.items()})
+def assign_weights(reference: TreeState) -> WeightAssignment:
+    """Weight 4^(-depth) for every key, from the reference tree's shape.
+
+    One in-order walk lists the keys with their depths, each depth carried on
+    the stack with its node; the weights are then read off a table of the
+    powers 4^(D - d)."""
+    left, right = reference.left, reference.right
+    keys, depths = [], []
+    stack = []
+    node, d = reference.root, 0
+    while True:
+        while node is not None:
+            stack.append((node, d))
+            node = left[node]
+            d += 1
+        if not stack:
+            break
+        node, d = stack.pop()
+        keys.append(node)
+        depths.append(d)
+        node = right[node]
+        d += 1
+    scale = max(depths)
+    powers = [4 ** (scale - d) for d in range(scale + 1)]
+    return WeightAssignment(scale, dict(zip(keys, map(powers.__getitem__, depths))))
 
 
 def subtree_sums(tree: TreeState, wa: WeightAssignment) -> dict:

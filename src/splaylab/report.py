@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-@dataclass
+@dataclass(slots=True)
 class CheckReport:
     """Outcome of one checker: a count of checks and a list of violations."""
 
@@ -27,5 +27,7 @@ class CheckReport:
         """Add another checker's count and violations, each prefixed by
         `label: ` when a label is given."""
         self.checked += other.checked
+        if not other.violations:
+            return
         prefix = f"{label}: " if label else ""
         self.violations.extend(prefix + v for v in other.violations)

@@ -16,6 +16,10 @@ moves afresh and normalises through a helper, so it pins the witness, op for
 op, of `splaylab.oracle.opt_cost`, which reads its moves from a cache.
 `reference_subtree_sums` is the two-flag stack walk, so it pins the values and
 the dict order of `splaylab.potential.subtree_sums`.
+`all_depths` walks a tree by its child links, and `reference_assign_weights`
+turns those depths into weights with one power per key, so they check the
+in-order walk of `splaylab.potential.assign_weights` and, with
+`reference_subtree_sums`, the key-interval sums of `splaylab.lab`.
 `reference_apply_op` is the one-op transition dispatched per op on its kind,
 and `reference_cursor_trace` and `reference_apply_t_op` call it once per op and
 charge the ledger per op, so they check the batched `splaylab.machine.apply_ops`
@@ -136,9 +140,30 @@ def enumerate_shapes(n: int) -> list:
     return list(_shapes(n))
 
 
+def all_depths(tree: TreeState) -> dict:
+    """The depth of every key of `tree`, keyed in preorder."""
+    depths = {tree.root: 0}
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        d = depths[node] + 1
+        for child in (tree.left[node], tree.right[node]):
+            if child is not None:
+                depths[child] = d
+                stack.append(child)
+    return depths
+
+
+def reference_assign_weights(optimal: TreeState) -> WeightAssignment:
+    """Weight 4^(-depth) for every key, from the reference tree's shape."""
+    depths = all_depths(optimal)
+    scale = max(depths.values())
+    return WeightAssignment(scale, {k: 4 ** (scale - d) for k, d in depths.items()})
+
+
 def static_cost(tree: TreeState, counts: dict) -> int:
     """Total successful-search cost: sum of f(v) * (depth(v) + 1)."""
-    depths = tree.all_depths()
+    depths = all_depths(tree)
     return sum(counts[v] * (depths[v] + 1) for v in depths)
 
 

@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -99,6 +103,19 @@ class TestCli:
         assert code == 0
         report = json.loads(out)
         assert report["passed"] and report["schema_version"] == 1
+
+    def test_module_entry_point(self, capsys):
+        # `python -m splaylab` runs the same harness as the `splaylab` script.
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        args = ["--suite", "scan9n", "--n", "16"]
+        proc = subprocess.run([sys.executable, "-m", "splaylab", *args],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        _, out = run_cli(capsys, *args)
+        assert proc.stdout == out
+        assert json.loads(out)["passed"]
 
     def test_reports_byte_identical(self, capsys):
         args = ["--suite", "lemma1", "--seed", "7", "--trials", "25"]

@@ -1,4 +1,5 @@
 import math
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,9 +25,46 @@ from splaylab.lab import (
     plan_organizing_splays,
 )
 from splaylab.machine import IllegalOpError, build_tree
-from splaylab.potential import assign_weights, potential_of, subtree_sums
+from splaylab.potential import assign_weights, potential, potential_of, subtree_sums
+from splaylab.splay import total_access_cost
+from splaylab.suites import near_root
 
-from reference import merge_by_slots
+from reference import (
+    merge_by_slots,
+    reference_assign_weights,
+    reference_subtree_sums,
+    same_structure,
+)
+
+
+def key_order(wa):
+    """The prefix sums of `wa`'s weights in increasing key order, and each
+    key's rank in that order: the two lists `checked_splay` reads."""
+    keys = sorted(wa.weights)
+    return [0, *accumulate(wa.weights[k] for k in keys)], {k: i for i, k in enumerate(keys)}
+
+
+def interval_sums(tree, prefix, rank):
+    """Each node's key-interval sum prefix[hi] - prefix[lo], its subtree's
+    rank interval [lo, hi) narrowed on a walk down from the root."""
+    sums = {}
+    stack = [(tree.root, 0, len(rank))]
+    while stack:
+        node, lo, hi = stack.pop()
+        sums[node] = prefix[hi] - prefix[lo]
+        r = rank[node]
+        if tree.left[node] is not None:
+            stack.append((tree.left[node], lo, r))
+        if tree.right[node] is not None:
+            stack.append((tree.right[node], r + 1, hi))
+    return sums
+
+
+def fresh_phi(S, T):
+    """P(S) - P(T) from the reference weights and the reference sums."""
+    wa = reference_assign_weights(T)
+    return (potential(reference_subtree_sums(S, wa), wa)
+            - potential(reference_subtree_sums(T, wa), wa))
 
 
 class TestOrganizingPlans:
@@ -60,7 +98,7 @@ class TestPerSplayBounds:
             S, T = random_pair(rng.randint(1, 32), rng)
             key = rng.choice(T.in_order())
             wa = assign_weights(T)
-            ev = checked_splay(S, wa, subtree_sums(S, wa), key, depth_ref=T.depth(key),
+            ev = checked_splay(S, wa, *key_order(wa), key, depth_ref=T.depth(key),
                                per_step=True)
             report = check_access_lemma(ev)
             assert report.passed, report.violations
@@ -70,14 +108,14 @@ class TestPerSplayBounds:
         T = build_tree(range(3), "((..)(..))")
         S = T.copy()
         wa = assign_weights(T)
-        ev = checked_splay(S, wa, subtree_sums(S, wa), T.root, depth_ref=0)
+        ev = checked_splay(S, wa, *key_order(wa), T.root, depth_ref=0)
         assert ev.cost == 0 and ev.amortized == 0.0
 
     def test_unknown_key_rejected(self):
         T = build_tree(range(3), "((..)(..))")
         wa = assign_weights(T)
         with pytest.raises(KeyError, match="unknown key 7"):
-            checked_splay(T, wa, subtree_sums(T, wa), 7, depth_ref=0)
+            checked_splay(T, wa, *key_order(wa), 7, depth_ref=0)
 
 
 class TestInterleavedRun:
@@ -124,18 +162,21 @@ class TestInterleavedRun:
 
 
 class TestKeptSums:
-    """`InterleavedRun.sums` is S's one set of subtree sums: every splay and
-    every reference rotation leaves it equal to a from-scratch pass."""
+    """S's subtree sums are kept as key-interval sums of T's weights, read off
+    `InterleavedRun.prefix` and `rank`: after every splay and every reference
+    rotation they equal a from-scratch pass."""
 
     @pytest.mark.parametrize("per_step", [False, True])
     def test_kept_sums_match_a_fresh_pass(self, monkeypatch, per_step):
         original = splaylab.lab.checked_splay
 
-        def checked(S, wa, sums, key, depth_ref, per_step=False):
+        def checked(S, wa, prefix, rank, key, depth_ref, per_step=False):
             depth = S.copy().depth(key)
-            ev = original(S, wa, sums, key, depth_ref, per_step)
+            kept = list(prefix)
+            ev = original(S, wa, prefix, rank, key, depth_ref, per_step)
             assert ev.cost == depth
-            assert ev.sums == subtree_sums(S, wa)
+            assert prefix == kept  # a splay leaves the weights alone
+            assert interval_sums(S, prefix, rank) == subtree_sums(S, wa)
             return ev
 
         monkeypatch.setattr(splaylab.lab, "checked_splay", checked)
@@ -153,14 +194,18 @@ class TestKeptSums:
                 else:
                     key = run.S.root if roll < 0.45 else rng.choice(T.in_order())
                     roots += key == run.S.root
-                    assert run.splay_query(key).sums is run.sums
+                    prefix = run.prefix
+                    run.splay_query(key)
+                    assert run.prefix is prefix
                     splays += 1
-                assert run.sums == subtree_sums(run.S, run.wa)
+                assert interval_sums(run.S, run.prefix, run.rank) == subtree_sums(run.S, run.wa)
                 assert run.phi == potential_of(run.S, run.wa) - run.p_T
             assert not run.report.violations
         assert min(splays, roots, rotations) > 20
 
-    def test_one_sums_pass_per_tree_state(self, monkeypatch):
+    def test_no_sums_pass_per_tree_state(self, monkeypatch):
+        # Construction, splays and reference rotations read S's sums as
+        # key-interval sums; only a `phi` read makes whole-tree passes.
         log = []
         sums_of = splaylab.potential.subtree_sums
         splay = splaylab.lab.checked_splay
@@ -185,21 +230,24 @@ class TestKeptSums:
             log.clear()
             return names
 
-        assert passes() == ["S"]  # P(T) waits for its first reader
+        assert passes() == []  # weights and their prefix sums only
         run.splay_query(0)
         assert passes() == ["splayed"]
         run.splay_query(run.S.root)
         assert passes() == ["splayed"]
         run.apply_T_rotation(0)  # organizing splays of 0 (S's root), 1 and 3
-        # P(T) before the rotation (phi_before), S's sums under the new
-        # weights, then P(T) after it (phi_after).
-        assert passes() == ["splayed", "splayed", "splayed", "T", "S", "T"]
+        # The change of phi is read off the nodes on S's paths to 0, 1 and 3.
+        assert passes() == ["splayed", "splayed", "splayed"]
         run.per_step = True
         ev = run.splay_query(0)
         assert ev.steps and passes() == ["splayed"]
+        phi = run.phi  # fresh passes over S, then over T for P(T)
+        assert passes() == ["S", "T"]
+        assert phi == potential_of(run.S, run.wa) - potential_of(run.T, run.wa)
 
     def test_one_S_pass_at_the_end_of_accounting_run(self, monkeypatch):
-        # The final potential is read once, for phi_final and the residual alike.
+        # The final potential is read once, for phi_final and the residual alike:
+        # one pass over S, and one over T for P(T), which the rotations reset.
         log, runs = [], []
         sums_of = splaylab.potential.subtree_sums
 
@@ -230,14 +278,15 @@ class TestKeptSums:
         (run,) = runs
         assert acc.R > 0
         last = len(log) - log[::-1].index("event")
-        assert log[last:] == [run.S]
+        assert log[last:] == [run.S, run.T]
         assert acc.phi_final == run.phi
         assert acc.phi_initial == run.phi_initial
         assert acc.telescoping_residual == run.telescoping_residual(run.phi_initial, run.phi)
 
     def test_lemma6_trial_reads_no_P_of_T(self, monkeypatch):
-        # A lemma6 trial checks one splay against S's sums: they are its one
-        # whole-tree pass, and P(T), which no check reads, is never computed.
+        # A lemma6 trial checks one splay against S's key-interval sums, so it
+        # makes no whole-tree pass, and P(T), which no check reads, is never
+        # computed.
         log, runs = [], []
         sums_of = splaylab.potential.subtree_sums
         potential_of_ = splaylab.potential.potential_of
@@ -257,12 +306,44 @@ class TestKeptSums:
 
         for module in (splaylab.lab, splaylab.potential):
             monkeypatch.setattr(module, "subtree_sums", counted_sums)
-            monkeypatch.setattr(module, "potential_of", counted_potential)
+        monkeypatch.setattr(splaylab.potential, "potential_of", counted_potential)
         monkeypatch.setattr(splaylab.suites, "InterleavedRun", Logged)
         code, _ = splaylab.suites.run_suite("lemma6", ExperimentConfig(n=64, trials=3))
         assert code == 0
         assert len(runs) == 3  # trial 0 checks every step
-        assert log == [run.S for run in runs]
+        assert log == []
+
+    def test_theorem7_trial_passes_only_at_phi_reads(self, monkeypatch):
+        # accounting_run reads phi twice, for phi_initial and phi_final; each
+        # read is a pass over S and one over T.  Its splays and reference
+        # rotations make none.
+        log, runs = [], []
+        sums_of = splaylab.potential.subtree_sums
+
+        def counted_sums(tree, wa):
+            log.append(tree)
+            return sums_of(tree, wa)
+
+        class Logged(InterleavedRun):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                runs.append(self)
+
+            @property
+            def phi(self):
+                log.append("phi")
+                value = super().phi
+                log.append("/phi")
+                return value
+
+        for module in (splaylab.lab, splaylab.potential):
+            monkeypatch.setattr(module, "subtree_sums", counted_sums)
+        monkeypatch.setattr(splaylab.lab, "InterleavedRun", Logged)
+        code, report = splaylab.suites.run_suite("theorem7", ExperimentConfig(seed=0, trials=1))
+        (run,) = runs
+        assert code == 0 and report["runs"][0]["R_prime"] > 0
+        names = ["S" if x is run.S else "T" if x is run.T else x for x in log]
+        assert names == ["phi", "S", "T", "/phi"] * 2
 
     @pytest.mark.parametrize("per_step", [False, True])
     def test_splay_delta_matches_fresh_potentials(self, per_step):
@@ -289,6 +370,49 @@ class TestKeptSums:
                 checked += ev.cost > 0
             assert abs(run.telescoping_residual(phi_initial, run.phi)) < 1e-9
         assert checked > 100
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(1, 40), st.integers(0, 2 ** 32), st.booleans())
+def test_interval_sums_and_deltas_match_fresh_passes(data, n, seed, per_step):
+    # Random interleavings of splays and depth-1/2 reference rotations.  After
+    # every event each node's key-interval sum equals the reference sums under
+    # the reference weights; a rotation's delta equals the change of a fresh
+    # phi over copies of the trees, taken after the organizing splays, and a
+    # splay's delta the change of a fresh P(S), with its step deltas adding up
+    # to it.
+    S, T = random_pair(n, rng_for_trial(seed, 0))
+    run = InterleavedRun(S, T, per_step=per_step)
+
+    def assert_sums_fresh():
+        wa = reference_assign_weights(run.T)
+        assert run.wa.scale_exponent == wa.scale_exponent
+        assert interval_sums(run.S, run.prefix, run.rank) == reference_subtree_sums(run.S, wa)
+
+    assert_sums_fresh()
+    for _ in range(data.draw(st.integers(1, 12))):
+        depth1, depth2 = near_root(run.T)
+        if (depth1 or depth2) and data.draw(st.booleans()):
+            rotated = data.draw(st.sampled_from(depth1 + depth2))
+            S2, T2 = run.S.copy(), run.T.copy()
+            total_access_cost(S2, plan_organizing_splays(T2, rotated))
+            before = fresh_phi(S2, T2)
+            T2.rotate_up(rotated)
+            after = fresh_phi(S2, T2)
+            ev = run.apply_T_rotation(rotated)
+            assert same_structure(run.S, S2) and same_structure(run.T, T2)
+            assert abs(ev.delta - (after - before)) < 1e-9
+        else:
+            wa = reference_assign_weights(run.T)
+            before = potential(reference_subtree_sums(run.S, wa), wa)
+            ev = run.splay_query(data.draw(st.integers(0, n - 1)))
+            after = potential(reference_subtree_sums(run.S, wa), wa)
+            assert abs(ev.delta - (after - before)) < 1e-9
+            if per_step:
+                assert sum(step.cost for step in ev.steps) == ev.cost
+                assert sum(step.delta for step in ev.steps) == pytest.approx(ev.delta, abs=1e-12)
+        assert_sums_fresh()
+    assert not run.report.violations
 
 
 class TestRegularAccessTrials:

@@ -23,7 +23,7 @@ from splaylab.generators import (
 from splaylab.oracle import static_optimal
 from splaylab.restricted import cursor_trace
 
-from reference import descriptor, same_structure, subtree_keys, validate
+from reference import all_depths, descriptor, same_structure, subtree_keys, validate
 
 
 L, R, U, ROT = OpKind.LEFT, OpKind.RIGHT, OpKind.UP, OpKind.ROTATE
@@ -68,7 +68,7 @@ class TestShapes:
         assert tree.root == 3
         assert tree.left[3] == 1 and tree.right[3] == 4
         assert tree.left[1] == 0 and tree.right[1] == 2
-        assert tree.all_depths() == {3: 0, 1: 1, 4: 1, 0: 2, 2: 2}
+        assert all_depths(tree) == {3: 0, 1: 1, 4: 1, 0: 2, 2: 2}
 
     def test_deep_spine_descriptor(self):
         n = 1024

@@ -23,7 +23,7 @@ from splaylab.potential import (
     subtree_sums,
 )
 
-from reference import reference_subtree_sums, subtree_keys
+from reference import reference_assign_weights, reference_subtree_sums, subtree_keys
 
 # Five keys 0..4; reference tree T rooted at 3, splay tree S rooted at 1.
 T_DESC = "(((..)(..))(..))"
@@ -146,6 +146,16 @@ def test_subtree_sums_match_reference_in_order(n, seed):
     wa = assign_weights(T)
     for tree in (S, T):
         assert list(subtree_sums(tree, wa).items()) == list(reference_subtree_sums(tree, wa).items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 64), st.integers(0, 2 ** 32), st.sampled_from(["random", "left", "right"]))
+def test_assign_weights_matches_reference_in_key_order(n, seed, shape):
+    T = random_tree(n, rng_for_trial(seed, 0)) if shape == "random" else spine_tree(n, shape)
+    wa, ref = assign_weights(T), reference_assign_weights(T)
+    assert wa.scale_exponent == ref.scale_exponent
+    assert wa.weights == ref.weights
+    assert list(wa.weights) == T.in_order()
 
 
 class TestDepthFromWeight:
