@@ -31,7 +31,7 @@ from .potential import (
 )
 from .report import CheckReport
 from .restricted import apply_t_op, init_prime
-from .splay import ROTATIONS, ZIG, ZIGZIG, splay_step
+from .splay import ROTATIONS, ZIG, ZIGZAG, ZIGZIG, splay
 
 ROTATION_DELTA_BOUND = 11 + math.log2(11)
 ROTATION_DELTA_BOUND_SHALLOW = 7 + math.log2(11)
@@ -110,7 +110,10 @@ def checked_splay(
     grandparent g.  x takes the key interval of the top node of the three; p
     takes the part of it on p's side of x, and g (below p after a zig-zig)
     the part on g's side of p after a zig-zig, of x after a zig-zag.  The
-    change of P(S) is read off those sums."""
+    change of P(S) is read off those sums.  Every step's sums and kind come
+    from the root path walked before any link moves, the kind by key order
+    as in `splay`; one `splay` call then restructures S, and its return, the
+    key's depth, is the splay's cost."""
     if key not in rank:
         raise KeyError(f"unknown key {key!r}")
     log2 = math.log2
@@ -128,30 +131,29 @@ def checked_splay(
     while path:
         p, lo, hi = path.pop()
         s_p = s_top = prefix[hi] - prefix[lo]
-        g = None
+        # x's new sum is the top's old sum, so those two ranks cancel in the
+        # change of P(S): what is left is s'(p) [and s'(g)] over s(x) [and s(p)].
         if path:
             g, lo, hi = path.pop()
             s_top = prefix[hi] - prefix[lo]
-        kind = splay_step(S, key)
-        # x's new sum is the top's old sum, so those two ranks cancel in the
-        # change of P(S): what is left is s'(p) [and s'(g)] over s(x) [and s(p)].
-        if g is None:
-            delta = 0.0
-        else:
-            pivot = p if kind == ZIGZIG else key
+            if (key < p) == (p < g):
+                kind, pivot = ZIGZIG, p
+            else:
+                kind, pivot = ZIGZAG, key
             r = rank[pivot]
             s = prefix[hi] - prefix[r + 1] if g > pivot else prefix[r] - prefix[lo]
             delta = log2(s) - log2(s_p)
+        else:
+            kind, delta = ZIG, 0.0
         s = prefix[hi] - through_x if p > key else below_x - prefix[lo]
         delta += log2(s) - log2(s_key)
-        ev.cost += ROTATIONS[kind]
         ev.delta += delta
         if per_step:
             r_after = log2(s_top) - bias
             ev.steps.append(StepCheck(kind, ROTATIONS[kind], r_key, r_after, delta))
             r_key = r_after
         s_key = s_top
-    S.cursor = S.root
+    ev.cost = splay(S, key)
     return ev
 
 

@@ -3,9 +3,15 @@
 A splay of key v is charged v's depth before the splay (the downward cursor
 moves needed to reach it); the rotations themselves and the post-splay cursor
 position are free for the splay tree.
+
+`splay` is the one kernel every suite runs: a whole splay in one call.
+`splay_step` makes a single step with the same link updates; no suite calls
+it, and the tests compare `splay` against its step loop.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 from .machine import IllegalOpError, TreeState
 
@@ -113,16 +119,105 @@ def splay_step(state: TreeState, key: int) -> str:
     return kind
 
 
-def total_access_cost(state: TreeState, queries) -> int:
-    """Total move cost of splaying `queries` in order (bulk runner, in place).
+def splay(state: TreeState, key: int) -> int:
+    """Splay `key` to the root, bottom-up after Sleator & Tarjan (1985).
 
-    A key's depth before its splay equals the rotations the splay makes, so
-    the cost is summed from the step kinds with no separate depth walk.
+    Each zig / zig-zig / zig-zag makes `splay_step`'s link updates, with the
+    links held in locals and the cases told apart by key order.  The key's
+    own parent link, the root and the cursor are written once, at the end.
+    Returns the key's depth before the splay, the number of rotations made.
+    An unknown key raises KeyError before any link moves.
     """
-    parent = state.parent
-    total = 0
-    for key in queries:
-        while parent[key] is not None:
-            total += ROTATIONS[splay_step(state, key)]
+    left, right, parent = state.left, state.right, state.parent
+    x = key
+    p = parent[x]
+    depth = 0
+    while p is not None:
+        g = parent[p]
+        if g is None:
+            if x < p:
+                b = right[x]
+                left[p] = b
+                right[x] = p
+            else:
+                b = left[x]
+                right[p] = b
+                left[x] = p
+            if b is not None:
+                parent[b] = p
+            parent[p] = x
+            depth += 1
+            break
+        gg = parent[g]
+        if x < p:
+            if p < g:  # zig-zig, x = left[p], p = left[g]
+                b = right[x]
+                c = right[p]
+                left[p] = b
+                right[p] = g
+                left[g] = c
+                right[x] = p
+                parent[g] = p
+                parent[p] = x
+                if b is not None:
+                    parent[b] = p
+                if c is not None:
+                    parent[c] = g
+            else:  # zig-zag, x = left[p], p = right[g]
+                b = left[x]
+                c = right[x]
+                right[g] = b
+                left[p] = c
+                left[x] = g
+                right[x] = p
+                parent[g] = x
+                parent[p] = x
+                if b is not None:
+                    parent[b] = g
+                if c is not None:
+                    parent[c] = p
+        elif p > g:  # zig-zig, x = right[p], p = right[g]
+            b = left[x]
+            c = left[p]
+            right[p] = b
+            left[p] = g
+            right[g] = c
+            left[x] = p
+            parent[g] = p
+            parent[p] = x
+            if b is not None:
+                parent[b] = p
+            if c is not None:
+                parent[c] = g
+        else:  # zig-zag, x = right[p], p = left[g]
+            b = left[x]
+            c = right[x]
+            right[p] = b
+            left[g] = c
+            left[x] = p
+            right[x] = g
+            parent[p] = x
+            parent[g] = x
+            if b is not None:
+                parent[b] = p
+            if c is not None:
+                parent[c] = g
+        if gg is not None:
+            if left[gg] == g:
+                left[gg] = x
+            else:
+                right[gg] = x
+        depth += 2
+        p = gg
+    parent[x] = None
+    state.root = x
+    state.cursor = x
+    return depth
+
+
+def total_access_cost(state: TreeState, queries) -> int:
+    """Total move cost of splaying `queries` in order (bulk runner, in place):
+    the sum of `splay`'s returns, each key's depth before its splay."""
+    total = sum(map(splay, repeat(state), queries))
     state.cursor = state.root
     return total

@@ -1,4 +1,5 @@
 import math
+import sys
 from itertools import accumulate
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import splaylab.lab
 import splaylab.potential
+import splaylab.splay
 import splaylab.suites
 from splaylab.generators import (
     ExperimentConfig,
@@ -116,6 +118,80 @@ class TestPerSplayBounds:
         wa = assign_weights(T)
         with pytest.raises(KeyError, match="unknown key 7"):
             checked_splay(T, wa, *key_order(wa), 7, depth_ref=0)
+
+
+class TestOneKernelCall:
+    """Each checked splay restructures S in one `splay` call, and no suite
+    calls the per-step kernel `splay_step`."""
+
+    @pytest.mark.parametrize("suite, config", [
+        ("lemma6", ExperimentConfig(seed=0, n=64, trials=1)),
+        ("theorem7", ExperimentConfig(seed=0, trials=1)),
+    ])
+    def test_one_splay_call_per_checked_splay(self, monkeypatch, suite, config):
+        log = []
+        kernel, checked = splaylab.lab.splay, splaylab.lab.checked_splay
+
+        def counted_splay(S, key):
+            log.append(("splay", key, S.depth(key)))
+            return kernel(S, key)
+
+        def counted_checked(S, wa, prefix, rank, key, *args, **kwargs):
+            log.append(("checked", key, None))
+            ev = checked(S, wa, prefix, rank, key, *args, **kwargs)
+            log.append(("cost", key, ev.cost))
+            return ev
+
+        monkeypatch.setattr(splaylab.lab, "splay", counted_splay)
+        monkeypatch.setattr(splaylab.lab, "checked_splay", counted_checked)
+        code, _ = splaylab.suites.run_suite(suite, config)
+        assert code == 0
+        calls = [log[i:i + 3] for i in range(0, len(log), 3)]
+        assert calls
+        for (c, key, _), (k, splayed, depth), (e, costed, cost) in calls:
+            assert (c, k, e) == ("checked", "splay", "cost")
+            assert key == splayed == costed and cost == depth
+        assert any(depth > 0 for _, (_, _, depth), _ in calls)
+
+    def test_no_suite_steps_per_call(self, monkeypatch):
+        original = splaylab.splay.splay_step
+
+        def refused(state, key):
+            raise AssertionError("splay_step called on a suite path")
+
+        for name, module in list(sys.modules.items()):
+            if name == "splaylab" or name.startswith("splaylab."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, refused)
+        assert splaylab.splay.splay_step is refused
+        for suite, config in (
+            ("conjecture", ExperimentConfig(n=16, m=32, trials=3)),
+            ("lemma4", ExperimentConfig(n=16, trials=20)),
+            ("lemma6", ExperimentConfig(n=32, trials=20)),
+            ("theorem7", ExperimentConfig(trials=3)),
+        ):
+            code, _ = splaylab.suites.run_suite(suite, config)
+            assert code == 0, suite
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 2 ** 32), st.data())
+def test_step_kinds_match_the_step_loop(n, seed, data):
+    # checked_splay reads each step's kind off key order before any link
+    # moves; the per-step kernel, run on a copy, makes the same steps.
+    S, T = random_pair(n, rng_for_trial(seed, 0))
+    key = data.draw(st.integers(0, n - 1))
+    stepped = S.copy()
+    depth = S.depth(key)
+    kinds = []
+    while stepped.parent[key] is not None:
+        kinds.append(splaylab.splay.splay_step(stepped, key))
+    wa = assign_weights(T)
+    ev = checked_splay(S, wa, *key_order(wa), key, depth_ref=T.depth(key), per_step=True)
+    assert [step.kind for step in ev.steps] == kinds
+    assert ev.cost == depth
+    assert same_structure(S, stepped) and S.parent == stepped.parent
 
 
 class TestInterleavedRun:

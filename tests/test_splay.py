@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from splaylab.generators import random_tree, rng_for_trial, spine_tree
 from splaylab.machine import build_tree
-from splaylab.splay import ROTATIONS, ZIG, ZIGZAG, ZIGZIG, splay_step, total_access_cost
+from splaylab.splay import ROTATIONS, ZIG, ZIGZAG, ZIGZIG, splay, splay_step, total_access_cost
 
 from reference import same_structure, validate
 
 
 def splay_kinds(tree, key):
-    """Splay `key` to the root by kernel steps; returns the step kinds."""
+    """Splay `key` to the root by `splay_step` steps; returns the step kinds."""
     kinds = []
     while tree.parent[key] is not None:
         kinds.append(splay_step(tree, key))
@@ -186,16 +186,22 @@ def local_configurations():
                 yield attach(top, e, gg_side), gg_side + side_p + side_x, kind
 
 
+def configured_trees():
+    """(tree, x, first step kind, shape) for every local configuration, with
+    x the node the configuration's path leads to."""
+    for shape, path, kind in local_configurations():
+        tree = build_tree(range(shape.count("(")), shape)
+        x = tree.root
+        for side in path:
+            x = tree.left[x] if side == "L" else tree.right[x]
+        yield tree, x, kind, shape
+
+
 def test_kernel_cases_match_textbook_link_for_link():
     configurations = list(local_configurations())
     # 2 sides x 8 for zig; 4 step shapes x (16 + 2 x 32) for zig-zig and zig-zag.
     assert len(set(configurations)) == 2 * 8 + 4 * (16 + 2 * 32)
-    for shape, path, kind in configurations:
-        n = shape.count("(")
-        kernel = build_tree(range(n), shape)
-        x = kernel.root
-        for side in path:
-            x = kernel.left[x] if side == "L" else kernel.right[x]
+    for kernel, x, kind, shape in configured_trees():
         reference = kernel.copy()
         _, expected_kinds = textbook_splay(reference, x)
         kinds = []
@@ -207,6 +213,47 @@ def test_kernel_cases_match_textbook_link_for_link():
         assert kinds == expected_kinds, shape
         assert same_structure(kernel, reference), shape
         assert kernel.parent == reference.parent, shape
+
+
+def test_splay_cases_match_textbook_link_for_link():
+    # The same configurations through the whole-splay kernel: one call.
+    for kernel, x, _, shape in configured_trees():
+        reference = kernel.copy()
+        depth, _ = textbook_splay(reference, x)
+        assert splay(kernel, x) == depth, shape
+        validate(kernel)
+        assert same_structure(kernel, reference), shape
+        assert kernel.parent == reference.parent, shape
+        assert kernel.root == kernel.cursor == reference.root == x, shape
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 60), st.integers(0, 2**30), st.data())
+def test_splay_matches_step_loop(n, seed, data):
+    tree = random_tree(n, rng_for_trial(seed, 0))
+    key = data.draw(st.integers(0, n - 1))
+    stepped = tree.copy()
+    kinds = splay_kinds(stepped, key)
+    assert splay(tree, key) == sum(ROTATIONS[kind] for kind in kinds)
+    assert same_structure(tree, stepped)
+    assert tree.parent == stepped.parent
+    assert tree.cursor == key
+
+
+def test_splay_at_root_costs_nothing():
+    tree = random_tree(20, rng_for_trial(13, 0))
+    before = tree.copy()
+    assert splay(tree, tree.root) == 0
+    assert same_structure(tree, before) and tree.parent == before.parent
+
+
+def test_splay_of_unknown_key_moves_no_link():
+    tree = random_tree(20, rng_for_trial(17, 0))
+    before = tree.copy()
+    with pytest.raises(KeyError):
+        splay(tree, 20)
+    assert same_structure(tree, before) and tree.parent == before.parent
+    assert tree.cursor == before.cursor
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
