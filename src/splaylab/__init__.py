@@ -14,7 +14,6 @@ from .machine import (
 )
 from .splay import splay_step, total_access_cost
 from .potential import (
-    PotentialSnapshot,
     WeightAssignment,
     assign_weights,
     check_potential_floor,

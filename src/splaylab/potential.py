@@ -108,19 +108,10 @@ def potential_of(tree: TreeState, wa: WeightAssignment) -> float:
     return potential(subtree_sums(tree, wa), wa)
 
 
-@dataclass
-class PotentialSnapshot:
-    """The reference tree's potential P(T) and the cross-tree potential phi."""
-
-    p_T: float
-    phi: float
-
-
-def phi(S: TreeState, T: TreeState) -> PotentialSnapshot:
+def phi(S: TreeState, T: TreeState) -> float:
     """Cross-tree potential P(S) - P(T), weights taken from T's depths."""
     wa = assign_weights(T)
-    p_t = potential_of(T, wa)
-    return PotentialSnapshot(p_t, potential_of(S, wa) - p_t)
+    return potential_of(S, wa) - potential_of(T, wa)
 
 
 def check_weight_sum_bounds(S: TreeState, T: TreeState) -> CheckReport:
@@ -161,9 +152,9 @@ def check_weight_sum_bounds(S: TreeState, T: TreeState) -> CheckReport:
 def check_potential_floor(S: TreeState, T: TreeState) -> CheckReport:
     """-n < phi, with a small tolerance on the real-valued side."""
     report = CheckReport("potential-floor")
-    snap = phi(S, T)
+    value = phi(S, T)
     n = len(T)
     report.tick()
-    if not snap.phi > -n - RANK_TOL:
-        report.fail(f"phi {snap.phi} is not above -n = {-n}")
+    if not value > -n - RANK_TOL:
+        report.fail(f"phi {value} is not above -n = {-n}")
     return report

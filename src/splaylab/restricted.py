@@ -48,8 +48,6 @@ class SentineledTree:
 
     prime: TreeState
     sim: TreeState
-    min_key: int
-    max_key: int
     ledger: CostLedger = field(default_factory=CostLedger)
 
 
@@ -75,7 +73,7 @@ def init_prime(T: TreeState) -> SentineledTree:
     prime.cursor = r
     sim = T.copy()
     sim.cursor = sim.root
-    return SentineledTree(prime, sim, mn, mx)
+    return SentineledTree(prime, sim)
 
 
 def op_sequence(st: SentineledTree, t_op: OpKind) -> tuple:

@@ -4,9 +4,10 @@ A splay of key v is charged v's depth before the splay (the downward cursor
 moves needed to reach it); the rotations themselves and the post-splay cursor
 position are free for the splay tree.
 
-`splay` is the one kernel every suite runs: a whole splay in one call.
-`splay_step` makes a single step with the same link updates; no suite calls
-it, and the tests compare `splay` against its step loop.
+`splay_step` is the textbook step, built from `TreeState.rotate_up`; no suite
+calls it, and the tests compare `splay` against its step loop.  `splay` is
+the one kernel every suite runs: a whole splay in one call, and the only
+hand-written link surgery of a splay.
 """
 
 from __future__ import annotations
@@ -24,107 +25,37 @@ ROTATIONS = {ZIG: 1, ZIGZIG: 2, ZIGZAG: 2}
 def splay_step(state: TreeState, key: int) -> str:
     """Apply one zig / zigzig / zigzag step to `key`; its depth drops by 1 or 2.
 
-    The step writes its link updates directly: x = `key`, p its parent, g its
-    grandparent, b and c the subtrees of x (zig, zig-zag) or of x and p
-    (zig-zig) that change parent.  The cases follow key order, as in a BST
-    x < p < g or x > p > g is a zig-zig.  Returns the step kind.
+    The textbook step on `TreeState.rotate_up`, with p the key's parent and g
+    its grandparent: a zig rotates the key once; a zig-zig (x < p < g or
+    x > p > g, told apart by key order) rotates p, then the key; a zig-zag
+    rotates the key twice.  Moves the cursor to `key` and returns the step
+    kind; at the root it raises IllegalOpError before anything moves.
     """
-    left, right, parent = state.left, state.right, state.parent
-    x = key
-    p = parent[x]
+    parent = state.parent
+    p = parent[key]
     if p is None:
         raise IllegalOpError("splay step at root")
-    state.cursor = x
+    state.cursor = key
     g = parent[p]
     if g is None:
-        if x < p:
-            b = right[x]
-            left[p] = b
-            right[x] = p
-        else:
-            b = left[x]
-            right[p] = b
-            left[x] = p
-        if b is not None:
-            parent[b] = p
-        parent[p] = x
-        parent[x] = None
-        state.root = x
+        state.rotate_up(key)
         return ZIG
-    gg = parent[g]
-    if x < p:
-        if p < g:  # zig-zig, x = left[p], p = left[g]
-            b = right[x]
-            c = right[p]
-            left[p] = b
-            right[p] = g
-            left[g] = c
-            right[x] = p
-            parent[g] = p
-            parent[p] = x
-            if b is not None:
-                parent[b] = p
-            if c is not None:
-                parent[c] = g
-            kind = ZIGZIG
-        else:  # zig-zag, x = left[p], p = right[g]
-            b = left[x]
-            c = right[x]
-            right[g] = b
-            left[p] = c
-            left[x] = g
-            right[x] = p
-            parent[g] = x
-            parent[p] = x
-            if b is not None:
-                parent[b] = g
-            if c is not None:
-                parent[c] = p
-            kind = ZIGZAG
-    elif p > g:  # zig-zig, x = right[p], p = right[g]
-        b = left[x]
-        c = left[p]
-        right[p] = b
-        left[p] = g
-        right[g] = c
-        left[x] = p
-        parent[g] = p
-        parent[p] = x
-        if b is not None:
-            parent[b] = p
-        if c is not None:
-            parent[c] = g
-        kind = ZIGZIG
-    else:  # zig-zag, x = right[p], p = left[g]
-        b = left[x]
-        c = right[x]
-        right[p] = b
-        left[g] = c
-        left[x] = p
-        right[x] = g
-        parent[p] = x
-        parent[g] = x
-        if b is not None:
-            parent[b] = p
-        if c is not None:
-            parent[c] = g
-        kind = ZIGZAG
-    parent[x] = gg
-    if gg is None:
-        state.root = x
-    elif left[gg] == g:
-        left[gg] = x
-    else:
-        right[gg] = x
-    return kind
+    if (key < p) == (p < g):
+        state.rotate_up(p)
+        state.rotate_up(key)
+        return ZIGZIG
+    state.rotate_up(key)
+    state.rotate_up(key)
+    return ZIGZAG
 
 
 def splay(state: TreeState, key: int) -> int:
     """Splay `key` to the root, bottom-up after Sleator & Tarjan (1985).
 
-    Each zig / zig-zig / zig-zag makes `splay_step`'s link updates, with the
-    links held in locals and the cases told apart by key order.  The key's
-    own parent link, the root and the cursor are written once, at the end.
+    Each zig / zig-zig / zig-zag writes the links that `splay_step`'s
+    rotations leave, with the links held in locals and the cases told apart
+    by key order.  The key's own parent link, the root and the cursor are
+    written once, at the end.
     Returns the key's depth before the splay, the number of rotations made.
     An unknown key raises KeyError before any link moves.
     """

@@ -14,7 +14,7 @@ import pytest
 from splaylab.generators import ExperimentConfig
 from splaylab.machine import build_tree
 from splaylab.oracle import static_optimal
-from splaylab.potential import phi
+from splaylab.potential import assign_weights, phi, potential_of
 from splaylab.suites import render_report, run_suite
 from splaylab.generators import rng_for_trial
 
@@ -37,10 +37,9 @@ def test_criterion_1_worked_example():
     start = time.monotonic()
     S = build_tree(range(5), "((..)((..)(..)))")
     T = build_tree(range(5), "(((..)(..))(..))")
-    snap = phi(S, T)
-    assert snap.phi == pytest.approx(math.log2(7 / 2), abs=1e-9)
+    assert phi(S, T) == pytest.approx(math.log2(7 / 2), abs=1e-9)
     expected_p_t = math.log2(3 / 8) + math.log2(13 / 8) - 10
-    assert snap.p_T == pytest.approx(expected_p_t, abs=1e-9)
+    assert potential_of(T, assign_weights(T)) == pytest.approx(expected_p_t, abs=1e-9)
     assert time.monotonic() - start < 1.0
     _passline(1)
 

@@ -52,8 +52,9 @@ class TestInitPrime:
         st = init_prime(T)
         prime = st.prime
         assert prime.root == 3
-        assert prime.left[3] == st.min_key == -1
-        assert prime.right[3] == st.max_key == 5
+        keys = T.in_order()
+        assert prime.left[3] == keys[0] - 1 == -1
+        assert prime.right[3] == keys[-1] + 1 == 5
         # T's subtrees hang verbatim under the sentinels.
         assert prime.right[-1] == 1 and prime.left[5] == 4
         assert prime.left[1] == 0 and prime.right[1] == 2
@@ -160,7 +161,8 @@ class TestProgramSimulation:
             for op in program.ops:
                 apply_t_op(st, op)
             assert st.prime.root == sim.cursor
-            assert st.prime.in_order() == [st.min_key] + sim.in_order() + [st.max_key]
+            keys = T.in_order()
+            assert st.prime.in_order() == [keys[0] - 1] + sim.in_order() + [keys[-1] + 1]
 
     def test_cursor_trace_subsequence(self):
         rng = rng_for_trial(37, 0)

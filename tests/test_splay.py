@@ -1,3 +1,4 @@
+import signal
 from itertools import product
 from math import ceil
 
@@ -5,10 +6,39 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from splaylab.generators import random_tree, rng_for_trial, spine_tree
-from splaylab.machine import build_tree
+from splaylab.machine import IllegalOpError, TreeState, build_tree
 from splaylab.splay import ROTATIONS, ZIG, ZIGZAG, ZIGZIG, splay, splay_step, total_access_cost
 
 from reference import same_structure, validate
+
+# Each test here takes well under a second; a kernel that corrupts a parent
+# link can instead make a parent walk loop forever.
+TEST_SECONDS = 15
+
+
+class Overrun(BaseException):
+    """A test ran past TEST_SECONDS.  Not an Exception, so hypothesis passes it
+    straight up rather than shrinking examples that may never end either."""
+
+
+@pytest.fixture(autouse=True)
+def time_bound():
+    """Fail any test in this file that runs past TEST_SECONDS (where SIGALRM
+    exists), so a looping kernel fails the suite instead of hanging it."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def overrun(signum, frame):
+        raise Overrun(f"test ran past {TEST_SECONDS} s")
+
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.setitimer(signal.ITIMER_REAL, TEST_SECONDS)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def splay_kinds(tree, key):
@@ -115,8 +145,9 @@ def test_splay_preserves_order(n, seed):
 def textbook_splay(tree, key):
     """Bottom-up splay after Sleator & Tarjan, one case per step on `rotate_up`.
 
-    The cases are told apart by key order (x < p < g or x > p > g is a
-    zig-zig), not by child links.  Returns (depth before, step kinds).
+    The cases are told apart by child links (x and p on the same side of
+    their parents is a zig-zig), not by key order as the kernels do.
+    Returns (depth before, step kinds).
     """
     depth = 0
     node = key
@@ -130,7 +161,7 @@ def textbook_splay(tree, key):
         if g is None:
             tree.rotate_up(key)
             kinds.append("zig")
-        elif (key < p) == (p < g):
+        elif (tree.left[p] == key) == (tree.left[g] == p):
             tree.rotate_up(p)
             tree.rotate_up(key)
             kinds.append("zigzig")
@@ -159,7 +190,7 @@ def test_kernel_matches_textbook_splayer(data, n, seed):
     assert same_structure(bulk, reference)
 
 
-# -- the kernel's hand-written cases, one local configuration at a time ---------
+# -- the kernels' cases, one local configuration at a time ---------------------
 
 
 def attach(child, other, side):
@@ -238,6 +269,34 @@ def test_splay_matches_step_loop(n, seed, data):
     assert same_structure(tree, stepped)
     assert tree.parent == stepped.parent
     assert tree.cursor == key
+
+
+def test_step_is_built_from_rotate_up(monkeypatch):
+    # One rotation for a zig; p then x for a zig-zig; x twice for a zig-zag.
+    rotated = []
+    rotate_up = TreeState.rotate_up
+
+    def counted(state, key):
+        rotated.append(key)
+        rotate_up(state, key)
+
+    monkeypatch.setattr(TreeState, "rotate_up", counted)
+    for tree, x, kind, shape in configured_trees():
+        p = tree.parent[x]
+        rotated.clear()
+        assert splay_step(tree, x) == kind, shape
+        assert rotated == {ZIG: [x], ZIGZIG: [p, x], ZIGZAG: [x, x]}[kind], shape
+        assert tree.cursor == x, shape
+
+
+def test_step_at_root_moves_nothing():
+    tree = random_tree(20, rng_for_trial(19, 0))
+    tree.cursor = next(key for key in tree.in_order() if key != tree.root)
+    before = tree.copy()
+    with pytest.raises(IllegalOpError, match="splay step at root"):
+        splay_step(tree, tree.root)
+    assert same_structure(tree, before) and tree.parent == before.parent
+    assert tree.root == before.root and tree.cursor == before.cursor
 
 
 def test_splay_at_root_costs_nothing():
