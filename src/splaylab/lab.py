@@ -16,7 +16,7 @@ Whole-tree passes are left to the potentials that reach a report (`phi`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter
 
@@ -30,8 +30,10 @@ from .potential import (
     subtree_sums,
 )
 from .report import CheckReport
-from .restricted import apply_t_op, init_prime
+from .restricted import apply_t_ops, init_prime
 from .splay import ROTATIONS, ZIG, ZIGZAG, ZIGZIG, splay
+
+_ROT = OpKind.ROTATE
 
 ROTATION_DELTA_BOUND = 11 + math.log2(11)
 ROTATION_DELTA_BOUND_SHALLOW = 7 + math.log2(11)
@@ -61,7 +63,7 @@ class SplayEvent:
     r_root_before: float
     r_key_before: float
     delta: float  # P(S) after the splay minus P(S) before it
-    steps: list = field(default_factory=list)
+    steps: list | tuple = ()  # a list of StepChecks when recorded per step
 
     @property
     def amortized(self) -> float:
@@ -124,7 +126,7 @@ def checked_splay(
     r_key = log2(s_key) - bias
     ev = SplayEvent(
         key=key, cost=0, depth_ref=depth_ref, r_root_before=log2(prefix[-1]) - bias,
-        r_key_before=r_key, delta=0.0,
+        r_key_before=r_key, delta=0.0, steps=[] if per_step else (),
     )
     r_x = rank[key]
     below_x, through_x = prefix[r_x], prefix[r_x + 1]
@@ -159,15 +161,15 @@ def checked_splay(
 
 def check_access_lemma(ev: SplayEvent) -> CheckReport:
     """Amortized splay cost <= 1 + 3[r(root) - r(key)], plus per-step bounds."""
-    report = CheckReport("access-bound")
-    report.tick()
+    steps = ev.steps
+    report = CheckReport("access-bound", 1 + len(steps))
+    amortized = ev.amortized
     bound = 1 + 3 * (ev.r_root_before - ev.r_key_before)
-    if ev.amortized > bound + RANK_TOL:
+    if amortized > bound + RANK_TOL:
         report.fail(
-            f"splay {ev.key}: amortized {ev.amortized:.9f} > 1+3*dr = {bound:.9f}"
+            f"splay {ev.key}: amortized {amortized:.9f} > 1+3*dr = {bound:.9f}"
         )
-    for i, step in enumerate(ev.steps):
-        report.tick()
+    for i, step in enumerate(steps):
         dr = 3 * (step.r_key_after - step.r_key_before)
         step_bound = 1 + dr if step.kind == ZIG else dr
         if step.amortized > step_bound + RANK_TOL:
@@ -180,12 +182,12 @@ def check_access_lemma(ev: SplayEvent) -> CheckReport:
 
 def check_amortized_depth(ev: SplayEvent) -> CheckReport:
     """Amortized splay cost <= 4 + 6 * depth of the key in the reference tree."""
-    report = CheckReport("amortized-depth")
-    report.tick()
+    report = CheckReport("amortized-depth", 1)
+    amortized = ev.amortized
     bound = 4 + 6 * ev.depth_ref
-    if ev.amortized > bound + RANK_TOL:
+    if amortized > bound + RANK_TOL:
         report.fail(
-            f"splay {ev.key}: amortized {ev.amortized:.9f} > 4+6d = {bound}"
+            f"splay {ev.key}: amortized {amortized:.9f} > 4+6d = {bound}"
         )
     return report
 
@@ -398,8 +400,8 @@ def accounting_run(n: int, queries, strategy: str = "oracle-witness") -> Account
         counts[q] += 1
     T0 = static_optimal(counts)
     segments = per_query_segments(strategy, T0, queries)
-    M = sum(1 for seg in segments for op in seg if op is not OpKind.ROTATE)
-    R = sum(1 for seg in segments for op in seg if op is OpKind.ROTATE)
+    R = sum(seg.count(_ROT) for seg in segments)
+    M = sum(map(len, segments)) - R
 
     st = init_prime(T0)
     S = st.prime.copy()
@@ -407,8 +409,7 @@ def accounting_run(n: int, queries, strategy: str = "oracle-witness") -> Account
     phi_initial = run.phi
     for k, q in enumerate(queries):
         run.splay_query(q)
-        for t_op in segments[k]:
-            apply_t_op(st, t_op, rotate=run.apply_T_rotation)
+        apply_t_ops(st, segments[k], rotate=run.apply_T_rotation)
 
     m_prime, r_prime = st.ledger.moves, st.ledger.rotations
     counts_exact = (m_prime == 4 * M + 3 * R) and (r_prime == 2 * M + R)

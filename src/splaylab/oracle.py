@@ -20,6 +20,8 @@ from .machine import (
     tree_from_roots,
 )
 
+_L, _R, _U, _ROT = OpKind.LEFT, OpKind.RIGHT, OpKind.UP, OpKind.ROTATE
+
 MAX_OPT_KEYS = 6
 MAX_OPT_QUERIES = 8
 
@@ -67,13 +69,13 @@ def _moves(parent, cursor):
     left, right, root = _links(parent)
     moves = []
     if left[cursor] is not None:
-        moves.append((OpKind.LEFT, parent, left[cursor], root))
+        moves.append((_L, parent, left[cursor], root))
     if right[cursor] is not None:
-        moves.append((OpKind.RIGHT, parent, right[cursor], root))
+        moves.append((_R, parent, right[cursor], root))
     if parent[cursor] is not None:
         rotated = _rotated(parent, cursor)
-        moves.append((OpKind.UP, parent, parent[cursor], root))
-        moves.append((OpKind.ROTATE, rotated, cursor, _links(rotated)[2]))
+        moves.append((_U, parent, parent[cursor], root))
+        moves.append((_ROT, rotated, cursor, _links(rotated)[2]))
     return tuple(moves)
 
 
@@ -174,13 +176,13 @@ def program_search(T0: TreeState, queries, budget: int) -> bool:
         seen[key] = remaining
         cursor = state.cursor
         parent = state.parent[cursor]
-        for kind in (OpKind.LEFT, OpKind.RIGHT, OpKind.UP, OpKind.ROTATE):
+        for kind in (_L, _R, _U, _ROT):
             try:
                 apply_op(state, kind)
             except IllegalOpError:
                 continue
             found = dfs(k, returned or state.cursor == state.root, remaining - 1)
-            if kind is OpKind.ROTATE:
+            if kind is _ROT:
                 state.rotate_up(parent)  # inverse rotation restores the shape
             state.cursor = cursor
             if found:
@@ -227,10 +229,10 @@ def path_ops(tree: TreeState, key: int) -> list:
     node = tree.root
     while node != key:
         if key < node:
-            ops.append(OpKind.LEFT)
+            ops.append(_L)
             node = tree.left[node]
         else:
-            ops.append(OpKind.RIGHT)
+            ops.append(_R)
             node = tree.right[node]
         if node is None:
             raise KeyError(f"unknown key {key!r}")
@@ -245,6 +247,6 @@ def per_query_segments(strategy: str, T0: TreeState, queries) -> list:
         segments = []
         for q in queries:
             down = path_ops(T0, q)
-            segments.append(down + [OpKind.UP] * len(down))
+            segments.append(down + [_U] * len(down))
         return segments
     return opt_cost(T0, queries)[1]

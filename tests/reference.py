@@ -23,7 +23,7 @@ in-order walk of `splaylab.potential.assign_weights` and, with
 `reference_apply_op` is the one-op transition dispatched per op on its kind,
 and `reference_cursor_trace` and `reference_apply_t_op` call it once per op and
 charge the ledger per op, so they check the batched `splaylab.machine.apply_ops`
-behind `cursor_trace` and `apply_t_op`.
+behind `cursor_trace` and `apply_t_ops`.
 `reference_is_subsequence` scans with a generator per element, so it checks
 `splaylab.restricted.is_subsequence`.
 `reference_run_conjecture` is the hill-climb that replays every candidate's

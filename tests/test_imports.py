@@ -1,4 +1,5 @@
-"""The runtime stays standard-library only, and src/ carries no dead top-level names."""
+"""The runtime stays standard-library only, src/ carries no dead top-level names,
+and src/ reads `OpKind` members only at import."""
 
 import ast
 import re
@@ -6,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from splaylab.machine import OpKind
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "splaylab").glob("*.py"))
@@ -70,3 +73,30 @@ def test_every_top_level_name_is_used():
         and not used_in_src(module, name, uses)
     ]
     assert dead == []
+
+
+def op_kind_member(node):
+    """Whether `node` reads a member of `OpKind` off the class, as `OpKind.UP`."""
+    return (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "OpKind" and node.attr in OpKind.__members__)
+
+
+def binds_op_kinds(stmt):
+    """Whether a top-level statement binds names to `OpKind` members and to
+    nothing else, as `_L, _R = OpKind.LEFT, OpKind.RIGHT`."""
+    if not isinstance(stmt, ast.Assign):
+        return False
+    values = stmt.value.elts if isinstance(stmt.value, ast.Tuple) else [stmt.value]
+    return all(map(op_kind_member, values))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_op_kinds_are_read_once_at_import(path):
+    """A member read off `OpKind` goes through the Enum metaclass, several times
+    the cost of a module constant, so src/ reads each member only where a
+    top-level constant binds it."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = {id(node) for stmt in tree.body if binds_op_kinds(stmt) for node in ast.walk(stmt)}
+    reads = [f"{path.name}:{node.lineno}: OpKind.{node.attr}" for node in ast.walk(tree)
+             if op_kind_member(node) and id(node) not in bound]
+    assert reads == []

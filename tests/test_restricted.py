@@ -16,7 +16,7 @@ from splaylab.machine import (
     build_tree,
 )
 from splaylab.restricted import (
-    apply_t_op,
+    apply_t_ops,
     check_restricted,
     cursor_trace,
     init_prime,
@@ -36,6 +36,15 @@ from reference import (
 )
 
 L, R, U, ROT = OpKind.LEFT, OpKind.RIGHT, OpKind.UP, OpKind.ROTATE
+
+
+def apply_t_op(st, t_op, rotate=None) -> tuple:
+    """`apply_t_ops` on the one op `t_op`: its restricted sequence, or an
+    IllegalOpError that names no index."""
+    try:
+        return tuple(apply_t_ops(st, (t_op,), rotate))
+    except IllegalOpError as exc:
+        raise IllegalOpError(exc.reason) from None
 
 
 class TestInitPrime:
@@ -272,6 +281,18 @@ def illegal_at(tree):
                                (U, tree.parent[c] is None), (ROT, tree.parent[c] is None)) if bad]
 
 
+def one_at_a_time(step, st, ops, rotate):
+    """`step(st, op, rotate=rotate)` on each op in turn: the concatenated
+    sequences, or the error of the op at fault, naming its index in `ops`."""
+    out = []
+    for i, op in enumerate(ops):
+        try:
+            out += step(st, op, rotate=rotate)
+        except IllegalOpError as exc:
+            raise IllegalOpError(str(exc), i) from None
+    return out
+
+
 def programs(seed, count, max_keys=10):
     """Seeded (tree, op list) pairs: legal random programs, and every other one
     with one op illegal where it stands, injected at a random index."""
@@ -345,10 +366,66 @@ class TestBatchedTransition:
         assert raised > 30
         assert hooked_calls > 1000 if hooked else hooked_calls == 0
 
+    @pytest.mark.parametrize("hooked", [False, True])
+    def test_apply_t_ops_matches_per_op_loop(self, hooked):
+        # One batch against a loop of the per-op reference that names the
+        # index of the op at fault.  The hook never refuses, so whatever is
+        # raised is the tracked tree refusing an op, and the tracked trees
+        # must agree as well.
+        raised = hooked_calls = 0
+        for T, ops in programs(59 + hooked, 200):
+            runs = []
+            for batched in (True, False):
+                st, calls = init_prime(T), []
+
+                def hook(key, st=st, calls=calls):
+                    calls.append((key, st.prime.cursor))
+                    st.prime.rotate_up(key)
+
+                rotate = hook if hooked else None
+                result = outcome(lambda: apply_t_ops(st, ops, rotate) if batched
+                                 else one_at_a_time(reference_apply_t_op, st, ops, rotate))
+                runs.append((result, calls, snapshot(st.prime), st.ledger, snapshot(st.sim)))
+            assert runs[0] == runs[1]
+            raised += runs[0][0][0] is IllegalOpError
+            hooked_calls += len(runs[0][1])
+        assert raised > 30
+        assert hooked_calls > 1000 if hooked else hooked_calls == 0
+
+    @pytest.mark.parametrize("skip", [False, True])
+    def test_apply_t_ops_refused_rotation_names_its_op(self, skip):
+        # A hook that refuses a rotation, or skips it so that the restricted
+        # root loses the simulated cursor, stops the batch at that op, as a
+        # loop of apply_t_op stops: the same error and index, restricted
+        # tree, hook calls and ledger.  Only the tracked tree differs: the
+        # batch's has already taken the later ops.
+        fault = "restricted-tree root lost" if skip else "refused"
+        differed = 0
+        for k, (T, ops) in enumerate(programs(61, 200)):
+            runs = []
+            for batched in (True, False):
+                st, calls = init_prime(T), []
+
+                def hook(key, st=st, calls=calls):
+                    calls.append(key)
+                    if len(calls) <= k % 7:
+                        st.prime.rotate_up(key)
+                    elif not skip:
+                        raise IllegalOpError(f"refused rotation at {key}")
+
+                result = outcome(lambda: apply_t_ops(st, ops, hook) if batched
+                                 else one_at_a_time(apply_t_op, st, ops, hook))
+                runs.append((result, calls, snapshot(st.prime), st.ledger, st.sim))
+            assert runs[0][:4] == runs[1][:4]
+            result, _, _, _, sim = runs[0]
+            if result[0] is IllegalOpError and result[1].startswith(fault):
+                differed += snapshot(sim) != snapshot(runs[1][4])
+        assert differed > 40
+
     def test_lemma3_applies_no_op_per_restricted_op(self, monkeypatch):
-        # apply_op runs once per simulated op, as op_sequence steps the
-        # tracked tree.  random_t_program moves its own cursor, and the
-        # restricted ops and both replays run in apply_ops.
+        # apply_op never runs: random_t_program moves its own cursor, and
+        # apply_t_ops steps the tracked tree, the restricted tree and both
+        # replays through apply_ops.
         calls, drawn = [], []
         original = splaylab.machine.apply_op
 
@@ -373,7 +450,7 @@ class TestBatchedTransition:
         assert code == 0
         (program,) = drawn
         assert len(program.ops) > 10
-        assert calls == list(program.ops)
+        assert calls == []
 
 
 @settings(max_examples=200, deadline=None)
