@@ -114,8 +114,9 @@ def checked_splay(
     the part on g's side of p after a zig-zig, of x after a zig-zag.  The
     change of P(S) is read off those sums.  Every step's sums and kind come
     from the root path walked before any link moves, the kind by key order
-    as in `splay`; one `splay` call then restructures S, and its return, the
-    key's depth, is the splay's cost."""
+    (x < p < g or x > p > g is the zig-zig that `splay` tells by p hanging on
+    g's `near` side); one `splay` call then restructures S, and its return,
+    the key's depth, is the splay's cost."""
     if key not in rank:
         raise KeyError(f"unknown key {key!r}")
     log2 = math.log2
@@ -237,9 +238,8 @@ class InterleavedRun:
     prefix sums of the weights in key order, rebuilt at every T rotation, and
     `rank` each key's place in that order, built once because rotations keep
     the in-order.  S's subtree sums are read off them as key-interval sums, so
-    neither a splay nor a rotation makes a whole-tree pass.  P(T) is computed
-    when it is first read after T's latest rotation, and `phi` = P(S) - P(T)
-    is computed, from fresh passes, when it is read.
+    neither a splay nor a rotation makes a whole-tree pass.  `phi` = P(S) -
+    P(T) is computed, from fresh passes over both trees, when it is read.
     """
 
     def __init__(self, S: TreeState, T: TreeState, per_step: bool = False):
@@ -256,23 +256,15 @@ class InterleavedRun:
         self.rank = {key: i for i, key in enumerate(self.wa.weights)}
 
     def _reweight(self) -> None:
-        """Weights and their prefix sums from T's current shape; P(T) is left
-        for its first reader."""
+        """Weights and their prefix sums from T's current shape."""
         self.wa = assign_weights(self.T)
         self.prefix = [0, *accumulate(self.wa.weights.values())]
-        self._p_T = None
-
-    @property
-    def p_T(self) -> float:
-        """P(T) under the current weights, computed on its first read."""
-        if self._p_T is None:
-            self._p_T = potential(subtree_sums(self.T, self.wa), self.wa)
-        return self._p_T
 
     @property
     def phi(self) -> float:
-        """The current potential P(S) - P(T), from a fresh pass over S."""
-        return potential(subtree_sums(self.S, self.wa), self.wa) - self.p_T
+        """The current potential P(S) - P(T), from fresh passes over S, then T."""
+        wa = self.wa
+        return potential(subtree_sums(self.S, wa), wa) - potential(subtree_sums(self.T, wa), wa)
 
     def splay_query(self, key: int) -> SplayEvent:
         ev = checked_splay(

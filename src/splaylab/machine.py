@@ -102,26 +102,27 @@ class TreeState:
     # -- structural mutation ------------------------------------------------
 
     def rotate_up(self, key: int) -> None:
-        """Rotate `key` one level upward.  Does not move the cursor."""
-        p = self.parent[key]
+        """Rotate `key` one level upward.  Does not move the cursor.
+
+        `near` is the child map on the side `key` hangs below its parent p
+        (`left` when key < p) and `far` the other; the sides are told by key
+        order, so each link is written once."""
+        parent = self.parent
+        p = parent[key]
         if p is None:
             raise IllegalOpError("cannot rotate the root")
-        g = self.parent[p]
-        if self.left[p] == key:
-            b = self.right[key]
-            self.left[p] = b
-            self.right[key] = p
-        else:
-            b = self.left[key]
-            self.right[p] = b
-            self.left[key] = p
+        g = parent[p]
+        near, far = (self.left, self.right) if key < p else (self.right, self.left)
+        b = far[key]
+        near[p] = b
+        far[key] = p
         if b is not None:
-            self.parent[b] = p
-        self.parent[p] = key
-        self.parent[key] = g
+            parent[b] = p
+        parent[p] = key
+        parent[key] = g
         if g is None:
             self.root = key
-        elif self.left[g] == p:
+        elif p < g:
             self.left[g] = key
         else:
             self.right[g] = key

@@ -7,7 +7,7 @@ position are free for the splay tree.
 `splay_step` is the textbook step, built from `TreeState.rotate_up`; no suite
 calls it, and the tests compare `splay` against its step loop.  `splay` is
 the one kernel every suite runs: a whole splay in one call, and the only
-hand-written link surgery of a splay.
+hand-written link surgery of a splay, written once for both sides of a step.
 """
 
 from __future__ import annotations
@@ -53,9 +53,14 @@ def splay(state: TreeState, key: int) -> int:
     """Splay `key` to the root, bottom-up after Sleator & Tarjan (1985).
 
     Each zig / zig-zig / zig-zag writes the links that `splay_step`'s
-    rotations leave, with the links held in locals and the cases told apart
-    by key order.  The key's own parent link, the root and the cursor are
-    written once, at the end.
+    rotations leave, with the links held in locals.  The child maps are named
+    by their role in the step: `near` is the map on the side x hangs below
+    its parent p (`left` when x < p) and `far` the other, so each link write
+    appears once.  Every step starts with the zig, x rotated over p; a
+    zig-zig (p on g's near side too) then hangs g below p, taking p's far
+    subtree, and a zig-zag hangs g below x, taking x's near subtree.  The
+    key's own parent link, the root and the cursor are written once, at the
+    end.
     Returns the key's depth before the splay, the number of rotations made.
     An unknown key raises KeyError before any link moves.
     """
@@ -65,76 +70,34 @@ def splay(state: TreeState, key: int) -> int:
     depth = 0
     while p is not None:
         g = parent[p]
-        if g is None:
-            if x < p:
-                b = right[x]
-                left[p] = b
-                right[x] = p
-            else:
-                b = left[x]
-                right[p] = b
-                left[x] = p
-            if b is not None:
-                parent[b] = p
-            parent[p] = x
+        if x < p:
+            near, far = left, right
+        else:
+            near, far = right, left
+        b = far[x]
+        near[p] = b
+        far[x] = p
+        parent[p] = x
+        if b is not None:
+            parent[b] = p
+        if g is None:  # zig
             depth += 1
             break
         gg = parent[g]
-        if x < p:
-            if p < g:  # zig-zig, x = left[p], p = left[g]
-                b = right[x]
-                c = right[p]
-                left[p] = b
-                right[p] = g
-                left[g] = c
-                right[x] = p
-                parent[g] = p
-                parent[p] = x
-                if b is not None:
-                    parent[b] = p
-                if c is not None:
-                    parent[c] = g
-            else:  # zig-zag, x = left[p], p = right[g]
-                b = left[x]
-                c = right[x]
-                right[g] = b
-                left[p] = c
-                left[x] = g
-                right[x] = p
-                parent[g] = x
-                parent[p] = x
-                if b is not None:
-                    parent[b] = g
-                if c is not None:
-                    parent[c] = p
-        elif p > g:  # zig-zig, x = right[p], p = right[g]
-            b = left[x]
-            c = left[p]
-            right[p] = b
-            left[p] = g
-            right[g] = c
-            left[x] = p
+        if near[g] == p:  # zig-zig: g goes below p, on p's far side
+            c = far[p]
+            far[p] = g
+            near[g] = c
             parent[g] = p
-            parent[p] = x
-            if b is not None:
-                parent[b] = p
-            if c is not None:
-                parent[c] = g
-        else:  # zig-zag, x = right[p], p = left[g]
-            b = left[x]
-            c = right[x]
-            right[p] = b
-            left[g] = c
-            left[x] = p
-            right[x] = g
-            parent[p] = x
+        else:  # zig-zag: g goes below x, on x's near side
+            c = near[x]
+            near[x] = g
+            far[g] = c
             parent[g] = x
-            if b is not None:
-                parent[b] = p
-            if c is not None:
-                parent[c] = g
+        if c is not None:
+            parent[c] = g
         if gg is not None:
-            if left[gg] == g:
+            if g < gg:
                 left[gg] = x
             else:
                 right[gg] = x

@@ -1,0 +1,150 @@
+"""The mutant catalogue: one-edit copies of src/ that the tests must reject.
+
+    python tests/mutants.py
+
+Each row names a module of `src/splaylab`, a target text that occurs exactly
+once in src/, its replacement, and the test files that must fail once the
+edit is made.  For each row the script copies src/ to a temporary directory,
+applies the edit there and runs pytest on the row's test files against that
+copy; a row whose tests all pass is a surviving mutant.  Before any mutant,
+each set of test files must pass against an unedited copy, so a broken
+harness cannot pass for a kill.  The script prints one line per row and
+exits 1 if any mutant survives or any run ends without a verdict, else 0.
+
+Tier-1 does not collect this script (its name does not start with `test_`);
+`tests/test_bounds.py::test_every_mutant_target_occurs_once` checks every
+row's target against src/, so the catalogue cannot rot silently.
+
+The bound rows loosen one constant each; `tests/test_bounds.py` pins those
+constants at their boundaries.  The kernel rows break one link write of
+`splay.splay` or `TreeState.rotate_up`.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "splaylab"
+
+BOUND_TESTS = ("tests/test_bounds.py",)
+KERNEL_TESTS = ("tests/test_splay.py", "tests/test_machine.py")
+
+
+@dataclass(frozen=True)
+class Mutant:
+    """One row: replace `old` by `new` in `module`; `tests` must then fail."""
+
+    name: str
+    module: str  # a file name in src/splaylab
+    old: str
+    new: str
+    tests: tuple
+
+
+# The splay kernel's `parent[b] = p` write, and rotate_up's, told apart by
+# the line that precedes each.
+SPLAY_B = "parent[p] = x\n        if b is not None:\n            parent[b] = p"
+ROTATE_B = "far[key] = p\n        if b is not None:\n            parent[b] = p"
+
+MUTANTS = (
+    # -- bound constants ----------------------------------------------------
+    Mutant("access 1 + 3dr -> 1.5 + 3dr", "lab.py",
+           "bound = 1 + 3 * (ev.r_root_before", "bound = 1.5 + 3 * (ev.r_root_before",
+           BOUND_TESTS),
+    Mutant("access 3dr -> 3.5dr", "lab.py",
+           "bound = 1 + 3 * (ev.r_root_before", "bound = 1 + 3.5 * (ev.r_root_before",
+           BOUND_TESTS),
+    Mutant("zig step 1 + dr -> 1.5 + dr", "lab.py",
+           "step_bound = 1 + dr if", "step_bound = 1.5 + dr if", BOUND_TESTS),
+    Mutant("4 + 6d -> 5 + 6d", "lab.py",
+           "bound = 4 + 6 * ev.depth_ref", "bound = 5 + 6 * ev.depth_ref", BOUND_TESTS),
+    Mutant("4 + 6d -> 4 + 7d", "lab.py",
+           "bound = 4 + 6 * ev.depth_ref", "bound = 4 + 7 * ev.depth_ref", BOUND_TESTS),
+    Mutant("rotation 11 + log2 11 -> 12 + log2 11", "lab.py",
+           "ROTATION_DELTA_BOUND = 11 +", "ROTATION_DELTA_BOUND = 12 +", BOUND_TESTS),
+    Mutant("depth-1 rotation 7 + log2 11 -> 8 + log2 11", "lab.py",
+           "ROTATION_DELTA_BOUND_SHALLOW = 7 +", "ROTATION_DELTA_BOUND_SHALLOW = 8 +",
+           BOUND_TESTS),
+    Mutant("e <= 3R' -> e <= 4R'", "lab.py",
+           "ORGANIZING_SPLAYS_PER_ROTATION = 3", "ORGANIZING_SPLAYS_PER_ROTATION = 4",
+           BOUND_TESTS),
+    Mutant("floor -n -> -n - 1", "potential.py",
+           "value > -n - RANK_TOL", "value > -n - 1 - RANK_TOL", BOUND_TESTS),
+    Mutant("residual tolerance 1e-6 -> 1e-3", "lab.py",
+           "abs(residual) > RANK_TOL", "abs(residual) > 1e-3", BOUND_TESTS),
+    # -- the splay kernel -------------------------------------------------
+    Mutant("splay: parent[c] = g dropped", "splay.py",
+           "parent[c] = g", "pass", KERNEL_TESTS),
+    Mutant("splay: parent[b] = p dropped", "splay.py",
+           SPLAY_B, SPLAY_B.replace("parent[b] = p", "pass"), KERNEL_TESTS),
+    Mutant("splay: zig-zag far[g] -> near[g]", "splay.py",
+           "far[g] = c", "near[g] = c", KERNEL_TESTS),
+    Mutant("splay: zig-zag parent[g] = x -> p", "splay.py",
+           "parent[g] = x", "parent[g] = p", KERNEL_TESTS),
+    Mutant("splay: zig-zig test on far[g]", "splay.py",
+           "if near[g] == p:", "if far[g] == p:", KERNEL_TESTS),
+    Mutant("splay: re-hook below gg flipped", "splay.py",
+           "if g < gg:", "if gg < g:", KERNEL_TESTS),
+    # -- TreeState.rotate_up --------------------------------------------------
+    Mutant("rotate_up: re-hook below g flipped", "machine.py",
+           "elif p < g:", "elif g < p:", KERNEL_TESTS),
+    Mutant("rotate_up: parent[b] = p dropped", "machine.py",
+           ROTATE_B, ROTATE_B.replace("parent[b] = p", "pass"), KERNEL_TESTS),
+)
+
+
+def run_tests(src: Path, tests: tuple, work: Path) -> int:
+    """pytest's exit code for `tests` run against the package copy under `src`.
+
+    The run's working directory is `work`, so hypothesis keeps its example
+    database there and not in the repository."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+           *(str(ROOT / t) for t in tests)]
+    return subprocess.run(cmd, cwd=work, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def copy_src(work: Path, mutant: Mutant | None = None) -> Path:
+    """A fresh copy of src/ under `work`, with `mutant`'s edit applied."""
+    src = work / "src"
+    if src.exists():
+        shutil.rmtree(src)
+    shutil.copytree(SRC, src / "splaylab", ignore=shutil.ignore_patterns("__pycache__"))
+    if mutant is not None:
+        path = src / "splaylab" / mutant.module
+        text = path.read_text()
+        if text.count(mutant.old) != 1:
+            raise SystemExit(f"{mutant.name}: target does not occur exactly once in {mutant.module}")
+        path.write_text(text.replace(mutant.old, mutant.new))
+    return src
+
+
+def main() -> int:
+    rows = MUTANTS
+    bad = 0
+    with tempfile.TemporaryDirectory(prefix="splaylab-mutants-") as tmp:
+        work = Path(tmp)
+        for tests in dict.fromkeys(m.tests for m in rows):
+            code = run_tests(copy_src(work), tests, work)
+            if code != 0:
+                print(f"baseline FAILED (pytest exit {code}): {' '.join(tests)}")
+                return 1
+        for m in rows:
+            code = run_tests(copy_src(work, m), m.tests, work)
+            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"no verdict (pytest exit {code})")
+            bad += code != 1
+            print(f"{verdict:>8}  {m.name}")
+    print(f"{len(rows) - bad} of {len(rows)} mutants killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

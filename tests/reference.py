@@ -24,6 +24,10 @@ in-order walk of `splaylab.potential.assign_weights` and, with
 and `reference_cursor_trace` and `reference_apply_t_op` call it once per op and
 charge the ledger per op, so they check the batched `splaylab.machine.apply_ops`
 behind `cursor_trace` and `apply_t_ops`.
+`reference_rotate_up` tells a rotation's sides by child links, where
+`splaylab.machine.TreeState.rotate_up` tells them by key order, so it checks
+that rotation and, through the tests' textbook splayer, the
+`splaylab.splay.splay` kernel.
 `reference_is_subsequence` scans with a generator per element, so it checks
 `splaylab.restricted.is_subsequence`.
 `reference_run_conjecture` is the hill-climb that replays every candidate's
@@ -322,6 +326,33 @@ def reference_apply_op(state: TreeState, op: OpKind, index: int | None = None) -
         state.rotate_up(cursor)
     else:
         raise IllegalOpError(f"unknown op {op!r}", index)
+
+
+def reference_rotate_up(tree: TreeState, key: int) -> None:
+    """Rotate `key` one level upward, each side told by a child link.  Does
+    not move the cursor."""
+    p = tree.parent[key]
+    if p is None:
+        raise IllegalOpError("cannot rotate the root")
+    g = tree.parent[p]
+    if tree.left[p] == key:
+        b = tree.right[key]
+        tree.left[p] = b
+        tree.right[key] = p
+    else:
+        b = tree.left[key]
+        tree.right[p] = b
+        tree.left[key] = p
+    if b is not None:
+        tree.parent[b] = p
+    tree.parent[p] = key
+    tree.parent[key] = g
+    if g is None:
+        tree.root = key
+    elif tree.left[g] == p:
+        tree.left[g] = key
+    else:
+        tree.right[g] = key
 
 
 def reference_cursor_trace(initial: TreeState, ops) -> list:

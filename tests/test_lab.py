@@ -275,7 +275,7 @@ class TestKeptSums:
                     assert run.prefix is prefix
                     splays += 1
                 assert interval_sums(run.S, run.prefix, run.rank) == subtree_sums(run.S, run.wa)
-                assert run.phi == potential_of(run.S, run.wa) - run.p_T
+                assert run.phi == potential_of(run.S, run.wa) - potential_of(run.T, run.wa)
             assert not run.report.violations
         assert min(splays, roots, rotations) > 20
 

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from splaylab.generators import random_tree, rng_for_trial, spine_tree
-from splaylab.machine import IllegalOpError, TreeState, build_tree
+from splaylab.machine import IllegalOpError, TreeState, build_tree, tree_from_roots
 from splaylab.splay import ROTATIONS, ZIG, ZIGZAG, ZIGZIG, splay, splay_step, total_access_cost
 
-from reference import same_structure, validate
+from reference import reference_rotate_up, same_structure, validate
 
 # Each test here takes well under a second; a kernel that corrupts a parent
 # link can instead make a parent walk loop forever.
@@ -143,11 +143,12 @@ def test_splay_preserves_order(n, seed):
 
 
 def textbook_splay(tree, key):
-    """Bottom-up splay after Sleator & Tarjan, one case per step on `rotate_up`.
+    """Bottom-up splay after Sleator & Tarjan, one case per step on
+    `reference_rotate_up`.
 
-    The cases are told apart by child links (x and p on the same side of
-    their parents is a zig-zig), not by key order as the kernels do.
-    Returns (depth before, step kinds).
+    The cases and the rotations' sides are told apart by child links (x and p
+    on the same side of their parents is a zig-zig), not by key order as the
+    kernels and `TreeState.rotate_up` do.  Returns (depth before, step kinds).
     """
     depth = 0
     node = key
@@ -159,15 +160,15 @@ def textbook_splay(tree, key):
         p = tree.parent[key]
         g = tree.parent[p]
         if g is None:
-            tree.rotate_up(key)
+            reference_rotate_up(tree, key)
             kinds.append("zig")
         elif (tree.left[p] == key) == (tree.left[g] == p):
-            tree.rotate_up(p)
-            tree.rotate_up(key)
+            reference_rotate_up(tree, p)
+            reference_rotate_up(tree, key)
             kinds.append("zigzig")
         else:
-            tree.rotate_up(key)
-            tree.rotate_up(key)
+            reference_rotate_up(tree, key)
+            reference_rotate_up(tree, key)
             kinds.append("zigzag")
     return depth, kinds
 
@@ -188,6 +189,48 @@ def test_kernel_matches_textbook_splayer(data, n, seed):
         expected_cost += depth
     assert total_access_cost(bulk, queries) == expected_cost
     assert same_structure(bulk, reference)
+
+
+def sparse_tree(data):
+    """A random tree over 1-40 distinct keys drawn from -1000..1000, so the
+    keys have gaps and signs that `range(n)` never shows, shaped by drawn
+    roots through `tree_from_roots`."""
+    keys = sorted(data.draw(st.sets(st.integers(-1000, 1000), min_size=1, max_size=40)))
+    return tree_from_roots(keys, lambda i, j: data.draw(st.integers(i, j - 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_rotate_up_matches_reference_on_sparse_keys(data):
+    tree = sparse_tree(data)
+    reference = tree.copy()
+    for _ in range(data.draw(st.integers(1, 20))):
+        key = data.draw(st.sampled_from(sorted(tree.left)))
+        if tree.parent[key] is None:
+            with pytest.raises(IllegalOpError, match="cannot rotate the root"):
+                tree.rotate_up(key)
+            with pytest.raises(IllegalOpError, match="cannot rotate the root"):
+                reference_rotate_up(reference, key)
+        else:
+            tree.rotate_up(key)
+            reference_rotate_up(reference, key)
+        assert same_structure(tree, reference)
+        assert tree.parent == reference.parent
+        validate(tree)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_splay_matches_textbook_on_sparse_keys(data):
+    tree = sparse_tree(data)
+    reference = tree.copy()
+    for key in data.draw(st.lists(st.sampled_from(sorted(tree.left)), max_size=20)):
+        depth, _ = textbook_splay(reference, key)
+        assert splay(tree, key) == depth
+        assert same_structure(tree, reference)
+        assert tree.parent == reference.parent
+        assert tree.root == tree.cursor == key
+        validate(tree)
 
 
 # -- the kernels' cases, one local configuration at a time ---------------------
