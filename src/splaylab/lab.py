@@ -243,7 +243,7 @@ class InterleavedRun:
     """
 
     def __init__(self, S: TreeState, T: TreeState, per_step: bool = False):
-        if S.left.keys() != T.left.keys():
+        if S.keys != T.keys:
             raise KeyError("S and T must share one key set")
         self.S = S
         self.T = T

@@ -1,12 +1,20 @@
 """Cursor-based binary search tree machine.
 
-Trees hold a finite set of distinct integer keys.  A single cursor moves
-between adjacent nodes; the only structural primitive is an upward rotation
-of the node at the cursor.  A program is a sequence of `OpKind` members, and
-`apply_ops` is the one transition: it steps a tree through a whole op
-sequence in one call, and `apply_op` is its one-op form.  A move or a
-rotation costs 1 and a key comparison is free and is not an op; neither call
-charges anything, so a caller that counts costs keeps its own `CostLedger`.
+Trees hold a finite set of distinct integer keys.  A tree keeps its left,
+right and parent links in three lists indexed by key the way Python indexes
+a list: key k >= 0 sits at index k and key k < 0 at index len + k, so the
+kernels subscript a list with the key itself.  The slot of a key outside the
+tree holds None, and every entry point that takes a key from outside checks
+it against the tree's key set and raises KeyError before any link moves,
+since a list would take a negative or hole key without complaint.
+
+A single cursor moves between adjacent nodes; the only structural primitive
+is an upward rotation of the node at the cursor.  A program is a sequence of
+`OpKind` members, and `apply_ops` is the one transition: it steps a tree
+through a whole op sequence in one call, and `apply_op` is its one-op form.
+A move or a rotation costs 1 and a key comparison is free and is not an op;
+neither call charges anything, so a caller that counts costs keeps its own
+`CostLedger`.
 """
 
 from __future__ import annotations
@@ -54,12 +62,34 @@ class CostLedger:
     rotations: int = 0
 
 
+def key_set(keys) -> range | frozenset:
+    """The key set of a tree over the increasing integer sequence `keys`: a
+    `range` when they are contiguous, which every suite's trees are, else a
+    frozenset.  Equal key sets always come out equal."""
+    if keys[-1] - keys[0] + 1 == len(keys):
+        return range(keys[0], keys[-1] + 1)
+    return frozenset(keys)
+
+
+def slot_count(lo: int, hi: int) -> int:
+    """The length of the link lists of a tree whose least key is `lo` and
+    greatest `hi`: one slot per key in max(lo, 0)..max(hi, -1) and one per
+    key in min(lo, 0)..-1, so that a negative key k sits at index length + k."""
+    return max(hi, -1) + 1 + max(0, -lo)
+
+
 class TreeState:
-    """Mutable BST over distinct integer keys with parent links and a cursor."""
+    """Mutable BST over distinct integer keys with parent links and a cursor.
 
-    __slots__ = ("left", "right", "parent", "root", "cursor")
+    `keys` is the key set (see `key_set`); `left`, `right` and `parent` are
+    lists indexed by key (see the module docstring) holding a key or None, and
+    None in every slot of a key outside `keys`.  `copy` shares `keys`."""
 
-    def __init__(self, left: dict, right: dict, parent: dict, root: int, cursor: int | None = None):
+    __slots__ = ("keys", "left", "right", "parent", "root", "cursor")
+
+    def __init__(self, keys: range | frozenset, left: list, right: list, parent: list,
+                 root: int, cursor: int | None = None):
+        self.keys = keys
         self.left = left
         self.right = right
         self.parent = parent
@@ -69,15 +99,16 @@ class TreeState:
     # -- construction -----------------------------------------------------
 
     def copy(self) -> "TreeState":
-        return TreeState(dict(self.left), dict(self.right), dict(self.parent), self.root, self.cursor)
+        return TreeState(self.keys, self.left.copy(), self.right.copy(), self.parent.copy(),
+                         self.root, self.cursor)
 
     # -- queries -----------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.left)
+        return len(self.keys)
 
     def depth(self, key: int) -> int:
-        if key not in self.parent:
+        if key not in self.keys:
             raise KeyError(f"unknown key {key!r}")
         d = 0
         node = self.parent[key]
@@ -104,9 +135,12 @@ class TreeState:
     def rotate_up(self, key: int) -> None:
         """Rotate `key` one level upward.  Does not move the cursor.
 
-        `near` is the child map on the side `key` hangs below its parent p
+        `near` is the child list on the side `key` hangs below its parent p
         (`left` when key < p) and `far` the other; the sides are told by key
-        order, so each link is written once."""
+        order, so each link is written once.  An unknown key raises KeyError
+        and the root IllegalOpError, both before any link moves."""
+        if key not in self.keys:
+            raise KeyError(f"unknown key {key!r}")
         parent = self.parent
         p = parent[key]
         if p is None:
@@ -138,9 +172,9 @@ def tree_from_roots(keys, pick) -> TreeState:
     n = len(keys)
     if n < 1:
         raise ValueError("a tree needs at least one key")
-    left = dict.fromkeys(keys)
-    right = dict.fromkeys(keys)
-    parent = dict.fromkeys(keys)
+    left = [None] * slot_count(keys[0], keys[-1])
+    right = left.copy()
+    parent = left.copy()
     r = pick(0, n)
     root = keys[r]
     # Pending intervals (i, j, parent key, the parent's child links).  Each one
@@ -160,7 +194,7 @@ def tree_from_roots(keys, pick) -> TreeState:
             if r == i:
                 break
             j, par, links = r, key, left
-    return TreeState(left, right, parent, root)
+    return TreeState(key_set(keys), left, right, parent, root)
 
 
 # -- shape descriptors ------------------------------------------------------

@@ -96,7 +96,7 @@ def opt_cost(T0: TreeState, queries) -> tuple[int, list]:
     queries = list(queries)
     if len(queries) > MAX_OPT_QUERIES:
         raise ValueError(f"instance too large: m={len(queries)}")
-    if set(T0.parent) != set(range(n)):
+    if T0.keys != range(n):
         raise ValueError(f"tree keys must be 0..{n - 1}")
     if T0.cursor != T0.root:
         raise ValueError(f"the cursor must start at the root {T0.root}, not at {T0.cursor}")
@@ -169,8 +169,8 @@ def program_search(T0: TreeState, queries, budget: int) -> bool:
             return True
         if remaining == 0:
             return False
-        # The parent links, listed in T0's fixed key order, key the shape.
-        key = (tuple(state.parent.values()), state.cursor, k, returned)
+        # The parent list, in T0's fixed slot order, keys the shape.
+        key = (tuple(state.parent), state.cursor, k, returned)
         if seen.get(key, -1) >= remaining:
             return False
         seen[key] = remaining

@@ -74,7 +74,7 @@ def subtree_sums(tree: TreeState, wa: WeightAssignment) -> dict:
     subtree); walking that list backwards fills each node after both its
     subtrees, so the dict is in (right, left, node) post-order.
     """
-    if tree.left.keys() != wa.weights.keys():
+    if wa.weights.keys() != set(tree.keys):
         raise KeyError("tree and weight assignment cover different key sets")
     left, right, weights = tree.left, tree.right, wa.weights
     preorder = []

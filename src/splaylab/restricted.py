@@ -24,6 +24,8 @@ from .machine import (
     TreeState,
     apply_op,
     apply_ops,
+    key_set,
+    slot_count,
 )
 from .report import CheckReport
 
@@ -59,22 +61,27 @@ def init_prime(T: TreeState) -> SentineledTree:
     """Initial restricted configuration: sentinels under the root, subtrees rehung."""
     keys = T.in_order()
     mn, mx = keys[0] - 1, keys[-1] + 1
-    prime = T.copy()
+    # The sentinels' slots open between the block of nonnegative keys and the
+    # block of negative ones, so every key of T keeps its slot; new slots hold
+    # None.  Over 0..n-1 that appends the slots of n and of -1.
+    split = max(keys[-1], -1) + 1
+    pad = [None] * (slot_count(mn, mx) - len(T.left))
+    left, right, parent = T.left.copy(), T.right.copy(), T.parent.copy()
+    for links in (left, right, parent):
+        links[split:split] = pad
+    prime = TreeState(key_set([mn, *keys, mx]), left, right, parent, T.root)
     r = prime.root
-    lsub, rsub = prime.left[r], prime.right[r]
-    prime.left[r] = mn
-    prime.right[r] = mx
-    prime.left[mn] = None
-    prime.right[mn] = lsub
-    prime.parent[mn] = r
-    prime.left[mx] = rsub
-    prime.right[mx] = None
-    prime.parent[mx] = r
+    lsub, rsub = left[r], right[r]
+    left[r] = mn
+    right[r] = mx
+    right[mn] = lsub
+    parent[mn] = r
+    left[mx] = rsub
+    parent[mx] = r
     if lsub is not None:
-        prime.parent[lsub] = mn
+        parent[lsub] = mn
     if rsub is not None:
-        prime.parent[rsub] = mx
-    prime.cursor = r
+        parent[rsub] = mx
     sim = T.copy()
     sim.cursor = sim.root
     return SentineledTree(prime, sim)
@@ -111,8 +118,11 @@ def apply_t_ops(st: SentineledTree, t_ops, rotate=None) -> list:
     tracked tree refuses op i, the ops before i still run on the restricted
     tree before the error is raised.  Unlike calls of one op each, if the
     restricted side raises at op j (in `rotate`, or at the pinned-root check),
-    the tracked tree has already taken the ops after j.
+    the tracked tree has already taken the ops after j.  An empty `t_ops`
+    returns [] at once.
     """
+    if not t_ops:
+        return []
     sim, prime, ledger = st.sim, st.prime, st.ledger
     parent = sim.parent
     was = sim.cursor

@@ -29,8 +29,11 @@ def splay_step(state: TreeState, key: int) -> str:
     its grandparent: a zig rotates the key once; a zig-zig (x < p < g or
     x > p > g, told apart by key order) rotates p, then the key; a zig-zag
     rotates the key twice.  Moves the cursor to `key` and returns the step
-    kind; at the root it raises IllegalOpError before anything moves.
+    kind; an unknown key raises KeyError, and the root IllegalOpError, before
+    anything moves.
     """
+    if key not in state.keys:
+        raise KeyError(f"unknown key {key!r}")
     parent = state.parent
     p = parent[key]
     if p is None:
@@ -53,17 +56,21 @@ def splay(state: TreeState, key: int) -> int:
     """Splay `key` to the root, bottom-up after Sleator & Tarjan (1985).
 
     Each zig / zig-zig / zig-zag writes the links that `splay_step`'s
-    rotations leave, with the links held in locals.  The child maps are named
-    by their role in the step: `near` is the map on the side x hangs below
-    its parent p (`left` when x < p) and `far` the other, so each link write
-    appears once.  Every step starts with the zig, x rotated over p; a
+    rotations leave, with the links held in locals.  The child lists are
+    named by their role in the step: `near` is the list on the side x hangs
+    below its parent p (`left` when x < p) and `far` the other, so each link
+    write appears once.  Every step starts with the zig, x rotated over p; a
     zig-zig (p on g's near side too) then hangs g below p, taking p's far
     subtree, and a zig-zag hangs g below x, taking x's near subtree.  The
     key's own parent link, the root and the cursor are written once, at the
     end.
     Returns the key's depth before the splay, the number of rotations made.
-    An unknown key raises KeyError before any link moves.
+    An unknown key raises KeyError before any link moves: the lists would
+    take a negative or hole key without complaint, so the key is checked
+    against `state.keys` first.
     """
+    if key not in state.keys:
+        raise KeyError(f"unknown key {key!r}")
     left, right, parent = state.left, state.right, state.parent
     x = key
     p = parent[x]

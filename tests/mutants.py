@@ -17,7 +17,8 @@ row's target against src/, so the catalogue cannot rot silently.
 
 The bound rows loosen one constant each; `tests/test_bounds.py` pins those
 constants at their boundaries.  The kernel rows break one link write of
-`splay.splay` or `TreeState.rotate_up`.
+`splay.splay` or `TreeState.rotate_up`, drop the key check either makes
+before any link moves, or make the link lists one slot too long.
 """
 
 from __future__ import annotations
@@ -52,6 +53,10 @@ class Mutant:
 # the line that precedes each.
 SPLAY_B = "parent[p] = x\n        if b is not None:\n            parent[b] = p"
 ROTATE_B = "far[key] = p\n        if b is not None:\n            parent[b] = p"
+# The key checks of `splay` and `rotate_up`, told apart from those of
+# `splay_step` and `depth` by the line that follows each.
+SPLAY_GUARD = 'if key not in state.keys:\n        raise KeyError(f"unknown key {key!r}")\n    left'
+ROTATE_GUARD = 'if key not in self.keys:\n            raise KeyError(f"unknown key {key!r}")\n        parent'
 
 MUTANTS = (
     # -- bound constants ----------------------------------------------------
@@ -97,6 +102,14 @@ MUTANTS = (
            "elif p < g:", "elif g < p:", KERNEL_TESTS),
     Mutant("rotate_up: parent[b] = p dropped", "machine.py",
            ROTATE_B, ROTATE_B.replace("parent[b] = p", "pass"), KERNEL_TESTS),
+    # -- key checks and the slot rule -----------------------------------------
+    Mutant("splay: key guard dropped", "splay.py",
+           SPLAY_GUARD, SPLAY_GUARD.replace("key not in state.keys", "False"), KERNEL_TESTS),
+    Mutant("rotate_up: key guard dropped", "machine.py",
+           ROTATE_GUARD, ROTATE_GUARD.replace("key not in self.keys", "False"), KERNEL_TESTS),
+    Mutant("slot length off by one", "machine.py",
+           "return max(hi, -1) + 1 + max(0, -lo)", "return max(hi, -1) + 2 + max(0, -lo)",
+           KERNEL_TESTS),
 )
 
 

@@ -7,6 +7,8 @@ served, so it checks the per-query segments `splaylab.oracle.opt_cost` reads
 off its search states.
 `subtree_keys` lists a subtree by walking it, with no sums and no intervals.
 `validate` and `same_structure` read a tree's links directly.
+`link_view` lists one link list per key, and `tree_from_links` lays per-key
+links out in lists, so hand-built trees can be written and compared by key.
 `merge_by_slots` files each extra query into a list per base position, so it
 checks the sorted single pass of `splaylab.lab.merge_extras`.
 `descriptor` writes a tree's shape descriptor, the inverse of
@@ -53,6 +55,7 @@ from splaylab.machine import (
     TreeState,
     apply_op,
     build_tree,
+    key_set,
 )
 from splaylab.oracle import _links, _rotated
 from splaylab.potential import WeightAssignment
@@ -60,6 +63,27 @@ from splaylab.restricted import SentineledTree, op_sequence
 from splaylab.splay import total_access_cost
 
 MAX_ENUM_KEYS = 8
+
+
+def link_view(tree: TreeState, name: str) -> dict:
+    """The links `name` ("left", "right" or "parent") of `tree` as a dict from
+    each key, in increasing order, to its linked key or None."""
+    links = getattr(tree, name)
+    return {key: links[key] for key in sorted(tree.keys)}
+
+
+def tree_from_links(left: dict, right: dict, parent: dict, root: int) -> TreeState:
+    """The tree whose links are the per-key dicts `left`, `right` and
+    `parent`, each over every key, laid out in lists by the slot rule."""
+    keys = sorted(left)
+    length = max(keys[-1], -1) + 1 + max(0, -keys[0])
+    lists = []
+    for links in (left, right, parent):
+        slots = [None] * length
+        for key, linked in links.items():
+            slots[key] = linked
+        lists.append(slots)
+    return TreeState(key_set(keys), *lists, root)
 
 
 def same_structure(a: TreeState, b: TreeState) -> bool:
@@ -85,14 +109,24 @@ def validate(tree: TreeState) -> None:
         node = stack.pop()
         order.append(node)
         node = tree.right[node]
-    assert len(order) == len(tree.left), "traversal does not visit every node exactly once"
+    assert len(order) == len(tree.keys), "traversal does not visit every node exactly once"
     assert all(a < b for a, b in zip(order, order[1:])), "in-order keys are not increasing"
+    assert set(order) == set(tree.keys), "the walk reaches a key outside the key set"
     assert tree.parent[tree.root] is None, "root has a parent"
-    for key in tree.left:
+    for key in tree.keys:
         for side, child in (("left", tree.left[key]), ("right", tree.right[key])):
             assert child is None or tree.parent[child] == key, \
                 f"{side} child {child} of {key} has a bad parent link"
-    assert tree.cursor in tree.left, "cursor is not a node of the tree"
+    assert tree.cursor in tree.keys, "cursor is not a node of the tree"
+    # The lists hold one slot per key in max(lo, 0)..max(hi, -1) and one per
+    # key in min(lo, 0)..-1; every slot of a key outside the tree is empty.
+    lo, hi = min(tree.keys), max(tree.keys)
+    assert len(tree.left) == len(tree.right) == len(tree.parent) == \
+        max(hi, -1) + 1 + max(0, -lo), "link lists do not have one slot per key of the span"
+    held = {index % len(tree.left) for index in tree.keys}
+    for links in (tree.left, tree.right, tree.parent):
+        assert all(links[i] is None for i in range(len(links)) if i not in held), \
+            "a slot outside the key set is not None"
 
 
 def subtree_keys(tree: TreeState, key: int) -> set:

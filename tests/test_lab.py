@@ -323,7 +323,7 @@ class TestKeptSums:
 
     def test_one_S_pass_at_the_end_of_accounting_run(self, monkeypatch):
         # The final potential is read once, for phi_final and the residual alike:
-        # one pass over S, and one over T for P(T), which the rotations reset.
+        # one fresh pass over S, then one over T for P(T); nothing is cached.
         log, runs = [], []
         sums_of = splaylab.potential.subtree_sums
 

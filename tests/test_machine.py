@@ -8,7 +8,6 @@ from splaylab.machine import (
     MachineProgram,
     OpKind,
     ShapeError,
-    TreeState,
     apply_op,
     build_tree,
     tree_from_roots,
@@ -23,7 +22,8 @@ from splaylab.generators import (
 from splaylab.oracle import static_optimal
 from splaylab.restricted import cursor_trace
 
-from reference import all_depths, descriptor, same_structure, subtree_keys, validate
+from reference import (all_depths, descriptor, link_view, same_structure, subtree_keys,
+                       tree_from_links, validate)
 
 
 L, R, U, ROT = OpKind.LEFT, OpKind.RIGHT, OpKind.UP, OpKind.ROTATE
@@ -38,7 +38,8 @@ def replay(state, ops):
 class TestShapes:
     def test_singleton_descriptor(self):
         tree = build_tree([7], "(..)")
-        assert tree.root == 7 and tree.left == {7: None} and tree.right == {7: None}
+        assert tree.root == 7 and link_view(tree, "left") == {7: None} \
+            and link_view(tree, "right") == {7: None}
 
     def test_singleton_alias(self):
         assert same_structure(build_tree([7], "(.)"), build_tree([7], "(..)"))
@@ -190,8 +191,9 @@ def test_random_tree_matches_descriptor_route():
             direct = random_tree(n, rng_direct)
             via_desc = build_tree(range(n), descriptor_random_shape(n, rng_desc))
             assert direct.root == via_desc.root and direct.cursor == via_desc.cursor
+            assert direct.keys == via_desc.keys
             for links in ("left", "right", "parent"):
-                assert list(getattr(direct, links).items()) == list(getattr(via_desc, links).items())
+                assert getattr(direct, links) == getattr(via_desc, links)
             assert rng_direct.random() == rng_desc.random()  # same draws consumed
 
 
@@ -232,7 +234,7 @@ def hand_built_spine(n, side):
             right[prev] = key
         else:
             left[prev] = key
-    return TreeState(left, right, parent, keys[0])
+    return tree_from_links(left, right, parent, keys[0])
 
 
 def hand_built_balanced(n):
@@ -252,7 +254,7 @@ def hand_built_balanced(n):
             right[par] = mid
         stack.append((lo, mid, mid, "left"))
         stack.append((mid + 1, hi, mid, "right"))
-    return TreeState(left, right, parent, n // 2)
+    return tree_from_links(left, right, parent, n // 2)
 
 
 def hand_built_static_optimal(counts):
@@ -294,15 +296,15 @@ def hand_built_static_optimal(counts):
             right[par] = key
         stack.append((i, r, key, "L"))
         stack.append((r + 1, j, key, "R"))
-    return TreeState(left, right, parent, tree_root)
+    return tree_from_links(left, right, parent, tree_root)
 
 
-def assert_same_tree(built, reference, ordered=True):
-    """Same root and cursor, and the same link items (in the same order if `ordered`)."""
+def assert_same_tree(built, reference):
+    """Same root, cursor and key set, and the same link lists slot for slot."""
     assert built.root == reference.root and built.cursor == reference.cursor
+    assert built.keys == reference.keys
     for links in ("left", "right", "parent"):
-        got, want = getattr(built, links), getattr(reference, links)
-        assert (list(got.items()) == list(want.items())) if ordered else got == want
+        assert getattr(built, links) == getattr(reference, links)
     validate(built)
 
 
@@ -310,9 +312,7 @@ def test_builders_match_hand_built_references():
     for n in range(1, 65):
         assert_same_tree(balanced_tree(n), hand_built_balanced(n))
         assert_same_tree(spine_tree(n, "right"), hand_built_spine(n, "right"))
-        # The hand-built left spine listed its keys in descending order; the
-        # links are the same, only the dicts list them ascending now.
-        assert_same_tree(spine_tree(n, "left"), hand_built_spine(n, "left"), ordered=False)
+        assert_same_tree(spine_tree(n, "left"), hand_built_spine(n, "left"))
 
 
 def test_static_optimal_matches_hand_built_reference():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 import splaylab.machine
+import splaylab.restricted
 import splaylab.suites
 from splaylab.generators import ExperimentConfig, random_t_program, random_tree, rng_for_trial
 from splaylab.machine import (
@@ -14,6 +15,8 @@ from splaylab.machine import (
     apply_op,
     apply_ops,
     build_tree,
+    key_set,
+    tree_from_roots,
 )
 from splaylab.restricted import (
     apply_t_ops,
@@ -26,12 +29,14 @@ from splaylab.restricted import (
 from splaylab.suites import run_suite
 
 from reference import (
+    link_view,
     reference_apply_op,
     reference_apply_t_op,
     reference_cursor_trace,
     reference_is_subsequence,
     reference_random_t_program,
     same_structure,
+    tree_from_links,
     validate,
 )
 
@@ -73,6 +78,42 @@ class TestInitPrime:
         for n in (1, 2, 7):
             T = random_tree(n, rng_for_trial(1, n))
             assert len(init_prime(T).prime) == n + 2
+
+    def test_sentinel_slots_over_contiguous_keys(self):
+        # Over 0..n-1 the sentinels -1 and n take the two slots appended.
+        for n in (1, 2, 7, 30):
+            T = random_tree(n, rng_for_trial(3, n))
+            st = init_prime(T)
+            prime = st.prime
+            assert prime.keys == range(-1, n + 1)
+            assert len(prime.left) == len(prime.right) == len(prime.parent) == n + 2
+            assert prime.in_order() == list(range(-1, n + 1))
+            validate(prime)
+            validate(st.sim)
+            assert snapshot(st.sim) == snapshot(T)
+
+    @pytest.mark.parametrize("keys", [[-1000, 0, 5, 1000], [5, 9, 10], [-30, -7, -6],
+                                      [-1], [0], [-3, 3], [0, 1, 2, 3, 4]])
+    def test_sentinels_over_sparse_keys(self, keys):
+        # Every key of T keeps its links except the root's two, whose subtrees
+        # hang below the sentinels, and the sentinels' slots open without
+        # moving any key of T.
+        for seed in range(5):
+            T = tree_from_roots(keys, rng_for_trial(seed, len(keys)).randrange)
+            prime = init_prime(T).prime
+            mn, mx = keys[0] - 1, keys[-1] + 1
+            left, right, parent = (link_view(T, name) for name in ("left", "right", "parent"))
+            r = T.root
+            left.update({r: mn, mn: None, mx: T.right[r]})
+            right.update({r: mx, mn: T.left[r], mx: None})
+            parent.update({mn: r, mx: r})
+            for sub, sentinel in ((T.left[r], mn), (T.right[r], mx)):
+                if sub is not None:
+                    parent[sub] = sentinel
+            want = tree_from_links(left, right, parent, r)
+            assert snapshot(prime) == snapshot(want)
+            assert prime.keys == key_set([mn, *keys, mx])
+            validate(prime)
 
 
 class TestMoveSimulation:
@@ -263,7 +304,7 @@ class TestRestrictedChecker:
 
 def snapshot(tree):
     """Everything a transition can change: the links, the root and the cursor."""
-    return dict(tree.left), dict(tree.right), dict(tree.parent), tree.root, tree.cursor
+    return tree.keys, tree.left.copy(), tree.right.copy(), tree.parent.copy(), tree.root, tree.cursor
 
 
 def outcome(run):
@@ -421,6 +462,26 @@ class TestBatchedTransition:
             if result[0] is IllegalOpError and result[1].startswith(fault):
                 differed += snapshot(sim) != snapshot(runs[1][4])
         assert differed > 40
+
+    def test_empty_segment_moves_nothing(self, monkeypatch):
+        # No ops: no replay, no hook call, no charge, and both trees and both
+        # cursors as they were.
+        states = []
+        for T, _ in programs(67, 20):
+            st = init_prime(T)
+            # One legal move first, where there is one, so a cursor is off the root.
+            apply_t_ops(st, [op for op in (L, R) if op not in illegal_at(st.sim)][:1])
+            states.append(st)
+        replays = []
+        monkeypatch.setattr(splaylab.restricted, "apply_ops",
+                            lambda *args, **kwargs: replays.append(args))
+        for st in states:
+            before = snapshot(st.prime), snapshot(st.sim), replace(st.ledger)
+            calls = []
+            for empty in ([], ()):
+                assert apply_t_ops(st, empty, calls.append) == []
+            assert (snapshot(st.prime), snapshot(st.sim), st.ledger) == before
+            assert calls == [] and replays == []
 
     def test_lemma3_applies_no_op_per_restricted_op(self, monkeypatch):
         # apply_op never runs: random_t_program moves its own cursor, and

@@ -205,7 +205,7 @@ def test_rotate_up_matches_reference_on_sparse_keys(data):
     tree = sparse_tree(data)
     reference = tree.copy()
     for _ in range(data.draw(st.integers(1, 20))):
-        key = data.draw(st.sampled_from(sorted(tree.left)))
+        key = data.draw(st.sampled_from(sorted(tree.keys)))
         if tree.parent[key] is None:
             with pytest.raises(IllegalOpError, match="cannot rotate the root"):
                 tree.rotate_up(key)
@@ -224,7 +224,7 @@ def test_rotate_up_matches_reference_on_sparse_keys(data):
 def test_splay_matches_textbook_on_sparse_keys(data):
     tree = sparse_tree(data)
     reference = tree.copy()
-    for key in data.draw(st.lists(st.sampled_from(sorted(tree.left)), max_size=20)):
+    for key in data.draw(st.lists(st.sampled_from(sorted(tree.keys)), max_size=20)):
         depth, _ = textbook_splay(reference, key)
         assert splay(tree, key) == depth
         assert same_structure(tree, reference)
@@ -356,6 +356,39 @@ def test_splay_of_unknown_key_moves_no_link():
         splay(tree, 20)
     assert same_structure(tree, before) and tree.parent == before.parent
     assert tree.cursor == before.cursor
+
+
+def unknown_key_cases():
+    """(tree, key) pairs whose key is not in the tree but which a list slot
+    would take without complaint: -1 wraps onto the last key's slot of a
+    0..n-1 tree and n is one past it; 3, -1 and -999 are holes of a sparse
+    tree and 1001 is one past its last slot."""
+    for key in (-1, 20):
+        yield random_tree(20, rng_for_trial(23, 0)), key
+    sparse = tree_from_roots([-1000, 0, 5, 1000], lambda i, j: (i + j) // 2)
+    for key in (3, -1, -999, 1001):
+        yield sparse.copy(), key
+
+
+ENTRY_POINTS = {
+    "splay": splay,
+    "splay_step": splay_step,
+    "rotate_up": TreeState.rotate_up,
+    "depth": TreeState.depth,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_unknown_key_raises_before_anything_moves(entry):
+    for tree, key in unknown_key_cases():
+        # A cursor off the root, so a moved cursor shows.
+        tree.cursor = next(k for k in tree.in_order() if k != tree.root)
+        before = tree.copy()
+        with pytest.raises(KeyError, match=f"unknown key {key}"):
+            ENTRY_POINTS[entry](tree, key)
+        assert tree.keys == before.keys and tree.parent == before.parent
+        assert same_structure(tree, before) and tree.cursor == before.cursor
+        validate(tree)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
