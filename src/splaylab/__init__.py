@@ -3,7 +3,6 @@
 from .machine import (
     CostLedger,
     IllegalOpError,
-    MachineError,
     MachineProgram,
     OpKind,
     ShapeError,

@@ -40,7 +40,7 @@ def random_tree(n: int, rng: random.Random) -> TreeState:
 
     Roots are drawn in preorder (root, left subtree, right subtree).
     """
-    return tree_from_roots(range(n), root_picker(rng))
+    return tree_from_roots(n, root_picker(rng))
 
 
 def random_pair(n: int, rng: random.Random) -> tuple[TreeState, TreeState]:
@@ -51,15 +51,15 @@ def random_pair(n: int, rng: random.Random) -> tuple[TreeState, TreeState]:
 def spine_tree(n: int, side: str = "right") -> TreeState:
     """Path tree: keys 0..n-1, each node's single child on `side`."""
     if side == "right":
-        return tree_from_roots(range(n), lambda i, j: i)
+        return tree_from_roots(n, lambda i, j: i)
     if side == "left":
-        return tree_from_roots(range(n), lambda i, j: j - 1)
+        return tree_from_roots(n, lambda i, j: j - 1)
     raise ValueError(f"side must be 'left' or 'right', not {side!r}")
 
 
 def balanced_tree(n: int) -> TreeState:
     """Perfectly balanced tree over keys 0..n-1 (median roots)."""
-    return tree_from_roots(range(n), lambda i, j: (i + j) // 2)
+    return tree_from_roots(n, lambda i, j: (i + j) // 2)
 
 
 def random_t_program(tree: TreeState, rng: random.Random,

@@ -1,12 +1,13 @@
 """Cursor-based binary search tree machine.
 
-Trees hold a finite set of distinct integer keys.  A tree keeps its left,
-right and parent links in three lists indexed by key the way Python indexes
-a list: key k >= 0 sits at index k and key k < 0 at index len + k, so the
-kernels subscript a list with the key itself.  The slot of a key outside the
-tree holds None, and every entry point that takes a key from outside checks
-it against the tree's key set and raises KeyError before any link moves,
-since a list would take a negative or hole key without complaint.
+A tree holds the keys 0..n-1; the restricted tree of `splaylab.restricted`
+adds the sentinels -1 and n.  A tree keeps its left, right and parent links
+in three lists indexed by key: key k sits at index k and the sentinel -1 at
+the last index, where Python's negative indexing puts it, so the kernels
+subscript a list with the key itself.  A list would take a key outside the
+tree without complaint (-1 on a 0..n-1 tree is the last key's slot), so
+every entry point that takes a key from outside checks it against the
+tree's key range and raises KeyError before any link moves.
 
 A single cursor moves between adjacent nodes; the only structural primitive
 is an upward rotation of the node at the cursor.  A program is a sequence of
@@ -23,15 +24,11 @@ from dataclasses import dataclass
 from enum import Enum
 
 
-class MachineError(Exception):
-    """Base class for machine-model errors."""
+class ShapeError(Exception):
+    """Malformed shape descriptor."""
 
 
-class ShapeError(MachineError):
-    """Malformed shape descriptor, or keys that do not fit it."""
-
-
-class IllegalOpError(MachineError):
+class IllegalOpError(Exception):
     """An operation that is not legal at the current cursor position."""
 
     def __init__(self, message: str, index: int | None = None):
@@ -62,32 +59,17 @@ class CostLedger:
     rotations: int = 0
 
 
-def key_set(keys) -> range | frozenset:
-    """The key set of a tree over the increasing integer sequence `keys`: a
-    `range` when they are contiguous, which every suite's trees are, else a
-    frozenset.  Equal key sets always come out equal."""
-    if keys[-1] - keys[0] + 1 == len(keys):
-        return range(keys[0], keys[-1] + 1)
-    return frozenset(keys)
-
-
-def slot_count(lo: int, hi: int) -> int:
-    """The length of the link lists of a tree whose least key is `lo` and
-    greatest `hi`: one slot per key in max(lo, 0)..max(hi, -1) and one per
-    key in min(lo, 0)..-1, so that a negative key k sits at index length + k."""
-    return max(hi, -1) + 1 + max(0, -lo)
-
-
 class TreeState:
-    """Mutable BST over distinct integer keys with parent links and a cursor.
+    """Mutable BST with parent links and a cursor.
 
-    `keys` is the key set (see `key_set`); `left`, `right` and `parent` are
-    lists indexed by key (see the module docstring) holding a key or None, and
-    None in every slot of a key outside `keys`.  `copy` shares `keys`."""
+    `keys` is `range(n)`, or `range(-1, n + 1)` for a restricted tree;
+    `left`, `right` and `parent` are lists indexed by key (see the module
+    docstring), one slot per key, each holding a key or None.  `copy`
+    shares `keys`."""
 
     __slots__ = ("keys", "left", "right", "parent", "root", "cursor")
 
-    def __init__(self, keys: range | frozenset, left: list, right: list, parent: list,
+    def __init__(self, keys: range, left: list, right: list, parent: list,
                  root: int, cursor: int | None = None):
         self.keys = keys
         self.left = left
@@ -116,19 +98,6 @@ class TreeState:
             d += 1
             node = self.parent[node]
         return d
-
-    def in_order(self) -> list:
-        out = []
-        stack = []
-        node = self.root
-        while stack or node is not None:
-            while node is not None:
-                stack.append(node)
-                node = self.left[node]
-            node = stack.pop()
-            out.append(node)
-            node = self.right[node]
-        return out
 
     # -- structural mutation ------------------------------------------------
 
@@ -162,56 +131,52 @@ class TreeState:
             self.right[g] = key
 
 
-def tree_from_roots(keys, pick) -> TreeState:
-    """The tree over the increasing `keys` whose subtree over keys[i:j] is
-    rooted at keys[pick(i, j)].
+def tree_from_roots(n: int, pick) -> TreeState:
+    """The tree over the keys 0..n-1 whose subtree over the keys i..j-1 is
+    rooted at pick(i, j).
 
     `pick` is called once per node, in preorder with the left subtree first.
     """
-    keys = list(keys)
-    n = len(keys)
     if n < 1:
         raise ValueError("a tree needs at least one key")
-    left = [None] * slot_count(keys[0], keys[-1])
+    left = [None] * n
     right = left.copy()
     parent = left.copy()
-    r = pick(0, n)
-    root = keys[r]
+    root = pick(0, n)
     # Pending intervals (i, j, parent key, the parent's child links).  Each one
     # popped is followed down its left chain; nonempty right intervals wait here.
-    stack = [(r + 1, n, root, right)] if r + 1 < n else []
-    if r:
-        stack.append((0, r, root, left))
+    stack = [(root + 1, n, root, right)] if root + 1 < n else []
+    if root:
+        stack.append((0, root, root, left))
     while stack:
         i, j, par, links = stack.pop()
         while True:
-            r = pick(i, j)
-            key = keys[r]
+            key = pick(i, j)
             parent[key] = par
             links[par] = key
-            if r + 1 < j:
-                stack.append((r + 1, j, key, right))
-            if r == i:
+            if key + 1 < j:
+                stack.append((key + 1, j, key, right))
+            if key == i:
                 break
-            j, par, links = r, key, left
-    return TreeState(key_set(keys), left, right, parent, root)
+            j, par, links = key, key, left
+    return TreeState(range(n), left, right, parent, root)
 
 
 # -- shape descriptors ------------------------------------------------------
 #
 # Grammar: S ::= "(" S S ")" | "."   with "." an empty subtree and one node
-# per parenthesis pair; keys are assigned to node slots in in-order.
+# per parenthesis pair; the keys 0..n-1 are assigned to the nodes in in-order.
 # "(.)" is accepted as an alias for the singleton "(..)".
 
 
-def build_tree(keys, shape: str) -> TreeState:
-    """Build the tree of descriptor `shape` with the increasing `keys`
-    assigned in-order to its nodes."""
+def build_tree(shape: str) -> TreeState:
+    """Build the tree of descriptor `shape` over the keys 0..n-1, n its node
+    count, assigned in-order to its nodes."""
     compact = "".join(shape.split()).replace("(.)", "(..)")
     if not compact:
         raise ShapeError("empty shape descriptor")
-    # One pass over the descriptor.  A node's in-order rank is fixed when its
-    # left slot fills; the nodes open in preorder, the order in which
+    # One pass over the descriptor.  A node's key, its in-order rank, is fixed
+    # when its left slot fills; the nodes open in preorder, the order in which
     # tree_from_roots asks for them, so list the ranks in that order.
     ranks = []
     rank = 0
@@ -247,13 +212,8 @@ def build_tree(keys, shape: str) -> TreeState:
         node[1] += 1
     if open_nodes:
         raise ShapeError("unbalanced '('")
-    keys = list(keys)
-    if any(a >= b for a, b in zip(keys, keys[1:])):
-        raise ShapeError("keys must be strictly increasing")
-    if len(ranks) != len(keys):
-        raise ShapeError(f"shape has {len(ranks)} slots for {len(keys)} keys")
     next_rank = iter(ranks).__next__
-    return tree_from_roots(keys, lambda i, j: next_rank())
+    return tree_from_roots(len(ranks), lambda i, j: next_rank())
 
 
 # -- programs ------------------------------------------------------------------

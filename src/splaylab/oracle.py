@@ -112,7 +112,7 @@ def opt_cost(T0: TreeState, queries) -> tuple[int, list]:
     k0 = 0
     while k0 < m and queries[k0] == root:
         k0 += 1
-    start = (tuple(T0.parent[k] for k in range(n)), root, k0, True)
+    start = (tuple(T0.parent), root, k0, True)
     pred = {start: None}
     frontier = deque([start])
     goal = start if k0 == m else None
@@ -195,12 +195,12 @@ def program_search(T0: TreeState, queries, budget: int) -> bool:
 # -- static optimality ---------------------------------------------------------
 
 
-def static_optimal(counts: dict) -> TreeState:
-    """Interval DP for a tree over the keys of `counts` ({key: access count})
-    minimizing the successful-search cost."""
-    keys = sorted(counts)
-    n = len(keys)
-    f = [counts[k] for k in keys]
+def static_optimal(counts) -> TreeState:
+    """Interval DP for a tree over the keys 0..n-1 minimizing the
+    successful-search cost, with `counts[k]` the access count of key k:
+    a list, or a dict over 0..n-1 (a dict keyed elsewhere raises KeyError)."""
+    n = len(counts)
+    f = [counts[k] for k in range(n)]
     prefix = [0] * (n + 1)
     for i, x in enumerate(f):
         prefix[i + 1] = prefix[i] + x
@@ -217,7 +217,7 @@ def static_optimal(counts: dict) -> TreeState:
                     best, best_r = c, r
             cost[i][j] = best + prefix[j] - prefix[i]
             root[i][j] = best_r
-    return tree_from_roots(keys, lambda i, j: root[i][j])
+    return tree_from_roots(n, lambda i, j: root[i][j])
 
 
 # -- strategy programs -----------------------------------------------------------

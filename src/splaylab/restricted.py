@@ -24,8 +24,6 @@ from .machine import (
     TreeState,
     apply_op,
     apply_ops,
-    key_set,
-    slot_count,
 )
 from .report import CheckReport
 
@@ -58,30 +56,32 @@ class SentineledTree:
 
 
 def init_prime(T: TreeState) -> SentineledTree:
-    """Initial restricted configuration: sentinels under the root, subtrees rehung."""
-    keys = T.in_order()
-    mn, mx = keys[0] - 1, keys[-1] + 1
-    # The sentinels' slots open between the block of nonnegative keys and the
-    # block of negative ones, so every key of T keeps its slot; new slots hold
-    # None.  Over 0..n-1 that appends the slots of n and of -1.
-    split = max(keys[-1], -1) + 1
-    pad = [None] * (slot_count(mn, mx) - len(T.left))
-    left, right, parent = T.left.copy(), T.right.copy(), T.parent.copy()
-    for links in (left, right, parent):
-        links[split:split] = pad
-    prime = TreeState(key_set([mn, *keys, mx]), left, right, parent, T.root)
-    r = prime.root
+    """Initial restricted configuration over T's keys 0..n-1 and the sentinels
+    -1 and n: -1 and n hang below T's root on its left and right, with the
+    root's left subtree below -1 and its right subtree below n.
+
+    The sentinels' slots are appended to copies of T's lists, n at index n
+    and -1 at the last index.  A T over other keys, such as a restricted
+    tree, raises ValueError.
+    """
+    n = len(T)
+    if T.keys != range(n):
+        raise ValueError(f"tree keys must be 0..{n - 1}")
+    pad = [None, None]
+    left, right, parent = T.left + pad, T.right + pad, T.parent + pad
+    r = T.root
     lsub, rsub = left[r], right[r]
-    left[r] = mn
-    right[r] = mx
-    right[mn] = lsub
-    parent[mn] = r
-    left[mx] = rsub
-    parent[mx] = r
+    left[r] = -1
+    right[r] = n
+    right[-1] = lsub
+    parent[-1] = r
+    left[n] = rsub
+    parent[n] = r
     if lsub is not None:
-        parent[lsub] = mn
+        parent[lsub] = -1
     if rsub is not None:
-        parent[rsub] = mx
+        parent[rsub] = n
+    prime = TreeState(range(-1, n + 1), left, right, parent, r)
     sim = T.copy()
     sim.cursor = sim.root
     return SentineledTree(prime, sim)
@@ -151,7 +151,7 @@ def apply_t_ops(st: SentineledTree, t_ops, rotate=None) -> list:
         try:
             apply_ops(prime, seq, rotate=rotate)
         except IllegalOpError as exc:
-            raise IllegalOpError(str(exc), i) from None
+            raise IllegalOpError(exc.reason, i) from None
         rotations = seq.count(_ROT)
         ledger.moves += len(seq) - rotations
         ledger.rotations += rotations

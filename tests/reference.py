@@ -9,6 +9,7 @@ off its search states.
 `validate` and `same_structure` read a tree's links directly.
 `link_view` lists one link list per key, and `tree_from_links` lays per-key
 links out in lists, so hand-built trees can be written and compared by key.
+`in_order` lists a tree's keys by an in-order walk of its links.
 `merge_by_slots` files each extra query into a list per base position, so it
 checks the sorted single pass of `splaylab.lab.merge_extras`.
 `descriptor` writes a tree's shape descriptor, the inverse of
@@ -55,7 +56,6 @@ from splaylab.machine import (
     TreeState,
     apply_op,
     build_tree,
-    key_set,
 )
 from splaylab.oracle import _links, _rotated
 from splaylab.potential import WeightAssignment
@@ -74,16 +74,32 @@ def link_view(tree: TreeState, name: str) -> dict:
 
 def tree_from_links(left: dict, right: dict, parent: dict, root: int) -> TreeState:
     """The tree whose links are the per-key dicts `left`, `right` and
-    `parent`, each over every key, laid out in lists by the slot rule."""
-    keys = sorted(left)
-    length = max(keys[-1], -1) + 1 + max(0, -keys[0])
+    `parent`, each over the keys 0..n-1, or over -1..n for a restricted tree,
+    laid out in lists by the slot rule: key k at index k, -1 at the last."""
+    keys = range(min(left), max(left) + 1)
+    assert keys.start in (0, -1) and len(left) == len(keys), "keys are not 0..n-1 or -1..n"
     lists = []
     for links in (left, right, parent):
-        slots = [None] * length
+        slots = [None] * len(keys)
         for key, linked in links.items():
             slots[key] = linked
         lists.append(slots)
-    return TreeState(key_set(keys), *lists, root)
+    return TreeState(keys, *lists, root)
+
+
+def in_order(tree: TreeState) -> list:
+    """The keys of `tree` in in-order, walked by its child links."""
+    out = []
+    stack = []
+    node = tree.root
+    while stack or node is not None:
+        while node is not None:
+            stack.append(node)
+            node = tree.left[node]
+        node = stack.pop()
+        out.append(node)
+        node = tree.right[node]
+    return out
 
 
 def same_structure(a: TreeState, b: TreeState) -> bool:
@@ -118,15 +134,10 @@ def validate(tree: TreeState) -> None:
             assert child is None or tree.parent[child] == key, \
                 f"{side} child {child} of {key} has a bad parent link"
     assert tree.cursor in tree.keys, "cursor is not a node of the tree"
-    # The lists hold one slot per key in max(lo, 0)..max(hi, -1) and one per
-    # key in min(lo, 0)..-1; every slot of a key outside the tree is empty.
-    lo, hi = min(tree.keys), max(tree.keys)
-    assert len(tree.left) == len(tree.right) == len(tree.parent) == \
-        max(hi, -1) + 1 + max(0, -lo), "link lists do not have one slot per key of the span"
-    held = {index % len(tree.left) for index in tree.keys}
-    for links in (tree.left, tree.right, tree.parent):
-        assert all(links[i] is None for i in range(len(links)) if i not in held), \
-            "a slot outside the key set is not None"
+    n = len(tree.keys)
+    assert tree.keys in (range(n), range(-1, n - 1)), "keys are not 0..n-1 or -1..n"
+    assert len(tree.left) == len(tree.right) == len(tree.parent) == n, \
+        "link lists do not have one slot per key"
 
 
 def subtree_keys(tree: TreeState, key: int) -> set:
@@ -205,11 +216,10 @@ def static_cost(tree: TreeState, counts: dict) -> int:
     return sum(counts[v] * (depths[v] + 1) for v in depths)
 
 
-def brute_force_static_cost(counts: dict) -> int:
-    """Minimum successful-search cost over every shape (exhaustive oracle)."""
-    keys = sorted(counts)
-    return min(static_cost(build_tree(keys, shape), counts)
-               for shape in enumerate_shapes(len(keys)))
+def brute_force_static_cost(counts) -> int:
+    """Minimum successful-search cost over every shape of a tree over the
+    keys 0..n-1 of `counts` (exhaustive oracle)."""
+    return min(static_cost(build_tree(shape), counts) for shape in enumerate_shapes(len(counts)))
 
 
 def split_program_by_service(T0: TreeState, ops, queries) -> list:

@@ -32,6 +32,7 @@ from splaylab.splay import total_access_cost
 from splaylab.suites import near_root
 
 from reference import (
+    in_order,
     merge_by_slots,
     reference_assign_weights,
     reference_subtree_sums,
@@ -71,19 +72,19 @@ def fresh_phi(S, T):
 
 class TestOrganizingPlans:
     def test_depth_one_plan(self):
-        T = build_tree(range(3), "((..)(..))")
+        T = build_tree("((..)(..))")
         keys = plan_organizing_splays(T, 0)
         assert keys == [0, 1]
         assert [T.depth(k) for k in keys] == [1, 0]
 
     def test_depth_two_plan(self):
-        T = build_tree(range(5), "(((..)(..))(..))")  # 0 at depth 2 under 1 under 3
+        T = build_tree("(((..)(..))(..))")  # 0 at depth 2 under 1 under 3
         keys = plan_organizing_splays(T, 0)
         assert keys == [0, 1, 3]
         assert [T.depth(k) for k in keys] == [2, 1, 0]
 
     def test_root_rejected(self):
-        T = build_tree(range(3), "((..)(..))")
+        T = build_tree("((..)(..))")
         with pytest.raises(IllegalOpError):
             plan_organizing_splays(T, T.root)
 
@@ -98,7 +99,7 @@ class TestPerSplayBounds:
         rng = rng_for_trial(59, 0)
         for _ in range(100):
             S, T = random_pair(rng.randint(1, 32), rng)
-            key = rng.choice(T.in_order())
+            key = rng.choice(in_order(T))
             wa = assign_weights(T)
             ev = checked_splay(S, wa, *key_order(wa), key, depth_ref=T.depth(key),
                                per_step=True)
@@ -107,14 +108,14 @@ class TestPerSplayBounds:
             assert check_amortized_depth(ev).passed
 
     def test_zero_depth_splay_is_free(self):
-        T = build_tree(range(3), "((..)(..))")
+        T = build_tree("((..)(..))")
         S = T.copy()
         wa = assign_weights(T)
         ev = checked_splay(S, wa, *key_order(wa), T.root, depth_ref=0)
         assert ev.cost == 0 and ev.amortized == 0.0
 
     def test_unknown_key_rejected(self):
-        T = build_tree(range(3), "((..)(..))")
+        T = build_tree("((..)(..))")
         wa = assign_weights(T)
         with pytest.raises(KeyError, match="unknown key 7"):
             checked_splay(T, wa, *key_order(wa), 7, depth_ref=0)
@@ -203,10 +204,10 @@ class TestInterleavedRun:
             phi_initial = run.phi
             for _ in range(6):
                 if rng.random() < 0.3:
-                    shallow = [k for k in T.in_order() if 1 <= T.depth(k) <= 2]
+                    shallow = [k for k in in_order(T) if 1 <= T.depth(k) <= 2]
                     run.apply_T_rotation(rng.choice(shallow))
                 else:
-                    run.splay_query(rng.choice(T.in_order()))
+                    run.splay_query(rng.choice(in_order(T)))
             assert abs(run.telescoping_residual(phi_initial, run.phi)) < 1e-6
             assert not run.report.violations
 
@@ -220,7 +221,7 @@ class TestInterleavedRun:
         worst = -math.inf
         for _ in range(100):
             S, T = random_pair(rng.randint(3, 32), rng)
-            candidates = [k for k in T.in_order() if 1 <= T.depth(k) <= 2]
+            candidates = [k for k in in_order(T) if 1 <= T.depth(k) <= 2]
             run = InterleavedRun(S, T)
             rotated = rng.choice(candidates)
             depth = T.depth(rotated)
@@ -231,7 +232,7 @@ class TestInterleavedRun:
         assert worst <= ROTATION_DELTA_BOUND + 1e-6
 
     def test_organizing_splays_counted(self):
-        T = build_tree(range(5), "(((..)(..))(..))")
+        T = build_tree("(((..)(..))(..))")
         run = InterleavedRun(T.copy(), T)
         run.apply_T_rotation(0)  # depth 2: three organizing splays
         assert run.organizing_count == 3
@@ -262,13 +263,13 @@ class TestKeptSums:
             S, T = random_pair(rng.randint(1, 16), rng)
             run = InterleavedRun(S, T, per_step=per_step)
             for _ in range(8):
-                shallow = [k for k in T.in_order() if 1 <= T.depth(k) <= 2]
+                shallow = [k for k in in_order(T) if 1 <= T.depth(k) <= 2]
                 roll = rng.random()
                 if shallow and roll < 0.3:
                     run.apply_T_rotation(rng.choice(shallow))
                     rotations += 1
                 else:
-                    key = run.S.root if roll < 0.45 else rng.choice(T.in_order())
+                    key = run.S.root if roll < 0.45 else rng.choice(in_order(T))
                     roots += key == run.S.root
                     prefix = run.prefix
                     run.splay_query(key)
@@ -298,7 +299,7 @@ class TestKeptSums:
         monkeypatch.setattr(splaylab.lab, "subtree_sums", counted_sums)
         monkeypatch.setattr(splaylab.potential, "subtree_sums", counted_sums)
         monkeypatch.setattr(splaylab.lab, "checked_splay", marked_splay)
-        T = build_tree(range(5), "(((..)(..))(..))")  # 0 at depth 2 under 1 under 3
+        T = build_tree("(((..)(..))(..))")  # 0 at depth 2 under 1 under 3
         run = InterleavedRun(T.copy(), T)
 
         def passes():
@@ -432,12 +433,12 @@ class TestKeptSums:
             run = InterleavedRun(S, T, per_step=per_step)
             phi_initial = run.phi
             for _ in range(6):
-                shallow = [k for k in T.in_order() if 1 <= T.depth(k) <= 2]
+                shallow = [k for k in in_order(T) if 1 <= T.depth(k) <= 2]
                 if shallow and rng.random() < 0.25:
                     run.apply_T_rotation(rng.choice(shallow))
                     continue
                 before = potential_of(run.S, run.wa)
-                ev = run.splay_query(rng.choice(T.in_order()))
+                ev = run.splay_query(rng.choice(in_order(T)))
                 after = potential_of(run.S, run.wa)
                 assert abs(ev.delta - (after - before)) < 1e-9
                 if per_step:

@@ -22,8 +22,8 @@ from splaylab.generators import (
 from splaylab.oracle import static_optimal
 from splaylab.restricted import cursor_trace
 
-from reference import (all_depths, descriptor, link_view, same_structure, subtree_keys,
-                       tree_from_links, validate)
+from reference import (all_depths, descriptor, in_order, link_view, same_structure,
+                       subtree_keys, tree_from_links, validate)
 
 
 L, R, U, ROT = OpKind.LEFT, OpKind.RIGHT, OpKind.UP, OpKind.ROTATE
@@ -37,35 +37,34 @@ def replay(state, ops):
 
 class TestShapes:
     def test_singleton_descriptor(self):
-        tree = build_tree([7], "(..)")
-        assert tree.root == 7 and link_view(tree, "left") == {7: None} \
-            and link_view(tree, "right") == {7: None}
+        tree = build_tree("(..)")
+        assert tree.root == 0 and link_view(tree, "left") == {0: None} \
+            and link_view(tree, "right") == {0: None}
 
     def test_singleton_alias(self):
-        assert same_structure(build_tree([7], "(.)"), build_tree([7], "(..)"))
+        assert same_structure(build_tree("(.)"), build_tree("(..)"))
 
     def test_round_trip(self):
         desc = "(((..)(..))(..))"
-        tree = build_tree(range(5), desc)
+        tree = build_tree(desc)
         assert descriptor(tree) == desc
 
     @pytest.mark.parametrize("bad", ["", "(", ")", "(.", "(...)", "()", "(..)(..)", "x",
                                      ".", "..", "(..).", "(..))", "(.(..)(..))"])
     def test_malformed(self, bad):
-        # As many keys as the descriptor opens nodes, so no slot count is at fault.
         with pytest.raises(ShapeError):
-            build_tree(range(bad.count("(")), bad)
+            build_tree(bad)
 
-    def test_key_count_mismatch(self):
-        with pytest.raises(ShapeError):
-            build_tree(range(3), "(..)")
-
-    def test_keys_must_increase(self):
-        with pytest.raises(ShapeError):
-            build_tree([3, 2, 1], "((..)(..))")
+    def test_keys_are_0_to_node_count(self):
+        for shape in ("(..)", "(.(..))", "(((..)(..))(..))"):
+            n = shape.count("(")
+            tree = build_tree(shape)
+            assert tree.keys == range(n) and len(tree) == n
+            assert in_order(tree) == list(range(n))
+            validate(tree)
 
     def test_fig5_tree(self):
-        tree = build_tree(range(5), "(((..)(..))(..))")
+        tree = build_tree("(((..)(..))(..))")
         assert tree.root == 3
         assert tree.left[3] == 1 and tree.right[3] == 4
         assert tree.left[1] == 0 and tree.right[1] == 2
@@ -74,7 +73,7 @@ class TestShapes:
     def test_deep_spine_descriptor(self):
         n = 1024
         right_spine = "(." * n + "." + ")" * n
-        tree = build_tree(range(n), right_spine)
+        tree = build_tree(right_spine)
         assert tree.depth(n - 1) == n - 1
         # Walk the spine: each key's only child is its right child, the next key.
         node = tree.root
@@ -88,7 +87,7 @@ class TestShapes:
 class TestRotation:
     def test_zig_rotation(self):
         # Rotating y over root x hangs y's left subtree as x's right child.
-        tree = build_tree(range(3), "((..)(..))")  # root 1, children 0 and 2
+        tree = build_tree("((..)(..))")  # root 1, children 0 and 2
         tree.rotate_up(2)
         assert tree.root == 2
         assert tree.left[2] == 1 and tree.right[1] is None
@@ -99,7 +98,7 @@ class TestRotation:
         for trial in range(50):
             tree = random_tree(rng.randint(2, 12), rng)
             before = tree.copy()
-            key = rng.choice([k for k in tree.in_order() if tree.parent[k] is not None])
+            key = rng.choice([k for k in in_order(tree) if tree.parent[k] is not None])
             parent = tree.parent[key]
             tree.rotate_up(key)
             validate(tree)
@@ -107,14 +106,14 @@ class TestRotation:
             assert same_structure(tree, before)
 
     def test_rotate_root_fails(self):
-        tree = build_tree(range(3), "((..)(..))")
+        tree = build_tree("((..)(..))")
         with pytest.raises(IllegalOpError):
             tree.rotate_up(tree.root)
 
     def test_fuzz_invariants(self):
         rng = rng_for_trial(11, 0)
         tree = random_tree(20, rng)
-        order = tree.in_order()
+        order = in_order(tree)
         applied = 0
         while applied < 10_000:
             kind = rng.choice([OpKind.LEFT, OpKind.RIGHT, OpKind.UP, OpKind.ROTATE])
@@ -124,7 +123,7 @@ class TestRotation:
                 continue
             applied += 1
         validate(tree)
-        assert tree.in_order() == order
+        assert in_order(tree) == order
 
 
 class TestPrograms:
@@ -145,7 +144,7 @@ class TestPrograms:
         assert same_structure(t1, t2) and t1.cursor == t2.cursor
 
     def test_illegal_op_reports_index(self):
-        tree = build_tree(range(2), "(.(..))")  # root 0, right child 1
+        tree = build_tree("(.(..))")  # root 0, right child 1
         with pytest.raises(IllegalOpError) as err:
             cursor_trace(tree, [R, R])
         assert err.value.index == 1
@@ -156,12 +155,12 @@ class TestPrograms:
         assert program.rotation_count == 2
 
     def test_cursor_trace(self):
-        tree = build_tree(range(3), "((..)(..))")
+        tree = build_tree("((..)(..))")
         assert cursor_trace(tree, []) == [tree.root] == [1]
         assert cursor_trace(tree, [L, U, R]) == [1, 0, 1, 2]
         assert cursor_trace(tree, [R, ROT, L]) == [1, 2, 2, 1]
         # The replay runs on a copy: the rotation left the tree as it was.
-        assert same_structure(tree, build_tree(range(3), "((..)(..))")) and tree.cursor == 1
+        assert same_structure(tree, build_tree("((..)(..))")) and tree.cursor == 1
         with pytest.raises(IllegalOpError) as err:
             cursor_trace(tree, [L, U, U])
         assert err.value.index == 2
@@ -172,7 +171,7 @@ class TestPrograms:
 def test_shape_round_trip_random(n, seed):
     tree = random_tree(n, rng_for_trial(seed, 0))
     # The same root and cursor, and the same links listed in the same order.
-    assert_same_tree(build_tree(tree.in_order(), descriptor(tree)), tree)
+    assert_same_tree(build_tree(descriptor(tree)), tree)
 
 
 def descriptor_random_shape(n, rng):
@@ -189,7 +188,7 @@ def test_random_tree_matches_descriptor_route():
         for n in range(1, 65):
             rng_direct, rng_desc = rng_for_trial(seed, n), rng_for_trial(seed, n)
             direct = random_tree(n, rng_direct)
-            via_desc = build_tree(range(n), descriptor_random_shape(n, rng_desc))
+            via_desc = build_tree(descriptor_random_shape(n, rng_desc))
             assert direct.root == via_desc.root and direct.cursor == via_desc.cursor
             assert direct.keys == via_desc.keys
             for links in ("left", "right", "parent"):
@@ -258,7 +257,7 @@ def hand_built_balanced(n):
 
 
 def hand_built_static_optimal(counts):
-    keys = sorted(counts)
+    keys = range(len(counts))
     n = len(keys)
     f = [counts[k] for k in keys]
     prefix = [0] * (n + 1)
@@ -319,15 +318,16 @@ def test_static_optimal_matches_hand_built_reference():
     rng = rng_for_trial(5, 0)
     for _ in range(200):
         n = rng.randint(1, 24)
-        keys = sorted(rng.sample(range(-50, 50), n))
-        counts = {k: rng.choice((0, 1, rng.randrange(100))) for k in keys}
-        assert_same_tree(static_optimal(counts), hand_built_static_optimal(counts))
+        counts = {k: rng.choice((0, 1, rng.randrange(100))) for k in range(n)}
+        reference = hand_built_static_optimal(counts)
+        assert_same_tree(static_optimal(counts), reference)
+        assert_same_tree(static_optimal(list(counts.values())), reference)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=40, unique=True), st.randoms())
-def test_tree_from_roots_random_pick(keys, rnd):
-    keys = sorted(keys)
+@given(st.integers(1, 40), st.randoms())
+def test_tree_from_roots_random_pick(n, rnd):
+    keys = list(range(n))
     calls = []
 
     def pick(i, j):
@@ -335,9 +335,9 @@ def test_tree_from_roots_random_pick(keys, rnd):
         calls.append((i, j, r))
         return r
 
-    tree = tree_from_roots(keys, pick)
+    tree = tree_from_roots(n, pick)
     validate(tree)
-    assert tree.in_order() == keys
+    assert in_order(tree) == keys
     # One call per node, in preorder with the left subtree first, each on the
     # interval of keys that node's subtree holds.
     preorder, stack = [], [tree.root]
@@ -353,10 +353,12 @@ def test_tree_from_roots_random_pick(keys, rnd):
 
 def test_builders_need_a_node():
     for build in (balanced_tree, spine_tree, lambda n: spine_tree(n, "left"),
-                  lambda n: tree_from_roots(range(n), lambda i, j: i)):
+                  lambda n: tree_from_roots(n, lambda i, j: i)):
         with pytest.raises(ValueError):
             build(0)
     with pytest.raises(ValueError):
         spine_tree(3, "up")
     with pytest.raises(ValueError):
         static_optimal({})
+    with pytest.raises(KeyError):  # a count for a key outside 0..n-1
+        static_optimal({5: 1})

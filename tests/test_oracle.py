@@ -5,7 +5,7 @@ import pytest
 from splaylab.generators import random_tree, rng_for_trial
 from splaylab.machine import apply_op, build_tree
 from splaylab.oracle import opt_cost, program_search, per_query_segments, static_optimal
-from splaylab.restricted import cursor_trace
+from splaylab.restricted import cursor_trace, init_prime
 
 from reference import (
     brute_force_static_cost,
@@ -30,13 +30,13 @@ class TestShapeEnumeration:
 
 class TestOptCost:
     def test_query_at_root_is_free(self):
-        cost, segments = opt_cost(build_tree(range(3), "((..)(..))"), [1, 1, 1])
+        cost, segments = opt_cost(build_tree("((..)(..))"), [1, 1, 1])
         assert cost == 0 and segments == [[], [], []]
 
     def test_single_child_query(self):
         # Root 0 with right child 1: either walk down and back (2 moves) or
         # rotate 1 up and return (rotation + move); both cost 2.
-        cost, segments = opt_cost(build_tree(range(2), "(.(..))"), [1])
+        cost, segments = opt_cost(build_tree("(.(..))"), [1])
         assert cost == 2
 
     def test_witness_replays_to_claimed_cost(self):
@@ -65,17 +65,20 @@ class TestOptCost:
 
     def test_rejects_oversized_instances(self):
         with pytest.raises(ValueError):
-            opt_cost(build_tree(range(7), "(((((((..).).).).).).)"), [0])
+            opt_cost(build_tree("(((((((..).).).).).).)"), [0])
 
     def test_rejects_keys_other_than_0_to_n_minus_1(self):
-        for keys in ([1, 2, 3], [0, 1, 3], [-1, 0, 1]):
-            with pytest.raises(ValueError):
-                opt_cost(build_tree(keys, "((..)(..))"), [1])
+        # A restricted tree holds the keys -1..n, two more than its T.
+        for shape in ("(..)", "((..).)", "((..)(..))", "(((..).)(..))"):
+            prime = init_prime(build_tree(shape)).prime
+            assert len(prime) <= 6 and prime.cursor == prime.root
+            with pytest.raises(ValueError, match="tree keys must be 0.."):
+                opt_cost(prime, [0])
 
     def test_rejects_cursor_off_the_root(self):
         # program_search starts at T0's cursor: from 0 the query is served at
         # once and one UP returns to the root.  From the root opt_cost needs 2.
-        T = build_tree(range(3), "((..)(..))")
+        T = build_tree("((..)(..))")
         assert opt_cost(T, [0])[0] == 2
         T.cursor = 0
         assert program_search(T, [0], 1)
@@ -90,7 +93,7 @@ class TestCachedMoves:
     def test_every_small_instance(self):
         for n in range(1, 5):
             for shape in enumerate_shapes(n):
-                T = build_tree(range(n), shape)
+                T = build_tree(shape)
                 for m in range(4):
                     for queries in itertools.product(range(n), repeat=m):
                         assert opt_cost(T, queries) == reference_opt_cost(T, queries)
@@ -126,7 +129,7 @@ class TestStaticOptimal:
 
 class TestStrategyPrograms:
     def test_static_segments_return_to_root(self):
-        T = build_tree(range(5), "(((..)(..))(..))")
+        T = build_tree("(((..)(..))(..))")
         queries = [0, 4, 2]
         segments = per_query_segments("static", T, queries)
         assert len(segments) == 3

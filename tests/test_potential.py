@@ -23,7 +23,7 @@ from splaylab.potential import (
     subtree_sums,
 )
 
-from reference import reference_assign_weights, reference_subtree_sums, subtree_keys
+from reference import in_order, reference_assign_weights, reference_subtree_sums, subtree_keys
 
 # Five keys 0..4; reference tree T rooted at 3, splay tree S rooted at 1.
 T_DESC = "(((..)(..))(..))"
@@ -31,7 +31,7 @@ S_DESC = "((..)((..)(..)))"
 
 
 def worked_example():
-    return build_tree(range(5), S_DESC), build_tree(range(5), T_DESC)
+    return build_tree(S_DESC), build_tree(T_DESC)
 
 
 class TestWorkedExample:
@@ -69,7 +69,7 @@ class TestWorkedExample:
 class TestSmallClosedForms:
     def test_balanced_three_potential(self):
         # Weights 1, 1/4, 1/4: ranks log2(3/2), log2(1/4), log2(1/4).
-        tree = build_tree(range(3), "((..)(..))")
+        tree = build_tree("((..)(..))")
         wa = assign_weights(tree)
         assert potential_of(tree, wa) == pytest.approx(math.log2(3 / 2) - 4, abs=1e-12)
 
@@ -81,13 +81,13 @@ class TestSmallClosedForms:
 class TestIndependentOracles:
     def test_fraction_recomputation_three_keys(self):
         # T balanced on 3 keys, S a right spine; recompute phi with Fractions.
-        T = build_tree(range(3), "((..)(..))")
-        S = build_tree(range(3), "(.(.(..)))")
+        T = build_tree("((..)(..))")
+        S = build_tree("(.(.(..)))")
         w = {1: Fraction(1), 0: Fraction(1, 4), 2: Fraction(1, 4)}
 
         def p(tree):
             total = 0.0
-            for v in tree.in_order():
+            for v in in_order(tree):
                 s = sum(w[u] for u in subtree_keys(tree, v))
                 total += math.log2(s)
             return total
@@ -132,8 +132,8 @@ class TestBoundSuites:
                 assert phi(S, T) > -n
 
     def test_key_set_mismatch_rejected(self):
-        S = build_tree(range(3), "((..)(..))")
-        T = build_tree(range(4), "((((..).).).)")
+        S = build_tree("((..)(..))")
+        T = build_tree("((((..).).).)")
         with pytest.raises(KeyError):
             subtree_sums(S, assign_weights(T))
 
@@ -155,7 +155,7 @@ def test_assign_weights_matches_reference_in_key_order(n, seed, shape):
     wa, ref = assign_weights(T), reference_assign_weights(T)
     assert wa.scale_exponent == ref.scale_exponent
     assert wa.weights == ref.weights
-    assert list(wa.weights) == T.in_order()
+    assert list(wa.weights) == in_order(T)
 
 
 class TestDepthFromWeight:
@@ -165,9 +165,9 @@ class TestDepthFromWeight:
         trees += [random_tree(1, rng), spine_tree(64, "left"), spine_tree(64, "right")]
         for T in trees:
             wa = assign_weights(T)
-            assert {k: wa.depth(k) for k in T.in_order()} == {k: T.depth(k) for k in T.in_order()}
+            assert {k: wa.depth(k) for k in in_order(T)} == {k: T.depth(k) for k in in_order(T)}
 
     def test_unknown_key_rejected(self):
-        wa = assign_weights(build_tree(range(3), "((..)(..))"))
+        wa = assign_weights(build_tree("((..)(..))"))
         with pytest.raises(KeyError, match="unknown key 7"):
             wa.depth(7)

@@ -15,7 +15,6 @@ from splaylab.machine import (
     apply_op,
     apply_ops,
     build_tree,
-    key_set,
     tree_from_roots,
 )
 from splaylab.restricted import (
@@ -29,6 +28,7 @@ from splaylab.restricted import (
 from splaylab.suites import run_suite
 
 from reference import (
+    in_order,
     link_view,
     reference_apply_op,
     reference_apply_t_op,
@@ -54,25 +54,25 @@ def apply_t_op(st, t_op, rotate=None) -> tuple:
 
 class TestInitPrime:
     def test_singleton(self):
-        st = init_prime(build_tree([5], "(..)"))
+        st = init_prime(build_tree("(..)"))
         prime = st.prime
-        assert prime.root == 5
-        assert prime.left[5] == 4 and prime.right[5] == 6
+        assert prime.root == 0
+        assert prime.left[0] == -1 and prime.right[0] == 1
         assert len(prime) == 3
-        assert prime.in_order() == [4, 5, 6]
+        assert in_order(prime) == [-1, 0, 1]
 
     def test_five_keys(self):
-        T = build_tree(range(5), "(((..)(..))(..))")  # root 3
+        T = build_tree("(((..)(..))(..))")  # root 3
         st = init_prime(T)
         prime = st.prime
         assert prime.root == 3
-        keys = T.in_order()
+        keys = in_order(T)
         assert prime.left[3] == keys[0] - 1 == -1
         assert prime.right[3] == keys[-1] + 1 == 5
         # T's subtrees hang verbatim under the sentinels.
         assert prime.right[-1] == 1 and prime.left[5] == 4
         assert prime.left[1] == 0 and prime.right[1] == 2
-        assert prime.in_order() == [-1, 0, 1, 2, 3, 4, 5]
+        assert in_order(prime) == [-1, 0, 1, 2, 3, 4, 5]
 
     def test_node_count(self):
         for n in (1, 2, 7):
@@ -81,44 +81,76 @@ class TestInitPrime:
 
     def test_sentinel_slots_over_contiguous_keys(self):
         # Over 0..n-1 the sentinels -1 and n take the two slots appended.
+        # Every key of T keeps its links except the root's two, whose subtrees
+        # hang below the sentinels: slot for slot the tree laid out per key.
         for n in (1, 2, 7, 30):
-            T = random_tree(n, rng_for_trial(3, n))
-            st = init_prime(T)
-            prime = st.prime
-            assert prime.keys == range(-1, n + 1)
-            assert len(prime.left) == len(prime.right) == len(prime.parent) == n + 2
-            assert prime.in_order() == list(range(-1, n + 1))
-            validate(prime)
-            validate(st.sim)
-            assert snapshot(st.sim) == snapshot(T)
+            for seed in range(5):
+                T = random_tree(n, rng_for_trial(3 + seed, n))
+                st = init_prime(T)
+                prime = st.prime
+                assert prime.keys == range(-1, n + 1)
+                assert len(prime.left) == len(prime.right) == len(prime.parent) == n + 2
+                assert in_order(prime) == list(range(-1, n + 1))
+                left, right, parent = (link_view(T, name) for name in ("left", "right", "parent"))
+                r = T.root
+                left.update({r: -1, -1: None, n: T.right[r]})
+                right.update({r: n, -1: T.left[r], n: None})
+                parent.update({-1: r, n: r})
+                for sub, sentinel in ((T.left[r], -1), (T.right[r], n)):
+                    if sub is not None:
+                        parent[sub] = sentinel
+                assert snapshot(prime) == snapshot(tree_from_links(left, right, parent, r))
+                validate(prime)
+                validate(st.sim)
+                assert snapshot(st.sim) == snapshot(T)
 
     @pytest.mark.parametrize("keys", [[-1000, 0, 5, 1000], [5, 9, 10], [-30, -7, -6],
                                       [-1], [0], [-3, 3], [0, 1, 2, 3, 4]])
     def test_sentinels_over_sparse_keys(self, keys):
-        # Every key of T keeps its links except the root's two, whose subtrees
-        # hang below the sentinels, and the sentinels' slots open without
-        # moving any key of T.
+        # Keys are read only through their order, so a tree over sparse keys
+        # is the tree over their ranks 0..n-1.  Relabelled rank by rank, the
+        # restricted tree built over the ranks is the per-key construction
+        # over the sparse keys, with sentinels min-1 and max+1: every key
+        # keeps its links except the root's two, whose subtrees hang below
+        # the sentinels.
+        n = len(keys)
+        mn, mx = keys[0] - 1, keys[-1] + 1
+        label = {rank: key for rank, key in enumerate(keys)} | {-1: mn, n: mx, None: None}
         for seed in range(5):
-            T = tree_from_roots(keys, rng_for_trial(seed, len(keys)).randrange)
-            prime = init_prime(T).prime
-            mn, mx = keys[0] - 1, keys[-1] + 1
-            left, right, parent = (link_view(T, name) for name in ("left", "right", "parent"))
-            r = T.root
-            left.update({r: mn, mn: None, mx: T.right[r]})
-            right.update({r: mx, mn: T.left[r], mx: None})
+            T = tree_from_roots(n, rng_for_trial(seed, n).randrange)
+            st = init_prime(T)
+            prime = st.prime
+            left, right, parent = (
+                {label[k]: label[v] for k, v in link_view(T, name).items()}
+                for name in ("left", "right", "parent"))
+            r = label[T.root]
+            sub_left, sub_right = left[r], right[r]
+            left.update({r: mn, mn: None, mx: sub_right})
+            right.update({r: mx, mn: sub_left, mx: None})
             parent.update({mn: r, mx: r})
-            for sub, sentinel in ((T.left[r], mn), (T.right[r], mx)):
+            for sub, sentinel in ((sub_left, mn), (sub_right, mx)):
                 if sub is not None:
                     parent[sub] = sentinel
-            want = tree_from_links(left, right, parent, r)
-            assert snapshot(prime) == snapshot(want)
-            assert prime.keys == key_set([mn, *keys, mx])
+            got = [{label[k]: label[v] for k, v in link_view(prime, name).items()}
+                   for name in ("left", "right", "parent")]
+            assert got == [left, right, parent]
+            assert label[prime.root] == r
+            assert [label[k] for k in in_order(prime)] == [mn, *keys, mx]
             validate(prime)
+            assert snapshot(st.sim) == snapshot(T)
+
+    def test_refuses_a_restricted_tree(self):
+        # Its keys are -1..n, not 0..n-1; nothing is built from it.
+        prime = init_prime(build_tree("((..)(..))")).prime
+        before = snapshot(prime)
+        with pytest.raises(ValueError, match="tree keys must be 0..4"):
+            init_prime(prime)
+        assert snapshot(prime) == before
 
 
 class TestMoveSimulation:
     def test_down_then_up_restores_shape(self):
-        T = build_tree(range(5), "(((..)(..))(..))")
+        T = build_tree("(((..)(..))(..))")
         st = init_prime(T)
         before = st.prime.copy()
         apply_t_op(st, L)
@@ -128,7 +160,7 @@ class TestMoveSimulation:
         assert st.ledger.moves == 8 and st.ledger.rotations == 4
 
     def test_move_costs(self):
-        T = build_tree(range(3), "((..)(..))")
+        T = build_tree("((..)(..))")
         st = init_prime(T)
         apply_t_op(st, R)
         assert (st.ledger.moves, st.ledger.rotations) == (4, 2)
@@ -140,15 +172,15 @@ class TestMoveSimulation:
         for _ in range(50):
             T = random_tree(rng.randint(2, 10), rng)
             st = init_prime(T)
-            order = st.prime.in_order()
+            order = in_order(st.prime)
             program = random_t_program(T, rng, max_moves=30, max_rotations=15)
             for op in program.ops:
                 apply_t_op(st, op)
                 validate(st.prime)
-            assert st.prime.in_order() == order
+            assert in_order(st.prime) == order
 
     def test_illegal_move_rejected(self):
-        T = build_tree([0], "(..)")
+        T = build_tree("(..)")
         st = init_prime(T)
         with pytest.raises(IllegalOpError):
             apply_t_op(st, L)
@@ -158,7 +190,7 @@ class TestMoveSimulation:
     def test_illegal_op_changes_nothing(self):
         # The tracked tree steps first, inside op_sequence: an illegal simulated
         # op must leave the restricted tree, the tracked tree and the ledger alone.
-        T = build_tree(range(5), "(((..)(..))(..))")  # root 3; 0 is a leaf under 1
+        T = build_tree("(((..)(..))(..))")  # root 3; 0 is a leaf under 1
         st = init_prime(T)
         for steps, illegal in (([], (U, ROT)), ([L, L], (L, R))):
             for op in steps:
@@ -173,7 +205,7 @@ class TestMoveSimulation:
 
     def test_failed_rotation_hook_charges_nothing(self):
         # The ledger is charged after the whole restricted sequence has run.
-        T = build_tree(range(3), "((..)(..))")
+        T = build_tree("((..)(..))")
         st = init_prime(T)
 
         def refuse(key):
@@ -183,6 +215,20 @@ class TestMoveSimulation:
             apply_t_op(st, L, rotate=refuse)
         assert st.ledger == CostLedger()
         assert st.prime.cursor == 0  # the moves before the refused rotation stand
+
+    def test_refused_sequence_names_the_simulated_op_once(self):
+        # A restricted cursor moved off the root corrupts the configuration:
+        # from -1, the sequence of the simulated RIGHT at index 0 moves right
+        # to 0 and is refused at its own op 1, LEFT, for 0 has no left child.
+        # The error names the simulated op's index and no other.
+        st = init_prime(build_tree("((..)(..))"))
+        st.prime.cursor = -1
+        with pytest.raises(IllegalOpError) as err:
+            apply_t_ops(st, [R, L])
+        assert str(err.value).count("(op index") == 1
+        assert err.value.index == 0
+        assert err.value.reason == "no left child at 0"
+        assert str(err.value) == "no left child at 0 (op index 0)"
 
 
 class TestProgramSimulation:
@@ -211,8 +257,8 @@ class TestProgramSimulation:
             for op in program.ops:
                 apply_t_op(st, op)
             assert st.prime.root == sim.cursor
-            keys = T.in_order()
-            assert st.prime.in_order() == [keys[0] - 1] + sim.in_order() + [keys[-1] + 1]
+            keys = in_order(T)
+            assert in_order(st.prime) == [keys[0] - 1] + in_order(sim) + [keys[-1] + 1]
 
     def test_cursor_trace_subsequence(self):
         rng = rng_for_trial(37, 0)
@@ -227,28 +273,28 @@ class TestProgramSimulation:
 
 class TestRestrictedChecker:
     def test_deep_visit_flagged(self):
-        T = build_tree(range(7), "(((..)(..))((..)(..)))")
+        T = build_tree("(((..)(..))((..)(..)))")
         prime = init_prime(T).prime
         report = check_restricted(prime, [L, R, L])  # walks to depth 3
         assert not report.passed
         assert any("depth >= 3" in v for v in report.violations)
 
     def test_missed_return_flagged(self):
-        T = build_tree(range(5), "(((..)(..))(..))")
+        T = build_tree("(((..)(..))(..))")
         prime = init_prime(T).prime
         report = check_restricted(prime, [L, R, ROT])  # rotation at depth 2
         assert not report.passed
         assert any("ends before" in v for v in report.violations)
 
     def test_sideways_after_rotation_flagged(self):
-        T = build_tree(range(5), "(((..)(..))(..))")
+        T = build_tree("(((..)(..))(..))")
         prime = init_prime(T).prime
         report = check_restricted(prime, [L, R, ROT, R])
         assert not report.passed
         assert any("sideways" in v for v in report.violations)
 
     def test_legal_sequence_passes(self):
-        T = build_tree(range(3), "((..)(..))")
+        T = build_tree("((..)(..))")
         prime = init_prime(T).prime
         report = check_restricted(prime, [L, ROT])  # zig; ends at the new root
         assert report.passed

@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from splaylab.generators import random_tree, rng_for_trial, spine_tree
 from splaylab.machine import IllegalOpError, TreeState, build_tree, tree_from_roots
+from splaylab.restricted import init_prime
 from splaylab.splay import ROTATIONS, ZIG, ZIGZAG, ZIGZIG, splay, splay_step, total_access_cost
 
-from reference import reference_rotate_up, same_structure, validate
+from reference import in_order, reference_rotate_up, same_structure, validate
 
 # Each test here takes well under a second; a kernel that corrupts a parent
 # link can instead make a parent walk loop forever.
@@ -66,7 +67,7 @@ def depth_halving_violations(tree, key):
 
 class TestSteps:
     def test_zig(self):
-        tree = build_tree(range(3), "((..)(..))")
+        tree = build_tree("((..)(..))")
         assert splay_step(tree, 0) == ZIG
         assert tree.root == 0
 
@@ -78,7 +79,7 @@ class TestSteps:
         assert tree.left[2] == 1 and tree.left[1] == 0
 
     def test_zigzag(self):
-        tree = build_tree(range(3), "((.(..)).)")  # root 2, left 0, 0's right 1
+        tree = build_tree("((.(..)).)")  # root 2, left 0, 0's right 1
         assert splay_step(tree, 1) == ZIGZAG
         assert tree.root == 1
         assert tree.left[1] == 0 and tree.right[1] == 2
@@ -87,7 +88,7 @@ class TestSteps:
         rng = rng_for_trial(5, 0)
         for _ in range(100):
             tree = random_tree(rng.randint(1, 30), rng)
-            key = rng.choice(tree.in_order())
+            key = rng.choice(in_order(tree))
             other = tree.copy()
             depth = tree.depth(key)
             assert total_access_cost(tree, [key]) == depth
@@ -121,7 +122,7 @@ class TestCosts:
         bad = total = 0
         for _ in range(200):
             tree = random_tree(rng.randint(2, 40), rng)
-            key = rng.choice(tree.in_order())
+            key = rng.choice(in_order(tree))
             total += tree.depth(key) + 1
             for _, before, after in depth_halving_violations(tree, key):
                 bad += 1
@@ -134,12 +135,12 @@ class TestCosts:
 def test_splay_preserves_order(n, seed):
     rng = rng_for_trial(seed, 0)
     tree = random_tree(n, rng)
-    key = rng.choice(tree.in_order())
-    before = tree.in_order()
+    key = rng.choice(in_order(tree))
+    before = in_order(tree)
     total_access_cost(tree, [key])
     validate(tree)
     assert tree.root == key
-    assert tree.in_order() == before
+    assert in_order(tree) == before
 
 
 def textbook_splay(tree, key):
@@ -191,18 +192,19 @@ def test_kernel_matches_textbook_splayer(data, n, seed):
     assert same_structure(bulk, reference)
 
 
-def sparse_tree(data):
-    """A random tree over 1-40 distinct keys drawn from -1000..1000, so the
-    keys have gaps and signs that `range(n)` never shows, shaped by drawn
-    roots through `tree_from_roots`."""
-    keys = sorted(data.draw(st.sets(st.integers(-1000, 1000), min_size=1, max_size=40)))
-    return tree_from_roots(keys, lambda i, j: data.draw(st.integers(i, j - 1)))
+def drawn_tree(data):
+    """A tree over 0..n-1 for 1-40 keys, shaped by drawn roots through
+    `tree_from_roots`, or the restricted tree `init_prime` builds from one,
+    whose sentinel -1 sits in the lists' last slot."""
+    n = data.draw(st.integers(1, 40))
+    tree = tree_from_roots(n, lambda i, j: data.draw(st.integers(i, j - 1)))
+    return init_prime(tree).prime if data.draw(st.booleans()) else tree
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_rotate_up_matches_reference_on_sparse_keys(data):
-    tree = sparse_tree(data)
+def test_rotate_up_matches_reference_on_plain_and_restricted_trees(data):
+    tree = drawn_tree(data)
     reference = tree.copy()
     for _ in range(data.draw(st.integers(1, 20))):
         key = data.draw(st.sampled_from(sorted(tree.keys)))
@@ -221,8 +223,8 @@ def test_rotate_up_matches_reference_on_sparse_keys(data):
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_splay_matches_textbook_on_sparse_keys(data):
-    tree = sparse_tree(data)
+def test_splay_matches_textbook_on_plain_and_restricted_trees(data):
+    tree = drawn_tree(data)
     reference = tree.copy()
     for key in data.draw(st.lists(st.sampled_from(sorted(tree.keys)), max_size=20)):
         depth, _ = textbook_splay(reference, key)
@@ -264,7 +266,7 @@ def configured_trees():
     """(tree, x, first step kind, shape) for every local configuration, with
     x the node the configuration's path leads to."""
     for shape, path, kind in local_configurations():
-        tree = build_tree(range(shape.count("(")), shape)
+        tree = build_tree(shape)
         x = tree.root
         for side in path:
             x = tree.left[x] if side == "L" else tree.right[x]
@@ -334,7 +336,7 @@ def test_step_is_built_from_rotate_up(monkeypatch):
 
 def test_step_at_root_moves_nothing():
     tree = random_tree(20, rng_for_trial(19, 0))
-    tree.cursor = next(key for key in tree.in_order() if key != tree.root)
+    tree.cursor = next(key for key in in_order(tree) if key != tree.root)
     before = tree.copy()
     with pytest.raises(IllegalOpError, match="splay step at root"):
         splay_step(tree, tree.root)
@@ -359,15 +361,15 @@ def test_splay_of_unknown_key_moves_no_link():
 
 
 def unknown_key_cases():
-    """(tree, key) pairs whose key is not in the tree but which a list slot
-    would take without complaint: -1 wraps onto the last key's slot of a
-    0..n-1 tree and n is one past it; 3, -1 and -999 are holes of a sparse
-    tree and 1001 is one past its last slot."""
+    """(tree, key) pairs whose key is not in the tree: -1 wraps onto the last
+    key's slot of a 0..n-1 tree and n is one past it; on a restricted tree
+    over -1..n, -2 lands on n's slot and n + 1 on -1's, the last, so a list
+    would take either without complaint."""
     for key in (-1, 20):
         yield random_tree(20, rng_for_trial(23, 0)), key
-    sparse = tree_from_roots([-1000, 0, 5, 1000], lambda i, j: (i + j) // 2)
-    for key in (3, -1, -999, 1001):
-        yield sparse.copy(), key
+    prime = init_prime(random_tree(20, rng_for_trial(29, 0))).prime
+    for key in (-2, 21):
+        yield prime.copy(), key
 
 
 ENTRY_POINTS = {
@@ -382,7 +384,7 @@ ENTRY_POINTS = {
 def test_unknown_key_raises_before_anything_moves(entry):
     for tree, key in unknown_key_cases():
         # A cursor off the root, so a moved cursor shows.
-        tree.cursor = next(k for k in tree.in_order() if k != tree.root)
+        tree.cursor = next(k for k in in_order(tree) if k != tree.root)
         before = tree.copy()
         with pytest.raises(KeyError, match=f"unknown key {key}"):
             ENTRY_POINTS[entry](tree, key)

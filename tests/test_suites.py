@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
-from reference import reference_run_conjecture, same_structure
+from reference import in_order, reference_run_conjecture, same_structure
 from splaylab import lab, suites
 from splaylab.cli import main
 from splaylab.generators import ExperimentConfig, random_tree, rng_for_trial
@@ -200,7 +200,7 @@ def test_near_root_matches_an_in_order_scan(n, seed, rotated):
     T = random_tree(n, rng_for_trial(seed, 0))
     for key in rotated:
         depth1, depth2 = near_root(T)
-        assert depth1 == [k for k in T.in_order() if T.depth(k) == 1]
-        assert depth2 == [k for k in T.in_order() if T.depth(k) == 2]
+        assert depth1 == [k for k in in_order(T) if T.depth(k) == 1]
+        assert depth2 == [k for k in in_order(T) if T.depth(k) == 2]
         if key < n and T.parent[key] is not None:
             T.rotate_up(key)
