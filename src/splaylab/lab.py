@@ -6,11 +6,12 @@ constant bound on the potential jump of each reference rotation (preceded by
 its organizing splays), and producing full accounting reports.
 
 Every BST subtree holds a contiguous run of keys, so S's subtree sums are
-read as key-interval sums: with the weights listed in key order and `prefix`
-their prefix sums, the subtree over the keys of ranks lo..hi-1 sums to
-prefix[hi] - prefix[lo].  A splay reads the 2-3 sums each step changes; a
-reference rotation reads only the nodes on S's paths to the keys it splayed.
-Whole-tree passes are left to the potentials that reach a report (`phi`).
+read as key-interval sums: with the weights listed in key order, `prefix`
+their prefix sums and a key's rank its offset from the first key, the
+subtree over the keys of ranks lo..hi-1 sums to prefix[hi] - prefix[lo].  A
+splay reads the 2-3 sums each step changes; a reference rotation reads only
+the nodes on S's paths to the keys it splayed.  Whole-tree passes are left
+to the potentials that reach a report (`phi`).
 """
 
 from __future__ import annotations
@@ -77,18 +78,19 @@ class RotationEvent:
     delta: float  # phi after the rotation minus phi after its organizing splays
 
 
-def key_path(tree: TreeState, rank: dict, key: int) -> list:
+def key_path(tree: TreeState, key: int) -> list:
     """The path from `tree`'s root down to `key`, each node as (node, lo, hi):
-    its subtree holds exactly the keys of ranks lo..hi-1."""
-    left, right = tree.left, tree.right
-    node, lo, hi = tree.root, 0, len(rank)
+    its subtree holds exactly the keys of ranks (offsets from the first key)
+    lo..hi-1."""
+    left, right, start = tree.left, tree.right, tree.keys.start
+    node, lo, hi = tree.root, 0, len(tree.keys)
     path = [(node, lo, hi)]
     while node != key:
         if key < node:
-            hi = rank[node]
+            hi = node - start
             node = left[node]
         else:
-            lo = rank[node] + 1
+            lo = node - start + 1
             node = right[node]
         path.append((node, lo, hi))
     return path
@@ -98,14 +100,13 @@ def checked_splay(
     S: TreeState,
     wa: WeightAssignment,
     prefix: list,
-    rank: dict,
     key: int,
     depth_ref: int,
     per_step: bool = False,
 ) -> SplayEvent:
     """Splay `key` in S under fixed weights, recording everything the
-    amortized checks need.  `rank` maps each key to its place in key order and
-    `prefix` lists the prefix sums of `wa`'s weights in that order, so the
+    amortized checks need.  `prefix` lists the prefix sums of `wa`'s weights
+    in key order and a key's rank is its offset from `S.keys.start`, so the
     subtree over the keys of ranks lo..hi-1 sums to prefix[hi] - prefix[lo].
 
     A step changes the subtree sums of only the key x, its parent p and its
@@ -117,11 +118,12 @@ def checked_splay(
     (x < p < g or x > p > g is the zig-zig that `splay` tells by p hanging on
     g's `near` side); one `splay` call then restructures S, and its return,
     the key's depth, is the splay's cost."""
-    if key not in rank:
+    if key not in S.keys:
         raise KeyError(f"unknown key {key!r}")
     log2 = math.log2
     bias = 2 * wa.scale_exponent
-    path = key_path(S, rank, key)
+    start = S.keys.start
+    path = key_path(S, key)
     _, lo, hi = path.pop()
     s_key = prefix[hi] - prefix[lo]
     r_key = log2(s_key) - bias
@@ -129,7 +131,7 @@ def checked_splay(
         key=key, cost=0, depth_ref=depth_ref, r_root_before=log2(prefix[-1]) - bias,
         r_key_before=r_key, delta=0.0, steps=[] if per_step else (),
     )
-    r_x = rank[key]
+    r_x = key - start
     below_x, through_x = prefix[r_x], prefix[r_x + 1]
     while path:
         p, lo, hi = path.pop()
@@ -143,7 +145,7 @@ def checked_splay(
                 kind, pivot = ZIGZIG, p
             else:
                 kind, pivot = ZIGZAG, key
-            r = rank[pivot]
+            r = pivot - start
             s = prefix[hi] - prefix[r + 1] if g > pivot else prefix[r] - prefix[lo]
             delta = log2(s) - log2(s_p)
         else:
@@ -235,11 +237,10 @@ class InterleavedRun:
 
     Weights always derive from T's current depths; they are frozen during
     splays in S and reassigned at every T rotation.  `prefix` holds the
-    prefix sums of the weights in key order, rebuilt at every T rotation, and
-    `rank` each key's place in that order, built once because rotations keep
-    the in-order.  S's subtree sums are read off them as key-interval sums, so
-    neither a splay nor a rotation makes a whole-tree pass.  `phi` = P(S) -
-    P(T) is computed, from fresh passes over both trees, when it is read.
+    prefix sums of the weights in key order, rebuilt at every T rotation.
+    S's subtree sums are read off them as key-interval sums, so neither a
+    splay nor a rotation makes a whole-tree pass.  `phi` = P(S) - P(T) is
+    computed, from fresh passes over both trees, when it is read.
     """
 
     def __init__(self, S: TreeState, T: TreeState, per_step: bool = False):
@@ -253,12 +254,11 @@ class InterleavedRun:
         self.s_cost = 0
         self.sum_amortized = 0.0
         self._reweight()
-        self.rank = {key: i for i, key in enumerate(self.wa.weights)}
 
     def _reweight(self) -> None:
         """Weights and their prefix sums from T's current shape."""
         self.wa = assign_weights(self.T)
-        self.prefix = [0, *accumulate(self.wa.weights.values())]
+        self.prefix = [0, *accumulate(self.wa.weights)]
 
     @property
     def phi(self) -> float:
@@ -268,7 +268,7 @@ class InterleavedRun:
 
     def splay_query(self, key: int) -> SplayEvent:
         ev = checked_splay(
-            self.S, self.wa, self.prefix, self.rank, key,
+            self.S, self.wa, self.prefix, key,
             depth_ref=self.wa.depth(key), per_step=self.per_step,
         )
         self.s_cost += ev.cost
@@ -293,16 +293,16 @@ class InterleavedRun:
         for key in plan:
             self.splay_query(key)
         self.organizing_count += len(plan)
-        S, T, rank, before = self.S, self.T, self.rank, self.prefix
+        S, T, before = self.S, self.T, self.prefix
         in_S = {}
         for key in plan:
-            for node, lo, hi in key_path(S, rank, key):
+            for node, lo, hi in key_path(S, key):
                 in_S[node] = lo, hi
-        in_T = {v: key_path(T, rank, v)[-1][1:] for v in in_S}
+        in_T = {v: key_path(T, v)[-1][1:] for v in in_S}
         T.rotate_up(rotated)
         self._reweight()
         after = self.prefix
-        in_T_after = {v: key_path(T, rank, v)[-1][1:] for v in plan[:2]}
+        in_T_after = {v: key_path(T, v)[-1][1:] for v in plan[:2]}
         log2 = math.log2
         delta = 0.0
         for v, (lo, hi) in in_S.items():
@@ -385,7 +385,7 @@ def accounting_run(n: int, queries, strategy: str = "oracle-witness") -> Account
     a zero initial potential.
     """
     queries = list(queries)
-    counts = dict.fromkeys(range(n), 0)
+    counts = [0] * n
     for q in queries:
         if not 0 <= q < n:
             raise KeyError(f"unknown key {q!r}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import lru_cache
+from itertools import accumulate
 
 from .machine import (
     IllegalOpError,
@@ -195,15 +196,11 @@ def program_search(T0: TreeState, queries, budget: int) -> bool:
 # -- static optimality ---------------------------------------------------------
 
 
-def static_optimal(counts) -> TreeState:
+def static_optimal(counts: list) -> TreeState:
     """Interval DP for a tree over the keys 0..n-1 minimizing the
-    successful-search cost, with `counts[k]` the access count of key k:
-    a list, or a dict over 0..n-1 (a dict keyed elsewhere raises KeyError)."""
+    successful-search cost, with `counts[k]` the access count of key k."""
     n = len(counts)
-    f = [counts[k] for k in range(n)]
-    prefix = [0] * (n + 1)
-    for i, x in enumerate(f):
-        prefix[i + 1] = prefix[i] + x
+    prefix = [0, *accumulate(counts)]
     INF = float("inf")
     cost = [[0] * (n + 1) for _ in range(n + 1)]
     root = [[0] * (n + 1) for _ in range(n + 1)]

@@ -3,7 +3,7 @@
 Weights come from the reference tree's depths: a node at depth d weighs
 4^(-d).  All subtree sums are kept as exact integers at a common scale of
 4^D (D = the reference tree's maximum depth); floating point enters only at
-the final base-2 logarithms.  The weights are listed in key order, so a BST
+the final base-2 logarithms.  The weights are a list in key order, so a BST
 subtree, which holds a contiguous run of keys, sums to the difference of two
 prefix sums of that list; `lab` reads S's sums that way between the
 whole-tree passes of `subtree_sums`.
@@ -23,10 +23,11 @@ RANK_TOL = 1e-6
 @dataclass(frozen=True)
 class WeightAssignment:
     """Integer weights at scale 4^scale_exponent; true weight = w / 4^D.
-    `weights` is keyed in increasing key order."""
+    `weights[k - keys.start]` is the weight of key k, so the list is in key order."""
 
     scale_exponent: int
-    weights: dict
+    keys: range
+    weights: list
 
     @property
     def unit(self) -> int:
@@ -34,20 +35,20 @@ class WeightAssignment:
 
     def depth(self, key: int) -> int:
         """The reference depth d of `key`, read off its weight 4^(D - d)."""
-        weight = self.weights.get(key)
-        if weight is None:
+        if key not in self.keys:
             raise KeyError(f"unknown key {key!r}")
+        weight = self.weights[key - self.keys.start]
         return self.scale_exponent - (weight.bit_length() - 1) // 2
 
 
 def assign_weights(reference: TreeState) -> WeightAssignment:
     """Weight 4^(-depth) for every key, from the reference tree's shape.
 
-    One in-order walk lists the keys with their depths, each depth carried on
+    One in-order walk lists the depths in key order, each depth carried on
     the stack with its node; the weights are then read off a table of the
     powers 4^(D - d)."""
     left, right = reference.left, reference.right
-    keys, depths = [], []
+    depths = []
     stack = []
     node, d = reference.root, 0
     while True:
@@ -58,13 +59,12 @@ def assign_weights(reference: TreeState) -> WeightAssignment:
         if not stack:
             break
         node, d = stack.pop()
-        keys.append(node)
         depths.append(d)
         node = right[node]
         d += 1
     scale = max(depths)
     powers = [4 ** (scale - d) for d in range(scale + 1)]
-    return WeightAssignment(scale, dict(zip(keys, map(powers.__getitem__, depths))))
+    return WeightAssignment(scale, reference.keys, list(map(powers.__getitem__, depths)))
 
 
 def subtree_sums(tree: TreeState, wa: WeightAssignment) -> dict:
@@ -74,9 +74,10 @@ def subtree_sums(tree: TreeState, wa: WeightAssignment) -> dict:
     subtree); walking that list backwards fills each node after both its
     subtrees, so the dict is in (right, left, node) post-order.
     """
-    if wa.weights.keys() != set(tree.keys):
+    if wa.keys != tree.keys:
         raise KeyError("tree and weight assignment cover different key sets")
     left, right, weights = tree.left, tree.right, wa.weights
+    start = tree.keys.start
     preorder = []
     stack = [tree.root]
     while stack:
@@ -89,7 +90,7 @@ def subtree_sums(tree: TreeState, wa: WeightAssignment) -> dict:
             stack.append(l)
     sums = {}
     for node, l, r in reversed(preorder):
-        s = weights[node]
+        s = weights[node - start]
         if l is not None:
             s += sums[l]
         if r is not None:
@@ -126,7 +127,8 @@ def check_weight_sum_bounds(S: TreeState, T: TreeState) -> CheckReport:
     unit = wa.unit
     sums_t = subtree_sums(T, wa)
     sums_s = subtree_sums(S, wa)
-    for v, w in wa.weights.items():
+    weights, start = wa.weights, wa.keys.start
+    for v, w in zip(wa.keys, weights):
         report.tick(2)
         if not 0 <= w:
             report.fail(f"eq1 node {v}: weight {w} negative")
@@ -135,13 +137,13 @@ def check_weight_sum_bounds(S: TreeState, T: TreeState) -> CheckReport:
     for label, sums in (("T", sums_t), ("S", sums_s)):
         for v, s in sums.items():
             report.tick(2)
-            if not wa.weights[v] <= s:
+            if not weights[v - start] <= s:
                 report.fail(f"eq3 node {v} in {label}: s < w")
             if not s < 2 * unit:
                 report.fail(f"eq5 node {v} in {label}: s >= 2")
     for v, s in sums_t.items():
         report.tick()
-        if not s < 2 * wa.weights[v]:
+        if not s < 2 * weights[v - start]:
             report.fail(f"eq4 node {v}: s_T >= 2 w_T")
     report.tick()
     if sums_s[S.root] != sums_t[T.root]:

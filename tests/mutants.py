@@ -18,7 +18,10 @@ row's target against src/, so the catalogue cannot rot silently.
 The bound rows loosen one constant each; `tests/test_bounds.py` pins those
 constants at their boundaries.  The kernel rows break one link write of
 `splay.splay` or `TreeState.rotate_up`, drop the key check either makes
-before any link moves, or make the link lists one slot too long.
+before any link moves, or make the link lists one slot too long.  The rank
+rows drop one subtraction of `keys.start` where `lab` or `potential` turns a
+key into its index in a per-key list; on a plain tree over 0..n-1 each edit
+changes nothing, so only restricted trees over -1..n can kill these rows.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ SRC = ROOT / "src" / "splaylab"
 
 BOUND_TESTS = ("tests/test_bounds.py",)
 KERNEL_TESTS = ("tests/test_splay.py", "tests/test_machine.py")
+RANK_TESTS = ("tests/test_lab.py", "tests/test_potential.py")
 
 
 @dataclass(frozen=True)
@@ -109,6 +113,13 @@ MUTANTS = (
            ROTATE_GUARD, ROTATE_GUARD.replace("key not in self.keys", "False"), KERNEL_TESTS),
     Mutant("slot length off by one", "machine.py",
            "[None] * n", "[None] * (n + 1)", KERNEL_TESTS),
+    # -- ranks as offsets from the first key ----------------------------------
+    Mutant("key_path: rank of node without - start", "lab.py",
+           "hi = node - start", "hi = node", RANK_TESTS),
+    Mutant("checked_splay: rank of x without - start", "lab.py",
+           "r_x = key - start", "r_x = key", RANK_TESTS),
+    Mutant("subtree_sums: weight read without - start", "potential.py",
+           "weights[node - start]", "weights[node]", RANK_TESTS),
 )
 
 

@@ -20,7 +20,7 @@ op, of `splaylab.oracle.opt_cost`, which reads its moves from a cache.
 `reference_subtree_sums` is the two-flag stack walk, so it pins the values and
 the dict order of `splaylab.potential.subtree_sums`.
 `all_depths` walks a tree by its child links, and `reference_assign_weights`
-turns those depths into weights with one power per key, so they check the
+lists those depths' weights key by key, one power per key, so they check the
 in-order walk of `splaylab.potential.assign_weights` and, with
 `reference_subtree_sums`, the key-interval sums of `splaylab.lab`.
 `reference_apply_op` is the one-op transition dispatched per op on its kind,
@@ -207,10 +207,10 @@ def reference_assign_weights(optimal: TreeState) -> WeightAssignment:
     """Weight 4^(-depth) for every key, from the reference tree's shape."""
     depths = all_depths(optimal)
     scale = max(depths.values())
-    return WeightAssignment(scale, {k: 4 ** (scale - d) for k, d in depths.items()})
+    return WeightAssignment(scale, optimal.keys, [4 ** (scale - depths[k]) for k in optimal.keys])
 
 
-def static_cost(tree: TreeState, counts: dict) -> int:
+def static_cost(tree: TreeState, counts: list) -> int:
     """Total successful-search cost: sum of f(v) * (depth(v) + 1)."""
     depths = all_depths(tree)
     return sum(counts[v] * (depths[v] + 1) for v in depths)
@@ -331,7 +331,7 @@ def reference_subtree_sums(tree: TreeState, wa: WeightAssignment) -> dict:
         if node is None:
             continue
         if done:
-            s = wa.weights[node]
+            s = wa.weights[node - wa.keys.start]
             l, r = tree.left[node], tree.right[node]
             if l is not None:
                 s += sums[l]

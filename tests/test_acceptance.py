@@ -97,7 +97,7 @@ def test_criterion_9_oracle_validity():
     for trial in range(100):
         rng = rng_for_trial(1, trial)
         n = rng.randint(1, 8)
-        counts = {k: rng.randint(0, 20) for k in range(n)}
+        counts = [rng.randint(0, 20) for _ in range(n)]
         assert static_cost(static_optimal(counts), counts) == brute_force_static_cost(counts)
     _passline(9)
 

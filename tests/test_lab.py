@@ -28,6 +28,7 @@ from splaylab.lab import (
 )
 from splaylab.machine import IllegalOpError, build_tree
 from splaylab.potential import assign_weights, potential, potential_of, subtree_sums
+from splaylab.restricted import init_prime
 from splaylab.splay import total_access_cost
 from splaylab.suites import near_root
 
@@ -41,15 +42,16 @@ from reference import (
 
 
 def key_order(wa):
-    """The prefix sums of `wa`'s weights in increasing key order, and each
-    key's rank in that order: the two lists `checked_splay` reads."""
-    keys = sorted(wa.weights)
-    return [0, *accumulate(wa.weights[k] for k in keys)], {k: i for i, k in enumerate(keys)}
+    """The prefix sums of `wa`'s weights in key order: the list
+    `checked_splay` reads."""
+    return [0, *accumulate(wa.weights)]
 
 
-def interval_sums(tree, prefix, rank):
+def interval_sums(tree, prefix):
     """Each node's key-interval sum prefix[hi] - prefix[lo], its subtree's
-    rank interval [lo, hi) narrowed on a walk down from the root."""
+    rank interval [lo, hi) narrowed on a walk down from the root; the ranks
+    are places in an in-order walk."""
+    rank = {k: i for i, k in enumerate(in_order(tree))}
     sums = {}
     stack = [(tree.root, 0, len(rank))]
     while stack:
@@ -101,7 +103,7 @@ class TestPerSplayBounds:
             S, T = random_pair(rng.randint(1, 32), rng)
             key = rng.choice(in_order(T))
             wa = assign_weights(T)
-            ev = checked_splay(S, wa, *key_order(wa), key, depth_ref=T.depth(key),
+            ev = checked_splay(S, wa, key_order(wa), key, depth_ref=T.depth(key),
                                per_step=True)
             report = check_access_lemma(ev)
             assert report.passed, report.violations
@@ -111,14 +113,21 @@ class TestPerSplayBounds:
         T = build_tree("((..)(..))")
         S = T.copy()
         wa = assign_weights(T)
-        ev = checked_splay(S, wa, *key_order(wa), T.root, depth_ref=0)
+        ev = checked_splay(S, wa, key_order(wa), T.root, depth_ref=0)
         assert ev.cost == 0 and ev.amortized == 0.0
 
     def test_unknown_key_rejected(self):
+        # -1 on a plain tree and -2 on a restricted one would index a list
+        # from its end, and n+1 past it; each is refused before any link moves.
         T = build_tree("((..)(..))")
-        wa = assign_weights(T)
-        with pytest.raises(KeyError, match="unknown key 7"):
-            checked_splay(T, wa, *key_order(wa), 7, depth_ref=0)
+        restricted = init_prime(T).prime  # keys -1..3
+        for S, keys in ((T, (7, -1)), (restricted, (-2, 4))):
+            wa = assign_weights(S)
+            links = S.left[:], S.right[:], S.parent[:], S.root
+            for key in keys:
+                with pytest.raises(KeyError, match=f"unknown key {key}"):
+                    checked_splay(S, wa, key_order(wa), key, depth_ref=0)
+                assert (S.left, S.right, S.parent, S.root) == links
 
 
 class TestOneKernelCall:
@@ -137,9 +146,9 @@ class TestOneKernelCall:
             log.append(("splay", key, S.depth(key)))
             return kernel(S, key)
 
-        def counted_checked(S, wa, prefix, rank, key, *args, **kwargs):
+        def counted_checked(S, wa, prefix, key, *args, **kwargs):
             log.append(("checked", key, None))
-            ev = checked(S, wa, prefix, rank, key, *args, **kwargs)
+            ev = checked(S, wa, prefix, key, *args, **kwargs)
             log.append(("cost", key, ev.cost))
             return ev
 
@@ -189,7 +198,7 @@ def test_step_kinds_match_the_step_loop(n, seed, data):
     while stepped.parent[key] is not None:
         kinds.append(splaylab.splay.splay_step(stepped, key))
     wa = assign_weights(T)
-    ev = checked_splay(S, wa, *key_order(wa), key, depth_ref=T.depth(key), per_step=True)
+    ev = checked_splay(S, wa, key_order(wa), key, depth_ref=T.depth(key), per_step=True)
     assert [step.kind for step in ev.steps] == kinds
     assert ev.cost == depth
     assert same_structure(S, stepped) and S.parent == stepped.parent
@@ -240,20 +249,20 @@ class TestInterleavedRun:
 
 class TestKeptSums:
     """S's subtree sums are kept as key-interval sums of T's weights, read off
-    `InterleavedRun.prefix` and `rank`: after every splay and every reference
-    rotation they equal a from-scratch pass."""
+    `InterleavedRun.prefix`: after every splay and every reference rotation
+    they equal a from-scratch pass."""
 
     @pytest.mark.parametrize("per_step", [False, True])
     def test_kept_sums_match_a_fresh_pass(self, monkeypatch, per_step):
         original = splaylab.lab.checked_splay
 
-        def checked(S, wa, prefix, rank, key, depth_ref, per_step=False):
+        def checked(S, wa, prefix, key, depth_ref, per_step=False):
             depth = S.copy().depth(key)
             kept = list(prefix)
-            ev = original(S, wa, prefix, rank, key, depth_ref, per_step)
+            ev = original(S, wa, prefix, key, depth_ref, per_step)
             assert ev.cost == depth
             assert prefix == kept  # a splay leaves the weights alone
-            assert interval_sums(S, prefix, rank) == subtree_sums(S, wa)
+            assert interval_sums(S, prefix) == subtree_sums(S, wa)
             return ev
 
         monkeypatch.setattr(splaylab.lab, "checked_splay", checked)
@@ -275,7 +284,7 @@ class TestKeptSums:
                     run.splay_query(key)
                     assert run.prefix is prefix
                     splays += 1
-                assert interval_sums(run.S, run.prefix, run.rank) == subtree_sums(run.S, run.wa)
+                assert interval_sums(run.S, run.prefix) == subtree_sums(run.S, run.wa)
                 assert run.phi == potential_of(run.S, run.wa) - potential_of(run.T, run.wa)
             assert not run.report.violations
         assert min(splays, roots, rotations) > 20
@@ -450,21 +459,24 @@ class TestKeptSums:
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.data(), st.integers(1, 40), st.integers(0, 2 ** 32), st.booleans())
-def test_interval_sums_and_deltas_match_fresh_passes(data, n, seed, per_step):
-    # Random interleavings of splays and depth-1/2 reference rotations.  After
-    # every event each node's key-interval sum equals the reference sums under
-    # the reference weights; a rotation's delta equals the change of a fresh
-    # phi over copies of the trees, taken after the organizing splays, and a
+@given(st.data(), st.integers(1, 40), st.integers(0, 2 ** 32), st.booleans(), st.booleans())
+def test_interval_sums_and_deltas_match_fresh_passes(data, n, seed, per_step, restricted):
+    # Random interleavings of splays and depth-1/2 reference rotations, on
+    # plain trees over 0..n-1 or restricted trees over -1..n.  After every
+    # event each node's key-interval sum equals the reference sums under the
+    # reference weights; a rotation's delta equals the change of a fresh phi
+    # over copies of the trees, taken after the organizing splays, and a
     # splay's delta the change of a fresh P(S), with its step deltas adding up
     # to it.
     S, T = random_pair(n, rng_for_trial(seed, 0))
+    if restricted:
+        S, T = init_prime(S).prime, init_prime(T).prime
     run = InterleavedRun(S, T, per_step=per_step)
 
     def assert_sums_fresh():
         wa = reference_assign_weights(run.T)
         assert run.wa.scale_exponent == wa.scale_exponent
-        assert interval_sums(run.S, run.prefix, run.rank) == reference_subtree_sums(run.S, wa)
+        assert interval_sums(run.S, run.prefix) == reference_subtree_sums(run.S, wa)
 
     assert_sums_fresh()
     for _ in range(data.draw(st.integers(1, 12))):
@@ -482,7 +494,7 @@ def test_interval_sums_and_deltas_match_fresh_passes(data, n, seed, per_step):
         else:
             wa = reference_assign_weights(run.T)
             before = potential(reference_subtree_sums(run.S, wa), wa)
-            ev = run.splay_query(data.draw(st.integers(0, n - 1)))
+            ev = run.splay_query(data.draw(st.integers(S.keys[0], S.keys[-1])))
             after = potential(reference_subtree_sums(run.S, wa), wa)
             assert abs(ev.delta - (after - before)) < 1e-9
             if per_step:
@@ -532,5 +544,7 @@ class TestAccountingRun:
         assert acc.M_prime == 4 * acc.M + 3 * acc.R
 
     def test_unknown_query_rejected(self):
-        with pytest.raises(KeyError):
-            accounting_run(3, [5])
+        # -1 would count into the last key's slot of a list of counts.
+        for queries in ([5], [-1], [3]):
+            with pytest.raises(KeyError):
+                accounting_run(3, queries)

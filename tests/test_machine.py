@@ -318,10 +318,8 @@ def test_static_optimal_matches_hand_built_reference():
     rng = rng_for_trial(5, 0)
     for _ in range(200):
         n = rng.randint(1, 24)
-        counts = {k: rng.choice((0, 1, rng.randrange(100))) for k in range(n)}
-        reference = hand_built_static_optimal(counts)
-        assert_same_tree(static_optimal(counts), reference)
-        assert_same_tree(static_optimal(list(counts.values())), reference)
+        counts = [rng.choice((0, 1, rng.randrange(100))) for _ in range(n)]
+        assert_same_tree(static_optimal(counts), hand_built_static_optimal(counts))
 
 
 @settings(max_examples=200, deadline=None)
@@ -359,6 +357,4 @@ def test_builders_need_a_node():
     with pytest.raises(ValueError):
         spine_tree(3, "up")
     with pytest.raises(ValueError):
-        static_optimal({})
-    with pytest.raises(KeyError):  # a count for a key outside 0..n-1
-        static_optimal({5: 1})
+        static_optimal([])

@@ -109,20 +109,20 @@ class TestCachedMoves:
 
 class TestStaticOptimal:
     def test_dominant_key_becomes_root(self):
-        counts = {0: 1, 1: 100, 2: 1, 3: 1}
+        counts = [1, 100, 1, 1]
         assert static_optimal(counts).root == 1
 
     def test_matches_brute_force(self):
         rng = rng_for_trial(47, 0)
         for _ in range(100):
             n = rng.randint(1, 8)
-            counts = {k: rng.randint(0, 20) for k in range(n)}
+            counts = [rng.randint(0, 20) for _ in range(n)]
             tree = static_optimal(counts)
             assert static_cost(tree, counts) == brute_force_static_cost(counts)
 
     def test_cost_monotone_in_frequency(self):
-        freq_lo = {0: 1, 1: 1, 2: 1}
-        freq_hi = {0: 1, 1: 5, 2: 1}
+        freq_lo = [1, 1, 1]
+        freq_hi = [1, 5, 1]
         t_lo, t_hi = static_optimal(freq_lo), static_optimal(freq_hi)
         assert static_cost(t_hi, freq_hi) <= static_cost(t_lo, freq_hi)
 

@@ -22,6 +22,7 @@ from splaylab.potential import (
     potential_of,
     subtree_sums,
 )
+from splaylab.restricted import init_prime
 
 from reference import in_order, reference_assign_weights, reference_subtree_sums, subtree_keys
 
@@ -39,7 +40,7 @@ class TestWorkedExample:
         _, T = worked_example()
         wa = assign_weights(T)
         assert wa.scale_exponent == 2
-        assert wa.weights == {3: 16, 1: 4, 4: 4, 0: 1, 2: 1}
+        assert wa.weights == [1, 4, 1, 16, 4]
 
     def test_scaled_sums_exact(self):
         S, T = worked_example()
@@ -136,16 +137,24 @@ class TestBoundSuites:
         T = build_tree("((((..).).).)")
         with pytest.raises(KeyError):
             subtree_sums(S, assign_weights(T))
+        # Keys -1..3 against 0..4: the same count, so only comparing the key
+        # ranges themselves tells them apart.
+        restricted = init_prime(S).prime
+        with pytest.raises(KeyError):
+            subtree_sums(build_tree(T_DESC), assign_weights(restricted))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 64), st.integers(0, 2 ** 32))
 def test_subtree_sums_match_reference_in_order(n, seed):
     # `potential` adds the logs in the dict's order, so the order is pinned too.
+    # The restricted trees over -1..n read each weight at key + 1.
     S, T = random_pair(n, rng_for_trial(seed, 0))
-    wa = assign_weights(T)
-    for tree in (S, T):
-        assert list(subtree_sums(tree, wa).items()) == list(reference_subtree_sums(tree, wa).items())
+    for S, T in ((S, T), (init_prime(S).prime, init_prime(T).prime)):
+        wa = assign_weights(T)
+        for tree in (S, T):
+            fast, ref = subtree_sums(tree, wa), reference_subtree_sums(tree, wa)
+            assert list(fast.items()) == list(ref.items())
 
 
 @settings(max_examples=200, deadline=None)
@@ -155,7 +164,7 @@ def test_assign_weights_matches_reference_in_key_order(n, seed, shape):
     wa, ref = assign_weights(T), reference_assign_weights(T)
     assert wa.scale_exponent == ref.scale_exponent
     assert wa.weights == ref.weights
-    assert list(wa.weights) == in_order(T)
+    assert wa.keys == T.keys
 
 
 class TestDepthFromWeight:
@@ -163,11 +172,17 @@ class TestDepthFromWeight:
         rng = rng_for_trial(101, 0)
         trees = [random_tree(rng.randint(1, 64), rng) for _ in range(100)]
         trees += [random_tree(1, rng), spine_tree(64, "left"), spine_tree(64, "right")]
+        trees += [init_prime(T).prime for T in trees[::10]]  # keys -1..n
         for T in trees:
             wa = assign_weights(T)
             assert {k: wa.depth(k) for k in in_order(T)} == {k: T.depth(k) for k in in_order(T)}
 
     def test_unknown_key_rejected(self):
         wa = assign_weights(build_tree("((..)(..))"))
-        with pytest.raises(KeyError, match="unknown key 7"):
-            wa.depth(7)
+        for key in (7, -1):  # -1 would index the last weight of a list
+            with pytest.raises(KeyError, match=f"unknown key {key}"):
+                wa.depth(key)
+        wa = assign_weights(init_prime(build_tree("((..)(..))")).prime)  # keys -1..3
+        for key in (-2, 4):
+            with pytest.raises(KeyError, match=f"unknown key {key}"):
+                wa.depth(key)
