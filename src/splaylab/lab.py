@@ -11,7 +11,13 @@ their prefix sums and a key's rank its offset from the first key, the
 subtree over the keys of ranks lo..hi-1 sums to prefix[hi] - prefix[lo].  A
 splay reads the 2-3 sums each step changes; a reference rotation reads only
 the nodes on S's paths to the keys it splayed.  Whole-tree passes are left
-to the potentials that reach a report (`phi`).
+to the start and the end of an accounting run (`InterleavedRun.sums`).
+
+Every bound is decided in exact integers.  A rank is log2 of a subtree sum,
+so a change of potential is log2 of a ratio of products of sums: an event
+carries that ratio as `grow / shrink`, and a bound on an amortized cost
+c + delta, raised to a power of 2, reads 2^c grow <= 2^bound shrink.  Floats
+appear only in the potential a report reads and in violation messages.
 """
 
 from __future__ import annotations
@@ -19,63 +25,66 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
+from math import prod
 from operator import itemgetter
 
 from .machine import IllegalOpError, OpKind, TreeState
 from .oracle import per_query_segments, static_optimal
-from .potential import (
-    RANK_TOL,
-    WeightAssignment,
-    assign_weights,
-    potential,
-    subtree_sums,
-)
+from .potential import WeightAssignment, assign_weights, potential, subtree_sums
 from .report import CheckReport
 from .restricted import apply_t_ops, init_prime
 from .splay import ROTATIONS, ZIG, ZIGZAG, ZIGZIG, splay
 
 _ROT = OpKind.ROTATE
 
-ROTATION_DELTA_BOUND = 11 + math.log2(11)
-ROTATION_DELTA_BOUND_SHALLOW = 7 + math.log2(11)
+# 2 to the power of the bound on a reference rotation's jump of phi:
+# 2^(11 + log2 11), and 2^(7 + log2 11) at depth 1.
+ROTATION_RATIO_BOUND = 11 << 11
+ROTATION_RATIO_BOUND_SHALLOW = 11 << 7
 ORGANIZING_SPLAYS_PER_ROTATION = 3
+
+
+def log2_ratio(grow: int, shrink: int) -> float:
+    """log2(grow / shrink) as a float, for violation messages."""
+    return math.log2(grow) - math.log2(shrink)
 
 
 @dataclass(slots=True)
 class StepCheck:
-    """One splay step with the key's rank around it and the change of P(S)."""
+    """One splay step: the key's subtree sum before and after it, and the
+    change of P(S) over it as 2^delta = grow / shrink."""
 
     kind: str
     cost: int  # 1 for zig, 2 for zigzig / zigzag
-    r_key_before: float
-    r_key_after: float
-    delta: float  # P(S) after the step minus P(S) before it
-
-    @property
-    def amortized(self) -> float:
-        return self.cost + self.delta
+    s_before: int
+    s_after: int
+    grow: int
+    shrink: int
 
 
 @dataclass(slots=True)
 class SplayEvent:
+    """One splay: the root's and the key's sums before it, and 2^delta = grow / shrink."""
+
     key: int
     cost: int  # the key's depth before the splay
     depth_ref: int
-    r_root_before: float
-    r_key_before: float
-    delta: float  # P(S) after the splay minus P(S) before it
+    s_root: int
+    s_key: int
+    grow: int
+    shrink: int
     steps: list | tuple = ()  # a list of StepChecks when recorded per step
-
-    @property
-    def amortized(self) -> float:
-        return self.cost + self.delta
 
 
 @dataclass(slots=True)
 class RotationEvent:
+    """One reference rotation: 2^delta = grow / shrink, delta the change of
+    phi from after its organizing splays to after the rotation."""
+
     key: int
     depth_ref: int
-    delta: float  # phi after the rotation minus phi after its organizing splays
+    grow: int
+    shrink: int
 
 
 def key_path(tree: TreeState, key: int) -> list:
@@ -113,31 +122,27 @@ def checked_splay(
     grandparent g.  x takes the key interval of the top node of the three; p
     takes the part of it on p's side of x, and g (below p after a zig-zig)
     the part on g's side of p after a zig-zig, of x after a zig-zag.  The
-    change of P(S) is read off those sums.  Every step's sums and kind come
-    from the root path walked before any link moves, the kind by key order
-    (x < p < g or x > p > g is the zig-zig that `splay` tells by p hanging on
-    g's `near` side); one `splay` call then restructures S, and its return,
-    the key's depth, is the splay's cost."""
+    change of P(S) is the ratio of those sums' products after and before the
+    step.  Every step's sums and kind come from the root path walked before
+    any link moves, the kind by key order (x < p < g or x > p > g is the
+    zig-zig that `splay` tells by p hanging on g's `near` side); one `splay`
+    call then restructures S, and its return, the key's depth, is the
+    splay's cost."""
     if key not in S.keys:
         raise KeyError(f"unknown key {key!r}")
-    log2 = math.log2
-    bias = 2 * wa.scale_exponent
     start = S.keys.start
     path = key_path(S, key)
     _, lo, hi = path.pop()
-    s_key = prefix[hi] - prefix[lo]
-    r_key = log2(s_key) - bias
-    ev = SplayEvent(
-        key=key, cost=0, depth_ref=depth_ref, r_root_before=log2(prefix[-1]) - bias,
-        r_key_before=r_key, delta=0.0, steps=[] if per_step else (),
-    )
+    s_x = s_key = prefix[hi] - prefix[lo]
+    steps = [] if per_step else ()
     r_x = key - start
     below_x, through_x = prefix[r_x], prefix[r_x + 1]
+    grow = shrink = 1
     while path:
         p, lo, hi = path.pop()
         s_p = s_top = prefix[hi] - prefix[lo]
-        # x's new sum is the top's old sum, so those two ranks cancel in the
-        # change of P(S): what is left is s'(p) [and s'(g)] over s(x) [and s(p)].
+        # x's new sum is the top's old sum, so those two cancel in the change
+        # of P(S): what is left is s'(p) [times s'(g)] over s(x) [times s(p)].
         if path:
             g, lo, hi = path.pop()
             s_top = prefix[hi] - prefix[lo]
@@ -146,72 +151,63 @@ def checked_splay(
             else:
                 kind, pivot = ZIGZAG, key
             r = pivot - start
-            s = prefix[hi] - prefix[r + 1] if g > pivot else prefix[r] - prefix[lo]
-            delta = log2(s) - log2(s_p)
+            up = prefix[hi] - prefix[r + 1] if g > pivot else prefix[r] - prefix[lo]
+            down = s_key * s_p
         else:
-            kind, delta = ZIG, 0.0
-        s = prefix[hi] - through_x if p > key else below_x - prefix[lo]
-        delta += log2(s) - log2(s_key)
-        ev.delta += delta
+            kind, up, down = ZIG, 1, s_key
+        up *= prefix[hi] - through_x if p > key else below_x - prefix[lo]
+        grow *= up
+        shrink *= down
         if per_step:
-            r_after = log2(s_top) - bias
-            ev.steps.append(StepCheck(kind, ROTATIONS[kind], r_key, r_after, delta))
-            r_key = r_after
+            steps.append(StepCheck(kind, ROTATIONS[kind], s_key, s_top, up, down))
         s_key = s_top
-    ev.cost = splay(S, key)
-    return ev
+    return SplayEvent(key, splay(S, key), depth_ref, prefix[-1], s_x, grow, shrink, steps)
 
 
-def check_access_lemma(ev: SplayEvent) -> CheckReport:
-    """Amortized splay cost <= 1 + 3[r(root) - r(key)], plus per-step bounds."""
+def check_access_lemma(ev: SplayEvent, report: CheckReport) -> CheckReport:
+    """Amortized splay cost <= 1 + 3[r(root) - r(key)], that is
+    2^cost grow s(key)^3 <= 2 s(root)^3 shrink; and each step's amortized
+    cost <= [zig] + 3[r'(key) - r(key)], that is
+    2^cost grow s(key)^3 <= 2^[zig] s'(key)^3 shrink."""
     steps = ev.steps
-    report = CheckReport("access-bound", 1 + len(steps))
-    amortized = ev.amortized
-    bound = 1 + 3 * (ev.r_root_before - ev.r_key_before)
-    if amortized > bound + RANK_TOL:
-        report.fail(
-            f"splay {ev.key}: amortized {amortized:.9f} > 1+3*dr = {bound:.9f}"
-        )
+    report.tick(1 + len(steps))
+    if ev.grow * ev.s_key ** 3 << ev.cost > 2 * ev.s_root ** 3 * ev.shrink:
+        amortized = ev.cost + log2_ratio(ev.grow, ev.shrink)
+        bound = 1 + 3 * log2_ratio(ev.s_root, ev.s_key)
+        report.fail(f"splay {ev.key}: amortized {amortized:.9f} > 1+3*dr = {bound:.9f}")
     for i, step in enumerate(steps):
-        dr = 3 * (step.r_key_after - step.r_key_before)
-        step_bound = 1 + dr if step.kind == ZIG else dr
-        if step.amortized > step_bound + RANK_TOL:
-            report.fail(
-                f"splay {ev.key} step {i} ({step.kind}): "
-                f"amortized {step.amortized:.9f} > {step_bound:.9f}"
-            )
+        zig = step.kind == ZIG
+        if step.grow * step.s_before ** 3 << step.cost > step.s_after ** 3 * step.shrink << zig:
+            amortized = step.cost + log2_ratio(step.grow, step.shrink)
+            bound = zig + 3 * log2_ratio(step.s_after, step.s_before)
+            report.fail(f"splay {ev.key} step {i} ({step.kind}): "
+                        f"amortized {amortized:.9f} > {bound:.9f}")
     return report
 
 
-def check_amortized_depth(ev: SplayEvent) -> CheckReport:
-    """Amortized splay cost <= 4 + 6 * depth of the key in the reference tree."""
-    report = CheckReport("amortized-depth", 1)
-    amortized = ev.amortized
-    bound = 4 + 6 * ev.depth_ref
-    if amortized > bound + RANK_TOL:
-        report.fail(
-            f"splay {ev.key}: amortized {amortized:.9f} > 4+6d = {bound}"
-        )
-    return report
-
-
-def check_rotation_delta(ev: RotationEvent) -> CheckReport:
-    """Potential jump of a shallow reference rotation stays under 11 + log2(11);
-    depth-1 rotations satisfy the tighter 7 + log2(11) subtotal."""
-    report = CheckReport("rotation-delta")
+def check_amortized_depth(ev: SplayEvent, report: CheckReport) -> CheckReport:
+    """Amortized splay cost <= 4 + 6 * depth of the key in the reference tree,
+    that is 2^cost grow <= 2^(4 + 6d) shrink."""
     report.tick()
-    if ev.delta > ROTATION_DELTA_BOUND + RANK_TOL:
-        report.fail(
-            f"rotation at {ev.key} (depth {ev.depth_ref}): "
-            f"delta-phi {ev.delta:.9f} > {ROTATION_DELTA_BOUND:.9f}"
-        )
+    bound = 4 + 6 * ev.depth_ref
+    if ev.grow << ev.cost > ev.shrink << bound:
+        amortized = ev.cost + log2_ratio(ev.grow, ev.shrink)
+        report.fail(f"splay {ev.key}: amortized {amortized:.9f} > 4+6d = {bound}")
+    return report
+
+
+def check_rotation_delta(ev: RotationEvent, report: CheckReport) -> CheckReport:
+    """Potential jump of a shallow reference rotation stays under 11 + log2(11);
+    depth-1 rotations satisfy the tighter 7 + log2(11) subtotal.  Each reads
+    grow <= 2^bound shrink."""
+    ratios = [ROTATION_RATIO_BOUND]
     if ev.depth_ref == 1:
+        ratios.append(ROTATION_RATIO_BOUND_SHALLOW)
+    for ratio in ratios:
         report.tick()
-        if ev.delta > ROTATION_DELTA_BOUND_SHALLOW + RANK_TOL:
-            report.fail(
-                f"rotation at {ev.key} (depth 1): "
-                f"delta-phi {ev.delta:.9f} > {ROTATION_DELTA_BOUND_SHALLOW:.9f}"
-            )
+        if ev.grow > ratio * ev.shrink:
+            report.fail(f"rotation at {ev.key} (depth {ev.depth_ref}): delta-phi "
+                        f"{log2_ratio(ev.grow, ev.shrink):.9f} > {math.log2(ratio):.9f}")
     return report
 
 
@@ -239,8 +235,10 @@ class InterleavedRun:
     splays in S and reassigned at every T rotation.  `prefix` holds the
     prefix sums of the weights in key order, rebuilt at every T rotation.
     S's subtree sums are read off them as key-interval sums, so neither a
-    splay nor a rotation makes a whole-tree pass.  `phi` = P(S) - P(T) is
-    computed, from fresh passes over both trees, when it is read.
+    splay nor a rotation makes a whole-tree pass.  `grow / shrink` is 2 to
+    the change of phi = P(S) - P(T) since the start, the product of every
+    event's ratio.  Each checker ticks and fails into the report it is
+    given and returns it; the run keeps the report returned.
     """
 
     def __init__(self, S: TreeState, T: TreeState, per_step: bool = False):
@@ -252,7 +250,7 @@ class InterleavedRun:
         self.report = CheckReport("interleaved-run")
         self.organizing_count = 0
         self.s_cost = 0
-        self.sum_amortized = 0.0
+        self.grow = self.shrink = 1
         self._reweight()
 
     def _reweight(self) -> None:
@@ -260,11 +258,11 @@ class InterleavedRun:
         self.wa = assign_weights(self.T)
         self.prefix = [0, *accumulate(self.wa.weights)]
 
-    @property
-    def phi(self) -> float:
-        """The current potential P(S) - P(T), from fresh passes over S, then T."""
+    def sums(self) -> tuple:
+        """S's and T's subtree sums under the current weights, from fresh
+        passes over S, then T."""
         wa = self.wa
-        return potential(subtree_sums(self.S, wa), wa) - potential(subtree_sums(self.T, wa), wa)
+        return subtree_sums(self.S, wa), subtree_sums(self.T, wa)
 
     def splay_query(self, key: int) -> SplayEvent:
         ev = checked_splay(
@@ -272,15 +270,16 @@ class InterleavedRun:
             depth_ref=self.wa.depth(key), per_step=self.per_step,
         )
         self.s_cost += ev.cost
-        self.sum_amortized += ev.amortized
-        self.report.absorb(check_access_lemma(ev))
-        self.report.absorb(check_amortized_depth(ev))
+        self.grow *= ev.grow
+        self.shrink *= ev.shrink
+        self.report = check_access_lemma(ev, self.report)
+        self.report = check_amortized_depth(ev, self.report)
         return ev
 
     def apply_T_rotation(self, rotated: int) -> RotationEvent:
         """Organizing splays in S, then the rotation in T, then reweighting.
 
-        The change of phi is summed over Z, the nodes on S's paths from its
+        The change of phi is read off Z, the nodes on S's paths from its
         root to the splayed keys.  Rotating x = `rotated` over its parent p
         scales the weights of each of the key ranges A, B and C (the subtrees
         that change depth) and of the rest by one power of 4 each, and the
@@ -288,7 +287,8 @@ class InterleavedRun:
         A node outside Z has its S-subtree and its T-subtree in one range, so
         its rank changes in S and in T are equal and cancel.  Of Z, only x and
         p change their T-subtree; a change of the scale 4^D shifts a node's
-        two ranks alike, so each term reads the four sums alone."""
+        two ranks alike, so each node's term reads its four sums alone:
+        s'_S s_T over s_S s'_T."""
         plan = plan_organizing_splays(self.T, rotated)
         for key in plan:
             self.splay_query(key)
@@ -303,24 +303,17 @@ class InterleavedRun:
         self._reweight()
         after = self.prefix
         in_T_after = {v: key_path(T, v)[-1][1:] for v in plan[:2]}
-        log2 = math.log2
-        delta = 0.0
+        grow = shrink = 1
         for v, (lo, hi) in in_S.items():
             t_lo, t_hi = in_T[v]
             u_lo, u_hi = in_T_after.get(v, in_T[v])
-            delta += (log2(after[hi] - after[lo]) - log2(before[hi] - before[lo])
-                      - log2(after[u_hi] - after[u_lo]) + log2(before[t_hi] - before[t_lo]))
-        ev = RotationEvent(rotated, len(plan) - 1, delta)
-        self.sum_amortized += ev.delta  # zero real cost for S
-        self.report.absorb(check_rotation_delta(ev))
+            grow *= (after[hi] - after[lo]) * (before[t_hi] - before[t_lo])
+            shrink *= (before[hi] - before[lo]) * (after[u_hi] - after[u_lo])
+        ev = RotationEvent(rotated, len(plan) - 1, grow, shrink)
+        self.grow *= grow
+        self.shrink *= shrink
+        self.report = check_rotation_delta(ev, self.report)
         return ev
-
-    def telescoping_residual(self, phi_initial: float, phi_final: float) -> float:
-        """(sum of amortized - sum of real) - (final phi - initial phi): the
-        summed potential changes of every splay and rotation against
-        `phi_initial`, read before the first event, and `phi_final`, a fresh
-        potential of the final trees read off `phi`."""
-        return (self.sum_amortized - self.s_cost) - (phi_final - phi_initial)
 
 
 # -- regular-access trials ----------------------------------------------------
@@ -361,9 +354,7 @@ class AccountingReport:
     M_prime: int
     R_prime: int
     total_S_cost: int
-    phi_initial: float
     phi_final: float
-    telescoping_residual: float
     counts_exact: bool
     e_within_budget: bool
     empirical_ratio: float
@@ -379,10 +370,12 @@ def accounting_run(n: int, queries, strategy: str = "oracle-witness") -> Account
     splays with organizing splays and per-event checks -> accounting report.
 
     The splay tree starts identical to the restricted tree (n+2 keys including
-    the sentinels), so the initial potential is exactly zero.  The report's
-    check holds five conditions: no interleaved-bound violation, exact
-    simulated op counts, e <= 3R', a telescoping residual within RANK_TOL and
-    a zero initial potential.
+    the sentinels), so the initial potential is exactly zero.  Both trees have
+    n+2 nodes, so 2^phi = prod s_S / prod s_T.  The report's check holds five
+    exact conditions: no interleaved-bound violation, exact simulated op
+    counts, e <= 3R', the telescoping identity run.grow / run.shrink =
+    2^phi_final, read off the same final passes as `phi_final`, and a zero
+    initial potential.
     """
     queries = list(queries)
     counts = [0] * n
@@ -398,7 +391,7 @@ def accounting_run(n: int, queries, strategy: str = "oracle-witness") -> Account
     st = init_prime(T0)
     S = st.prime.copy()
     run = InterleavedRun(S, st.prime)
-    phi_initial = run.phi
+    start_S, start_T = (prod(sums.values()) for sums in run.sums())
     for k, q in enumerate(queries):
         run.splay_query(q)
         apply_t_ops(st, segments[k], rotate=run.apply_T_rotation)
@@ -407,17 +400,18 @@ def accounting_run(n: int, queries, strategy: str = "oracle-witness") -> Account
     counts_exact = (m_prime == 4 * M + 3 * R) and (r_prime == 2 * M + R)
     e = run.organizing_count
     e_within_budget = e <= ORGANIZING_SPLAYS_PER_ROTATION * r_prime
-    phi_final = run.phi
-    residual = run.telescoping_residual(phi_initial, phi_final)
+    sums_S, sums_T = run.sums()
+    phi_final = potential(sums_S, run.wa) - potential(sums_T, run.wa)
     check = CheckReport("accounting", checked=5, violations=list(run.report.violations))
     if not counts_exact:
         check.fail("simulated op counts off")
     if not e_within_budget:
         check.fail(f"e={e} exceeds 3R'={ORGANIZING_SPLAYS_PER_ROTATION * r_prime}")
-    if abs(residual) > RANK_TOL:
-        check.fail(f"telescoping residual {residual}")
-    if phi_initial != 0.0:
-        check.fail(f"initial potential {phi_initial}")
+    if run.grow * prod(sums_T.values()) != run.shrink * prod(sums_S.values()):
+        check.fail(f"telescoping: the events' change of phi "
+                   f"{log2_ratio(run.grow, run.shrink)} is not phi_final {phi_final}")
+    if start_S != start_T:
+        check.fail(f"initial potential {log2_ratio(start_S, start_T)}")
     denom = n + m_prime + r_prime
     return AccountingReport(
         e=e,
@@ -426,9 +420,7 @@ def accounting_run(n: int, queries, strategy: str = "oracle-witness") -> Account
         M_prime=m_prime,
         R_prime=r_prime,
         total_S_cost=run.s_cost,
-        phi_initial=phi_initial,
         phi_final=phi_final,
-        telescoping_residual=residual,
         counts_exact=counts_exact,
         e_within_budget=e_within_budget,
         empirical_ratio=(run.s_cost / denom) if denom else 0.0,

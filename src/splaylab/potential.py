@@ -2,11 +2,12 @@
 
 Weights come from the reference tree's depths: a node at depth d weighs
 4^(-d).  All subtree sums are kept as exact integers at a common scale of
-4^D (D = the reference tree's maximum depth); floating point enters only at
-the final base-2 logarithms.  The weights are a list in key order, so a BST
-subtree, which holds a contiguous run of keys, sums to the difference of two
-prefix sums of that list; `lab` reads S's sums that way between the
-whole-tree passes of `subtree_sums`.
+4^D (D = the reference tree's maximum depth).  Every bound is decided on
+products of those integers; floating point enters only in the potentials a
+report or a message reads, as base-2 logarithms.  The weights are a list in
+key order, so a BST subtree, which holds a contiguous run of keys, sums to
+the difference of two prefix sums of that list; `lab` reads S's sums that
+way between the whole-tree passes of `subtree_sums`.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from dataclasses import dataclass
 
 from .machine import TreeState
 from .report import CheckReport
-
-RANK_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -152,11 +151,15 @@ def check_weight_sum_bounds(S: TreeState, T: TreeState) -> CheckReport:
 
 
 def check_potential_floor(S: TreeState, T: TreeState) -> CheckReport:
-    """-n < phi, with a small tolerance on the real-valued side."""
+    """-n < phi, decided exactly.  Both trees have n nodes, so the scale 4^D
+    cancels, 2^phi = prod s_S / prod s_T, and the floor reads
+    prod s_T < 2^n prod s_S."""
     report = CheckReport("potential-floor")
-    value = phi(S, T)
+    wa = assign_weights(T)
+    sums_s, sums_t = subtree_sums(S, wa), subtree_sums(T, wa)
     n = len(T)
     report.tick()
-    if not value > -n - RANK_TOL:
+    if not math.prod(sums_t.values()) < math.prod(sums_s.values()) << n:
+        value = potential(sums_s, wa) - potential(sums_t, wa)
         report.fail(f"phi {value} is not above -n = {-n}")
     return report

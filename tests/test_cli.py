@@ -10,7 +10,6 @@ import pytest
 from splaylab import cli, lab, suites
 from splaylab.cli import main
 from splaylab.generators import ExperimentConfig, generate_sequence, parse_generator, rng_for_trial
-from splaylab.report import CheckReport
 from splaylab.suites import rows_to_csv, run_suite
 
 
@@ -187,8 +186,8 @@ class TestCli:
             assert not out_path.is_file()
 
     def test_theorem7_violation_reaches_report(self, monkeypatch, capsys):
-        def failing(ev):
-            report = CheckReport("rotation-delta", checked=1)
+        def failing(ev, report):
+            report.tick()
             report.fail(f"forced failure at {ev.key}")
             return report
 

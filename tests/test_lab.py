@@ -1,6 +1,7 @@
-import math
 import sys
+from fractions import Fraction
 from itertools import accumulate
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +18,7 @@ from splaylab.generators import (
     spine_tree,
 )
 from splaylab.lab import (
-    ROTATION_DELTA_BOUND,
+    ROTATION_RATIO_BOUND,
     InterleavedRun,
     accounting_run,
     checked_splay,
@@ -28,6 +29,7 @@ from splaylab.lab import (
 )
 from splaylab.machine import IllegalOpError, build_tree
 from splaylab.potential import assign_weights, potential, potential_of, subtree_sums
+from splaylab.report import CheckReport
 from splaylab.restricted import init_prime
 from splaylab.splay import total_access_cost
 from splaylab.suites import near_root
@@ -65,11 +67,16 @@ def interval_sums(tree, prefix):
     return sums
 
 
-def fresh_phi(S, T):
-    """P(S) - P(T) from the reference weights and the reference sums."""
+def sums_product(tree, wa):
+    """The product of `tree`'s subtree sums, from the reference sums."""
+    return prod(reference_subtree_sums(tree, wa).values())
+
+
+def fresh_products(S, T):
+    """The products of S's and of T's subtree sums under the reference
+    weights: 2^phi is their ratio."""
     wa = reference_assign_weights(T)
-    return (potential(reference_subtree_sums(S, wa), wa)
-            - potential(reference_subtree_sums(T, wa), wa))
+    return sums_product(S, wa), sums_product(T, wa)
 
 
 class TestOrganizingPlans:
@@ -105,16 +112,17 @@ class TestPerSplayBounds:
             wa = assign_weights(T)
             ev = checked_splay(S, wa, key_order(wa), key, depth_ref=T.depth(key),
                                per_step=True)
-            report = check_access_lemma(ev)
+            report = check_access_lemma(ev, CheckReport("access"))
             assert report.passed, report.violations
-            assert check_amortized_depth(ev).passed
+            assert report.checked == 1 + len(ev.steps)
+            assert check_amortized_depth(ev, CheckReport("depth")).passed
 
     def test_zero_depth_splay_is_free(self):
         T = build_tree("((..)(..))")
         S = T.copy()
         wa = assign_weights(T)
         ev = checked_splay(S, wa, key_order(wa), T.root, depth_ref=0)
-        assert ev.cost == 0 and ev.amortized == 0.0
+        assert ev.cost == 0 and (ev.grow, ev.shrink) == (1, 1)
 
     def test_unknown_key_rejected(self):
         # -1 on a plain tree and -2 on a restricted one would index a list
@@ -210,24 +218,28 @@ class TestInterleavedRun:
         for _ in range(30):
             S, T = random_pair(rng.randint(2, 24), rng)
             run = InterleavedRun(S, T)
-            phi_initial = run.phi
+            start_S, start_T = fresh_products(S, T)
             for _ in range(6):
                 if rng.random() < 0.3:
                     shallow = [k for k in in_order(T) if 1 <= T.depth(k) <= 2]
                     run.apply_T_rotation(rng.choice(shallow))
                 else:
                     run.splay_query(rng.choice(in_order(T)))
-            assert abs(run.telescoping_residual(phi_initial, run.phi)) < 1e-6
+            end_S, end_T = fresh_products(S, T)
+            # 2^(phi_end - phi_start) = grow / shrink, exactly.
+            assert run.grow * end_T * start_S == run.shrink * end_S * start_T
             assert not run.report.violations
 
     def test_identical_start_zero_phi(self):
         T = random_tree(10, rng_for_trial(67, 0))
         run = InterleavedRun(T.copy(), T)
-        assert run.phi == 0.0
+        sums_S, sums_T = run.sums()
+        assert prod(sums_S.values()) == prod(sums_T.values())
+        assert potential(sums_S, run.wa) - potential(sums_T, run.wa) == 0.0
 
     def test_rotation_delta_under_bound(self):
         rng = rng_for_trial(71, 0)
-        worst = -math.inf
+        worst = Fraction(0)
         for _ in range(100):
             S, T = random_pair(rng.randint(3, 32), rng)
             candidates = [k for k in in_order(T) if 1 <= T.depth(k) <= 2]
@@ -236,9 +248,9 @@ class TestInterleavedRun:
             depth = T.depth(rotated)
             ev = run.apply_T_rotation(rotated)
             assert ev.depth_ref == depth
-            worst = max(worst, ev.delta)
+            worst = max(worst, Fraction(ev.grow, ev.shrink))
             assert not run.report.violations
-        assert worst <= ROTATION_DELTA_BOUND + 1e-6
+        assert worst <= ROTATION_RATIO_BOUND
 
     def test_organizing_splays_counted(self):
         T = build_tree("(((..)(..))(..))")
@@ -285,13 +297,14 @@ class TestKeptSums:
                     assert run.prefix is prefix
                     splays += 1
                 assert interval_sums(run.S, run.prefix) == subtree_sums(run.S, run.wa)
-                assert run.phi == potential_of(run.S, run.wa) - potential_of(run.T, run.wa)
+                assert run.sums() == (reference_subtree_sums(run.S, run.wa),
+                                      reference_subtree_sums(run.T, run.wa))
             assert not run.report.violations
         assert min(splays, roots, rotations) > 20
 
     def test_no_sums_pass_per_tree_state(self, monkeypatch):
         # Construction, splays and reference rotations read S's sums as
-        # key-interval sums; only a `phi` read makes whole-tree passes.
+        # key-interval sums; only a `sums` read makes whole-tree passes.
         log = []
         sums_of = splaylab.potential.subtree_sums
         splay = splaylab.lab.checked_splay
@@ -327,13 +340,14 @@ class TestKeptSums:
         run.per_step = True
         ev = run.splay_query(0)
         assert ev.steps and passes() == ["splayed"]
-        phi = run.phi  # fresh passes over S, then over T for P(T)
+        sums = run.sums()  # fresh passes over S, then over T
         assert passes() == ["S", "T"]
-        assert phi == potential_of(run.S, run.wa) - potential_of(run.T, run.wa)
+        assert sums == (subtree_sums(run.S, run.wa), subtree_sums(run.T, run.wa))
 
     def test_one_S_pass_at_the_end_of_accounting_run(self, monkeypatch):
-        # The final potential is read once, for phi_final and the residual alike:
-        # one fresh pass over S, then one over T for P(T); nothing is cached.
+        # The final sums are read once, for phi_final and the telescoping
+        # identity alike: one fresh pass over S, then one over T; nothing is
+        # cached.
         log, runs = [], []
         sums_of = splaylab.potential.subtree_sums
 
@@ -344,7 +358,6 @@ class TestKeptSums:
         class Logged(InterleavedRun):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
-                self.phi_initial = self.phi
                 runs.append(self)
 
             def splay_query(self, key):
@@ -365,9 +378,9 @@ class TestKeptSums:
         assert acc.R > 0
         last = len(log) - log[::-1].index("event")
         assert log[last:] == [run.S, run.T]
-        assert acc.phi_final == run.phi
-        assert acc.phi_initial == run.phi_initial
-        assert acc.telescoping_residual == run.telescoping_residual(run.phi_initial, run.phi)
+        assert acc.phi_final == potential_of(run.S, run.wa) - potential_of(run.T, run.wa)
+        end_S, end_T = (prod(sums.values()) for sums in run.sums())
+        assert run.grow * end_T == run.shrink * end_S
 
     def test_lemma6_trial_reads_no_P_of_T(self, monkeypatch):
         # A lemma6 trial checks one splay against S's key-interval sums, so it
@@ -400,9 +413,10 @@ class TestKeptSums:
         assert log == []
 
     def test_theorem7_trial_passes_only_at_phi_reads(self, monkeypatch):
-        # accounting_run reads phi twice, for phi_initial and phi_final; each
-        # read is a pass over S and one over T.  Its splays and reference
-        # rotations make none.
+        # accounting_run reads both trees' sums twice, for the zero initial
+        # potential and for phi_final and the telescoping identity; each read
+        # is a pass over S and one over T.  Its splays and reference rotations
+        # make none.
         log, runs = [], []
         sums_of = splaylab.potential.subtree_sums
 
@@ -415,11 +429,10 @@ class TestKeptSums:
                 super().__init__(*args, **kwargs)
                 runs.append(self)
 
-            @property
-            def phi(self):
-                log.append("phi")
-                value = super().phi
-                log.append("/phi")
+            def sums(self):
+                log.append("sums")
+                value = super().sums()
+                log.append("/sums")
                 return value
 
         for module in (splaylab.lab, splaylab.potential):
@@ -429,32 +442,35 @@ class TestKeptSums:
         (run,) = runs
         assert code == 0 and report["runs"][0]["R_prime"] > 0
         names = ["S" if x is run.S else "T" if x is run.T else x for x in log]
-        assert names == ["phi", "S", "T", "/phi"] * 2
+        assert names == ["sums", "S", "T", "/sums"] * 2
 
     @pytest.mark.parametrize("per_step", [False, True])
     def test_splay_delta_matches_fresh_potentials(self, per_step):
-        # The change of P(S) read off the 2-3 nodes of each step, against two
-        # whole-tree potentials; the step deltas add up to the splay's delta.
+        # The change of P(S) read off the 2-3 nodes of each step, against the
+        # products of two whole-tree passes of reference sums; the step
+        # ratios multiply to the splay's ratio.
         rng = rng_for_trial(89, per_step)
         checked = 0
         for _ in range(60):
             S, T = random_pair(rng.randint(1, 48), rng)
             run = InterleavedRun(S, T, per_step=per_step)
-            phi_initial = run.phi
+            start_S, start_T = fresh_products(S, T)
             for _ in range(6):
                 shallow = [k for k in in_order(T) if 1 <= T.depth(k) <= 2]
                 if shallow and rng.random() < 0.25:
                     run.apply_T_rotation(rng.choice(shallow))
                     continue
-                before = potential_of(run.S, run.wa)
+                before = sums_product(run.S, run.wa)
                 ev = run.splay_query(rng.choice(in_order(T)))
-                after = potential_of(run.S, run.wa)
-                assert abs(ev.delta - (after - before)) < 1e-9
+                after = sums_product(run.S, run.wa)
+                assert ev.grow * before == ev.shrink * after
                 if per_step:
                     assert sum(step.cost for step in ev.steps) == ev.cost
-                    assert sum(step.delta for step in ev.steps) == pytest.approx(ev.delta, abs=1e-12)
+                    assert prod(step.grow for step in ev.steps) == ev.grow
+                    assert prod(step.shrink for step in ev.steps) == ev.shrink
                 checked += ev.cost > 0
-            assert abs(run.telescoping_residual(phi_initial, run.phi)) < 1e-9
+            end_S, end_T = fresh_products(S, T)
+            assert run.grow * end_T * start_S == run.shrink * end_S * start_T
         assert checked > 100
 
 
@@ -464,10 +480,10 @@ def test_interval_sums_and_deltas_match_fresh_passes(data, n, seed, per_step, re
     # Random interleavings of splays and depth-1/2 reference rotations, on
     # plain trees over 0..n-1 or restricted trees over -1..n.  After every
     # event each node's key-interval sum equals the reference sums under the
-    # reference weights; a rotation's delta equals the change of a fresh phi
-    # over copies of the trees, taken after the organizing splays, and a
-    # splay's delta the change of a fresh P(S), with its step deltas adding up
-    # to it.
+    # reference weights; a rotation's ratio equals 2 to the change of a
+    # fresh phi over copies of the trees, taken after the organizing splays,
+    # and a splay's ratio 2 to the change of a fresh P(S), with its step
+    # ratios multiplying to it.  Every comparison is of exact integers.
     S, T = random_pair(n, rng_for_trial(seed, 0))
     if restricted:
         S, T = init_prime(S).prime, init_prime(T).prime
@@ -485,21 +501,22 @@ def test_interval_sums_and_deltas_match_fresh_passes(data, n, seed, per_step, re
             rotated = data.draw(st.sampled_from(depth1 + depth2))
             S2, T2 = run.S.copy(), run.T.copy()
             total_access_cost(S2, plan_organizing_splays(T2, rotated))
-            before = fresh_phi(S2, T2)
+            before_S, before_T = fresh_products(S2, T2)
             T2.rotate_up(rotated)
-            after = fresh_phi(S2, T2)
+            after_S, after_T = fresh_products(S2, T2)
             ev = run.apply_T_rotation(rotated)
             assert same_structure(run.S, S2) and same_structure(run.T, T2)
-            assert abs(ev.delta - (after - before)) < 1e-9
+            assert ev.grow * before_S * after_T == ev.shrink * after_S * before_T
         else:
             wa = reference_assign_weights(run.T)
-            before = potential(reference_subtree_sums(run.S, wa), wa)
+            before = sums_product(run.S, wa)
             ev = run.splay_query(data.draw(st.integers(S.keys[0], S.keys[-1])))
-            after = potential(reference_subtree_sums(run.S, wa), wa)
-            assert abs(ev.delta - (after - before)) < 1e-9
+            after = sums_product(run.S, wa)
+            assert ev.grow * before == ev.shrink * after
             if per_step:
                 assert sum(step.cost for step in ev.steps) == ev.cost
-                assert sum(step.delta for step in ev.steps) == pytest.approx(ev.delta, abs=1e-12)
+                assert prod(step.grow for step in ev.steps) == ev.grow
+                assert prod(step.shrink for step in ev.steps) == ev.shrink
         assert_sums_fresh()
     assert not run.report.violations
 
@@ -532,9 +549,8 @@ class TestAccountingRun:
             queries = [rng.randrange(n) for _ in range(rng.randint(1, 6))]
             acc = accounting_run(n, queries)
             assert acc.counts_exact
-            assert acc.phi_initial == 0.0
             assert acc.e_within_budget
-            assert abs(acc.telescoping_residual) < 1e-6
+            assert acc.check.checked == 5
             assert not acc.check.violations
             assert acc.passed
 

@@ -37,11 +37,14 @@ FORCED = [
 ]
 
 
-def counting_checker(calls, fails):
-    """A checker that ticks once per call and fails every call if `fails`."""
-    def checker(*args, **kwargs):
+def counting_checker(calls, fails, module):
+    """A checker that ticks once per call and fails every call if `fails`.
+    In `lab` it writes into the report it is given and returns it, as the
+    interleaved-run checkers do; elsewhere it returns a report of its own."""
+    def checker(*args):
         calls.append(1)
-        report = CheckReport("forced", checked=1)
+        report = args[1] if module is lab else CheckReport("forced")
+        report.tick()
         if fails:
             report.fail("forced")
         return report
@@ -53,8 +56,9 @@ def counting_checker(calls, fails):
 def test_forced_checker_violations_are_labelled(monkeypatch, suite, fields, target, first, pattern):
     calls = []
     for name in LAB_CHECKERS:  # every interleaved-run checker ticks once per call
-        monkeypatch.setattr(lab, name, counting_checker(calls, False))
-    monkeypatch.setattr(*target, counting_checker(calls, True))
+        monkeypatch.setattr(lab, name, counting_checker(calls, False, lab))
+    module, name = target
+    monkeypatch.setattr(module, name, counting_checker(calls, True, module))
     code, report = run_suite(suite, ExperimentConfig(seed=1, trials=2, **fields))
     assert code == 1 and report["passed"] is False
     assert report["checked"] == len(calls)
