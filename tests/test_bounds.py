@@ -110,25 +110,40 @@ def test_potential_floor(side, monkeypatch):
     assert check_potential_floor(S, T).passed == (side > 0)
 
 
-@pytest.mark.parametrize("off, passed", [(0, True), (1, False), (-1, False)])
-def test_telescoping_is_exact(off, passed, monkeypatch):
-    # The first splay's ratio, put in 2^40 times finer units, is off by `off`
-    # of them: the run's change of phi then misses phi_final by at most 2^-40
-    # relative, and only the telescoping identity can see it.
+def rewrite_first_splay(monkeypatch, scale, off):
+    """accounting_run(6, [1, 4, 0, 2, 0, 3]) with the first splay's ratio
+    grow / shrink rewritten as (grow * scale + off) / (shrink * scale)."""
     original = splaylab.lab.checked_splay
     events = []
 
     def skewed(*args, **kwargs):
         ev = original(*args, **kwargs)
         if not events:
-            ev.grow, ev.shrink = ev.grow * UNIT + off, ev.shrink * UNIT
+            ev.grow, ev.shrink = ev.grow * scale + off, ev.shrink * scale
         events.append(ev)
         return ev
 
     monkeypatch.setattr(splaylab.lab, "checked_splay", skewed)
-    acc = accounting_run(6, [1, 4, 0, 2, 0, 3])
+    return accounting_run(6, [1, 4, 0, 2, 0, 3])
+
+
+@pytest.mark.parametrize("off, passed", [(0, True), (1, False), (-1, False)])
+def test_telescoping_is_exact(off, passed, monkeypatch):
+    # The first splay's ratio, put in 2^40 times finer units, is off by `off`
+    # of them: the run's change of phi then misses phi_final by at most 2^-40
+    # relative, and only the telescoping identity can see it.
+    acc = rewrite_first_splay(monkeypatch, UNIT, off)
     assert acc.passed == passed
     assert [v.split(":")[0] for v in acc.check.violations] == ([] if passed else ["telescoping"])
+
+
+@pytest.mark.parametrize("scale", [3, UNIT + 1], ids=["3", "2^40+1"])
+def test_telescoping_compares_ratios(scale, monkeypatch):
+    # The first splay's grow and shrink share a factor that is no power of
+    # two: the ratio is the same, so the identity, which compares ratios and
+    # not their representations, must still hold.
+    acc = rewrite_first_splay(monkeypatch, scale, 0)
+    assert acc.passed and acc.check.violations == []
 
 
 def family(n):
