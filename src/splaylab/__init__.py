@@ -1,7 +1,6 @@
 """Verification laboratory for cursor-machine splay-tree cost accounting."""
 
 from .machine import (
-    CostLedger,
     IllegalOpError,
     MachineProgram,
     OpKind,

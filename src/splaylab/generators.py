@@ -48,7 +48,7 @@ def random_pair(n: int, rng: random.Random) -> tuple[TreeState, TreeState]:
     return random_tree(n, rng), random_tree(n, rng)
 
 
-def spine_tree(n: int, side: str = "right") -> TreeState:
+def spine_tree(n: int, side: str) -> TreeState:
     """Path tree: keys 0..n-1, each node's single child on `side`."""
     if side == "right":
         return tree_from_roots(n, lambda i, j: i)

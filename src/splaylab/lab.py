@@ -28,14 +28,12 @@ from itertools import accumulate
 from math import prod
 from operator import itemgetter
 
-from .machine import IllegalOpError, OpKind, TreeState
+from .machine import IllegalOpError, MachineProgram, TreeState
 from .oracle import per_query_segments, static_optimal
-from .potential import WeightAssignment, assign_weights, potential, subtree_sums
+from .potential import assign_weights, potential, subtree_sums
 from .report import CheckReport
 from .restricted import apply_t_ops, init_prime
 from .splay import ROTATIONS, ZIG, ZIGZAG, ZIGZIG, splay
-
-_ROT = OpKind.ROTATE
 
 # 2 to the power of the bound on a reference rotation's jump of phi:
 # 2^(11 + log2 11), and 2^(7 + log2 11) at depth 1.
@@ -107,14 +105,13 @@ def key_path(tree: TreeState, key: int) -> list:
 
 def checked_splay(
     S: TreeState,
-    wa: WeightAssignment,
     prefix: list,
     key: int,
     depth_ref: int,
     per_step: bool = False,
 ) -> SplayEvent:
     """Splay `key` in S under fixed weights, recording everything the
-    amortized checks need.  `prefix` lists the prefix sums of `wa`'s weights
+    amortized checks need.  `prefix` lists the prefix sums of the weights
     in key order and a key's rank is its offset from `S.keys.start`, so the
     subtree over the keys of ranks lo..hi-1 sums to prefix[hi] - prefix[lo].
 
@@ -266,8 +263,7 @@ class InterleavedRun:
 
     def splay_query(self, key: int) -> SplayEvent:
         ev = checked_splay(
-            self.S, self.wa, self.prefix, key,
-            depth_ref=self.wa.depth(key), per_step=self.per_step,
+            self.S, self.prefix, key, depth_ref=self.wa.depth(key), per_step=self.per_step,
         )
         self.s_cost += ev.cost
         self.grow *= ev.grow
@@ -385,18 +381,19 @@ def accounting_run(n: int, queries, strategy: str = "oracle-witness") -> Account
         counts[q] += 1
     T0 = static_optimal(counts)
     segments = per_query_segments(strategy, T0, queries)
-    R = sum(seg.count(_ROT) for seg in segments)
-    M = sum(map(len, segments)) - R
+    reference = MachineProgram([op for seg in segments for op in seg])
+    M, R = reference.move_count, reference.rotation_count
 
     st = init_prime(T0)
     S = st.prime.copy()
     run = InterleavedRun(S, st.prime)
     start_S, start_T = (prod(sums.values()) for sums in run.sums())
+    restricted = MachineProgram([])
     for k, q in enumerate(queries):
         run.splay_query(q)
-        apply_t_ops(st, segments[k], rotate=run.apply_T_rotation)
+        restricted.ops += apply_t_ops(st, segments[k], rotate=run.apply_T_rotation)
 
-    m_prime, r_prime = st.ledger.moves, st.ledger.rotations
+    m_prime, r_prime = restricted.move_count, restricted.rotation_count
     counts_exact = (m_prime == 4 * M + 3 * R) and (r_prime == 2 * M + R)
     e = run.organizing_count
     e_within_budget = e <= ORGANIZING_SPLAYS_PER_ROTATION * r_prime

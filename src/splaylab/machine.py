@@ -13,9 +13,9 @@ A single cursor moves between adjacent nodes; the only structural primitive
 is an upward rotation of the node at the cursor.  A program is a sequence of
 `OpKind` members, and `apply_ops` is the one transition: it steps a tree
 through a whole op sequence in one call, and `apply_op` is its one-op form.
-A move or a rotation costs 1 and a key comparison is free and is not an op;
-neither call charges anything, so a caller that counts costs keeps its own
-`CostLedger`.
+A move or a rotation costs 1 and a key comparison is free and is not an op,
+so a program's cost is its op count: `MachineProgram` counts the moves and
+the rotations of an op list, and neither call charges anything.
 """
 
 from __future__ import annotations
@@ -49,14 +49,6 @@ class OpKind(Enum):
 
 
 _L, _R, _U, _ROT = OpKind.LEFT, OpKind.RIGHT, OpKind.UP, OpKind.ROTATE
-
-
-@dataclass
-class CostLedger:
-    """Monotone per-tree tally of charged moves and rotations."""
-
-    moves: int = 0
-    rotations: int = 0
 
 
 class TreeState:

@@ -23,11 +23,7 @@ class CheckReport:
     def fail(self, message: str) -> None:
         self.violations.append(message)
 
-    def absorb(self, other: "CheckReport", label: str = "") -> None:
-        """Add another checker's count and violations, each prefixed by
-        `label: ` when a label is given."""
+    def absorb(self, other: "CheckReport", label: str) -> None:
+        """Add another checker's count and violations, each prefixed by `label: `."""
         self.checked += other.checked
-        if not other.violations:
-            return
-        prefix = f"{label}: " if label else ""
-        self.violations.extend(prefix + v for v in other.violations)
+        self.violations.extend(f"{label}: {v}" for v in other.violations)

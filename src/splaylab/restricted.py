@@ -7,17 +7,17 @@ costs exactly 4 moves + 2 rotations, every simulated rotation exactly
 less than 3, returning the cursor to the root after each rotation.
 
 `apply_t_ops` steps the tracked tree through a whole list of simulated ops
-in one `apply_ops` call, then runs each op's restricted sequence in one call
-and charges the ledger after it; `cursor_trace` replays a whole op list in
-one call too.
+in one `apply_ops` call, then runs each op's restricted sequence in one call,
+and returns the sequences concatenated: the emitted op list is the only
+record of the restricted program, and `MachineProgram` counts its cost.
+`cursor_trace` replays a whole op list in one call too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .machine import (
-    CostLedger,
     IllegalOpError,
     MachineProgram,
     OpKind,
@@ -46,13 +46,11 @@ class SentineledTree:
     """Restricted tree plus the tracked plain tree it simulates.
 
     The tracked tree is bookkeeping only; the restricted tree itself stores no
-    extra per-node information.  `ledger` counts the restricted ops that
-    `apply_t_ops` has applied to `prime`.
+    extra per-node information.
     """
 
     prime: TreeState
     sim: TreeState
-    ledger: CostLedger = field(default_factory=CostLedger)
 
 
 def init_prime(T: TreeState) -> SentineledTree:
@@ -108,11 +106,10 @@ def apply_t_ops(st: SentineledTree, t_ops, rotate=None) -> list:
     One `apply_ops` call steps the tracked tree through all of `t_ops`, noting
     each rotation's side before it rotates; a move's side is read off the keys
     the cursor leaves and reaches.  Then, for each op the tracked tree took,
-    its sequence runs on the restricted tree in one `apply_ops` call,
-    `st.ledger` is charged for every op of it, and the restricted root is
-    checked against the simulated cursor.  `rotate(key)`, if given, performs
-    each emitted rotation of the cursor's key in place of
-    `TreeState.rotate_up`; the rotation is charged all the same.
+    its sequence runs on the restricted tree in one `apply_ops` call and the
+    restricted root is checked against the simulated cursor.  `rotate(key)`,
+    if given, performs each emitted rotation of the cursor's key in place of
+    `TreeState.rotate_up`.
 
     An IllegalOpError names the index in `t_ops` of the op at fault.  If the
     tracked tree refuses op i, the ops before i still run on the restricted
@@ -123,7 +120,7 @@ def apply_t_ops(st: SentineledTree, t_ops, rotate=None) -> list:
     """
     if not t_ops:
         return []
-    sim, prime, ledger = st.sim, st.prime, st.ledger
+    sim, prime = st.sim, st.prime
     parent = sim.parent
     was = sim.cursor
     trace = []
@@ -152,9 +149,6 @@ def apply_t_ops(st: SentineledTree, t_ops, rotate=None) -> list:
             apply_ops(prime, seq, rotate=rotate)
         except IllegalOpError as exc:
             raise IllegalOpError(exc.reason, i) from None
-        rotations = seq.count(_ROT)
-        ledger.moves += len(seq) - rotations
-        ledger.rotations += rotations
         if prime.root != key:  # pinned-root invariant
             raise IllegalOpError("restricted-tree root lost the simulated cursor key", i)
         out += seq
@@ -164,10 +158,10 @@ def apply_t_ops(st: SentineledTree, t_ops, rotate=None) -> list:
     return out
 
 
-def simulate_program(T: TreeState, program: MachineProgram) -> tuple[list, CostLedger]:
-    """Translate a whole cursor program; the op list has 4M+3R moves and 2M+R rotations."""
-    st = init_prime(T)
-    return apply_t_ops(st, program.ops), st.ledger
+def simulate_program(T: TreeState, program: MachineProgram) -> MachineProgram:
+    """Translate a whole cursor program; the restricted program has 4M+3R moves
+    and 2M+R rotations."""
+    return MachineProgram(apply_t_ops(init_prime(T), program.ops))
 
 
 def check_restricted(initial: TreeState, ops) -> CheckReport:

@@ -95,17 +95,15 @@ def run_lemma3(suite: Suite, config: ExperimentConfig, report: CheckReport) -> d
         T = random_tree(n, rng)
         program = random_t_program(T, rng)
         M, R = program.move_count, program.rotation_count
-        out, ledger = simulate_program(T, program)
+        out = simulate_program(T, program)
         prime = init_prime(T).prime
         report.tick(3)
-        if (ledger.moves, ledger.rotations) != (4 * M + 3 * R, 2 * M + R):
-            report.fail(
-                f"{label}: cost ({ledger.moves},{ledger.rotations}) "
-                f"!= (4M+3R,2M+R) for M={M} R={R}"
-            )
-        if not check_restricted(prime, out).passed:
+        moves, rotations = out.move_count, out.rotation_count
+        if (moves, rotations) != (4 * M + 3 * R, 2 * M + R):
+            report.fail(f"{label}: cost ({moves},{rotations}) != (4M+3R,2M+R) for M={M} R={R}")
+        if not check_restricted(prime, out.ops).passed:
             report.fail(f"{label}: output program not restricted")
-        if not is_subsequence(cursor_trace(T, program.ops), cursor_trace(prime, out)):
+        if not is_subsequence(cursor_trace(T, program.ops), cursor_trace(prime, out.ops)):
             report.fail(f"{label}: cursor trace not embedded")
     return {}
 

@@ -23,6 +23,13 @@ before any link moves, or make the link lists one slot too long.  The rank
 rows drop one subtraction of `keys.start` where `lab` or `potential` turns a
 key into its index in a per-key list; on a plain tree over 0..n-1 each edit
 changes nothing, so only restricted trees over -1..n can kill these rows.
+The Lemma 3 rows pick the wrong rotation or UP sequence in `apply_t_ops`,
+change one op of the restricted sequence table, or change one constant of
+the 4M + 3R moves and 2M + R rotations that the `lemma3` suite and
+`accounting_run` expect of the emitted program.  `tests/test_suites.py`
+runs every suite and must notice each edit but the last; the smallest
+`theorem7` trial it runs makes no reference rotation, so the `accounting_run`
+row runs against `tests/test_bounds.py`, whose accounting runs rotate.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ SRC = ROOT / "src" / "splaylab"
 BOUND_TESTS = ("tests/test_bounds.py",)
 KERNEL_TESTS = ("tests/test_splay.py", "tests/test_machine.py")
 RANK_TESTS = ("tests/test_lab.py", "tests/test_potential.py")
+LEMMA3_TESTS = ("tests/test_suites.py",)
 
 
 @dataclass(frozen=True)
@@ -120,6 +128,17 @@ MUTANTS = (
            "r_x = key - start", "r_x = key", RANK_TESTS),
     Mutant("subtree_sums: weight read without - start", "potential.py",
            "weights[node - start]", "weights[node]", RANK_TESTS),
+    # -- Lemma 3: the restricted sequences and their counts -------------------
+    Mutant("apply_t_ops: rotation side flipped", "restricted.py",
+           "_ROTATE[next(sides)]", "_ROTATE[not next(sides)]", LEMMA3_TESTS),
+    Mutant("apply_t_ops: UP side flipped", "restricted.py",
+           "_UP[key > was]", "_UP[key < was]", LEMMA3_TESTS),
+    Mutant("restricted table: rotation's closing UP -> a second rotation", "restricted.py",
+           "_ROTATE = ((_L, _L, _ROT, _U),", "_ROTATE = ((_L, _L, _ROT, _ROT),", LEMMA3_TESTS),
+    Mutant("lemma3: expected moves 4M + 3R -> 4M + 2R", "suites.py",
+           "(4 * M + 3 * R, 2 * M + R)", "(4 * M + 2 * R, 2 * M + R)", LEMMA3_TESTS),
+    Mutant("accounting_run: expected rotations 2M + R -> 2M + 2R", "lab.py",
+           "(r_prime == 2 * M + R)", "(r_prime == 2 * M + 2 * R)", BOUND_TESTS),
 )
 
 

@@ -24,9 +24,9 @@ lists those depths' weights key by key, one power per key, so they check the
 in-order walk of `splaylab.potential.assign_weights` and, with
 `reference_subtree_sums`, the key-interval sums of `splaylab.lab`.
 `reference_apply_op` is the one-op transition dispatched per op on its kind,
-and `reference_cursor_trace` and `reference_apply_t_op` call it once per op and
-charge the ledger per op, so they check the batched `splaylab.machine.apply_ops`
-behind `cursor_trace` and `apply_t_ops`.
+and `reference_cursor_trace` and `reference_apply_t_op` call it once per op, so
+they check the batched `splaylab.machine.apply_ops` behind `cursor_trace` and
+`apply_t_ops`.
 `reference_rotate_up` tells a rotation's sides by child links, where
 `splaylab.machine.TreeState.rotate_up` tells them by key order, so it checks
 that rotation and, through the tests' textbook splayer, the
@@ -410,20 +410,15 @@ def reference_cursor_trace(initial: TreeState, ops) -> list:
 
 
 def reference_apply_t_op(st: SentineledTree, t_op: OpKind, rotate=None) -> tuple:
-    """One simulated op on the restricted tree, one call and one charge per
-    restricted op; `rotate(key)`, if given, performs each rotation."""
+    """One simulated op on the restricted tree, one call per restricted op;
+    `rotate(key)`, if given, performs each rotation."""
     seq = op_sequence(st, t_op)
-    prime, ledger = st.prime, st.ledger
+    prime = st.prime
     for op in seq:
-        if op is not OpKind.ROTATE:
-            reference_apply_op(prime, op)
-            ledger.moves += 1
+        if op is OpKind.ROTATE and rotate is not None:
+            rotate(prime.cursor)
         else:
-            if rotate is None:
-                reference_apply_op(prime, op)
-            else:
-                rotate(prime.cursor)
-            ledger.rotations += 1
+            reference_apply_op(prime, op)
     if prime.root != st.sim.cursor:
         raise IllegalOpError("restricted-tree root lost the simulated cursor key")
     return seq

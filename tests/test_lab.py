@@ -110,8 +110,7 @@ class TestPerSplayBounds:
             S, T = random_pair(rng.randint(1, 32), rng)
             key = rng.choice(in_order(T))
             wa = assign_weights(T)
-            ev = checked_splay(S, wa, key_order(wa), key, depth_ref=T.depth(key),
-                               per_step=True)
+            ev = checked_splay(S, key_order(wa), key, depth_ref=T.depth(key), per_step=True)
             report = check_access_lemma(ev, CheckReport("access"))
             assert report.passed, report.violations
             assert report.checked == 1 + len(ev.steps)
@@ -121,7 +120,7 @@ class TestPerSplayBounds:
         T = build_tree("((..)(..))")
         S = T.copy()
         wa = assign_weights(T)
-        ev = checked_splay(S, wa, key_order(wa), T.root, depth_ref=0)
+        ev = checked_splay(S, key_order(wa), T.root, depth_ref=0)
         assert ev.cost == 0 and (ev.grow, ev.shrink) == (1, 1)
 
     def test_unknown_key_rejected(self):
@@ -134,7 +133,7 @@ class TestPerSplayBounds:
             links = S.left[:], S.right[:], S.parent[:], S.root
             for key in keys:
                 with pytest.raises(KeyError, match=f"unknown key {key}"):
-                    checked_splay(S, wa, key_order(wa), key, depth_ref=0)
+                    checked_splay(S, key_order(wa), key, depth_ref=0)
                 assert (S.left, S.right, S.parent, S.root) == links
 
 
@@ -154,9 +153,9 @@ class TestOneKernelCall:
             log.append(("splay", key, S.depth(key)))
             return kernel(S, key)
 
-        def counted_checked(S, wa, prefix, key, *args, **kwargs):
+        def counted_checked(S, prefix, key, *args, **kwargs):
             log.append(("checked", key, None))
-            ev = checked(S, wa, prefix, key, *args, **kwargs)
+            ev = checked(S, prefix, key, *args, **kwargs)
             log.append(("cost", key, ev.cost))
             return ev
 
@@ -206,7 +205,7 @@ def test_step_kinds_match_the_step_loop(n, seed, data):
     while stepped.parent[key] is not None:
         kinds.append(splaylab.splay.splay_step(stepped, key))
     wa = assign_weights(T)
-    ev = checked_splay(S, wa, key_order(wa), key, depth_ref=T.depth(key), per_step=True)
+    ev = checked_splay(S, key_order(wa), key, depth_ref=T.depth(key), per_step=True)
     assert [step.kind for step in ev.steps] == kinds
     assert ev.cost == depth
     assert same_structure(S, stepped) and S.parent == stepped.parent
@@ -267,14 +266,15 @@ class TestKeptSums:
     @pytest.mark.parametrize("per_step", [False, True])
     def test_kept_sums_match_a_fresh_pass(self, monkeypatch, per_step):
         original = splaylab.lab.checked_splay
+        runs = []
 
-        def checked(S, wa, prefix, key, depth_ref, per_step=False):
+        def checked(S, prefix, key, depth_ref, per_step=False):
             depth = S.copy().depth(key)
             kept = list(prefix)
-            ev = original(S, wa, prefix, key, depth_ref, per_step)
+            ev = original(S, prefix, key, depth_ref, per_step)
             assert ev.cost == depth
             assert prefix == kept  # a splay leaves the weights alone
-            assert interval_sums(S, prefix) == subtree_sums(S, wa)
+            assert interval_sums(S, prefix) == subtree_sums(S, runs[-1].wa)
             return ev
 
         monkeypatch.setattr(splaylab.lab, "checked_splay", checked)
@@ -283,6 +283,7 @@ class TestKeptSums:
         for _ in range(40):
             S, T = random_pair(rng.randint(1, 16), rng)
             run = InterleavedRun(S, T, per_step=per_step)
+            runs.append(run)
             for _ in range(8):
                 shallow = [k for k in in_order(T) if 1 <= T.depth(k) <= 2]
                 roll = rng.random()

@@ -127,7 +127,7 @@ class TestRotation:
 
 
 class TestPrograms:
-    def test_ledger_additive_over_concatenation(self):
+    def test_replay_of_concatenation_is_replay_of_parts(self):
         from splaylab.generators import random_t_program
 
         rng = rng_for_trial(3, 0)
@@ -350,8 +350,8 @@ def test_tree_from_roots_random_pick(n, rnd):
 
 
 def test_builders_need_a_node():
-    for build in (balanced_tree, spine_tree, lambda n: spine_tree(n, "left"),
-                  lambda n: tree_from_roots(n, lambda i, j: i)):
+    for build in (balanced_tree, lambda n: spine_tree(n, "right"),
+                  lambda n: spine_tree(n, "left"), lambda n: tree_from_roots(n, lambda i, j: i)):
         with pytest.raises(ValueError):
             build(0)
     with pytest.raises(ValueError):

@@ -1,5 +1,4 @@
 import sys
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as hst
@@ -9,8 +8,8 @@ import splaylab.restricted
 import splaylab.suites
 from splaylab.generators import ExperimentConfig, random_t_program, random_tree, rng_for_trial
 from splaylab.machine import (
-    CostLedger,
     IllegalOpError,
+    MachineProgram,
     OpKind,
     apply_op,
     apply_ops,
@@ -153,19 +152,19 @@ class TestMoveSimulation:
         T = build_tree("(((..)(..))(..))")
         st = init_prime(T)
         before = st.prime.copy()
-        apply_t_op(st, L)
+        out = MachineProgram(list(apply_t_op(st, L)))
         assert st.prime.root == 1  # new simulated cursor pinned at the root
-        apply_t_op(st, U)
+        out.ops += apply_t_op(st, U)
         assert same_structure(st.prime, before)
-        assert st.ledger.moves == 8 and st.ledger.rotations == 4
+        assert (out.move_count, out.rotation_count) == (8, 4)
 
     def test_move_costs(self):
         T = build_tree("((..)(..))")
         st = init_prime(T)
-        apply_t_op(st, R)
-        assert (st.ledger.moves, st.ledger.rotations) == (4, 2)
-        apply_t_op(st, ROT)
-        assert (st.ledger.moves, st.ledger.rotations) == (7, 3)
+        out = MachineProgram(list(apply_t_op(st, R)))
+        assert (out.move_count, out.rotation_count) == (4, 2)
+        out.ops += apply_t_op(st, ROT)
+        assert (out.move_count, out.rotation_count) == (7, 3)
 
     def test_in_order_preserved(self):
         rng = rng_for_trial(23, 0)
@@ -188,23 +187,22 @@ class TestMoveSimulation:
             apply_t_op(st, ROT)
 
     def test_illegal_op_changes_nothing(self):
-        # The tracked tree steps first, inside op_sequence: an illegal simulated
-        # op must leave the restricted tree, the tracked tree and the ledger alone.
+        # The tracked tree steps first: an illegal simulated op must leave the
+        # restricted tree and the tracked tree alone.
         T = build_tree("(((..)(..))(..))")  # root 3; 0 is a leaf under 1
         st = init_prime(T)
         for steps, illegal in (([], (U, ROT)), ([L, L], (L, R))):
             for op in steps:
                 apply_t_op(st, op)
-            prime, sim, ledger = st.prime.copy(), st.sim.copy(), replace(st.ledger)
+            prime, sim = st.prime.copy(), st.sim.copy()
             for op in illegal:
                 with pytest.raises(IllegalOpError):
                     apply_t_op(st, op)
                 assert same_structure(st.prime, prime) and st.prime.cursor == prime.cursor
                 assert same_structure(st.sim, sim) and st.sim.cursor == sim.cursor
-                assert st.ledger == ledger
 
-    def test_failed_rotation_hook_charges_nothing(self):
-        # The ledger is charged after the whole restricted sequence has run.
+    def test_failed_rotation_hook_keeps_earlier_moves(self):
+        # A hook that refuses the first rotation stops the sequence there.
         T = build_tree("((..)(..))")
         st = init_prime(T)
 
@@ -213,7 +211,6 @@ class TestMoveSimulation:
 
         with pytest.raises(IllegalOpError, match="refused rotation at 0"):
             apply_t_op(st, L, rotate=refuse)
-        assert st.ledger == CostLedger()
         assert st.prime.cursor == 0  # the moves before the refused rotation stand
 
     def test_refused_sequence_names_the_simulated_op_once(self):
@@ -238,10 +235,10 @@ class TestProgramSimulation:
             T = random_tree(rng.randint(2, 10), rng)
             program = random_t_program(T, rng)
             M, Rc = program.move_count, program.rotation_count
-            out, ledger = simulate_program(T, program)
-            assert ledger.moves == 4 * M + 3 * Rc
-            assert ledger.rotations == 2 * M + Rc
-            assert check_restricted(init_prime(T).prime, out).passed
+            out = simulate_program(T, program)
+            assert out.move_count == 4 * M + 3 * Rc
+            assert out.rotation_count == 2 * M + Rc
+            assert check_restricted(init_prime(T).prime, out.ops).passed
 
     def test_simulation_tracks_t_program(self):
         # After the simulation, the subtrees hanging off the restricted tree's
@@ -265,9 +262,9 @@ class TestProgramSimulation:
         for _ in range(100):
             T = random_tree(rng.randint(2, 10), rng)
             program = random_t_program(T, rng, max_moves=30, max_rotations=10)
-            out, _ = simulate_program(T, program)
+            out = simulate_program(T, program)
             sim_keys = cursor_trace(T, program.ops)
-            prime_keys = cursor_trace(init_prime(T).prime, out)
+            prime_keys = cursor_trace(init_prime(T).prime, out.ops)
             assert is_subsequence(sim_keys, prime_keys)
 
 
@@ -329,7 +326,7 @@ class TestRestrictedChecker:
             T = random_tree(rng.randint(2, 10), rng)
             prime = init_prime(T).prime
             program = random_t_program(T, rng, max_moves=20, max_rotations=10)
-            out, _ = simulate_program(T, program)
+            out = simulate_program(T, program).ops
             for initial, ops in ((T, program.ops), (prime, out)):
                 report = check_restricted(initial, ops)
                 assert report.violations == walked(initial, ops)
@@ -446,7 +443,7 @@ class TestBatchedTransition:
                     results.append(outcome(lambda: step(st, op, rotate=hook if hooked else None)))
                     if results[-1][0] != "ok":
                         break
-                runs.append((results, calls, snapshot(st.prime), snapshot(st.sim), st.ledger))
+                runs.append((results, calls, snapshot(st.prime), snapshot(st.sim)))
             assert runs[0] == runs[1]
             raised += any(r[0] != "ok" for r in runs[0][0])
             hooked_calls += len(runs[0][1])
@@ -472,7 +469,7 @@ class TestBatchedTransition:
                 rotate = hook if hooked else None
                 result = outcome(lambda: apply_t_ops(st, ops, rotate) if batched
                                  else one_at_a_time(reference_apply_t_op, st, ops, rotate))
-                runs.append((result, calls, snapshot(st.prime), st.ledger, snapshot(st.sim)))
+                runs.append((result, calls, snapshot(st.prime), snapshot(st.sim)))
             assert runs[0] == runs[1]
             raised += runs[0][0][0] is IllegalOpError
             hooked_calls += len(runs[0][1])
@@ -484,8 +481,8 @@ class TestBatchedTransition:
         # A hook that refuses a rotation, or skips it so that the restricted
         # root loses the simulated cursor, stops the batch at that op, as a
         # loop of apply_t_op stops: the same error and index, restricted
-        # tree, hook calls and ledger.  Only the tracked tree differs: the
-        # batch's has already taken the later ops.
+        # tree and hook calls.  Only the tracked tree differs: the batch's
+        # has already taken the later ops.
         fault = "restricted-tree root lost" if skip else "refused"
         differed = 0
         for k, (T, ops) in enumerate(programs(61, 200)):
@@ -502,16 +499,16 @@ class TestBatchedTransition:
 
                 result = outcome(lambda: apply_t_ops(st, ops, hook) if batched
                                  else one_at_a_time(apply_t_op, st, ops, hook))
-                runs.append((result, calls, snapshot(st.prime), st.ledger, st.sim))
-            assert runs[0][:4] == runs[1][:4]
-            result, _, _, _, sim = runs[0]
+                runs.append((result, calls, snapshot(st.prime), st.sim))
+            assert runs[0][:3] == runs[1][:3]
+            result, _, _, sim = runs[0]
             if result[0] is IllegalOpError and result[1].startswith(fault):
-                differed += snapshot(sim) != snapshot(runs[1][4])
+                differed += snapshot(sim) != snapshot(runs[1][3])
         assert differed > 40
 
     def test_empty_segment_moves_nothing(self, monkeypatch):
-        # No ops: no replay, no hook call, no charge, and both trees and both
-        # cursors as they were.
+        # No ops: an empty op list back, no replay, no hook call, and both
+        # trees and both cursors as they were.
         states = []
         for T, _ in programs(67, 20):
             st = init_prime(T)
@@ -522,11 +519,11 @@ class TestBatchedTransition:
         monkeypatch.setattr(splaylab.restricted, "apply_ops",
                             lambda *args, **kwargs: replays.append(args))
         for st in states:
-            before = snapshot(st.prime), snapshot(st.sim), replace(st.ledger)
+            before = snapshot(st.prime), snapshot(st.sim)
             calls = []
             for empty in ([], ()):
                 assert apply_t_ops(st, empty, calls.append) == []
-            assert (snapshot(st.prime), snapshot(st.sim), st.ledger) == before
+            assert (snapshot(st.prime), snapshot(st.sim)) == before
             assert calls == [] and replays == []
 
     def test_lemma3_applies_no_op_per_restricted_op(self, monkeypatch):

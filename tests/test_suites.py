@@ -13,7 +13,7 @@ from splaylab import lab, suites
 from splaylab.cli import main
 from splaylab.generators import ExperimentConfig, random_tree, rng_for_trial
 from splaylab.lab import merge_extras
-from splaylab.machine import IllegalOpError, OpKind
+from splaylab.machine import IllegalOpError, MachineProgram, OpKind
 from splaylab.report import CheckReport
 from splaylab.restricted import simulate_program
 from splaylab.splay import total_access_cost
@@ -111,8 +111,8 @@ def test_lemma3_illegal_output_op_raises(monkeypatch):
     # check_restricted counts depths without replaying; cursor_trace replays
     # the output and must still reject an op that is illegal where it lands.
     def simulate_then_up(T, program):
-        out, ledger = simulate_program(T, program)
-        return out + [OpKind.UP], ledger  # the cursor ends at the root
+        out = simulate_program(T, program)
+        return MachineProgram([*out.ops, OpKind.UP])  # the cursor ends at the root
 
     monkeypatch.setattr(suites, "simulate_program", simulate_then_up)
     with pytest.raises(IllegalOpError):
