@@ -13,6 +13,12 @@ splay reads the 2-3 sums each step changes; a reference rotation reads only
 the nodes on S's paths to the keys it splayed.  Whole-tree passes are left
 to the start and the end of an accounting run (`InterleavedRun.sums`).
 
+From its first reference rotation on, a run keeps T's rank interval and
+depth per rank.  A rotation of x over p changes only x's and p's intervals
+and moves two rank slices one level, so it updates those lists in place and
+turns the depths into weights with `potential.weights_of_depths`: no walk
+of T from its root remains on the rotation path.
+
 Every bound is decided in exact integers.  A rank is log2 of a subtree sum,
 so a change of potential is log2 of a ratio of products of sums: an event
 carries that ratio as `grow / shrink`, and a bound on an amortized cost
@@ -30,7 +36,14 @@ from operator import itemgetter
 
 from .machine import IllegalOpError, MachineProgram, TreeState
 from .oracle import per_query_segments, static_optimal
-from .potential import assign_weights, potential, subtree_sums
+from .potential import (
+    WeightAssignment,
+    assign_weights,
+    depth_of_weight,
+    potential,
+    subtree_sums,
+    weights_of_depths,
+)
 from .report import CheckReport
 from .restricted import apply_t_ops, init_prime
 from .splay import ROTATIONS, ZIG, ZIGZAG, ZIGZIG, splay
@@ -229,13 +242,18 @@ class InterleavedRun:
     """A splay tree S evolving against a reference tree T over the same keys.
 
     Weights always derive from T's current depths; they are frozen during
-    splays in S and reassigned at every T rotation.  `prefix` holds the
-    prefix sums of the weights in key order, rebuilt at every T rotation.
+    splays in S and reassigned at every T rotation.  `weights` lists them in
+    key order at the scale 4^`scale`, and `prefix` holds their prefix sums.
     S's subtree sums are read off them as key-interval sums, so neither a
     splay nor a rotation makes a whole-tree pass.  `grow / shrink` is 2 to
     the change of phi = P(S) - P(T) since the start, the product of every
     event's ratio.  Each checker ticks and fails into the report it is
     given and returns it; the run keeps the report returned.
+
+    T's rank intervals and depths are kept per rank (`t_intervals`,
+    `t_depths`), built by one walk of T at the first reference rotation and
+    updated in place by each one after it; a run that never rotates T never
+    builds them.  T must change only through `apply_T_rotation`.
     """
 
     def __init__(self, S: TreeState, T: TreeState, per_step: bool = False):
@@ -248,12 +266,15 @@ class InterleavedRun:
         self.organizing_count = 0
         self.s_cost = 0
         self.grow = self.shrink = 1
-        self._reweight()
+        wa = assign_weights(T)
+        self.scale, self.weights = wa.scale_exponent, wa.weights
+        self.prefix = [0, *accumulate(self.weights)]
+        self.t_intervals = self.t_depths = None
 
-    def _reweight(self) -> None:
-        """Weights and their prefix sums from T's current shape."""
-        self.wa = assign_weights(self.T)
-        self.prefix = [0, *accumulate(self.wa.weights)]
+    @property
+    def wa(self) -> WeightAssignment:
+        """The current weights as a `WeightAssignment`, built on each read."""
+        return WeightAssignment(self.scale, self.T.keys, self.weights)
 
     def sums(self) -> tuple:
         """S's and T's subtree sums under the current weights, from fresh
@@ -262,15 +283,61 @@ class InterleavedRun:
         return subtree_sums(self.S, wa), subtree_sums(self.T, wa)
 
     def splay_query(self, key: int) -> SplayEvent:
-        ev = checked_splay(
-            self.S, self.prefix, key, depth_ref=self.wa.depth(key), per_step=self.per_step,
-        )
+        """Splay `key` in S, its reference depth read off its weight
+        4^(scale - depth)."""
+        keys = self.S.keys
+        if key not in keys:
+            raise KeyError(f"unknown key {key!r}")
+        depth_ref = depth_of_weight(self.scale, self.weights[key - keys.start])
+        ev = checked_splay(self.S, self.prefix, key, depth_ref, per_step=self.per_step)
         self.s_cost += ev.cost
         self.grow *= ev.grow
         self.shrink *= ev.shrink
         self.report = check_access_lemma(ev, self.report)
         self.report = check_amortized_depth(ev, self.report)
         return ev
+
+    def _keep_T(self) -> None:
+        """T's rank interval and depth per rank, from one walk down T."""
+        T = self.T
+        left, right, start = T.left, T.right, T.keys.start
+        intervals = [None] * len(T)
+        depths = [0] * len(T)
+        stack = [(T.root, 0, len(T), 0)]
+        while stack:
+            node, lo, hi, d = stack.pop()
+            r = node - start
+            intervals[r] = lo, hi
+            depths[r] = d
+            if left[node] is not None:
+                stack.append((left[node], lo, r, d + 1))
+            if right[node] is not None:
+                stack.append((right[node], r + 1, hi, d + 1))
+        self.t_intervals, self.t_depths = intervals, depths
+
+    def _rotate_T(self, x: int) -> None:
+        """Rotate x over its parent p in T, updating the kept intervals and
+        depths.  x takes p's interval and p keeps the part of it on p's side
+        of x.  x with its outer subtree A moves up one level, p with its
+        outer subtree C down one; in rank order A, x and p, C are each one
+        slice of p's old interval."""
+        T = self.T
+        start = T.keys.start
+        r_x, r_p = x - start, T.parent[x] - start
+        intervals, depths = self.t_intervals, self.t_depths
+        lo, hi = intervals[r_p]
+        intervals[r_x] = lo, hi
+        if r_x < r_p:
+            intervals[r_p] = r_x + 1, hi
+            up, down = slice(lo, r_x + 1), slice(r_p, hi)
+        else:
+            intervals[r_p] = lo, r_x
+            up, down = slice(r_x, hi), slice(lo, r_p + 1)
+        depths[up] = [d - 1 for d in depths[up]]
+        depths[down] = [d + 1 for d in depths[down]]
+        T.rotate_up(x)
+        self.scale, self.weights = weights_of_depths(depths)
+        self.prefix = [0, *accumulate(self.weights)]
 
     def apply_T_rotation(self, rotated: int) -> RotationEvent:
         """Organizing splays in S, then the rotation in T, then reweighting.
@@ -284,27 +351,32 @@ class InterleavedRun:
         its rank changes in S and in T are equal and cancel.  Of Z, only x and
         p change their T-subtree; a change of the scale 4^D shifts a node's
         two ranks alike, so each node's term reads its four sums alone:
-        s'_S s_T over s_S s'_T."""
+        s'_S s_T over s_S s'_T.  Z's T-intervals, before and after, are read
+        off the kept list."""
         plan = plan_organizing_splays(self.T, rotated)
         for key in plan:
             self.splay_query(key)
         self.organizing_count += len(plan)
-        S, T, before = self.S, self.T, self.prefix
+        if self.t_intervals is None:
+            self._keep_T()
+        S, intervals, prefix = self.S, self.t_intervals, self.prefix
+        start = S.keys.start
         in_S = {}
         for key in plan:
             for node, lo, hi in key_path(S, key):
                 in_S[node] = lo, hi
-        in_T = {v: key_path(T, v)[-1][1:] for v in in_S}
-        T.rotate_up(rotated)
-        self._reweight()
-        after = self.prefix
-        in_T_after = {v: key_path(T, v)[-1][1:] for v in plan[:2]}
+        # s_T over s_S before the rotation, then s'_S over s'_T after it.
         grow = shrink = 1
         for v, (lo, hi) in in_S.items():
-            t_lo, t_hi = in_T[v]
-            u_lo, u_hi = in_T_after.get(v, in_T[v])
-            grow *= (after[hi] - after[lo]) * (before[t_hi] - before[t_lo])
-            shrink *= (before[hi] - before[lo]) * (after[u_hi] - after[u_lo])
+            t_lo, t_hi = intervals[v - start]
+            grow *= prefix[t_hi] - prefix[t_lo]
+            shrink *= prefix[hi] - prefix[lo]
+        self._rotate_T(rotated)
+        prefix = self.prefix
+        for v, (lo, hi) in in_S.items():
+            t_lo, t_hi = intervals[v - start]
+            grow *= prefix[hi] - prefix[lo]
+            shrink *= prefix[t_hi] - prefix[t_lo]
         ev = RotationEvent(rotated, len(plan) - 1, grow, shrink)
         self.grow *= grow
         self.shrink *= shrink
@@ -398,7 +470,8 @@ def accounting_run(n: int, queries, strategy: str = "oracle-witness") -> Account
     e = run.organizing_count
     e_within_budget = e <= ORGANIZING_SPLAYS_PER_ROTATION * r_prime
     sums_S, sums_T = run.sums()
-    phi_final = potential(sums_S, run.wa) - potential(sums_T, run.wa)
+    wa = run.wa
+    phi_final = potential(sums_S, wa) - potential(sums_T, wa)
     check = CheckReport("accounting", checked=5, violations=list(run.report.violations))
     if not counts_exact:
         check.fail("simulated op counts off")

@@ -3,14 +3,16 @@
 Exhaustive offline-optimal cursor cost on tiny instances (breadth-first search
 over tree x cursor x query progress), a depth-bounded program-space search
 used as an independent cross-check, and the classic interval dynamic program
-for a statically optimal tree.  Both searches key a tree by its parent tuple:
-the parent of each key in a fixed key order, which fixes the shape.
+for a statically optimal tree.  A parent tuple, the parent of each key in
+a fixed key order, fixes a tree's shape.  The program-space search keys its
+states by that tuple; the breadth-first search keys them by a small int id
+that a process-wide table gives each parent tuple, and reads each shape and
+cursor's legal steps from a table built once per pair.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from functools import lru_cache
 from itertools import accumulate
 
 from .machine import (
@@ -33,7 +35,6 @@ STRATEGIES = ("static", "oracle-witness")
 # -- offline-optimal cursor cost ----------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _links(parent):
     """Left children, right children and root of the tree over the keys
     0..n-1 whose key k has parent `parent[k]` (None at the root)."""
@@ -47,10 +48,9 @@ def _links(parent):
             left[p] = key
         else:
             right[p] = key
-    return tuple(left), tuple(right), root
+    return left, right, root
 
 
-@lru_cache(maxsize=None)
 def _rotated(parent, key):
     """The parent tuple after rotating `key` up over its parent."""
     left, right, _ = _links(parent)
@@ -63,21 +63,41 @@ def _rotated(parent, key):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _moves(parent, cursor):
-    """The ops legal at `cursor` in the tree `parent`, in the order LEFT,
-    RIGHT, UP, ROTATE, each as (op, parent after, cursor after, root after)."""
+# The shape table, shared by every search in the process: each parent tuple
+# met gets the next int id, and `_STEPS[id][cursor]` holds the steps from
+# that shape and cursor, built from `_links` and `_rotated` on first use.
+_SHAPE_IDS = {}
+_SHAPES = []
+_STEPS = []
+
+
+def _shape_id(parent) -> int:
+    """The id of the shape whose key k has parent `parent[k]`."""
+    sid = _SHAPE_IDS.get(parent)
+    if sid is None:
+        sid = _SHAPE_IDS[parent] = len(_SHAPES)
+        _SHAPES.append(parent)
+        _STEPS.append([None] * len(parent))
+    return sid
+
+
+def _steps(sid: int, cursor: int) -> tuple:
+    """The ops legal at `cursor` in shape `sid`, in the order LEFT, RIGHT,
+    UP, ROTATE, each as (op, shape id after, cursor after, whether that
+    cursor is at the root)."""
+    parent = _SHAPES[sid]
     left, right, root = _links(parent)
-    moves = []
+    steps = []
     if left[cursor] is not None:
-        moves.append((_L, parent, left[cursor], root))
+        steps.append((_L, sid, left[cursor], left[cursor] == root))
     if right[cursor] is not None:
-        moves.append((_R, parent, right[cursor], root))
+        steps.append((_R, sid, right[cursor], right[cursor] == root))
     if parent[cursor] is not None:
         rotated = _rotated(parent, cursor)
-        moves.append((_U, parent, parent[cursor], root))
-        moves.append((_ROT, rotated, cursor, _links(rotated)[2]))
-    return tuple(moves)
+        steps.append((_U, sid, parent[cursor], parent[cursor] == root))
+        steps.append((_ROT, _shape_id(rotated), cursor, rotated[cursor] is None))
+    steps = _STEPS[sid][cursor] = tuple(steps)
+    return steps
 
 
 def opt_cost(T0: TreeState, queries) -> tuple[int, list]:
@@ -106,27 +126,30 @@ def opt_cost(T0: TreeState, queries) -> tuple[int, list]:
             raise KeyError(f"unknown key {q!r}")
 
     m = len(queries)
-    # A state is (parent tuple, cursor, queries served, returned to the root
+    # A state is (shape id, cursor, queries served, returned to the root
     # since the last service); each state is normalised by serving every
     # query it can serve at once.
     root = T0.root
     k0 = 0
     while k0 < m and queries[k0] == root:
         k0 += 1
-    start = (tuple(T0.parent), root, k0, True)
+    start = (_shape_id(tuple(T0.parent)), root, k0, True)
     pred = {start: None}
     frontier = deque([start])
     goal = start if k0 == m else None
     while frontier and goal is None:
         state = frontier.popleft()
-        parent, cursor, k, returned = state
-        for kind, nparent, ncursor, nroot in _moves(parent, cursor):
+        sid, cursor, k, returned = state
+        steps = _STEPS[sid][cursor]
+        if steps is None:
+            steps = _steps(sid, cursor)
+        for kind, nsid, ncursor, at_root in steps:
             nk = k
-            nret = returned or ncursor == nroot
+            nret = returned or at_root
             while nret and nk < m and ncursor == queries[nk]:
                 nk += 1
-                nret = ncursor == nroot
-            nstate = (nparent, ncursor, nk, nret)
+                nret = at_root
+            nstate = (nsid, ncursor, nk, nret)
             if nstate in pred:
                 continue
             pred[nstate] = (state, kind)

@@ -7,7 +7,9 @@ products of those integers; floating point enters only in the potentials a
 report or a message reads, as base-2 logarithms.  The weights are a list in
 key order, so a BST subtree, which holds a contiguous run of keys, sums to
 the difference of two prefix sums of that list; `lab` reads S's sums that
-way between the whole-tree passes of `subtree_sums`.
+way between the whole-tree passes of `subtree_sums`.  `weights_of_depths` is
+the one weight formula: `assign_weights` applies it to a walk of the
+reference tree, and `lab` to the depths it keeps across reference rotations.
 """
 
 from __future__ import annotations
@@ -36,16 +38,28 @@ class WeightAssignment:
         """The reference depth d of `key`, read off its weight 4^(D - d)."""
         if key not in self.keys:
             raise KeyError(f"unknown key {key!r}")
-        weight = self.weights[key - self.keys.start]
-        return self.scale_exponent - (weight.bit_length() - 1) // 2
+        return depth_of_weight(self.scale_exponent, self.weights[key - self.keys.start])
+
+
+def depth_of_weight(scale: int, weight: int) -> int:
+    """The depth d of a weight 4^(scale - d)."""
+    return scale - (weight.bit_length() - 1) // 2
+
+
+def weights_of_depths(depths: list) -> tuple[int, list]:
+    """The scale exponent D, the largest of `depths`, and the weight
+    4^(D - d) of each depth d, in the order of `depths`: read off a table of
+    the powers 4^(D - d)."""
+    scale = max(depths)
+    powers = [4 ** (scale - d) for d in range(scale + 1)]
+    return scale, list(map(powers.__getitem__, depths))
 
 
 def assign_weights(reference: TreeState) -> WeightAssignment:
     """Weight 4^(-depth) for every key, from the reference tree's shape.
 
     One in-order walk lists the depths in key order, each depth carried on
-    the stack with its node; the weights are then read off a table of the
-    powers 4^(D - d)."""
+    the stack with its node; `weights_of_depths` turns them into weights."""
     left, right = reference.left, reference.right
     depths = []
     stack = []
@@ -61,9 +75,8 @@ def assign_weights(reference: TreeState) -> WeightAssignment:
         depths.append(d)
         node = right[node]
         d += 1
-    scale = max(depths)
-    powers = [4 ** (scale - d) for d in range(scale + 1)]
-    return WeightAssignment(scale, reference.keys, list(map(powers.__getitem__, depths)))
+    scale, weights = weights_of_depths(depths)
+    return WeightAssignment(scale, reference.keys, weights)
 
 
 def subtree_sums(tree: TreeState, wa: WeightAssignment) -> dict:

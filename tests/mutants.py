@@ -26,10 +26,15 @@ changes nothing, so only restricted trees over -1..n can kill these rows.
 The Lemma 3 rows pick the wrong rotation or UP sequence in `apply_t_ops`,
 change one op of the restricted sequence table, or change one constant of
 the 4M + 3R moves and 2M + R rotations that the `lemma3` suite and
-`accounting_run` expect of the emitted program.  `tests/test_suites.py`
-runs every suite and must notice each edit but the last; the smallest
-`theorem7` trial it runs makes no reference rotation, so the `accounting_run`
-row runs against `tests/test_bounds.py`, whose accounting runs rotate.
+`accounting_run` expect of the emitted program; `tests/test_suites.py` runs
+every suite, and a theorem7 run there rotates the reference.  The kept-state
+rows put p's kept T-interval on the wrong side of x, or swap the rank slices
+that move up and down a level, in `InterleavedRun`'s reference rotation;
+`tests/test_lab.py` checks the kept intervals and depths against fresh walks
+after every rotation.  The oracle row drops the returned-to-the-root flag
+from the BFS state (it always reads True), so the search serves queries
+without the pass through the root; `tests/test_oracle.py` compares the
+search with its reference.
 """
 
 from __future__ import annotations
@@ -49,6 +54,8 @@ BOUND_TESTS = ("tests/test_bounds.py",)
 KERNEL_TESTS = ("tests/test_splay.py", "tests/test_machine.py")
 RANK_TESTS = ("tests/test_lab.py", "tests/test_potential.py")
 LEMMA3_TESTS = ("tests/test_suites.py",)
+KEPT_TESTS = ("tests/test_lab.py",)
+ORACLE_TESTS = ("tests/test_oracle.py",)
 
 
 @dataclass(frozen=True)
@@ -66,6 +73,9 @@ class Mutant:
 # the line that precedes each.
 SPLAY_B = "parent[p] = x\n        if b is not None:\n            parent[b] = p"
 ROTATE_B = "far[key] = p\n        if b is not None:\n            parent[b] = p"
+# The two depth-slice updates of `InterleavedRun`'s reference rotation.
+DEPTH_SLICES = ("depths[up] = [d - 1 for d in depths[up]]\n"
+                "        depths[down] = [d + 1 for d in depths[down]]")
 # The key checks of `splay` and `rotate_up`, told apart from those of
 # `splay_step` and `depth` by the line that follows each.
 SPLAY_GUARD = 'if key not in state.keys:\n        raise KeyError(f"unknown key {key!r}")\n    left'
@@ -138,7 +148,16 @@ MUTANTS = (
     Mutant("lemma3: expected moves 4M + 3R -> 4M + 2R", "suites.py",
            "(4 * M + 3 * R, 2 * M + R)", "(4 * M + 2 * R, 2 * M + R)", LEMMA3_TESTS),
     Mutant("accounting_run: expected rotations 2M + R -> 2M + 2R", "lab.py",
-           "(r_prime == 2 * M + R)", "(r_prime == 2 * M + 2 * R)", BOUND_TESTS),
+           "(r_prime == 2 * M + R)", "(r_prime == 2 * M + 2 * R)", LEMMA3_TESTS),
+    # -- kept T state and the oracle's BFS state --------------------------------
+    Mutant("kept T: p's interval on the wrong side of x", "lab.py",
+           "intervals[r_p] = r_x + 1, hi", "intervals[r_p] = lo, r_x", KEPT_TESTS),
+    Mutant("kept T: up and down depth slices swapped", "lab.py", DEPTH_SLICES,
+           "depths[down] = [d - 1 for d in depths[down]]\n"
+           "        depths[up] = [d + 1 for d in depths[up]]", KEPT_TESTS),
+    Mutant("opt_cost: BFS state without returned", "oracle.py",
+           "nstate = (nsid, ncursor, nk, nret)", "nstate = (nsid, ncursor, nk, True)",
+           ORACLE_TESTS),
 )
 
 

@@ -14,9 +14,10 @@ links out in lists, so hand-built trees can be written and compared by key.
 checks the sorted single pass of `splaylab.lab.merge_extras`.
 `descriptor` writes a tree's shape descriptor, the inverse of
 `splaylab.machine.build_tree` with the keys dropped.
-`reference_opt_cost` is the breadth-first search that builds each state's
-moves afresh and normalises through a helper, so it pins the witness, op for
-op, of `splaylab.oracle.opt_cost`, which reads its moves from a cache.
+`reference_opt_cost` is the breadth-first search that rebuilds each state's
+tree from its parent tuple, lists its moves afresh and normalises through a
+helper, so it pins the witness, op for op, of `splaylab.oracle.opt_cost`,
+which keys each shape by an id and reads its steps from a table.
 `reference_subtree_sums` is the two-flag stack walk, so it pins the values and
 the dict order of `splaylab.potential.subtree_sums`.
 `all_depths` walks a tree by its child links, and `reference_assign_weights`
@@ -57,7 +58,6 @@ from splaylab.machine import (
     apply_op,
     build_tree,
 )
-from splaylab.oracle import _links, _rotated
 from splaylab.potential import WeightAssignment
 from splaylab.restricted import SentineledTree, op_sequence
 from splaylab.splay import total_access_cost
@@ -273,9 +273,22 @@ def _normalize(cursor, k, returned, queries, root):
     return k, returned
 
 
+def _tree_of_parents(parent: tuple) -> TreeState:
+    """The tree over the keys 0..n-1 whose key k has parent `parent[k]`,
+    each child link told by a key comparison with its parent."""
+    n = len(parent)
+    left, right = [None] * n, [None] * n
+    for key, p in enumerate(parent):
+        if p is not None:
+            (left if key < p else right)[p] = key
+    return TreeState(range(n), left, right, list(parent), parent.index(None))
+
+
 def reference_opt_cost(T0: TreeState, queries) -> tuple[int, list]:
-    """`splaylab.oracle.opt_cost` on a valid instance, each state's moves
-    listed afresh in the order LEFT, RIGHT, UP, ROTATE."""
+    """`splaylab.oracle.opt_cost` on a valid instance, each state's tree
+    rebuilt from its parent tuple and its moves listed afresh in the order
+    LEFT, RIGHT, UP, ROTATE, the rotation made by `reference_rotate_up` on
+    that rebuilt tree."""
     n = len(T0)
     queries = list(queries)
     m = len(queries)
@@ -289,17 +302,18 @@ def reference_opt_cost(T0: TreeState, queries) -> tuple[int, list]:
     while frontier and goal is None:
         state = frontier.popleft()
         parent, cursor, k, returned = state
-        left, right, root = _links(parent)
+        tree = _tree_of_parents(parent)
         moves = []
-        if left[cursor] is not None:
-            moves.append((OpKind.LEFT, parent, left[cursor]))
-        if right[cursor] is not None:
-            moves.append((OpKind.RIGHT, parent, right[cursor]))
+        if tree.left[cursor] is not None:
+            moves.append((OpKind.LEFT, parent, tree.left[cursor]))
+        if tree.right[cursor] is not None:
+            moves.append((OpKind.RIGHT, parent, tree.right[cursor]))
         if parent[cursor] is not None:
             moves.append((OpKind.UP, parent, parent[cursor]))
-            moves.append((OpKind.ROTATE, _rotated(parent, cursor), cursor))
+            reference_rotate_up(tree, cursor)
+            moves.append((OpKind.ROTATE, tuple(tree.parent), cursor))
         for kind, nparent, ncursor in moves:
-            nroot = _links(nparent)[2]
+            nroot = nparent.index(None)
             nret = returned or ncursor == nroot
             nk, nret = _normalize(ncursor, k, nret, queries, nroot)
             nstate = (nparent, ncursor, nk, nret)

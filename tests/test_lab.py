@@ -35,6 +35,7 @@ from splaylab.splay import total_access_cost
 from splaylab.suites import near_root
 
 from reference import (
+    all_depths,
     in_order,
     merge_by_slots,
     reference_assign_weights,
@@ -49,22 +50,27 @@ def key_order(wa):
     return [0, *accumulate(wa.weights)]
 
 
-def interval_sums(tree, prefix):
-    """Each node's key-interval sum prefix[hi] - prefix[lo], its subtree's
-    rank interval [lo, hi) narrowed on a walk down from the root; the ranks
-    are places in an in-order walk."""
+def rank_intervals(tree):
+    """Each node's subtree as a rank interval [lo, hi), narrowed on a walk
+    down from the root; the ranks are places in an in-order walk."""
     rank = {k: i for i, k in enumerate(in_order(tree))}
-    sums = {}
+    intervals = {}
     stack = [(tree.root, 0, len(rank))]
     while stack:
         node, lo, hi = stack.pop()
-        sums[node] = prefix[hi] - prefix[lo]
+        intervals[node] = lo, hi
         r = rank[node]
         if tree.left[node] is not None:
             stack.append((tree.left[node], lo, r))
         if tree.right[node] is not None:
             stack.append((tree.right[node], r + 1, hi))
-    return sums
+    return intervals
+
+
+def interval_sums(tree, prefix):
+    """Each node's key-interval sum prefix[hi] - prefix[lo] over its rank
+    interval [lo, hi)."""
+    return {node: prefix[hi] - prefix[lo] for node, (lo, hi) in rank_intervals(tree).items()}
 
 
 def sums_product(tree, wa):
@@ -122,6 +128,20 @@ class TestPerSplayBounds:
         wa = assign_weights(T)
         ev = checked_splay(S, key_order(wa), T.root, depth_ref=0)
         assert ev.cost == 0 and (ev.grow, ev.shrink) == (1, 1)
+
+    def test_run_refuses_an_unknown_key(self):
+        # `splay_query` reads the key's reference depth off its weight, so it
+        # refuses an unknown key before that read and before any link moves.
+        T = build_tree("((..)(..))")
+        restricted = init_prime(T).prime  # keys -1..3
+        for S, keys in ((T, (3, 7, -1)), (restricted, (-2, 4))):
+            run = InterleavedRun(S.copy(), S.copy())
+            links = run.S.left[:], run.S.right[:], run.S.parent[:], run.S.root
+            for key in keys:
+                with pytest.raises(KeyError, match=f"unknown key {key}"):
+                    run.splay_query(key)
+                assert (run.S.left, run.S.right, run.S.parent, run.S.root) == links
+            assert run.s_cost == 0 and run.report.checked == 0
 
     def test_unknown_key_rejected(self):
         # -1 on a plain tree and -2 on a restricted one would index a list
@@ -345,6 +365,42 @@ class TestKeptSums:
         assert passes() == ["S", "T"]
         assert sums == (subtree_sums(run.S, run.wa), subtree_sums(run.T, run.wa))
 
+    def test_rotation_walks_no_T_path_and_assigns_no_weights(self, monkeypatch):
+        # A reference rotation walks S's paths to the splayed keys and reads
+        # T's intervals and depths off the kept lists: it makes no walk of T
+        # from its root and no `assign_weights` call.  The first rotation
+        # builds the lists; later ones update them.
+        log = []
+        path, weights = splaylab.lab.key_path, splaylab.lab.assign_weights
+
+        def logged_path(tree, key):
+            log.append(("path", tree))
+            return path(tree, key)
+
+        def logged_weights(tree):
+            log.append(("weights", tree))
+            return weights(tree)
+
+        monkeypatch.setattr(splaylab.lab, "key_path", logged_path)
+        monkeypatch.setattr(splaylab.lab, "assign_weights", logged_weights)
+        rng = rng_for_trial(101, 0)
+        rotations = 0
+        for restricted in (False, True):
+            for _ in range(20):
+                S, T = random_pair(rng.randint(3, 24), rng)
+                if restricted:
+                    S, T = init_prime(S).prime, init_prime(T).prime
+                run = InterleavedRun(S, T)
+                assert log == [("weights", T)]
+                log.clear()
+                for _ in range(4):
+                    depth1, depth2 = near_root(T)
+                    run.apply_T_rotation(rng.choice(depth1 + depth2))
+                    rotations += 1
+                    assert log and all(entry == ("path", S) for entry in log)
+                    log.clear()
+        assert rotations == 160
+
     def test_one_S_pass_at_the_end_of_accounting_run(self, monkeypatch):
         # The final sums are read once, for phi_final and the telescoping
         # identity alike: one fresh pass over S, then one over T; nothing is
@@ -386,7 +442,7 @@ class TestKeptSums:
     def test_lemma6_trial_reads_no_P_of_T(self, monkeypatch):
         # A lemma6 trial checks one splay against S's key-interval sums, so it
         # makes no whole-tree pass, and P(T), which no check reads, is never
-        # computed.
+        # computed; nor are T's kept intervals and depths.
         log, runs = [], []
         sums_of = splaylab.potential.subtree_sums
         potential_of_ = splaylab.potential.potential_of
@@ -412,6 +468,8 @@ class TestKeptSums:
         assert code == 0
         assert len(runs) == 3  # trial 0 checks every step
         assert log == []
+        # T never rotates, so no run builds T's kept intervals and depths.
+        assert all(run.t_intervals is None and run.t_depths is None for run in runs)
 
     def test_theorem7_trial_passes_only_at_phi_reads(self, monkeypatch):
         # accounting_run reads both trees' sums twice, for the zero initial
@@ -484,7 +542,9 @@ def test_interval_sums_and_deltas_match_fresh_passes(data, n, seed, per_step, re
     # reference weights; a rotation's ratio equals 2 to the change of a
     # fresh phi over copies of the trees, taken after the organizing splays,
     # and a splay's ratio 2 to the change of a fresh P(S), with its step
-    # ratios multiplying to it.  Every comparison is of exact integers.
+    # ratios multiplying to it.  After every rotation T's kept intervals and
+    # depths equal a fresh walk's, and the weights the reference weights.
+    # Every comparison is of exact integers.
     S, T = random_pair(n, rng_for_trial(seed, 0))
     if restricted:
         S, T = init_prime(S).prime, init_prime(T).prime
@@ -508,6 +568,11 @@ def test_interval_sums_and_deltas_match_fresh_passes(data, n, seed, per_step, re
             ev = run.apply_T_rotation(rotated)
             assert same_structure(run.S, S2) and same_structure(run.T, T2)
             assert ev.grow * before_S * after_T == ev.shrink * after_S * before_T
+            # T's kept intervals and depths, and the weights read off them.
+            keys = run.T.keys
+            assert dict(zip(keys, run.t_intervals)) == rank_intervals(run.T)
+            assert dict(zip(keys, run.t_depths)) == all_depths(run.T)
+            assert run.wa == reference_assign_weights(run.T)
         else:
             wa = reference_assign_weights(run.T)
             before = sums_product(run.S, wa)

@@ -2,10 +2,12 @@ import itertools
 
 import pytest
 
-from splaylab.generators import random_tree, rng_for_trial
+from splaylab import oracle
+from splaylab.generators import ExperimentConfig, random_tree, rng_for_trial
 from splaylab.machine import apply_op, build_tree
 from splaylab.oracle import opt_cost, program_search, per_query_segments, static_optimal
 from splaylab.restricted import cursor_trace, init_prime
+from splaylab.suites import run_suite
 
 from reference import (
     brute_force_static_cost,
@@ -87,8 +89,9 @@ class TestOptCost:
 
 
 class TestCachedMoves:
-    """The search reads each state's moves from a cache; its witness must stay
-    the one the uncached search finds, op for op."""
+    """The search keys each shape by an id and reads each state's steps from a
+    table; its witness must stay the one the search over parent tuples, with
+    moves listed afresh, finds, op for op."""
 
     def test_every_small_instance(self):
         for n in range(1, 5):
@@ -105,6 +108,22 @@ class TestCachedMoves:
             T = random_tree(n, rng)
             queries = [rng.randrange(n) for _ in range(rng.randint(0, 8))]
             assert opt_cost(T, queries) == reference_opt_cost(T, queries)
+
+    def test_every_seed0_theorem7_instance(self, monkeypatch):
+        # Each instance the seed-0 theorem7 run at n 6, m 8 (1,500 trials)
+        # hands the oracle, witness included, and the run still passes.
+        solved = []
+
+        def checked(T0, queries):
+            got = opt_cost(T0, queries)
+            assert got == reference_opt_cost(T0, queries)
+            solved.append(got)
+            return got
+
+        monkeypatch.setattr(oracle, "opt_cost", checked)
+        config = ExperimentConfig(seed=0, n=6, m=8, trials=1500, strategy="oracle-witness")
+        code, _ = run_suite("theorem7", config)
+        assert code == 0 and len(solved) == 1500
 
 
 class TestStaticOptimal:

@@ -95,6 +95,16 @@ def test_suite_passes_at_its_table_minimum(name):
     assert code == 0 and report["passed"] and report["checked"] > 0
 
 
+def test_theorem7_run_rotates_the_reference():
+    # The table-minimum theorem7 run above makes no reference op.  This one
+    # makes reference rotations, so its restricted rotations go through
+    # `InterleavedRun.apply_T_rotation` and its exact counts read R.
+    code, report = run_suite("theorem7", ExperimentConfig(seed=0, n=4, m=5, trials=3))
+    assert code == 0 and report["passed"]
+    assert any(row["R"] > 0 for row in report["runs"])
+    assert any(row["R_prime"] > 0 for row in report["runs"])
+
+
 def test_oracle_crosscheck_honours_n_as_a_cap(monkeypatch, capsys):
     drawn = []
 
