@@ -13,11 +13,12 @@ splay reads the 2-3 sums each step changes; a reference rotation reads only
 the nodes on S's paths to the keys it splayed.  Whole-tree passes are left
 to the start and the end of an accounting run (`InterleavedRun.sums`).
 
-From its first reference rotation on, a run keeps T's rank interval and
-depth per rank.  A rotation of x over p changes only x's and p's intervals
-and moves two rank slices one level, so it updates those lists in place and
-turns the depths into weights with `potential.weights_of_depths`: no walk
-of T from its root remains on the rotation path.
+A run keeps T's rank interval and depth per rank, listed at its start by
+`potential.rank_layout`, and its weights are `potential.weights_of_depths`
+of the kept depths.  A rotation of x over p changes only x's and p's
+intervals and moves two rank slices one level, so it updates those lists in
+place and reweighs from the depths: no walk of T from its root remains on
+the rotation path, and a splay reads its key's reference depth off the list.
 
 Every bound is decided in exact integers.  A rank is log2 of a subtree sum,
 so a change of potential is log2 of a ratio of products of sums: an event
@@ -38,9 +39,8 @@ from .machine import IllegalOpError, MachineProgram, TreeState
 from .oracle import per_query_segments, static_optimal
 from .potential import (
     WeightAssignment,
-    assign_weights,
-    depth_of_weight,
     potential,
+    rank_layout,
     subtree_sums,
     weights_of_depths,
 )
@@ -225,16 +225,20 @@ def plan_organizing_splays(T: TreeState, rotated: int) -> list:
     """The keys to splay before rotating `rotated` in T: the rotated key, then
     its reference parent, then (for depth-2 rotations) the reference root.  At
     most 3 keys, none deeper than the rotated key; the rotated key's depth is
-    one less than their number."""
-    parent = T.parent[rotated]
-    if parent is None:
+    one less than their number.  The depth is decided by at most three parent
+    reads, refusing an unknown key, the root and any key at depth 3 or more."""
+    if rotated not in T.keys:
+        raise KeyError(f"unknown key {rotated!r}")
+    parent = T.parent
+    keys = [rotated]
+    node = parent[rotated]
+    if node is None:
         raise IllegalOpError("cannot plan around a rotation of the root")
-    depth = T.depth(rotated)
-    if depth >= 3:
-        raise IllegalOpError(f"rotation at depth {depth} violates the depth restriction")
-    keys = [rotated, parent]
-    if depth == 2:
-        keys.append(T.parent[parent])
+    while node is not None:
+        if len(keys) == 3:
+            raise IllegalOpError("rotation at depth 3 or more violates the depth restriction")
+        keys.append(node)
+        node = parent[node]
     return keys
 
 
@@ -251,9 +255,9 @@ class InterleavedRun:
     given and returns it; the run keeps the report returned.
 
     T's rank intervals and depths are kept per rank (`t_intervals`,
-    `t_depths`), built by one walk of T at the first reference rotation and
-    updated in place by each one after it; a run that never rotates T never
-    builds them.  T must change only through `apply_T_rotation`.
+    `t_depths`): `rank_layout` lists them when the run starts, the weights
+    are read off the depths, and each reference rotation updates both lists
+    in place.  T must change only through `apply_T_rotation`.
     """
 
     def __init__(self, S: TreeState, T: TreeState, per_step: bool = False):
@@ -266,10 +270,8 @@ class InterleavedRun:
         self.organizing_count = 0
         self.s_cost = 0
         self.grow = self.shrink = 1
-        wa = assign_weights(T)
-        self.scale, self.weights = wa.scale_exponent, wa.weights
-        self.prefix = [0, *accumulate(self.weights)]
-        self.t_intervals = self.t_depths = None
+        self.t_intervals, self.t_depths = rank_layout(T)
+        self._reweigh()
 
     @property
     def wa(self) -> WeightAssignment:
@@ -282,13 +284,17 @@ class InterleavedRun:
         wa = self.wa
         return subtree_sums(self.S, wa), subtree_sums(self.T, wa)
 
+    def _reweigh(self) -> None:
+        """The weights and their prefix sums, from T's kept depths."""
+        self.scale, self.weights = weights_of_depths(self.t_depths)
+        self.prefix = [0, *accumulate(self.weights)]
+
     def splay_query(self, key: int) -> SplayEvent:
-        """Splay `key` in S, its reference depth read off its weight
-        4^(scale - depth)."""
+        """Splay `key` in S, its reference depth read off T's kept depths."""
         keys = self.S.keys
         if key not in keys:
             raise KeyError(f"unknown key {key!r}")
-        depth_ref = depth_of_weight(self.scale, self.weights[key - keys.start])
+        depth_ref = self.t_depths[key - keys.start]
         ev = checked_splay(self.S, self.prefix, key, depth_ref, per_step=self.per_step)
         self.s_cost += ev.cost
         self.grow *= ev.grow
@@ -296,24 +302,6 @@ class InterleavedRun:
         self.report = check_access_lemma(ev, self.report)
         self.report = check_amortized_depth(ev, self.report)
         return ev
-
-    def _keep_T(self) -> None:
-        """T's rank interval and depth per rank, from one walk down T."""
-        T = self.T
-        left, right, start = T.left, T.right, T.keys.start
-        intervals = [None] * len(T)
-        depths = [0] * len(T)
-        stack = [(T.root, 0, len(T), 0)]
-        while stack:
-            node, lo, hi, d = stack.pop()
-            r = node - start
-            intervals[r] = lo, hi
-            depths[r] = d
-            if left[node] is not None:
-                stack.append((left[node], lo, r, d + 1))
-            if right[node] is not None:
-                stack.append((right[node], r + 1, hi, d + 1))
-        self.t_intervals, self.t_depths = intervals, depths
 
     def _rotate_T(self, x: int) -> None:
         """Rotate x over its parent p in T, updating the kept intervals and
@@ -336,8 +324,7 @@ class InterleavedRun:
         depths[up] = [d - 1 for d in depths[up]]
         depths[down] = [d + 1 for d in depths[down]]
         T.rotate_up(x)
-        self.scale, self.weights = weights_of_depths(depths)
-        self.prefix = [0, *accumulate(self.weights)]
+        self._reweigh()
 
     def apply_T_rotation(self, rotated: int) -> RotationEvent:
         """Organizing splays in S, then the rotation in T, then reweighting.
@@ -357,8 +344,6 @@ class InterleavedRun:
         for key in plan:
             self.splay_query(key)
         self.organizing_count += len(plan)
-        if self.t_intervals is None:
-            self._keep_T()
         S, intervals, prefix = self.S, self.t_intervals, self.prefix
         start = S.keys.start
         in_S = {}

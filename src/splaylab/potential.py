@@ -7,9 +7,11 @@ products of those integers; floating point enters only in the potentials a
 report or a message reads, as base-2 logarithms.  The weights are a list in
 key order, so a BST subtree, which holds a contiguous run of keys, sums to
 the difference of two prefix sums of that list; `lab` reads S's sums that
-way between the whole-tree passes of `subtree_sums`.  `weights_of_depths` is
-the one weight formula: `assign_weights` applies it to a walk of the
-reference tree, and `lab` to the depths it keeps across reference rotations.
+way between the whole-tree passes of `subtree_sums`.  `rank_layout` is the
+one walk that lists a tree's depths, with each node's key interval, and
+`weights_of_depths` the one weight formula: `assign_weights` applies both,
+and `lab` keeps the layout of its reference tree across reference rotations
+and applies the formula to the kept depths.
 """
 
 from __future__ import annotations
@@ -34,16 +36,26 @@ class WeightAssignment:
     def unit(self) -> int:
         return 4 ** self.scale_exponent
 
-    def depth(self, key: int) -> int:
-        """The reference depth d of `key`, read off its weight 4^(D - d)."""
-        if key not in self.keys:
-            raise KeyError(f"unknown key {key!r}")
-        return depth_of_weight(self.scale_exponent, self.weights[key - self.keys.start])
 
-
-def depth_of_weight(scale: int, weight: int) -> int:
-    """The depth d of a weight 4^(scale - d)."""
-    return scale - (weight.bit_length() - 1) // 2
+def rank_layout(tree: TreeState) -> tuple[list, list]:
+    """Each node's rank interval and depth, listed by rank (a key's offset
+    from `tree.keys.start`), from one walk down `tree`: the node of rank r
+    with interval (lo, hi) roots the subtree over the keys of ranks
+    lo..hi-1."""
+    left, right, start = tree.left, tree.right, tree.keys.start
+    intervals = [None] * len(tree)
+    depths = [0] * len(tree)
+    stack = [(tree.root, 0, len(tree), 0)]
+    while stack:
+        node, lo, hi, d = stack.pop()
+        r = node - start
+        intervals[r] = lo, hi
+        depths[r] = d
+        if left[node] is not None:
+            stack.append((left[node], lo, r, d + 1))
+        if right[node] is not None:
+            stack.append((right[node], r + 1, hi, d + 1))
+    return intervals, depths
 
 
 def weights_of_depths(depths: list) -> tuple[int, list]:
@@ -56,26 +68,9 @@ def weights_of_depths(depths: list) -> tuple[int, list]:
 
 
 def assign_weights(reference: TreeState) -> WeightAssignment:
-    """Weight 4^(-depth) for every key, from the reference tree's shape.
-
-    One in-order walk lists the depths in key order, each depth carried on
-    the stack with its node; `weights_of_depths` turns them into weights."""
-    left, right = reference.left, reference.right
-    depths = []
-    stack = []
-    node, d = reference.root, 0
-    while True:
-        while node is not None:
-            stack.append((node, d))
-            node = left[node]
-            d += 1
-        if not stack:
-            break
-        node, d = stack.pop()
-        depths.append(d)
-        node = right[node]
-        d += 1
-    scale, weights = weights_of_depths(depths)
+    """Weight 4^(-depth) for every key, from the reference tree's shape:
+    `weights_of_depths` of the depths `rank_layout` lists in key order."""
+    scale, weights = weights_of_depths(rank_layout(reference)[1])
     return WeightAssignment(scale, reference.keys, weights)
 
 

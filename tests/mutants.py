@@ -27,11 +27,13 @@ The Lemma 3 rows pick the wrong rotation or UP sequence in `apply_t_ops`,
 change one op of the restricted sequence table, or change one constant of
 the 4M + 3R moves and 2M + R rotations that the `lemma3` suite and
 `accounting_run` expect of the emitted program; `tests/test_suites.py` runs
-every suite, and a theorem7 run there rotates the reference.  The kept-state
+every suite, and a theorem7 run there rotates the reference.  The layout rows
+give a right child of `potential.rank_layout` its parent's rank in its
+interval, or a left child a depth two below its parent's; the kept-state
 rows put p's kept T-interval on the wrong side of x, or swap the rank slices
-that move up and down a level, in `InterleavedRun`'s reference rotation;
+that move up and down a level, in `InterleavedRun`'s reference rotation.
 `tests/test_lab.py` checks the kept intervals and depths against fresh walks
-after every rotation.  The oracle row drops the returned-to-the-root flag
+from a run's construction on and after every event.  The oracle row drops the returned-to-the-root flag
 from the BFS state (it always reads True), so the search serves queries
 without the pass through the root; `tests/test_oracle.py` compares the
 search with its reference.
@@ -149,7 +151,11 @@ MUTANTS = (
            "(4 * M + 3 * R, 2 * M + R)", "(4 * M + 2 * R, 2 * M + R)", LEMMA3_TESTS),
     Mutant("accounting_run: expected rotations 2M + R -> 2M + 2R", "lab.py",
            "(r_prime == 2 * M + R)", "(r_prime == 2 * M + 2 * R)", LEMMA3_TESTS),
-    # -- kept T state and the oracle's BFS state --------------------------------
+    # -- T's rank layout, kept T state and the oracle's BFS state --------------
+    Mutant("rank_layout: right child's interval starts at its parent's rank", "potential.py",
+           "(right[node], r + 1, hi, d + 1)", "(right[node], r, hi, d + 1)", KEPT_TESTS),
+    Mutant("rank_layout: left child two levels down", "potential.py",
+           "(left[node], lo, r, d + 1)", "(left[node], lo, r, d + 2)", KEPT_TESTS),
     Mutant("kept T: p's interval on the wrong side of x", "lab.py",
            "intervals[r_p] = r_x + 1, hi", "intervals[r_p] = lo, r_x", KEPT_TESTS),
     Mutant("kept T: up and down depth slices swapped", "lab.py", DEPTH_SLICES,

@@ -27,7 +27,7 @@ from splaylab.lab import (
     merge_extras,
     plan_organizing_splays,
 )
-from splaylab.machine import IllegalOpError, build_tree
+from splaylab.machine import IllegalOpError, TreeState, build_tree
 from splaylab.potential import assign_weights, potential, potential_of, subtree_sums
 from splaylab.report import CheckReport
 from splaylab.restricted import init_prime
@@ -108,6 +108,48 @@ class TestOrganizingPlans:
         with pytest.raises(IllegalOpError):
             plan_organizing_splays(T, 3)
 
+    def test_deep_rotation_rejected_without_a_depth_walk(self, monkeypatch):
+        # The depth rule is decided by at most three parent reads, so a key
+        # deep in a 50-key spine is refused without walking T to its root.
+        log = []
+        depth = TreeState.depth
+
+        def logged_depth(tree, key):
+            log.append(key)
+            return depth(tree, key)
+
+        monkeypatch.setattr(TreeState, "depth", logged_depth)
+        T = spine_tree(50, "right")
+        for rotated in (3, 49):
+            with pytest.raises(IllegalOpError, match="depth 3 or more"):
+                plan_organizing_splays(T, rotated)
+        assert plan_organizing_splays(T, 2) == [2, 1, 0]
+        assert log == []
+
+    def test_unknown_key_rejected_before_any_link_moves(self):
+        # n and past it would read past T's parent list, and -1 on a plain
+        # tree or -2 on a restricted one its slots from the end; each is refused with a `KeyError`
+        # before an organizing splay or the rotation moves a link of S or T.
+        rng = rng_for_trial(103, 0)
+        for restricted in (False, True):
+            for _ in range(10):
+                n = rng.randint(2, 24)
+                S, T = random_pair(n, rng)
+                keys = (n, n + 3, -1)
+                if restricted:
+                    S, T = init_prime(S).prime, init_prime(T).prime
+                    keys = (-2, n + 1)
+                run = InterleavedRun(S, T)
+                links = [(tree.left[:], tree.right[:], tree.parent[:], tree.root) for tree in (S, T)]
+                for key in keys:
+                    with pytest.raises(KeyError, match=f"unknown key {key}"):
+                        run.apply_T_rotation(key)
+                    with pytest.raises(KeyError, match=f"unknown key {key}"):
+                        plan_organizing_splays(T, key)
+                    assert [(tree.left, tree.right, tree.parent, tree.root)
+                            for tree in (S, T)] == links
+                assert run.organizing_count == 0 and run.report.checked == 0
+
 
 class TestPerSplayBounds:
     def test_access_bound_holds_per_step(self):
@@ -130,8 +172,8 @@ class TestPerSplayBounds:
         assert ev.cost == 0 and (ev.grow, ev.shrink) == (1, 1)
 
     def test_run_refuses_an_unknown_key(self):
-        # `splay_query` reads the key's reference depth off its weight, so it
-        # refuses an unknown key before that read and before any link moves.
+        # `splay_query` reads the key's reference depth off T's kept depths, so
+        # it refuses an unknown key before that read and before any link moves.
         T = build_tree("((..)(..))")
         restricted = init_prime(T).prime  # keys -1..3
         for S, keys in ((T, (3, 7, -1)), (restricted, (-2, 4))):
@@ -366,23 +408,35 @@ class TestKeptSums:
         assert sums == (subtree_sums(run.S, run.wa), subtree_sums(run.T, run.wa))
 
     def test_rotation_walks_no_T_path_and_assigns_no_weights(self, monkeypatch):
-        # A reference rotation walks S's paths to the splayed keys and reads
-        # T's intervals and depths off the kept lists: it makes no walk of T
-        # from its root and no `assign_weights` call.  The first rotation
-        # builds the lists; later ones update them.
+        # Construction lists T's intervals and depths with one `rank_layout`
+        # walk.  A reference rotation walks S's paths to the splayed keys and
+        # reads T's intervals and depths off the kept lists: it makes no
+        # `rank_layout` walk, no walk of T from its root (`key_path` or
+        # `TreeState.depth`) and no `assign_weights` call.
         log = []
-        path, weights = splaylab.lab.key_path, splaylab.lab.assign_weights
+        path, layout = splaylab.lab.key_path, splaylab.lab.rank_layout
+        weights, depth = splaylab.potential.assign_weights, TreeState.depth
 
         def logged_path(tree, key):
             log.append(("path", tree))
             return path(tree, key)
 
+        def logged_layout(tree):
+            log.append(("layout", tree))
+            return layout(tree)
+
         def logged_weights(tree):
             log.append(("weights", tree))
             return weights(tree)
 
+        def logged_depth(tree, key):
+            log.append(("depth", tree))
+            return depth(tree, key)
+
         monkeypatch.setattr(splaylab.lab, "key_path", logged_path)
-        monkeypatch.setattr(splaylab.lab, "assign_weights", logged_weights)
+        monkeypatch.setattr(splaylab.lab, "rank_layout", logged_layout)
+        monkeypatch.setattr(splaylab.potential, "assign_weights", logged_weights)
+        monkeypatch.setattr(TreeState, "depth", logged_depth)
         rng = rng_for_trial(101, 0)
         rotations = 0
         for restricted in (False, True):
@@ -391,7 +445,7 @@ class TestKeptSums:
                 if restricted:
                     S, T = init_prime(S).prime, init_prime(T).prime
                 run = InterleavedRun(S, T)
-                assert log == [("weights", T)]
+                assert log == [("layout", T)]
                 log.clear()
                 for _ in range(4):
                     depth1, depth2 = near_root(T)
@@ -442,7 +496,7 @@ class TestKeptSums:
     def test_lemma6_trial_reads_no_P_of_T(self, monkeypatch):
         # A lemma6 trial checks one splay against S's key-interval sums, so it
         # makes no whole-tree pass, and P(T), which no check reads, is never
-        # computed; nor are T's kept intervals and depths.
+        # computed.
         log, runs = [], []
         sums_of = splaylab.potential.subtree_sums
         potential_of_ = splaylab.potential.potential_of
@@ -468,8 +522,6 @@ class TestKeptSums:
         assert code == 0
         assert len(runs) == 3  # trial 0 checks every step
         assert log == []
-        # T never rotates, so no run builds T's kept intervals and depths.
-        assert all(run.t_intervals is None and run.t_depths is None for run in runs)
 
     def test_theorem7_trial_passes_only_at_phi_reads(self, monkeypatch):
         # accounting_run reads both trees' sums twice, for the zero initial
@@ -542,18 +594,29 @@ def test_interval_sums_and_deltas_match_fresh_passes(data, n, seed, per_step, re
     # reference weights; a rotation's ratio equals 2 to the change of a
     # fresh phi over copies of the trees, taken after the organizing splays,
     # and a splay's ratio 2 to the change of a fresh P(S), with its step
-    # ratios multiplying to it.  After every rotation T's kept intervals and
-    # depths equal a fresh walk's, and the weights the reference weights.
-    # Every comparison is of exact integers.
+    # ratios multiplying to it.  From construction on, T's kept intervals and
+    # depths equal a fresh walk's and the weights the reference weights, and
+    # every splay's reference depth, organizing splays included, equals a
+    # fresh walk's.  Every comparison is of exact integers.
     S, T = random_pair(n, rng_for_trial(seed, 0))
     if restricted:
         S, T = init_prime(S).prime, init_prime(T).prime
-    run = InterleavedRun(S, T, per_step=per_step)
+
+    class DepthChecked(InterleavedRun):
+        def splay_query(self, key):
+            ev = super().splay_query(key)
+            assert ev.depth_ref == all_depths(self.T)[key]
+            return ev
+
+    run = DepthChecked(S, T, per_step=per_step)
 
     def assert_sums_fresh():
         wa = reference_assign_weights(run.T)
-        assert run.wa.scale_exponent == wa.scale_exponent
+        assert run.wa == wa
         assert interval_sums(run.S, run.prefix) == reference_subtree_sums(run.S, wa)
+        keys = run.T.keys
+        assert dict(zip(keys, run.t_intervals)) == rank_intervals(run.T)
+        assert dict(zip(keys, run.t_depths)) == all_depths(run.T)
 
     assert_sums_fresh()
     for _ in range(data.draw(st.integers(1, 12))):
@@ -568,11 +631,6 @@ def test_interval_sums_and_deltas_match_fresh_passes(data, n, seed, per_step, re
             ev = run.apply_T_rotation(rotated)
             assert same_structure(run.S, S2) and same_structure(run.T, T2)
             assert ev.grow * before_S * after_T == ev.shrink * after_S * before_T
-            # T's kept intervals and depths, and the weights read off them.
-            keys = run.T.keys
-            assert dict(zip(keys, run.t_intervals)) == rank_intervals(run.T)
-            assert dict(zip(keys, run.t_depths)) == all_depths(run.T)
-            assert run.wa == reference_assign_weights(run.T)
         else:
             wa = reference_assign_weights(run.T)
             before = sums_product(run.S, wa)

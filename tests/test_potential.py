@@ -166,23 +166,3 @@ def test_assign_weights_matches_reference_in_key_order(n, seed, shape):
     assert wa.weights == ref.weights
     assert wa.keys == T.keys
 
-
-class TestDepthFromWeight:
-    def test_matches_tree_depth(self):
-        rng = rng_for_trial(101, 0)
-        trees = [random_tree(rng.randint(1, 64), rng) for _ in range(100)]
-        trees += [random_tree(1, rng), spine_tree(64, "left"), spine_tree(64, "right")]
-        trees += [init_prime(T).prime for T in trees[::10]]  # keys -1..n
-        for T in trees:
-            wa = assign_weights(T)
-            assert {k: wa.depth(k) for k in in_order(T)} == {k: T.depth(k) for k in in_order(T)}
-
-    def test_unknown_key_rejected(self):
-        wa = assign_weights(build_tree("((..)(..))"))
-        for key in (7, -1):  # -1 would index the last weight of a list
-            with pytest.raises(KeyError, match=f"unknown key {key}"):
-                wa.depth(key)
-        wa = assign_weights(init_prime(build_tree("((..)(..))")).prime)  # keys -1..3
-        for key in (-2, 4):
-            with pytest.raises(KeyError, match=f"unknown key {key}"):
-                wa.depth(key)
