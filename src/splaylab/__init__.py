@@ -12,7 +12,6 @@ from .machine import (
 )
 from .splay import splay_step, total_access_cost
 from .potential import (
-    WeightAssignment,
     assign_weights,
     check_potential_floor,
     check_weight_sum_bounds,

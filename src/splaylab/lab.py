@@ -14,11 +14,13 @@ the nodes on S's paths to the keys it splayed.  Whole-tree passes are left
 to the start and the end of an accounting run (`InterleavedRun.sums`).
 
 A run keeps T's rank interval and depth per rank, listed at its start by
-`potential.rank_layout`, and its weights are `potential.weights_of_depths`
-of the kept depths.  A rotation of x over p changes only x's and p's
-intervals and moves two rank slices one level, so it updates those lists in
-place and reweighs from the depths: no walk of T from its root remains on
-the rotation path, and a splay reads its key's reference depth off the list.
+`potential.rank_layout`, and its weight vector, the pair (scale, weights),
+is `potential.weights_of_depths` of the kept depths: the run is its one
+holder, and hands `weights` to `subtree_sums` and `scale` to `potential`.
+A rotation of x over p changes only x's and p's intervals and moves two
+rank slices one level, so it updates those lists in place and reweighs from
+the depths: no walk of T from its root remains on the rotation path, and a
+splay reads its key's reference depth off the list.
 
 Every bound is decided in exact integers.  A rank is log2 of a subtree sum,
 so a change of potential is log2 of a ratio of products of sums: an event
@@ -38,9 +40,9 @@ from operator import itemgetter
 from .machine import IllegalOpError, MachineProgram, TreeState
 from .oracle import per_query_segments, static_optimal
 from .potential import (
-    WeightAssignment,
     potential,
     rank_layout,
+    require_same_keys,
     subtree_sums,
     weights_of_depths,
 )
@@ -247,7 +249,8 @@ class InterleavedRun:
 
     Weights always derive from T's current depths; they are frozen during
     splays in S and reassigned at every T rotation.  `weights` lists them in
-    key order at the scale 4^`scale`, and `prefix` holds their prefix sums.
+    key order at the scale 4^`scale`, the pair `potential.assign_weights`
+    would return for T, and `prefix` holds their prefix sums.
     S's subtree sums are read off them as key-interval sums, so neither a
     splay nor a rotation makes a whole-tree pass.  `grow / shrink` is 2 to
     the change of phi = P(S) - P(T) since the start, the product of every
@@ -261,8 +264,7 @@ class InterleavedRun:
     """
 
     def __init__(self, S: TreeState, T: TreeState, per_step: bool = False):
-        if S.keys != T.keys:
-            raise KeyError("S and T must share one key set")
+        require_same_keys(S, T)
         self.S = S
         self.T = T
         self.per_step = per_step
@@ -273,16 +275,10 @@ class InterleavedRun:
         self.t_intervals, self.t_depths = rank_layout(T)
         self._reweigh()
 
-    @property
-    def wa(self) -> WeightAssignment:
-        """The current weights as a `WeightAssignment`, built on each read."""
-        return WeightAssignment(self.scale, self.T.keys, self.weights)
-
     def sums(self) -> tuple:
         """S's and T's subtree sums under the current weights, from fresh
         passes over S, then T."""
-        wa = self.wa
-        return subtree_sums(self.S, wa), subtree_sums(self.T, wa)
+        return subtree_sums(self.S, self.weights), subtree_sums(self.T, self.weights)
 
     def _reweigh(self) -> None:
         """The weights and their prefix sums, from T's kept depths."""
@@ -455,8 +451,7 @@ def accounting_run(n: int, queries, strategy: str = "oracle-witness") -> Account
     e = run.organizing_count
     e_within_budget = e <= ORGANIZING_SPLAYS_PER_ROTATION * r_prime
     sums_S, sums_T = run.sums()
-    wa = run.wa
-    phi_final = potential(sums_S, wa) - potential(sums_T, wa)
+    phi_final = potential(sums_S, run.scale) - potential(sums_T, run.scale)
     check = CheckReport("accounting", checked=5, violations=list(run.report.violations))
     if not counts_exact:
         check.fail("simulated op counts off")

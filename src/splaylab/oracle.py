@@ -51,21 +51,10 @@ def _links(parent):
     return left, right, root
 
 
-def _rotated(parent, key):
-    """The parent tuple after rotating `key` up over its parent."""
-    left, right, _ = _links(parent)
-    p = parent[key]
-    inner = right[key] if key < p else left[key]  # the subtree that moves to p
-    out = list(parent)
-    out[key], out[p] = parent[p], key
-    if inner is not None:
-        out[inner] = p
-    return tuple(out)
-
-
 # The shape table, shared by every search in the process: each parent tuple
 # met gets the next int id, and `_STEPS[id][cursor]` holds the steps from
-# that shape and cursor, built from `_links` and `_rotated` on first use.
+# that shape and cursor, built from `_links` and `TreeState.rotate_up` on
+# first use.
 _SHAPE_IDS = {}
 _SHAPES = []
 _STEPS = []
@@ -93,9 +82,10 @@ def _steps(sid: int, cursor: int) -> tuple:
     if right[cursor] is not None:
         steps.append((_R, sid, right[cursor], right[cursor] == root))
     if parent[cursor] is not None:
-        rotated = _rotated(parent, cursor)
         steps.append((_U, sid, parent[cursor], parent[cursor] == root))
-        steps.append((_ROT, _shape_id(rotated), cursor, rotated[cursor] is None))
+        tree = TreeState(range(len(parent)), left, right, list(parent), root)
+        tree.rotate_up(cursor)
+        steps.append((_ROT, _shape_id(tuple(tree.parent)), cursor, tree.root == cursor))
     steps = _STEPS[sid][cursor] = tuple(steps)
     return steps
 

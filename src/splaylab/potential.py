@@ -2,39 +2,33 @@
 
 Weights come from the reference tree's depths: a node at depth d weighs
 4^(-d).  All subtree sums are kept as exact integers at a common scale of
-4^D (D = the reference tree's maximum depth).  Every bound is decided on
-products of those integers; floating point enters only in the potentials a
-report or a message reads, as base-2 logarithms.  The weights are a list in
-key order, so a BST subtree, which holds a contiguous run of keys, sums to
-the difference of two prefix sums of that list; `lab` reads S's sums that
-way between the whole-tree passes of `subtree_sums`.  `rank_layout` is the
-one walk that lists a tree's depths, with each node's key interval, and
-`weights_of_depths` the one weight formula: `assign_weights` applies both,
-and `lab` keeps the layout of its reference tree across reference rotations
-and applies the formula to the kept depths.
+4^D (D = the reference tree's maximum depth).  A weight vector is the pair
+(D, weights): `weights` lists the scaled weights in key order, so key k
+weighs `weights[k - tree.keys.start]`.  Every bound is decided on products
+of those integers; floating point enters only in the potentials a report or
+a message reads, as base-2 logarithms.  A BST subtree holds a contiguous run
+of keys, so it sums to the difference of two prefix sums of the weight list;
+`lab` reads S's sums that way between the whole-tree passes of
+`subtree_sums`.  `rank_layout` is the one walk that lists a tree's depths,
+with each node's key interval, and `weights_of_depths` the one weight
+formula: `assign_weights` applies both, and `lab` keeps the layout of its
+reference tree across reference rotations and applies the formula to the
+kept depths.  A function that meets two trees refuses them, with KeyError,
+unless they share one key set.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .machine import TreeState
 from .report import CheckReport
 
 
-@dataclass(frozen=True)
-class WeightAssignment:
-    """Integer weights at scale 4^scale_exponent; true weight = w / 4^D.
-    `weights[k - keys.start]` is the weight of key k, so the list is in key order."""
-
-    scale_exponent: int
-    keys: range
-    weights: list
-
-    @property
-    def unit(self) -> int:
-        return 4 ** self.scale_exponent
+def require_same_keys(S: TreeState, T: TreeState) -> None:
+    """Refuse, with KeyError, two trees over different key sets."""
+    if S.keys != T.keys:
+        raise KeyError("S and T must share one key set")
 
 
 def rank_layout(tree: TreeState) -> tuple[list, list]:
@@ -67,23 +61,24 @@ def weights_of_depths(depths: list) -> tuple[int, list]:
     return scale, list(map(powers.__getitem__, depths))
 
 
-def assign_weights(reference: TreeState) -> WeightAssignment:
-    """Weight 4^(-depth) for every key, from the reference tree's shape:
-    `weights_of_depths` of the depths `rank_layout` lists in key order."""
-    scale, weights = weights_of_depths(rank_layout(reference)[1])
-    return WeightAssignment(scale, reference.keys, weights)
+def assign_weights(reference: TreeState) -> tuple[int, list]:
+    """The scale exponent and the weight 4^(-depth) of every key in key
+    order, from the reference tree's shape: `weights_of_depths` of the
+    depths `rank_layout` lists."""
+    return weights_of_depths(rank_layout(reference)[1])
 
 
-def subtree_sums(tree: TreeState, wa: WeightAssignment) -> dict:
-    """Exact scaled subtree weight sums s(v) = w(v) + s(left) + s(right).
+def subtree_sums(tree: TreeState, weights: list) -> dict:
+    """Exact scaled subtree weight sums s(v) = w(v) + s(left) + s(right),
+    `weights` listing one weight per key of `tree` in key order.
 
     One stack pass lists the nodes in preorder (node, left subtree, right
     subtree); walking that list backwards fills each node after both its
     subtrees, so the dict is in (right, left, node) post-order.
     """
-    if wa.keys != tree.keys:
-        raise KeyError("tree and weight assignment cover different key sets")
-    left, right, weights = tree.left, tree.right, wa.weights
+    if len(weights) != len(tree):
+        raise KeyError(f"{len(weights)} weights for a tree of {len(tree)} keys")
+    left, right = tree.left, tree.right
     start = tree.keys.start
     preorder = []
     stack = [tree.root]
@@ -106,20 +101,22 @@ def subtree_sums(tree: TreeState, wa: WeightAssignment) -> dict:
     return sums
 
 
-def potential(sums: dict, wa: WeightAssignment) -> float:
-    """Sum of the ranks of all nodes, from their exact scaled subtree sums."""
-    return sum(map(math.log2, sums.values())) - 2 * wa.scale_exponent * len(sums)
+def potential(sums: dict, scale: int) -> float:
+    """Sum of the ranks of all nodes, from their exact subtree sums at the
+    scale 4^`scale`."""
+    return sum(map(math.log2, sums.values())) - 2 * scale * len(sums)
 
 
-def potential_of(tree: TreeState, wa: WeightAssignment) -> float:
+def potential_of(tree: TreeState, scale: int, weights: list) -> float:
     """Sum of the ranks of all nodes of `tree`."""
-    return potential(subtree_sums(tree, wa), wa)
+    return potential(subtree_sums(tree, weights), scale)
 
 
 def phi(S: TreeState, T: TreeState) -> float:
     """Cross-tree potential P(S) - P(T), weights taken from T's depths."""
-    wa = assign_weights(T)
-    return potential_of(S, wa) - potential_of(T, wa)
+    require_same_keys(S, T)
+    scale, weights = assign_weights(T)
+    return potential_of(S, scale, weights) - potential_of(T, scale, weights)
 
 
 def check_weight_sum_bounds(S: TreeState, T: TreeState) -> CheckReport:
@@ -129,13 +126,14 @@ def check_weight_sum_bounds(S: TreeState, T: TreeState) -> CheckReport:
     (3) w(v) <= s(v)              (4) s_T(v) < 2 w_T(v), T only
     (5) s(v) < 2                  (6) s(root of S) = s_T(root of T)
     """
+    require_same_keys(S, T)
     report = CheckReport("weight-sum-bounds")
-    wa = assign_weights(T)
-    unit = wa.unit
-    sums_t = subtree_sums(T, wa)
-    sums_s = subtree_sums(S, wa)
-    weights, start = wa.weights, wa.keys.start
-    for v, w in zip(wa.keys, weights):
+    scale, weights = assign_weights(T)
+    unit = 4 ** scale
+    sums_t = subtree_sums(T, weights)
+    sums_s = subtree_sums(S, weights)
+    start = T.keys.start
+    for v, w in zip(T.keys, weights):
         report.tick(2)
         if not 0 <= w:
             report.fail(f"eq1 node {v}: weight {w} negative")
@@ -162,12 +160,13 @@ def check_potential_floor(S: TreeState, T: TreeState) -> CheckReport:
     """-n < phi, decided exactly.  Both trees have n nodes, so the scale 4^D
     cancels, 2^phi = prod s_S / prod s_T, and the floor reads
     prod s_T < 2^n prod s_S."""
+    require_same_keys(S, T)
     report = CheckReport("potential-floor")
-    wa = assign_weights(T)
-    sums_s, sums_t = subtree_sums(S, wa), subtree_sums(T, wa)
+    scale, weights = assign_weights(T)
+    sums_s, sums_t = subtree_sums(S, weights), subtree_sums(T, weights)
     n = len(T)
     report.tick()
     if not math.prod(sums_t.values()) < math.prod(sums_s.values()) << n:
-        value = potential(sums_s, wa) - potential(sums_t, wa)
+        value = potential(sums_s, scale) - potential(sums_t, scale)
         report.fail(f"phi {value} is not above -n = {-n}")
     return report

@@ -22,7 +22,7 @@ which keys each shape by an id and reads its steps from a table.
 the dict order of `splaylab.potential.subtree_sums`.
 `all_depths` walks a tree by its child links, and `reference_assign_weights`
 lists those depths' weights key by key, one power per key, so they check the
-in-order walk of `splaylab.potential.assign_weights` and, with
+`rank_layout` walk behind `splaylab.potential.assign_weights` and, with
 `reference_subtree_sums`, the key-interval sums of `splaylab.lab`.
 `reference_apply_op` is the one-op transition dispatched per op on its kind,
 and `reference_cursor_trace` and `reference_apply_t_op` call it once per op, so
@@ -58,7 +58,6 @@ from splaylab.machine import (
     apply_op,
     build_tree,
 )
-from splaylab.potential import WeightAssignment
 from splaylab.restricted import SentineledTree, op_sequence
 from splaylab.splay import total_access_cost
 
@@ -203,11 +202,12 @@ def all_depths(tree: TreeState) -> dict:
     return depths
 
 
-def reference_assign_weights(optimal: TreeState) -> WeightAssignment:
-    """Weight 4^(-depth) for every key, from the reference tree's shape."""
+def reference_assign_weights(optimal: TreeState) -> tuple[int, list]:
+    """The scale exponent and the weight 4^(-depth) of every key in key
+    order, from the reference tree's shape."""
     depths = all_depths(optimal)
     scale = max(depths.values())
-    return WeightAssignment(scale, optimal.keys, [4 ** (scale - depths[k]) for k in optimal.keys])
+    return scale, [4 ** (scale - depths[k]) for k in optimal.keys]
 
 
 def static_cost(tree: TreeState, counts: list) -> int:
@@ -336,8 +336,9 @@ def reference_opt_cost(T0: TreeState, queries) -> tuple[int, list]:
     return cost, segments
 
 
-def reference_subtree_sums(tree: TreeState, wa: WeightAssignment) -> dict:
-    """Scaled subtree sums from a stack of (node, children done) pairs."""
+def reference_subtree_sums(tree: TreeState, weights: list) -> dict:
+    """Scaled subtree sums from a stack of (node, children done) pairs,
+    `weights` listing one weight per key in key order."""
     sums = {}
     stack = [(tree.root, False)]
     while stack:
@@ -345,7 +346,7 @@ def reference_subtree_sums(tree: TreeState, wa: WeightAssignment) -> dict:
         if node is None:
             continue
         if done:
-            s = wa.weights[node - wa.keys.start]
+            s = weights[node - tree.keys.start]
             l, r = tree.left[node], tree.right[node]
             if l is not None:
                 s += sums[l]

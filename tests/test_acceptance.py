@@ -39,7 +39,7 @@ def test_criterion_1_worked_example():
     T = build_tree("(((..)(..))(..))")
     assert phi(S, T) == pytest.approx(math.log2(7 / 2), abs=1e-9)
     expected_p_t = math.log2(3 / 8) + math.log2(13 / 8) - 10
-    assert potential_of(T, assign_weights(T)) == pytest.approx(expected_p_t, abs=1e-9)
+    assert potential_of(T, *assign_weights(T)) == pytest.approx(expected_p_t, abs=1e-9)
     assert time.monotonic() - start < 1.0
     _passline(1)
 

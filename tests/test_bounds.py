@@ -106,7 +106,7 @@ def test_potential_floor(side, monkeypatch):
     T = random_tree(7, rng_for_trial(3, 1))
     s_S, s_T = ratio(-7 + side * EPS)
     monkeypatch.setattr(splaylab.potential, "subtree_sums",
-                        lambda tree, wa: {0: s_S if tree is S else s_T})
+                        lambda tree, weights: {0: s_S if tree is S else s_T})
     assert check_potential_floor(S, T).passed == (side > 0)
 
 
@@ -181,11 +181,11 @@ def test_family_slack_sign_matches_mpmath(n):
     # over every node's rank from the reference sums before and after the
     # splay, at 60 digits; its sign is the exact check's.
     S, T = family(n)
-    wa = assign_weights(T)
+    _, weights = assign_weights(T)
     root, cost = S.root, S.depth(0)
-    before = reference_subtree_sums(S, wa)
+    before = reference_subtree_sums(S, weights)
     lhs, rhs, passed = access_sides(S, T, 0)
-    after = reference_subtree_sums(S, wa)
+    after = reference_subtree_sums(S, weights)
     with mpmath.workdps(60):
         log2 = lambda s: mpmath.log(s, 2)
         delta = sum(map(log2, after.values())) - sum(map(log2, before.values()))

@@ -44,10 +44,10 @@ from reference import (
 )
 
 
-def key_order(wa):
-    """The prefix sums of `wa`'s weights in key order: the list
+def key_order(T):
+    """The prefix sums of T's weights in key order: the list
     `checked_splay` reads."""
-    return [0, *accumulate(wa.weights)]
+    return [0, *accumulate(assign_weights(T)[1])]
 
 
 def rank_intervals(tree):
@@ -73,16 +73,16 @@ def interval_sums(tree, prefix):
     return {node: prefix[hi] - prefix[lo] for node, (lo, hi) in rank_intervals(tree).items()}
 
 
-def sums_product(tree, wa):
+def sums_product(tree, weights):
     """The product of `tree`'s subtree sums, from the reference sums."""
-    return prod(reference_subtree_sums(tree, wa).values())
+    return prod(reference_subtree_sums(tree, weights).values())
 
 
 def fresh_products(S, T):
     """The products of S's and of T's subtree sums under the reference
     weights: 2^phi is their ratio."""
-    wa = reference_assign_weights(T)
-    return sums_product(S, wa), sums_product(T, wa)
+    _, weights = reference_assign_weights(T)
+    return sums_product(S, weights), sums_product(T, weights)
 
 
 class TestOrganizingPlans:
@@ -157,8 +157,7 @@ class TestPerSplayBounds:
         for _ in range(100):
             S, T = random_pair(rng.randint(1, 32), rng)
             key = rng.choice(in_order(T))
-            wa = assign_weights(T)
-            ev = checked_splay(S, key_order(wa), key, depth_ref=T.depth(key), per_step=True)
+            ev = checked_splay(S, key_order(T), key, depth_ref=T.depth(key), per_step=True)
             report = check_access_lemma(ev, CheckReport("access"))
             assert report.passed, report.violations
             assert report.checked == 1 + len(ev.steps)
@@ -167,8 +166,7 @@ class TestPerSplayBounds:
     def test_zero_depth_splay_is_free(self):
         T = build_tree("((..)(..))")
         S = T.copy()
-        wa = assign_weights(T)
-        ev = checked_splay(S, key_order(wa), T.root, depth_ref=0)
+        ev = checked_splay(S, key_order(T), T.root, depth_ref=0)
         assert ev.cost == 0 and (ev.grow, ev.shrink) == (1, 1)
 
     def test_run_refuses_an_unknown_key(self):
@@ -191,11 +189,10 @@ class TestPerSplayBounds:
         T = build_tree("((..)(..))")
         restricted = init_prime(T).prime  # keys -1..3
         for S, keys in ((T, (7, -1)), (restricted, (-2, 4))):
-            wa = assign_weights(S)
             links = S.left[:], S.right[:], S.parent[:], S.root
             for key in keys:
                 with pytest.raises(KeyError, match=f"unknown key {key}"):
-                    checked_splay(S, key_order(wa), key, depth_ref=0)
+                    checked_splay(S, key_order(S), key, depth_ref=0)
                 assert (S.left, S.right, S.parent, S.root) == links
 
 
@@ -266,8 +263,7 @@ def test_step_kinds_match_the_step_loop(n, seed, data):
     kinds = []
     while stepped.parent[key] is not None:
         kinds.append(splaylab.splay.splay_step(stepped, key))
-    wa = assign_weights(T)
-    ev = checked_splay(S, key_order(wa), key, depth_ref=T.depth(key), per_step=True)
+    ev = checked_splay(S, key_order(T), key, depth_ref=T.depth(key), per_step=True)
     assert [step.kind for step in ev.steps] == kinds
     assert ev.cost == depth
     assert same_structure(S, stepped) and S.parent == stepped.parent
@@ -296,7 +292,7 @@ class TestInterleavedRun:
         run = InterleavedRun(T.copy(), T)
         sums_S, sums_T = run.sums()
         assert prod(sums_S.values()) == prod(sums_T.values())
-        assert potential(sums_S, run.wa) - potential(sums_T, run.wa) == 0.0
+        assert potential(sums_S, run.scale) - potential(sums_T, run.scale) == 0.0
 
     def test_rotation_delta_under_bound(self):
         rng = rng_for_trial(71, 0)
@@ -336,7 +332,7 @@ class TestKeptSums:
             ev = original(S, prefix, key, depth_ref, per_step)
             assert ev.cost == depth
             assert prefix == kept  # a splay leaves the weights alone
-            assert interval_sums(S, prefix) == subtree_sums(S, runs[-1].wa)
+            assert interval_sums(S, prefix) == subtree_sums(S, runs[-1].weights)
             return ev
 
         monkeypatch.setattr(splaylab.lab, "checked_splay", checked)
@@ -359,9 +355,9 @@ class TestKeptSums:
                     run.splay_query(key)
                     assert run.prefix is prefix
                     splays += 1
-                assert interval_sums(run.S, run.prefix) == subtree_sums(run.S, run.wa)
-                assert run.sums() == (reference_subtree_sums(run.S, run.wa),
-                                      reference_subtree_sums(run.T, run.wa))
+                assert interval_sums(run.S, run.prefix) == subtree_sums(run.S, run.weights)
+                assert run.sums() == (reference_subtree_sums(run.S, run.weights),
+                                      reference_subtree_sums(run.T, run.weights))
             assert not run.report.violations
         assert min(splays, roots, rotations) > 20
 
@@ -372,9 +368,9 @@ class TestKeptSums:
         sums_of = splaylab.potential.subtree_sums
         splay = splaylab.lab.checked_splay
 
-        def counted_sums(tree, wa):
+        def counted_sums(tree, weights):
             log.append(tree)
-            return sums_of(tree, wa)
+            return sums_of(tree, weights)
 
         def marked_splay(*args, **kwargs):
             ev = splay(*args, **kwargs)
@@ -405,7 +401,7 @@ class TestKeptSums:
         assert ev.steps and passes() == ["splayed"]
         sums = run.sums()  # fresh passes over S, then over T
         assert passes() == ["S", "T"]
-        assert sums == (subtree_sums(run.S, run.wa), subtree_sums(run.T, run.wa))
+        assert sums == (subtree_sums(run.S, run.weights), subtree_sums(run.T, run.weights))
 
     def test_rotation_walks_no_T_path_and_assigns_no_weights(self, monkeypatch):
         # Construction lists T's intervals and depths with one `rank_layout`
@@ -462,9 +458,9 @@ class TestKeptSums:
         log, runs = [], []
         sums_of = splaylab.potential.subtree_sums
 
-        def counted_sums(tree, wa):
+        def counted_sums(tree, weights):
             log.append(tree)
-            return sums_of(tree, wa)
+            return sums_of(tree, weights)
 
         class Logged(InterleavedRun):
             def __init__(self, *args, **kwargs):
@@ -489,7 +485,8 @@ class TestKeptSums:
         assert acc.R > 0
         last = len(log) - log[::-1].index("event")
         assert log[last:] == [run.S, run.T]
-        assert acc.phi_final == potential_of(run.S, run.wa) - potential_of(run.T, run.wa)
+        assert acc.phi_final == (potential_of(run.S, run.scale, run.weights)
+                                 - potential_of(run.T, run.scale, run.weights))
         end_S, end_T = (prod(sums.values()) for sums in run.sums())
         assert run.grow * end_T == run.shrink * end_S
 
@@ -501,13 +498,13 @@ class TestKeptSums:
         sums_of = splaylab.potential.subtree_sums
         potential_of_ = splaylab.potential.potential_of
 
-        def counted_sums(tree, wa):
+        def counted_sums(tree, weights):
             log.append(tree)
-            return sums_of(tree, wa)
+            return sums_of(tree, weights)
 
-        def counted_potential(tree, wa):
+        def counted_potential(tree, scale, weights):
             log.append("potential_of")
-            return potential_of_(tree, wa)
+            return potential_of_(tree, scale, weights)
 
         class Logged(InterleavedRun):
             def __init__(self, *args, **kwargs):
@@ -531,9 +528,9 @@ class TestKeptSums:
         log, runs = [], []
         sums_of = splaylab.potential.subtree_sums
 
-        def counted_sums(tree, wa):
+        def counted_sums(tree, weights):
             log.append(tree)
-            return sums_of(tree, wa)
+            return sums_of(tree, weights)
 
         class Logged(InterleavedRun):
             def __init__(self, *args, **kwargs):
@@ -571,9 +568,9 @@ class TestKeptSums:
                 if shallow and rng.random() < 0.25:
                     run.apply_T_rotation(rng.choice(shallow))
                     continue
-                before = sums_product(run.S, run.wa)
+                before = sums_product(run.S, run.weights)
                 ev = run.splay_query(rng.choice(in_order(T)))
-                after = sums_product(run.S, run.wa)
+                after = sums_product(run.S, run.weights)
                 assert ev.grow * before == ev.shrink * after
                 if per_step:
                     assert sum(step.cost for step in ev.steps) == ev.cost
@@ -611,9 +608,9 @@ def test_interval_sums_and_deltas_match_fresh_passes(data, n, seed, per_step, re
     run = DepthChecked(S, T, per_step=per_step)
 
     def assert_sums_fresh():
-        wa = reference_assign_weights(run.T)
-        assert run.wa == wa
-        assert interval_sums(run.S, run.prefix) == reference_subtree_sums(run.S, wa)
+        scale, weights = reference_assign_weights(run.T)
+        assert (run.scale, run.weights) == (scale, weights)
+        assert interval_sums(run.S, run.prefix) == reference_subtree_sums(run.S, weights)
         keys = run.T.keys
         assert dict(zip(keys, run.t_intervals)) == rank_intervals(run.T)
         assert dict(zip(keys, run.t_depths)) == all_depths(run.T)
@@ -632,10 +629,10 @@ def test_interval_sums_and_deltas_match_fresh_passes(data, n, seed, per_step, re
             assert same_structure(run.S, S2) and same_structure(run.T, T2)
             assert ev.grow * before_S * after_T == ev.shrink * after_S * before_T
         else:
-            wa = reference_assign_weights(run.T)
-            before = sums_product(run.S, wa)
+            _, weights = reference_assign_weights(run.T)
+            before = sums_product(run.S, weights)
             ev = run.splay_query(data.draw(st.integers(S.keys[0], S.keys[-1])))
-            after = sums_product(run.S, wa)
+            after = sums_product(run.S, weights)
             assert ev.grow * before == ev.shrink * after
             if per_step:
                 assert sum(step.cost for step in ev.steps) == ev.cost

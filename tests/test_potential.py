@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from splaylab.generators import random_pair, random_tree, rng_for_trial, spine_tree
+from splaylab.lab import InterleavedRun
 from splaylab.machine import build_tree
 from splaylab.potential import (
     assign_weights,
@@ -38,15 +39,13 @@ def worked_example():
 class TestWorkedExample:
     def test_scaled_weights(self):
         _, T = worked_example()
-        wa = assign_weights(T)
-        assert wa.scale_exponent == 2
-        assert wa.weights == [1, 4, 1, 16, 4]
+        assert assign_weights(T) == (2, [1, 4, 1, 16, 4])
 
     def test_scaled_sums_exact(self):
         S, T = worked_example()
-        wa = assign_weights(T)
-        assert subtree_sums(T, wa) == {0: 1, 2: 1, 4: 4, 1: 6, 3: 26}
-        assert subtree_sums(S, wa) == {0: 1, 2: 1, 4: 4, 3: 21, 1: 26}
+        _, weights = assign_weights(T)
+        assert subtree_sums(T, weights) == {0: 1, 2: 1, 4: 4, 1: 6, 3: 26}
+        assert subtree_sums(S, weights) == {0: 1, 2: 1, 4: 4, 3: 21, 1: 26}
 
     def test_phi_value(self):
         S, T = worked_example()
@@ -55,14 +54,14 @@ class TestWorkedExample:
     def test_reference_potential_value(self):
         S, T = worked_example()
         expected = math.log2(3 / 8) + math.log2(13 / 8) - 10
-        assert potential_of(T, assign_weights(T)) == pytest.approx(expected, abs=1e-9)
+        assert potential_of(T, *assign_weights(T)) == pytest.approx(expected, abs=1e-9)
 
     def test_rank_difference_drives_phi(self):
         S, T = worked_example()
-        wa = assign_weights(T)
-        bias = 2 * wa.scale_exponent  # r(v) = log2 s(v), the scale divided out
-        r_S = [math.log2(s) - bias for s in subtree_sums(S, wa).values()]
-        r_T = [math.log2(s) - bias for s in subtree_sums(T, wa).values()]
+        scale, weights = assign_weights(T)
+        bias = 2 * scale  # r(v) = log2 s(v), the scale divided out
+        r_S = [math.log2(s) - bias for s in subtree_sums(S, weights).values()]
+        r_T = [math.log2(s) - bias for s in subtree_sums(T, weights).values()]
         delta = sum(r_S) - sum(r_T)
         assert delta == pytest.approx(phi(S, T), abs=1e-12)
 
@@ -71,8 +70,8 @@ class TestSmallClosedForms:
     def test_balanced_three_potential(self):
         # Weights 1, 1/4, 1/4: ranks log2(3/2), log2(1/4), log2(1/4).
         tree = build_tree("((..)(..))")
-        wa = assign_weights(tree)
-        assert potential_of(tree, wa) == pytest.approx(math.log2(3 / 2) - 4, abs=1e-12)
+        expected = math.log2(3 / 2) - 4
+        assert potential_of(tree, *assign_weights(tree)) == pytest.approx(expected, abs=1e-12)
 
     def test_identical_trees_zero_phi(self):
         _, T = worked_example()
@@ -98,12 +97,12 @@ class TestIndependentOracles:
 
     def test_mpmath_recomputation_worked_example(self):
         S, T = worked_example()
-        wa = assign_weights(T)
+        scale, weights = assign_weights(T)
         with mpmath.workdps(60):
             def p(tree):
                 return sum(
-                    mpmath.log(mpmath.mpf(s) / wa.unit, 2)
-                    for s in subtree_sums(tree, wa).values()
+                    mpmath.log(mpmath.mpf(s) / 4 ** scale, 2)
+                    for s in subtree_sums(tree, weights).values()
                 )
             expected = float(p(S) - p(T))
         assert phi(S, T) == pytest.approx(expected, abs=1e-9)
@@ -133,15 +132,25 @@ class TestBoundSuites:
                 assert phi(S, T) > -n
 
     def test_key_set_mismatch_rejected(self):
+        # Five weights for a three-key tree: refused before any walk.
         S = build_tree("((..)(..))")
         T = build_tree("((((..).).).)")
         with pytest.raises(KeyError):
-            subtree_sums(S, assign_weights(T))
+            subtree_sums(S, assign_weights(T)[1])
+
+    def test_two_tree_entry_points_refuse_different_key_sets(self):
         # Keys -1..3 against 0..4: the same count, so only comparing the key
-        # ranges themselves tells them apart.
-        restricted = init_prime(S).prime
-        with pytest.raises(KeyError):
-            subtree_sums(build_tree(T_DESC), assign_weights(restricted))
+        # ranges themselves tells them apart.  Every function that meets two
+        # trees refuses the pair, either way round, with no link moved.
+        plain = build_tree(T_DESC)
+        restricted = init_prime(build_tree("((..)(..))")).prime
+        entry_points = (phi, check_weight_sum_bounds, check_potential_floor, InterleavedRun)
+        for S, T in ((plain, restricted), (restricted, plain)):
+            links = [(t.left[:], t.right[:], t.parent[:], t.root) for t in (S, T)]
+            for entry_point in entry_points:
+                with pytest.raises(KeyError, match="share one key set"):
+                    entry_point(S, T)
+                assert [(t.left, t.right, t.parent, t.root) for t in (S, T)] == links
 
 
 @settings(max_examples=200, deadline=None)
@@ -151,9 +160,9 @@ def test_subtree_sums_match_reference_in_order(n, seed):
     # The restricted trees over -1..n read each weight at key + 1.
     S, T = random_pair(n, rng_for_trial(seed, 0))
     for S, T in ((S, T), (init_prime(S).prime, init_prime(T).prime)):
-        wa = assign_weights(T)
+        _, weights = assign_weights(T)
         for tree in (S, T):
-            fast, ref = subtree_sums(tree, wa), reference_subtree_sums(tree, wa)
+            fast, ref = subtree_sums(tree, weights), reference_subtree_sums(tree, weights)
             assert list(fast.items()) == list(ref.items())
 
 
@@ -161,8 +170,5 @@ def test_subtree_sums_match_reference_in_order(n, seed):
 @given(st.integers(1, 64), st.integers(0, 2 ** 32), st.sampled_from(["random", "left", "right"]))
 def test_assign_weights_matches_reference_in_key_order(n, seed, shape):
     T = random_tree(n, rng_for_trial(seed, 0)) if shape == "random" else spine_tree(n, shape)
-    wa, ref = assign_weights(T), reference_assign_weights(T)
-    assert wa.scale_exponent == ref.scale_exponent
-    assert wa.weights == ref.weights
-    assert wa.keys == T.keys
+    assert assign_weights(T) == reference_assign_weights(T)
 
