@@ -6,7 +6,6 @@ import json
 import math
 import random
 import re
-from dataclasses import dataclass
 
 from .machine import MachineProgram, OpKind, TreeState, tree_from_roots
 
@@ -172,22 +171,35 @@ CONFIG_TYPES = {
 }
 
 
-@dataclass
 class ExperimentConfig:
-    seed: int = 0
-    n: int = 64
-    m: int = 512
-    generator: str = "uniform"
-    strategy: str = "oracle-witness"
-    trials: int = 1
-    output_path: str | None = None
+    """One run's settings; a field's name is its key in a config file."""
+
+    __slots__ = tuple(CONFIG_TYPES)
+
+    def __init__(
+        self,
+        seed: int = 0,
+        n: int = 64,
+        m: int = 512,
+        generator: str = "uniform",
+        strategy: str = "oracle-witness",
+        trials: int = 1,
+        output_path: str | None = None,
+    ):
+        self.seed = seed
+        self.n = n
+        self.m = m
+        self.generator = generator
+        self.strategy = strategy
+        self.trials = trials
+        self.output_path = output_path
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError("config file must hold a JSON object")
-        unknown = set(data) - set(cls.__dataclass_fields__)
+        unknown = set(data) - set(CONFIG_TYPES)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         for key, value in data.items():

@@ -25,14 +25,17 @@ splay reads its key's reference depth off the list.
 Every bound is decided in exact integers.  A rank is log2 of a subtree sum,
 so a change of potential is log2 of a ratio of products of sums: an event
 carries that ratio as `grow / shrink`, and a bound on an amortized cost
-c + delta, raised to a power of 2, reads 2^c grow <= 2^bound shrink.  Floats
-appear only in the potential a report reads and in violation messages.
+c + delta, raised to a power of 2, reads 2^c grow <= 2^bound shrink.  A run
+keeps the product of every event's ratio for the telescoping identity, and
+divides its two sides by their gcd at each reference rotation and whenever
+one outgrows a size the tree sets, so a long run's products stay bounded.
+Floats appear only in the potential a report reads and in violation
+messages.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
 from math import prod
 from operator import itemgetter
@@ -62,42 +65,53 @@ def log2_ratio(grow: int, shrink: int) -> float:
     return math.log2(grow) - math.log2(shrink)
 
 
-@dataclass(slots=True)
 class StepCheck:
     """One splay step: the key's subtree sum before and after it, and the
-    change of P(S) over it as 2^delta = grow / shrink."""
+    change of P(S) over it as 2^delta = grow / shrink.  `cost` is 1 for a
+    zig, 2 for a zig-zig or a zig-zag."""
 
-    kind: str
-    cost: int  # 1 for zig, 2 for zigzig / zigzag
-    s_before: int
-    s_after: int
-    grow: int
-    shrink: int
+    __slots__ = ("kind", "cost", "s_before", "s_after", "grow", "shrink")
+
+    def __init__(self, kind: str, cost: int, s_before: int, s_after: int,
+                 grow: int, shrink: int):
+        self.kind = kind
+        self.cost = cost
+        self.s_before = s_before
+        self.s_after = s_after
+        self.grow = grow
+        self.shrink = shrink
 
 
-@dataclass(slots=True)
 class SplayEvent:
-    """One splay: the root's and the key's sums before it, and 2^delta = grow / shrink."""
+    """One splay: the root's and the key's sums before it, and 2^delta = grow / shrink.
+    `cost` is the key's depth before the splay; `steps` lists the StepChecks
+    when recorded per step."""
 
-    key: int
-    cost: int  # the key's depth before the splay
-    depth_ref: int
-    s_root: int
-    s_key: int
-    grow: int
-    shrink: int
-    steps: list | tuple = ()  # a list of StepChecks when recorded per step
+    __slots__ = ("key", "cost", "depth_ref", "s_root", "s_key", "grow", "shrink", "steps")
+
+    def __init__(self, key: int, cost: int, depth_ref: int, s_root: int, s_key: int,
+                 grow: int, shrink: int, steps: list | tuple = ()):
+        self.key = key
+        self.cost = cost
+        self.depth_ref = depth_ref
+        self.s_root = s_root
+        self.s_key = s_key
+        self.grow = grow
+        self.shrink = shrink
+        self.steps = steps
 
 
-@dataclass(slots=True)
 class RotationEvent:
     """One reference rotation: 2^delta = grow / shrink, delta the change of
     phi from after its organizing splays to after the rotation."""
 
-    key: int
-    depth_ref: int
-    grow: int
-    shrink: int
+    __slots__ = ("key", "depth_ref", "grow", "shrink")
+
+    def __init__(self, key: int, depth_ref: int, grow: int, shrink: int):
+        self.key = key
+        self.depth_ref = depth_ref
+        self.grow = grow
+        self.shrink = shrink
 
 
 def key_path(tree: TreeState, key: int) -> list:
@@ -257,6 +271,15 @@ class InterleavedRun:
     event's ratio.  Each checker ticks and fails into the report it is
     given and returns it; the run keeps the report returned.
 
+    In lowest terms that ratio's numerator divides the product of S's n sums
+    now and T's at the start, and its denominator the product of S's at the
+    start and T's now.  No sum exceeds the total weight, so neither side has
+    more than `product_bits` bits: 2n times the largest bit length of the
+    total weight seen.  Each reference rotation divides both products by
+    their gcd, and so does a splay that leaves either one longer than
+    `product_bits`; a long run's products then stay that size instead of
+    growing with every event.
+
     T's rank intervals and depths are kept per rank (`t_intervals`,
     `t_depths`): `rank_layout` lists them when the run starts, the weights
     are read off the depths, and each reference rotation updates both lists
@@ -272,6 +295,7 @@ class InterleavedRun:
         self.organizing_count = 0
         self.s_cost = 0
         self.grow = self.shrink = 1
+        self.product_bits = 0
         self.t_intervals, self.t_depths = rank_layout(T)
         self._reweigh()
 
@@ -281,9 +305,18 @@ class InterleavedRun:
         return subtree_sums(self.S, self.weights), subtree_sums(self.T, self.weights)
 
     def _reweigh(self) -> None:
-        """The weights and their prefix sums, from T's kept depths."""
+        """The weights and their prefix sums, from T's kept depths, and the
+        bound on the products' size that the new total weight sets."""
         self.scale, self.weights = weights_of_depths(self.t_depths)
-        self.prefix = [0, *accumulate(self.weights)]
+        self.prefix = prefix = [0, *accumulate(self.weights)]
+        self.product_bits = max(self.product_bits, 2 * len(self.weights) * prefix[-1].bit_length())
+
+    def _reduce(self) -> None:
+        """Divide `grow` and `shrink` by their gcd; their ratio, all the
+        telescoping identity reads, stays."""
+        g = math.gcd(self.grow, self.shrink)
+        self.grow //= g
+        self.shrink //= g
 
     def splay_query(self, key: int) -> SplayEvent:
         """Splay `key` in S, its reference depth read off T's kept depths."""
@@ -295,6 +328,9 @@ class InterleavedRun:
         self.s_cost += ev.cost
         self.grow *= ev.grow
         self.shrink *= ev.shrink
+        bits = self.product_bits
+        if self.grow.bit_length() > bits or self.shrink.bit_length() > bits:
+            self._reduce()
         self.report = check_access_lemma(ev, self.report)
         self.report = check_amortized_depth(ev, self.report)
         return ev
@@ -313,12 +349,14 @@ class InterleavedRun:
         intervals[r_x] = lo, hi
         if r_x < r_p:
             intervals[r_p] = r_x + 1, hi
-            up, down = slice(lo, r_x + 1), slice(r_p, hi)
+            up, down = range(lo, r_x + 1), range(r_p, hi)
         else:
             intervals[r_p] = lo, r_x
-            up, down = slice(r_x, hi), slice(lo, r_p + 1)
-        depths[up] = [d - 1 for d in depths[up]]
-        depths[down] = [d + 1 for d in depths[down]]
+            up, down = range(r_x, hi), range(lo, r_p + 1)
+        for r in up:
+            depths[r] -= 1
+        for r in down:
+            depths[r] += 1
         T.rotate_up(x)
         self._reweigh()
 
@@ -361,6 +399,7 @@ class InterleavedRun:
         ev = RotationEvent(rotated, len(plan) - 1, grow, shrink)
         self.grow *= grow
         self.shrink *= shrink
+        self._reduce()
         self.report = check_rotation_delta(ev, self.report)
         return ev
 
@@ -395,19 +434,27 @@ def merge_extras(base, extras) -> list:
 # -- full accounting pipeline ---------------------------------------------------
 
 
-@dataclass
 class AccountingReport:
-    e: int
-    M: int
-    R: int
-    M_prime: int
-    R_prime: int
-    total_S_cost: int
-    phi_final: float
-    counts_exact: bool
-    e_within_budget: bool
-    empirical_ratio: float
-    check: CheckReport  # the five trial-level conditions, one tick each
+    """One accounting run's counts, its final phi and ratio, and `check`, the
+    five trial-level conditions, one tick each."""
+
+    __slots__ = ("e", "M", "R", "M_prime", "R_prime", "total_S_cost", "phi_final",
+                 "counts_exact", "e_within_budget", "empirical_ratio", "check")
+
+    def __init__(self, e: int, M: int, R: int, M_prime: int, R_prime: int,
+                 total_S_cost: int, phi_final: float, counts_exact: bool,
+                 e_within_budget: bool, empirical_ratio: float, check: CheckReport):
+        self.e = e
+        self.M = M
+        self.R = R
+        self.M_prime = M_prime
+        self.R_prime = R_prime
+        self.total_S_cost = total_S_cost
+        self.phi_final = phi_final
+        self.counts_exact = counts_exact
+        self.e_within_budget = e_within_budget
+        self.empirical_ratio = empirical_ratio
+        self.check = check
 
     @property
     def passed(self) -> bool:

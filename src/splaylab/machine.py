@@ -20,7 +20,6 @@ the rotations of an op list, and neither call charges anything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 
@@ -211,11 +210,19 @@ def build_tree(shape: str) -> TreeState:
 # -- programs ------------------------------------------------------------------
 
 
-@dataclass
 class MachineProgram:
-    """An op list for the cursor machine."""
+    """An op list for the cursor machine; two programs are equal when their
+    op lists are."""
 
-    ops: list
+    __slots__ = ("ops",)
+
+    def __init__(self, ops: list):
+        self.ops = ops
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ops == other.ops
 
     @property
     def move_count(self) -> int:

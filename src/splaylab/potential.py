@@ -13,8 +13,10 @@ of keys, so it sums to the difference of two prefix sums of the weight list;
 with each node's key interval, and `weights_of_depths` the one weight
 formula: `assign_weights` applies both, and `lab` keeps the layout of its
 reference tree across reference rotations and applies the formula to the
-kept depths.  A function that meets two trees refuses them, with KeyError,
-unless they share one key set.
+kept depths.  The powers of 4 are read off one module-level table that grows
+to the largest scale exponent seen, so a reweighing after a reference
+rotation computes no power.  A function that meets two trees refuses them,
+with KeyError, unless they share one key set.
 """
 
 from __future__ import annotations
@@ -52,13 +54,20 @@ def rank_layout(tree: TreeState) -> tuple[list, list]:
     return intervals, depths
 
 
+# 4^k at index k, for every k up to the largest scale exponent seen so far.
+_POWERS_OF_4 = [1]
+
+
 def weights_of_depths(depths: list) -> tuple[int, list]:
     """The scale exponent D, the largest of `depths`, and the weight
-    4^(D - d) of each depth d, in the order of `depths`: read off a table of
-    the powers 4^(D - d)."""
+    4^(D - d) of each depth d, in the order of `depths`: read off the
+    module's table of powers of 4, grown to 4^D on first need."""
     scale = max(depths)
-    powers = [4 ** (scale - d) for d in range(scale + 1)]
-    return scale, list(map(powers.__getitem__, depths))
+    powers = _POWERS_OF_4
+    if scale >= len(powers):
+        powers += [1 << 2 * k for k in range(len(powers), scale + 1)]
+    by_depth = powers[scale::-1]  # 4^(D - d) at index d
+    return scale, list(map(by_depth.__getitem__, depths))
 
 
 def assign_weights(reference: TreeState) -> tuple[int, list]:

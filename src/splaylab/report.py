@@ -2,16 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
-
-@dataclass(slots=True)
 class CheckReport:
     """Outcome of one checker: a count of checks and a list of violations."""
 
-    name: str
-    checked: int = 0
-    violations: list = field(default_factory=list)
+    __slots__ = ("name", "checked", "violations")
+
+    def __init__(self, name: str, checked: int = 0, violations: list | None = None):
+        self.name = name
+        self.checked = checked
+        self.violations = [] if violations is None else violations
 
     @property
     def passed(self) -> bool:

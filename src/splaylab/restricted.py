@@ -15,8 +15,6 @@ record of the restricted program, and `MachineProgram` counts its cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .machine import (
     IllegalOpError,
     MachineProgram,
@@ -41,7 +39,6 @@ _ROTATE = ((_L, _L, _ROT, _U), (_R, _R, _ROT, _U))
 _SEQUENCES = {_L: (_DOWN_LEFT,) * 2, _R: (_DOWN_RIGHT,) * 2, _U: _UP, _ROT: _ROTATE}
 
 
-@dataclass
 class SentineledTree:
     """Restricted tree plus the tracked plain tree it simulates.
 
@@ -49,8 +46,11 @@ class SentineledTree:
     extra per-node information.
     """
 
-    prime: TreeState
-    sim: TreeState
+    __slots__ = ("prime", "sim")
+
+    def __init__(self, prime: TreeState, sim: TreeState):
+        self.prime = prime
+        self.sim = sim
 
 
 def init_prime(T: TreeState) -> SentineledTree:

@@ -12,7 +12,6 @@ import csv
 import io
 import json
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 
 from .generators import (
     ExperimentConfig,
@@ -47,7 +46,6 @@ CSV_COLUMNS = [
 ]
 
 
-@dataclass(frozen=True)
 class Suite:
     """One suite: its runner, its default --trials and the ranges it draws from.
 
@@ -56,12 +54,23 @@ class Suite:
     max_trials, when set, is the most --trials the suite can honour.
     """
 
-    runner: Callable
-    trials: int
-    max_trials: int | None = None
-    min_n: int = 1
-    max_n: int | None = None
-    min_m: int | None = None
+    __slots__ = ("runner", "trials", "max_trials", "min_n", "max_n", "min_m")
+
+    def __init__(
+        self,
+        runner: Callable,
+        trials: int,
+        max_trials: int | None = None,
+        min_n: int = 1,
+        max_n: int | None = None,
+        min_m: int | None = None,
+    ):
+        self.runner = runner
+        self.trials = trials
+        self.max_trials = max_trials
+        self.min_n = min_n
+        self.max_n = max_n
+        self.min_m = min_m
 
     def trials_of(self, config: ExperimentConfig) -> Iterator:
         """Per trial k: its label, its own RNG and its key count n, drawn first."""

@@ -37,12 +37,16 @@ interval, or a left child a depth two below its parent's; the kept-state
 rows put p's kept T-interval on the wrong side of x, or swap the rank slices
 that move up and down a level, in `InterleavedRun`'s reference rotation.
 `tests/test_lab.py` checks the kept intervals and depths against fresh walks
-from a run's construction on and after every event.  The oracle row drops the returned-to-the-root flag
-from the BFS state (it always reads True), so the search serves queries
-without the pass through the root; `tests/test_oracle.py` compares the
-search with its reference.
+from a run's construction on and after every event.  The product rows keep
+`potential.weights_of_depths`' table of powers of 4 at its first entry, or
+divide only `InterleavedRun.grow` by the gcd of the two running products,
+which breaks the ratio the telescoping identity reads; `tests/test_lab.py`
+and the golden digests of `tests/test_golden.py` must reject each.  The
+oracle row drops the returned-to-the-root flag from the BFS state (it always
+reads True), so the search serves queries without the pass through the
+root; `tests/test_oracle.py` compares the search with its reference.
 
-The catalogue has 36 rows; a full run takes about 100 s on two vCPUs with
+The catalogue has 38 rows; a full run takes about 110 s on two vCPUs with
 Python 3.11.
 """
 
@@ -66,6 +70,7 @@ LEMMA3_TESTS = ("tests/test_suites.py",)
 KEPT_TESTS = ("tests/test_lab.py",)
 ORACLE_TESTS = ("tests/test_oracle.py",)
 KEY_SET_TESTS = ("tests/test_potential.py",)
+PRODUCT_TESTS = ("tests/test_lab.py", "tests/test_golden.py")
 
 
 @dataclass(frozen=True)
@@ -84,8 +89,8 @@ class Mutant:
 SPLAY_B = "parent[p] = x\n        if b is not None:\n            parent[b] = p"
 ROTATE_B = "far[key] = p\n        if b is not None:\n            parent[b] = p"
 # The two depth-slice updates of `InterleavedRun`'s reference rotation.
-DEPTH_SLICES = ("depths[up] = [d - 1 for d in depths[up]]\n"
-                "        depths[down] = [d + 1 for d in depths[down]]")
+DEPTH_SLICES = ("for r in up:\n            depths[r] -= 1\n"
+                "        for r in down:\n            depths[r] += 1")
 # The key checks of `splay` and `rotate_up`, told apart from those of
 # `splay_step` and `depth` by the line that follows each.
 SPLAY_GUARD = 'if key not in state.keys:\n        raise KeyError(f"unknown key {key!r}")\n    left'
@@ -172,8 +177,13 @@ MUTANTS = (
     Mutant("kept T: p's interval on the wrong side of x", "lab.py",
            "intervals[r_p] = r_x + 1, hi", "intervals[r_p] = lo, r_x", KEPT_TESTS),
     Mutant("kept T: up and down depth slices swapped", "lab.py", DEPTH_SLICES,
-           "depths[down] = [d - 1 for d in depths[down]]\n"
-           "        depths[up] = [d + 1 for d in depths[up]]", KEPT_TESTS),
+           "for r in down:\n            depths[r] -= 1\n"
+           "        for r in up:\n            depths[r] += 1", KEPT_TESTS),
+    # -- the power table and the running products ----------------------------
+    Mutant("weights_of_depths: power table never grows", "potential.py",
+           "if scale >= len(powers):", "if False:", PRODUCT_TESTS),
+    Mutant("InterleavedRun: only grow divided by the gcd", "lab.py",
+           "self.shrink //= g", "pass", PRODUCT_TESTS),
     Mutant("opt_cost: BFS state without returned", "oracle.py",
            "nstate = (nsid, ncursor, nk, nret)", "nstate = (nsid, ncursor, nk, True)",
            ORACLE_TESTS),

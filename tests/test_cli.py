@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -224,13 +223,21 @@ class TestCli:
         assert captured.err.startswith(f"splaylab: error: {message}")
 
 
+def with_runner(name, runner):
+    """A stand-in for suite `name`: its ranges and trial counts, `runner` as
+    its runner."""
+    suite = suites.SUITES[name]
+    return suites.Suite(runner, suite.trials, suite.max_trials,
+                        suite.min_n, suite.max_n, suite.min_m)
+
+
 class TestSuiteApi:
     def test_run_suite_unknown(self):
         with pytest.raises(ValueError):
             run_suite("bogus", ExperimentConfig())
 
     def test_nothing_checked_is_not_a_pass(self, monkeypatch):
-        idle = dataclasses.replace(suites.SUITES["lemma1"], runner=lambda suite, config, report: {})
+        idle = with_runner("lemma1", lambda suite, config, report: {})
         monkeypatch.setitem(suites.SUITES, "lemma1", idle)
         code, report = run_suite("lemma1", ExperimentConfig(trials=3))
         assert report["checked"] == 0 and report["passed"] is False and code == 1
@@ -247,7 +254,7 @@ class TestSuiteApi:
         def must_not_run(suite, config, report):
             raise AssertionError("a trial ran on a refused config")
 
-        refused = dataclasses.replace(suites.SUITES[name], runner=must_not_run)
+        refused = with_runner(name, must_not_run)
         monkeypatch.setitem(suites.SUITES, name, refused)
         with pytest.raises(ValueError, match=flag):
             run_suite(name, ExperimentConfig(**fields))

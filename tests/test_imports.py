@@ -1,8 +1,11 @@
-"""The runtime stays standard-library only, src/ carries no dead top-level names,
-and src/ reads `OpKind` members only at import."""
+"""The runtime stays standard-library only, importing the command line pulls in
+no heavy standard module, src/ carries no dead top-level names, and src/ reads
+`OpKind` members only at import."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -24,6 +27,20 @@ def test_absolute_imports_are_stdlib_or_splaylab(path):
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names.append(node.module)
     assert [n for n in names if n.split(".")[0] not in allowed] == []
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    """A fresh process that imports the command line loads neither
+    `dataclasses` nor `inspect`: their import chain (ast, dis, tokenize,
+    linecache) would add to the start-up of every splaylab process."""
+    code = ("import sys; before = set(sys.modules); import splaylab.cli; "
+            "print(*sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 def defined_names(stmt):

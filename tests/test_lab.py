@@ -287,6 +287,30 @@ class TestInterleavedRun:
             assert run.grow * end_T * start_S == run.shrink * end_S * start_T
             assert not run.report.violations
 
+    def test_long_run_products_stay_bounded(self):
+        # 300 splays with no rotation, then 1,000 events, every other one a
+        # shallow reference rotation: after every event both running
+        # products fit in `product_bits`, 2n times the largest bit length of
+        # the total weight, and their ratio still telescopes exactly.
+        n = 64
+        rng = rng_for_trial(73, 0)
+        S, T = random_pair(n, rng)
+        start_S, start_T = fresh_products(S, T)
+        run = InterleavedRun(S, T)
+        totals = [run.prefix[-1]]
+        for i in range(1300):
+            if i >= 300 and i % 2:
+                depth1, depth2 = near_root(run.T)
+                run.apply_T_rotation(rng.choice(depth1 + depth2))
+                totals.append(run.prefix[-1])
+            else:
+                run.splay_query(rng.randrange(n))
+            assert run.product_bits == 2 * n * max(t.bit_length() for t in totals)
+            assert max(run.grow, run.shrink).bit_length() <= run.product_bits
+        end_S, end_T = fresh_products(S, T)
+        assert run.grow * end_T * start_S == run.shrink * end_S * start_T
+        assert not run.report.violations
+
     def test_identical_start_zero_phi(self):
         T = random_tree(10, rng_for_trial(67, 0))
         run = InterleavedRun(T.copy(), T)
