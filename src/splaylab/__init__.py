@@ -31,7 +31,6 @@ from .oracle import (
     static_optimal,
 )
 from .lab import (
-    AccountingReport,
     InterleavedRun,
     RotationEvent,
     SplayEvent,

@@ -7,9 +7,7 @@ import math
 import random
 import re
 
-from .machine import MachineProgram, OpKind, TreeState, tree_from_roots
-
-_L, _R, _U, _ROT = OpKind.LEFT, OpKind.RIGHT, OpKind.UP, OpKind.ROTATE
+from .machine import _L, _R, _ROT, _U, MachineProgram, TreeState, tree_from_roots
 
 
 def rng_for_trial(seed: int, trial: int) -> random.Random:

@@ -3,7 +3,8 @@
 Runs a splay tree against a reference tree over the same keys, tracking the
 cross-tree potential, checking the per-splay amortized bounds and the
 constant bound on the potential jump of each reference rotation (preceded by
-its organizing splays), and producing full accounting reports.
+its organizing splays), and running the full accounting pipeline, whose
+trial row is the one record of the counts the theorem7 report lists.
 
 Every BST subtree holds a contiguous run of keys, so S's subtree sums are
 read as key-interval sums: with the weights listed in key order, `prefix`
@@ -434,44 +435,22 @@ def merge_extras(base, extras) -> list:
 # -- full accounting pipeline ---------------------------------------------------
 
 
-class AccountingReport:
-    """One accounting run's counts, its final phi and ratio, and `check`, the
-    five trial-level conditions, one tick each."""
-
-    __slots__ = ("e", "M", "R", "M_prime", "R_prime", "total_S_cost", "phi_final",
-                 "counts_exact", "e_within_budget", "empirical_ratio", "check")
-
-    def __init__(self, e: int, M: int, R: int, M_prime: int, R_prime: int,
-                 total_S_cost: int, phi_final: float, counts_exact: bool,
-                 e_within_budget: bool, empirical_ratio: float, check: CheckReport):
-        self.e = e
-        self.M = M
-        self.R = R
-        self.M_prime = M_prime
-        self.R_prime = R_prime
-        self.total_S_cost = total_S_cost
-        self.phi_final = phi_final
-        self.counts_exact = counts_exact
-        self.e_within_budget = e_within_budget
-        self.empirical_ratio = empirical_ratio
-        self.check = check
-
-    @property
-    def passed(self) -> bool:
-        return self.check.passed
-
-
-def accounting_run(n: int, queries, strategy: str = "oracle-witness") -> AccountingReport:
+def accounting_run(n: int, queries, strategy: str = "oracle-witness") -> tuple:
     """Full pipeline: reference program -> restricted simulation -> interleaved
-    splays with organizing splays and per-event checks -> accounting report.
+    splays with organizing splays and per-event checks -> (row, check).
+
+    `row` holds the trial's counts as the theorem7 report lists them (its
+    CSV columns but the seed): n, m, the reference program's M and R, the
+    restricted program's M' and R', e organizing splays, the splays' total
+    cost, phi_final and max_ratio = total cost / (n + M' + R').
 
     The splay tree starts identical to the restricted tree (n+2 keys including
     the sentinels), so the initial potential is exactly zero.  Both trees have
-    n+2 nodes, so 2^phi = prod s_S / prod s_T.  The report's check holds five
-    exact conditions: no interleaved-bound violation, exact simulated op
-    counts, e <= 3R', the telescoping identity run.grow / run.shrink =
-    2^phi_final, read off the same final passes as `phi_final`, and a zero
-    initial potential.
+    n+2 nodes, so 2^phi = prod s_S / prod s_T.  `check` holds five exact
+    conditions, one tick each: no interleaved-bound violation, exact
+    simulated op counts, e <= 3R', the telescoping identity run.grow /
+    run.shrink = 2^phi_final, read off the same final passes as `phi_final`,
+    and a zero initial potential.
     """
     queries = list(queries)
     counts = [0] * n
@@ -494,32 +473,22 @@ def accounting_run(n: int, queries, strategy: str = "oracle-witness") -> Account
         restricted.ops += apply_t_ops(st, segments[k], rotate=run.apply_T_rotation)
 
     m_prime, r_prime = restricted.move_count, restricted.rotation_count
-    counts_exact = (m_prime == 4 * M + 3 * R) and (r_prime == 2 * M + R)
     e = run.organizing_count
-    e_within_budget = e <= ORGANIZING_SPLAYS_PER_ROTATION * r_prime
     sums_S, sums_T = run.sums()
     phi_final = potential(sums_S, run.scale) - potential(sums_T, run.scale)
     check = CheckReport("accounting", checked=5, violations=list(run.report.violations))
-    if not counts_exact:
+    if m_prime != 4 * M + 3 * R or r_prime != 2 * M + R:
         check.fail("simulated op counts off")
-    if not e_within_budget:
+    if e > ORGANIZING_SPLAYS_PER_ROTATION * r_prime:
         check.fail(f"e={e} exceeds 3R'={ORGANIZING_SPLAYS_PER_ROTATION * r_prime}")
     if run.grow * prod(sums_T.values()) != run.shrink * prod(sums_S.values()):
         check.fail(f"telescoping: the events' change of phi "
                    f"{log2_ratio(run.grow, run.shrink)} is not phi_final {phi_final}")
     if start_S != start_T:
         check.fail(f"initial potential {log2_ratio(start_S, start_T)}")
-    denom = n + m_prime + r_prime
-    return AccountingReport(
-        e=e,
-        M=M,
-        R=R,
-        M_prime=m_prime,
-        R_prime=r_prime,
-        total_S_cost=run.s_cost,
-        phi_final=phi_final,
-        counts_exact=counts_exact,
-        e_within_budget=e_within_budget,
-        empirical_ratio=(run.s_cost / denom) if denom else 0.0,
-        check=check,
-    )
+    row = {
+        "n": n, "m": len(queries), "M": M, "R": R, "M_prime": m_prime, "R_prime": r_prime,
+        "e": e, "total_S_cost": run.s_cost, "phi_final": phi_final,
+        "max_ratio": run.s_cost / (n + m_prime + r_prime),
+    }
+    return row, check

@@ -47,6 +47,7 @@ class OpKind(Enum):
     ROTATE = "rotate"
 
 
+# The members bound once, here; the other modules import these names.
 _L, _R, _U, _ROT = OpKind.LEFT, OpKind.RIGHT, OpKind.UP, OpKind.ROTATE
 
 

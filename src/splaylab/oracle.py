@@ -16,14 +16,15 @@ from collections import deque
 from itertools import accumulate
 
 from .machine import (
+    _L,
+    _R,
+    _ROT,
+    _U,
     IllegalOpError,
-    OpKind,
     TreeState,
     apply_op,
     tree_from_roots,
 )
-
-_L, _R, _U, _ROT = OpKind.LEFT, OpKind.RIGHT, OpKind.UP, OpKind.ROTATE
 
 MAX_OPT_KEYS = 6
 MAX_OPT_QUERIES = 8

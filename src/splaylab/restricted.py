@@ -16,6 +16,10 @@ record of the restricted program, and `MachineProgram` counts its cost.
 from __future__ import annotations
 
 from .machine import (
+    _L,
+    _R,
+    _ROT,
+    _U,
     IllegalOpError,
     MachineProgram,
     OpKind,
@@ -24,8 +28,6 @@ from .machine import (
     apply_ops,
 )
 from .report import CheckReport
-
-_L, _R, _U, _ROT = OpKind.LEFT, OpKind.RIGHT, OpKind.UP, OpKind.ROTATE
 
 # The fixed op sequence that simulates each op, by side: entry 1 when the key
 # the op leads to (the child or parent the cursor moves to, or the parent it

@@ -117,20 +117,12 @@ def run_lemma3(suite: Suite, config: ExperimentConfig, report: CheckReport) -> d
     return {}
 
 
-def near_root(T: TreeState) -> tuple[list, list]:
-    """T's keys at depth 1 and at depth 2, each list in key order: the same
-    lists a scan of T's in-order by depth gives, read off the root's links."""
-    left, right = T.left, T.right
-    depth1 = [c for c in (left[T.root], right[T.root]) if c is not None]
-    depth2 = [g for c in depth1 for g in (left[c], right[c]) if g is not None]
-    return depth1, depth2
-
-
 def run_lemma4(suite: Suite, config: ExperimentConfig, report: CheckReport) -> dict:
     """Per-splay amortized bounds during interleaved runs with T rotations.
 
-    T's keys are 0..n-1 and rotations keep its in-order, so a splay key is
-    drawn from range(n).
+    T's keys are 0..n-1 and rotations keep its in-order, so a key is its
+    rank: a splay key is drawn from range(n), and a rotated key from T's
+    depth-1 and depth-2 keys, in key order, read off the run's kept depths.
     """
     splays = 0
     for label, rng, n in suite.trials_of(config):
@@ -138,8 +130,7 @@ def run_lemma4(suite: Suite, config: ExperimentConfig, report: CheckReport) -> d
         run = InterleavedRun(S, T)
         for _ in range(rng.randint(1, 8)):
             if rng.random() < 0.25:
-                depth1, depth2 = near_root(T)
-                shallow = sorted(depth1 + depth2)
+                shallow = [k for k, d in enumerate(run.t_depths) if 0 < d < 3]
                 if shallow:
                     run.apply_T_rotation(rng.choice(shallow))
                     continue
@@ -153,7 +144,9 @@ def run_lemma5(suite: Suite, config: ExperimentConfig, report: CheckReport) -> d
     """Potential jump bound for reference rotations at depth 1 and depth 2.
 
     Trials are seeded per depth and retried until the tree has a key there,
-    so this suite keeps its own loop; its labels count trials from 1.
+    so this suite keeps its own loop; its labels count trials from 1.  The
+    candidates, in key order, are read off the run's kept depths; building
+    the run draws nothing from the RNG.
     """
     for depth_target in (1, 2):
         done = 0
@@ -162,10 +155,10 @@ def run_lemma5(suite: Suite, config: ExperimentConfig, report: CheckReport) -> d
             rng = rng_for_trial(config.seed, 10 ** 6 * depth_target + trial)
             trial += 1
             S, T = random_pair(rng.randint(suite.min_n, config.n), rng)
-            candidates = near_root(T)[depth_target - 1]
+            run = InterleavedRun(S, T)
+            candidates = [k for k, d in enumerate(run.t_depths) if d == depth_target]
             if not candidates:
                 continue
-            run = InterleavedRun(S, T)
             run.apply_T_rotation(rng.choice(candidates))
             report.absorb(run.report, f"depth {depth_target} trial {trial}")
             done += 1
@@ -186,19 +179,15 @@ def run_lemma6(suite: Suite, config: ExperimentConfig, report: CheckReport) -> d
 
 
 def run_theorem7(suite: Suite, config: ExperimentConfig, report: CheckReport) -> dict:
-    """End-to-end accounting runs against oracle-optimal reference programs."""
+    """End-to-end accounting runs against oracle-optimal reference programs;
+    each trial reports the row `accounting_run` returns, after the seed."""
     rows = []
     for label, rng, n in suite.trials_of(config):
         m = rng.randint(suite.min_m, min(MAX_OPT_QUERIES, config.m))
         queries = [rng.randrange(n) for _ in range(m)]
-        acc = accounting_run(n, queries, strategy=config.strategy)
-        report.absorb(acc.check, label)
-        rows.append({
-            "seed": config.seed, "n": n, "m": m, "M": acc.M, "R": acc.R,
-            "M_prime": acc.M_prime, "R_prime": acc.R_prime, "e": acc.e,
-            "total_S_cost": acc.total_S_cost, "phi_final": acc.phi_final,
-            "max_ratio": acc.empirical_ratio,
-        })
+        row, check = accounting_run(n, queries, strategy=config.strategy)
+        report.absorb(check, label)
+        rows.append({"seed": config.seed, **row})
     return {"runs": rows, "max_ratio": max((r["max_ratio"] for r in rows), default=0.0)}
 
 
@@ -206,8 +195,7 @@ def rows_to_csv(rows) -> str:
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow({col: row[col] for col in CSV_COLUMNS})
+    writer.writerows(rows)
     return buf.getvalue()
 
 

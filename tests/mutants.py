@@ -44,9 +44,13 @@ which breaks the ratio the telescoping identity reads; `tests/test_lab.py`
 and the golden digests of `tests/test_golden.py` must reject each.  The
 oracle row drops the returned-to-the-root flag from the BFS state (it always
 reads True), so the search serves queries without the pass through the
-root; `tests/test_oracle.py` compares the search with its reference.
+root; `tests/test_oracle.py` compares the search with its reference.  The
+pick rows let `lemma4` draw a rotated key at depth 3, or `lemma5` a
+candidate below its target depth, off the run's kept depths; the ratio row
+drops R' from the denominator of a theorem7 row's `max_ratio`.  The golden
+digests of `tests/test_golden.py` must reject each.
 
-The catalogue has 38 rows; a full run takes about 110 s on two vCPUs with
+The catalogue has 41 rows; a full run takes about 110 s on two vCPUs with
 Python 3.11.
 """
 
@@ -71,6 +75,7 @@ KEPT_TESTS = ("tests/test_lab.py",)
 ORACLE_TESTS = ("tests/test_oracle.py",)
 KEY_SET_TESTS = ("tests/test_potential.py",)
 PRODUCT_TESTS = ("tests/test_lab.py", "tests/test_golden.py")
+GOLDEN_TESTS = ("tests/test_golden.py",)
 
 
 @dataclass(frozen=True)
@@ -168,7 +173,7 @@ MUTANTS = (
     Mutant("lemma3: expected moves 4M + 3R -> 4M + 2R", "suites.py",
            "(4 * M + 3 * R, 2 * M + R)", "(4 * M + 2 * R, 2 * M + R)", LEMMA3_TESTS),
     Mutant("accounting_run: expected rotations 2M + R -> 2M + 2R", "lab.py",
-           "(r_prime == 2 * M + R)", "(r_prime == 2 * M + 2 * R)", LEMMA3_TESTS),
+           "r_prime != 2 * M + R", "r_prime != 2 * M + 2 * R", LEMMA3_TESTS),
     # -- T's rank layout, kept T state and the oracle's BFS state --------------
     Mutant("rank_layout: right child's interval starts at its parent's rank", "potential.py",
            "(right[node], r + 1, hi, d + 1)", "(right[node], r, hi, d + 1)", KEPT_TESTS),
@@ -187,6 +192,13 @@ MUTANTS = (
     Mutant("opt_cost: BFS state without returned", "oracle.py",
            "nstate = (nsid, ncursor, nk, nret)", "nstate = (nsid, ncursor, nk, True)",
            ORACLE_TESTS),
+    # -- the suites' picks off the kept depths and theorem7's row --------------
+    Mutant("lemma4: rotated keys drawn down to depth 3", "suites.py",
+           "if 0 < d < 3]", "if 0 < d < 4]", GOLDEN_TESTS),
+    Mutant("lemma5: candidates at or below the target depth", "suites.py",
+           "if d == depth_target]", "if d >= depth_target]", GOLDEN_TESTS),
+    Mutant("theorem7 row: max_ratio denominator without R'", "lab.py",
+           "run.s_cost / (n + m_prime + r_prime)", "run.s_cost / (n + m_prime)", GOLDEN_TESTS),
 )
 
 

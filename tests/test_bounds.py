@@ -132,9 +132,9 @@ def test_telescoping_is_exact(off, passed, monkeypatch):
     # The first splay's ratio, put in 2^40 times finer units, is off by `off`
     # of them: the run's change of phi then misses phi_final by at most 2^-40
     # relative, and only the telescoping identity can see it.
-    acc = rewrite_first_splay(monkeypatch, UNIT, off)
-    assert acc.passed == passed
-    assert [v.split(":")[0] for v in acc.check.violations] == ([] if passed else ["telescoping"])
+    _, check = rewrite_first_splay(monkeypatch, UNIT, off)
+    assert check.passed == passed
+    assert [v.split(":")[0] for v in check.violations] == ([] if passed else ["telescoping"])
 
 
 @pytest.mark.parametrize("scale", [3, UNIT + 1], ids=["3", "2^40+1"])
@@ -142,8 +142,8 @@ def test_telescoping_compares_ratios(scale, monkeypatch):
     # The first splay's grow and shrink share a factor that is no power of
     # two: the ratio is the same, so the identity, which compares ratios and
     # not their representations, must still hold.
-    acc = rewrite_first_splay(monkeypatch, scale, 0)
-    assert acc.passed and acc.check.violations == []
+    _, check = rewrite_first_splay(monkeypatch, scale, 0)
+    assert check.passed and check.violations == []
 
 
 def family(n):
@@ -205,10 +205,10 @@ def test_organizing_splays_are_5M_plus_3R(strategy):
         rng = rng_for_trial(0, k)
         n = rng.randint(2, 6)
         queries = [rng.randrange(n) for _ in range(rng.randint(1, 8))]
-        acc = accounting_run(n, queries, strategy=strategy)
-        assert acc.R_prime == 2 * acc.M + acc.R
-        assert acc.e == 5 * acc.M + 3 * acc.R
-        rotated += acc.R_prime > 0
+        row, _ = accounting_run(n, queries, strategy=strategy)
+        assert row["R_prime"] == 2 * row["M"] + row["R"]
+        assert row["e"] == 5 * row["M"] + 3 * row["R"]
+        rotated += row["R_prime"] > 0
     assert rotated > 20
 
 
@@ -227,11 +227,13 @@ def test_organizing_splay_budget(extra, passed, monkeypatch):
         return keys
 
     monkeypatch.setattr(splaylab.lab, "plan_organizing_splays", padded)
-    acc = accounting_run(6, [1, 4, 0, 2, 0, 3])
-    assert acc.R_prime > 0 and acc.M > 0
-    assert acc.e == 3 * acc.R_prime + extra == sum(map(len, plans))
-    assert acc.e_within_budget == passed
-    assert acc.passed == passed
+    row, check = accounting_run(6, [1, 4, 0, 2, 0, 3])
+    e, r_prime = row["e"], row["R_prime"]
+    assert r_prime > 0 and row["M"] > 0
+    assert e == 3 * r_prime + extra == sum(map(len, plans))
+    assert (e <= 3 * r_prime) == passed
+    assert check.passed == passed
+    assert check.violations == ([] if passed else [f"e={e} exceeds 3R'={3 * r_prime}"])
 
 
 def test_every_mutant_target_occurs_once():

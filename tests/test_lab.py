@@ -32,7 +32,7 @@ from splaylab.potential import assign_weights, potential, potential_of, subtree_
 from splaylab.report import CheckReport
 from splaylab.restricted import init_prime
 from splaylab.splay import total_access_cost
-from splaylab.suites import near_root
+from splaylab.suites import CSV_COLUMNS, run_suite
 
 from reference import (
     all_depths,
@@ -42,6 +42,11 @@ from reference import (
     reference_subtree_sums,
     same_structure,
 )
+
+
+def shallow_keys(run):
+    """T's keys at depth 1 or 2, in key order, read off the run's kept depths."""
+    return [k for k, d in zip(run.T.keys, run.t_depths) if 0 < d < 3]
 
 
 def key_order(T):
@@ -300,8 +305,7 @@ class TestInterleavedRun:
         totals = [run.prefix[-1]]
         for i in range(1300):
             if i >= 300 and i % 2:
-                depth1, depth2 = near_root(run.T)
-                run.apply_T_rotation(rng.choice(depth1 + depth2))
+                run.apply_T_rotation(rng.choice(shallow_keys(run)))
                 totals.append(run.prefix[-1])
             else:
                 run.splay_query(rng.randrange(n))
@@ -468,8 +472,7 @@ class TestKeptSums:
                 assert log == [("layout", T)]
                 log.clear()
                 for _ in range(4):
-                    depth1, depth2 = near_root(T)
-                    run.apply_T_rotation(rng.choice(depth1 + depth2))
+                    run.apply_T_rotation(rng.choice(shallow_keys(run)))
                     rotations += 1
                     assert log and all(entry == ("path", S) for entry in log)
                     log.clear()
@@ -504,13 +507,13 @@ class TestKeptSums:
         monkeypatch.setattr(splaylab.lab, "subtree_sums", counted_sums)
         monkeypatch.setattr(splaylab.potential, "subtree_sums", counted_sums)
         monkeypatch.setattr(splaylab.lab, "InterleavedRun", Logged)
-        acc = accounting_run(6, [1, 4, 0, 2, 0, 3])
+        row, _ = accounting_run(6, [1, 4, 0, 2, 0, 3])
         (run,) = runs
-        assert acc.R > 0
+        assert row["R"] > 0
         last = len(log) - log[::-1].index("event")
         assert log[last:] == [run.S, run.T]
-        assert acc.phi_final == (potential_of(run.S, run.scale, run.weights)
-                                 - potential_of(run.T, run.scale, run.weights))
+        assert row["phi_final"] == (potential_of(run.S, run.scale, run.weights)
+                                    - potential_of(run.T, run.scale, run.weights))
         end_S, end_T = (prod(sums.values()) for sums in run.sums())
         assert run.grow * end_T == run.shrink * end_S
 
@@ -641,9 +644,9 @@ def test_interval_sums_and_deltas_match_fresh_passes(data, n, seed, per_step, re
 
     assert_sums_fresh()
     for _ in range(data.draw(st.integers(1, 12))):
-        depth1, depth2 = near_root(run.T)
-        if (depth1 or depth2) and data.draw(st.booleans()):
-            rotated = data.draw(st.sampled_from(depth1 + depth2))
+        shallow = shallow_keys(run)
+        if shallow and data.draw(st.booleans()):
+            rotated = data.draw(st.sampled_from(shallow))
             S2, T2 = run.S.copy(), run.T.copy()
             total_access_cost(S2, plan_organizing_splays(T2, rotated))
             before_S, before_T = fresh_products(S2, T2)
@@ -692,17 +695,34 @@ class TestAccountingRun:
         for _ in range(15):
             n = rng.randint(2, 5)
             queries = [rng.randrange(n) for _ in range(rng.randint(1, 6))]
-            acc = accounting_run(n, queries)
-            assert acc.counts_exact
-            assert acc.e_within_budget
-            assert acc.check.checked == 5
-            assert not acc.check.violations
-            assert acc.passed
+            row, check = accounting_run(n, queries)
+            M, R = row["M"], row["R"]
+            assert row["M_prime"] == 4 * M + 3 * R and row["R_prime"] == 2 * M + R
+            assert row["e"] <= 3 * row["R_prime"]
+            assert check.checked == 5
+            assert not check.violations
+            assert check.passed
 
     def test_static_strategy(self):
-        acc = accounting_run(4, [0, 3, 1, 3], strategy="static")
-        assert acc.passed
-        assert acc.M_prime == 4 * acc.M + 3 * acc.R
+        row, check = accounting_run(4, [0, 3, 1, 3], strategy="static")
+        assert check.passed
+        assert row["M_prime"] == 4 * row["M"] + 3 * row["R"]
+
+    def test_theorem7_reports_each_row_as_returned(self, monkeypatch):
+        # A trial's row is the one record of its counts: its keys are the
+        # CSV columns but the seed, and the report lists it with the seed.
+        rows = []
+
+        def recorded(*args, **kwargs):
+            row, check = accounting_run(*args, **kwargs)
+            rows.append(row)
+            return row, check
+
+        monkeypatch.setattr(splaylab.suites, "accounting_run", recorded)
+        code, report = run_suite("theorem7", ExperimentConfig(seed=3, trials=20))
+        assert code == 0 and len(rows) == 20
+        assert all(list(row) == [c for c in CSV_COLUMNS if c != "seed"] for row in rows)
+        assert report["runs"] == [{"seed": 3, **row} for row in rows]
 
     def test_unknown_query_rejected(self):
         # -1 would count into the last key's slot of a list of counts.

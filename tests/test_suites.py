@@ -1,6 +1,5 @@
-"""The suite layer: violation labels, checked counts, the suite table, the
-keys near a reference root and the conjecture hill-climb's checkpointed
-replay."""
+"""The suite layer: violation labels, checked counts, the suite table and the
+conjecture hill-climb's checkpointed replay."""
 
 import re
 
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
-from reference import in_order, reference_run_conjecture, same_structure
+from reference import reference_run_conjecture, same_structure
 from splaylab import lab, suites
 from splaylab.cli import main
 from splaylab.generators import ExperimentConfig, random_tree, rng_for_trial
@@ -17,7 +16,7 @@ from splaylab.machine import IllegalOpError, MachineProgram, OpKind
 from splaylab.report import CheckReport
 from splaylab.restricted import simulate_program
 from splaylab.splay import total_access_cost
-from splaylab.suites import CHECKPOINT_SPACING, PrefixReplay, near_root, run_suite
+from splaylab.suites import CHECKPOINT_SPACING, PrefixReplay, run_suite
 
 LAB_CHECKERS = ("check_access_lemma", "check_amortized_depth", "check_rotation_delta")
 
@@ -204,17 +203,3 @@ def test_prefix_replay_cost_matches_full_replay(data, n, m, seed):
             assert replay.costs == fresh.costs
             assert len(replay.trees) == len(fresh.trees) == m // CHECKPOINT_SPACING + 1
             assert all(map(same_structure, replay.trees, fresh.trees))
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(1, 40), st.integers(0, 2**30), st.lists(st.integers(0, 39), max_size=8))
-def test_near_root_matches_an_in_order_scan(n, seed, rotated):
-    # The depth-1 and depth-2 keys read off the root's links, against a scan
-    # of T's in-order by depth, also after rotations.
-    T = random_tree(n, rng_for_trial(seed, 0))
-    for key in rotated:
-        depth1, depth2 = near_root(T)
-        assert depth1 == [k for k in in_order(T) if T.depth(k) == 1]
-        assert depth2 == [k for k in in_order(T) if T.depth(k) == 2]
-        if key < n and T.parent[key] is not None:
-            T.rotate_up(key)
