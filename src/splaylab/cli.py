@@ -33,7 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="number of randomized trials (suite-specific default)")
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="write the report here instead of stdout "
-                             "(.csv selects CSV rows for theorem7)")
+                             "(.csv selects CSV rows; theorem7 only)")
     parser.add_argument("--config", default=None, metavar="PATH",
                         help="JSON file of config fields; flags override it")
     return parser

@@ -12,6 +12,7 @@ import csv
 import io
 import json
 from collections.abc import Callable, Iterator
+from itertools import islice
 
 from .generators import (
     ExperimentConfig,
@@ -39,6 +40,11 @@ from .restricted import (
 from .splay import total_access_cost
 
 SCHEMA_VERSION = 1
+
+# The JSON rendering's encoder, and how many of its chunks render_report
+# joins into one partial string.
+JSON_ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
+RENDER_BATCH = 2048
 
 CSV_COLUMNS = [
     "seed", "n", "m", "M", "R", "M_prime", "R_prime", "e",
@@ -384,10 +390,29 @@ def check_config(name: str, config: ExperimentConfig) -> None:
         raise ValueError(f"unknown strategy {config.strategy!r} for --strategy; "
                          f"choose from {list(STRATEGIES)}")
     parse_generator(config.generator)
+    if name != "theorem7" and csv_requested(config):
+        raise ValueError(f"--out {config.output_path}: only suite theorem7 writes CSV; "
+                         f"suite {name} reports JSON")
+
+
+def csv_requested(config: ExperimentConfig) -> bool:
+    """Whether the output path names a .csv file, which selects theorem7's CSV rows."""
+    return bool(config.output_path) and config.output_path.endswith(".csv")
 
 
 def render_report(name: str, config: ExperimentConfig, report: dict) -> str:
-    """Deterministic textual rendering: JSON, or CSV for theorem7 row dumps."""
-    if name == "theorem7" and config.output_path and config.output_path.endswith(".csv"):
+    """Deterministic textual rendering: JSON, or CSV for theorem7 row dumps.
+
+    The JSON text is `json.dumps(report, sort_keys=True, indent=2)` plus a
+    newline, joined RENDER_BATCH encoder chunks at a time: with `indent` set
+    the encoder yields a few characters per chunk, and `dumps` would hold
+    every chunk as its own string until its one join.
+    """
+    if name == "theorem7" and csv_requested(config):
         return rows_to_csv(report["runs"])
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    chunks = JSON_ENCODER.iterencode(report)
+    parts = []
+    while batch := list(islice(chunks, RENDER_BATCH)):
+        parts.append("".join(batch))
+    parts.append("\n")
+    return "".join(parts)

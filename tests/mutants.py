@@ -47,10 +47,12 @@ reads True), so the search serves queries without the pass through the
 root; `tests/test_oracle.py` compares the search with its reference.  The
 pick rows let `lemma4` draw a rotated key at depth 3, or `lemma5` a
 candidate below its target depth, off the run's kept depths; the ratio row
-drops R' from the denominator of a theorem7 row's `max_ratio`.  The golden
-digests of `tests/test_golden.py` must reject each.
+drops R' from the denominator of a theorem7 row's `max_ratio`; the render
+row drops the last batch of JSON chunks that `render_report` joins when it
+holds fewer than a full batch.  The golden digests of `tests/test_golden.py`
+must reject each.
 
-The catalogue has 41 rows; a full run takes about 110 s on two vCPUs with
+The catalogue has 42 rows; a full run takes about 110 s on two vCPUs with
 Python 3.11.
 """
 
@@ -199,6 +201,11 @@ MUTANTS = (
            "if d == depth_target]", "if d >= depth_target]", GOLDEN_TESTS),
     Mutant("theorem7 row: max_ratio denominator without R'", "lab.py",
            "run.s_cost / (n + m_prime + r_prime)", "run.s_cost / (n + m_prime)", GOLDEN_TESTS),
+    # -- the report's rendering ---------------------------------------------------
+    Mutant("render_report: last partial batch dropped", "suites.py",
+           "while batch := list(islice(chunks, RENDER_BATCH)):",
+           "while len(batch := list(islice(chunks, RENDER_BATCH))) == RENDER_BATCH:",
+           GOLDEN_TESTS),
 )
 
 

@@ -184,6 +184,15 @@ class TestCli:
             assert str(out_path) in captured.err
             assert not out_path.is_file()
 
+    def test_csv_out_for_a_json_suite_is_error_exit(self, tmp_path, capsys):
+        # Only theorem7 renders CSV; lemma1 would write JSON into the .csv file.
+        out_path = tmp_path / "x.csv"
+        code = main(["--suite", "lemma1", "--trials", "1", "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"splaylab: error: --out {out_path}: only suite theorem7")
+        assert not out_path.exists()
+
     def test_theorem7_violation_reaches_report(self, monkeypatch, capsys):
         def failing(ev, report):
             report.tick()
@@ -249,7 +258,9 @@ class TestSuiteApi:
         ("theorem7", dict(m=0), "--m"),
         ("lemma1", dict(generator="bogus"), "--generator"),
         ("theorem7", dict(strategy="bogus"), "--strategy"),
-    ], ids=["scan9n-trials", "lemma1-trials", "lemma3-n", "theorem7-m", "generator", "strategy"])
+        ("lemma1", dict(output_path="x.csv"), "--out"),
+    ], ids=["scan9n-trials", "lemma1-trials", "lemma3-n", "theorem7-m", "generator", "strategy",
+            "csv-out"])
     def test_refused_before_any_trial(self, monkeypatch, name, fields, flag):
         def must_not_run(suite, config, report):
             raise AssertionError("a trial ran on a refused config")

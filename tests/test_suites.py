@@ -1,7 +1,9 @@
-"""The suite layer: violation labels, checked counts, the suite table and the
-conjecture hill-climb's checkpointed replay."""
+"""The suite layer: violation labels, checked counts, the suite table, the
+conjecture hill-climb's checkpointed replay and the report's rendering."""
 
+import json
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,13 @@ from splaylab.machine import IllegalOpError, MachineProgram, OpKind
 from splaylab.report import CheckReport
 from splaylab.restricted import simulate_program
 from splaylab.splay import total_access_cost
-from splaylab.suites import CHECKPOINT_SPACING, PrefixReplay, run_suite
+from splaylab.suites import (
+    CHECKPOINT_SPACING,
+    RENDER_BATCH,
+    PrefixReplay,
+    render_report,
+    run_suite,
+)
 
 LAB_CHECKERS = ("check_access_lemma", "check_amortized_depth", "check_rotation_delta")
 
@@ -203,3 +211,50 @@ def test_prefix_replay_cost_matches_full_replay(data, n, m, seed):
             assert replay.costs == fresh.costs
             assert len(replay.trees) == len(fresh.trees) == m // CHECKPOINT_SPACING + 1
             assert all(map(same_structure, replay.trees, fresh.trees))
+
+
+def chunk_count(report) -> int:
+    return sum(1 for _ in json.JSONEncoder(sort_keys=True, indent=2).iterencode(report))
+
+
+def report_of_chunks(chunks: int) -> dict:
+    """A report with nested lists (like conjecture's extras), violations that
+    need escaping and an infinite max_ratio, whose JSON encoder yields exactly
+    `chunks` chunks; each int of `pad` past its first adds one chunk."""
+    report = {
+        "schema_version": 1,
+        "passed": False,
+        "max_ratio": float("inf"),
+        "extras": [[3, 1], [7, 0], []],
+        "violations": ['trial 0: "quoted" \\ and\ttab', "trial 1: na\u00efve \u2713\n"],
+        "pad": [0],
+    }
+    report["pad"] = list(range(chunks - chunk_count(report) + 1))
+    return report
+
+
+@pytest.mark.parametrize("chunks", [
+    1, RENDER_BATCH - 1, RENDER_BATCH, RENDER_BATCH + 1, 2 * RENDER_BATCH, 2 * RENDER_BATCH + 1,
+])
+def test_render_report_matches_dumps_across_batch_edges(chunks):
+    report = {} if chunks == 1 else report_of_chunks(chunks)
+    assert chunk_count(report) == chunks
+    text = render_report("conjecture", ExperimentConfig(), report)
+    assert text == json.dumps(report, sort_keys=True, indent=2) + "\n"
+    if chunks > 1:
+        assert "Infinity" in text and '\\"quoted\\"' in text and "[\n      3," in text
+
+
+def test_render_report_peak_memory_is_bounded():
+    # The benchmark's theorem7 workload at seed 0: about 353,000 characters
+    # of report from about 72,000 encoder chunks.  `json.dumps` peaks near
+    # 8.6 times the text, since it holds every chunk until its one join.
+    config = ExperimentConfig(seed=0, n=6, m=8, trials=1500)
+    _, report = run_suite("theorem7", config)
+    tracemalloc.start()
+    try:
+        text = render_report("theorem7", config, report)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * len(text)
