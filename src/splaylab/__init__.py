@@ -20,7 +20,6 @@ from .potential import (
     subtree_sums,
 )
 from .restricted import (
-    SentineledTree,
     check_restricted,
     init_prime,
     simulate_program,

@@ -7,19 +7,19 @@ its organizing splays), and running the full accounting pipeline, whose
 trial row is the one record of the counts the theorem7 report lists.
 
 Every BST subtree holds a contiguous run of keys, so S's subtree sums are
-read as key-interval sums: with the weights listed in key order, `prefix`
-their prefix sums and a key's rank its offset from the first key, the
-subtree over the keys of ranks lo..hi-1 sums to prefix[hi] - prefix[lo].  A
-splay reads the 2-3 sums each step changes; a reference rotation reads only
-the nodes on S's paths to the keys it splayed.  Whole-tree passes are left
-to the start and the end of an accounting run (`InterleavedRun.sums`).
+read as key-interval sums: every tree is over 0..len-1, so with the weights
+listed in key order and `prefix` their prefix sums, the subtree over the
+keys lo..hi-1 sums to prefix[hi] - prefix[lo].  A splay reads the 2-3 sums
+each step changes; a reference rotation reads only the nodes on S's paths
+to the keys it splayed.  Whole-tree passes are left to the start and the end
+of an accounting run (`InterleavedRun.sums`).
 
-A run keeps T's rank interval and depth per rank, listed at its start by
+A run keeps T's key interval and depth per key, listed at its start by
 `potential.rank_layout`, and its weight vector, the pair (scale, weights),
 is `potential.weights_of_depths` of the kept depths: the run is its one
 holder, and hands `weights` to `subtree_sums` and `scale` to `potential`.
 A rotation of x over p changes only x's and p's intervals and moves two
-rank slices one level, so it updates those lists in place and reweighs from
+key slices one level, so it updates those lists in place and reweighs from
 the depths: no walk of T from its root remains on the rotation path, and a
 splay reads its key's reference depth off the list.
 
@@ -117,17 +117,16 @@ class RotationEvent:
 
 def key_path(tree: TreeState, key: int) -> list:
     """The path from `tree`'s root down to `key`, each node as (node, lo, hi):
-    its subtree holds exactly the keys of ranks (offsets from the first key)
-    lo..hi-1."""
-    left, right, start = tree.left, tree.right, tree.keys.start
+    its subtree holds exactly the keys lo..hi-1."""
+    left, right = tree.left, tree.right
     node, lo, hi = tree.root, 0, len(tree.keys)
     path = [(node, lo, hi)]
     while node != key:
         if key < node:
-            hi = node - start
+            hi = node
             node = left[node]
         else:
-            lo = node - start + 1
+            lo = node + 1
             node = right[node]
         path.append((node, lo, hi))
     return path
@@ -142,8 +141,8 @@ def checked_splay(
 ) -> SplayEvent:
     """Splay `key` in S under fixed weights, recording everything the
     amortized checks need.  `prefix` lists the prefix sums of the weights
-    in key order and a key's rank is its offset from `S.keys.start`, so the
-    subtree over the keys of ranks lo..hi-1 sums to prefix[hi] - prefix[lo].
+    in key order, so the subtree over the keys lo..hi-1 sums to
+    prefix[hi] - prefix[lo].
 
     A step changes the subtree sums of only the key x, its parent p and its
     grandparent g.  x takes the key interval of the top node of the three; p
@@ -157,13 +156,11 @@ def checked_splay(
     splay's cost."""
     if key not in S.keys:
         raise KeyError(f"unknown key {key!r}")
-    start = S.keys.start
     path = key_path(S, key)
     _, lo, hi = path.pop()
     s_x = s_key = prefix[hi] - prefix[lo]
     steps = [] if per_step else ()
-    r_x = key - start
-    below_x, through_x = prefix[r_x], prefix[r_x + 1]
+    below_x, through_x = prefix[key], prefix[key + 1]
     grow = shrink = 1
     while path:
         p, lo, hi = path.pop()
@@ -177,8 +174,7 @@ def checked_splay(
                 kind, pivot = ZIGZIG, p
             else:
                 kind, pivot = ZIGZAG, key
-            r = pivot - start
-            up = prefix[hi] - prefix[r + 1] if g > pivot else prefix[r] - prefix[lo]
+            up = prefix[hi] - prefix[pivot + 1] if g > pivot else prefix[pivot] - prefix[lo]
             down = s_key * s_p
         else:
             kind, up, down = ZIG, 1, s_key
@@ -281,7 +277,7 @@ class InterleavedRun:
     `product_bits`; a long run's products then stay that size instead of
     growing with every event.
 
-    T's rank intervals and depths are kept per rank (`t_intervals`,
+    T's key intervals and depths are kept per key (`t_intervals`,
     `t_depths`): `rank_layout` lists them when the run starts, the weights
     are read off the depths, and each reference rotation updates both lists
     in place.  T must change only through `apply_T_rotation`.
@@ -321,10 +317,9 @@ class InterleavedRun:
 
     def splay_query(self, key: int) -> SplayEvent:
         """Splay `key` in S, its reference depth read off T's kept depths."""
-        keys = self.S.keys
-        if key not in keys:
+        if key not in self.S.keys:
             raise KeyError(f"unknown key {key!r}")
-        depth_ref = self.t_depths[key - keys.start]
+        depth_ref = self.t_depths[key]
         ev = checked_splay(self.S, self.prefix, key, depth_ref, per_step=self.per_step)
         self.s_cost += ev.cost
         self.grow *= ev.grow
@@ -340,24 +335,23 @@ class InterleavedRun:
         """Rotate x over its parent p in T, updating the kept intervals and
         depths.  x takes p's interval and p keeps the part of it on p's side
         of x.  x with its outer subtree A moves up one level, p with its
-        outer subtree C down one; in rank order A, x and p, C are each one
+        outer subtree C down one; in key order A, x and p, C are each one
         slice of p's old interval."""
         T = self.T
-        start = T.keys.start
-        r_x, r_p = x - start, T.parent[x] - start
+        p = T.parent[x]
         intervals, depths = self.t_intervals, self.t_depths
-        lo, hi = intervals[r_p]
-        intervals[r_x] = lo, hi
-        if r_x < r_p:
-            intervals[r_p] = r_x + 1, hi
-            up, down = range(lo, r_x + 1), range(r_p, hi)
+        lo, hi = intervals[p]
+        intervals[x] = lo, hi
+        if x < p:
+            intervals[p] = x + 1, hi
+            up, down = range(lo, x + 1), range(p, hi)
         else:
-            intervals[r_p] = lo, r_x
-            up, down = range(r_x, hi), range(lo, r_p + 1)
-        for r in up:
-            depths[r] -= 1
-        for r in down:
-            depths[r] += 1
+            intervals[p] = lo, x
+            up, down = range(x, hi), range(lo, p + 1)
+        for k in up:
+            depths[k] -= 1
+        for k in down:
+            depths[k] += 1
         T.rotate_up(x)
         self._reweigh()
 
@@ -380,7 +374,6 @@ class InterleavedRun:
             self.splay_query(key)
         self.organizing_count += len(plan)
         S, intervals, prefix = self.S, self.t_intervals, self.prefix
-        start = S.keys.start
         in_S = {}
         for key in plan:
             for node, lo, hi in key_path(S, key):
@@ -388,13 +381,13 @@ class InterleavedRun:
         # s_T over s_S before the rotation, then s'_S over s'_T after it.
         grow = shrink = 1
         for v, (lo, hi) in in_S.items():
-            t_lo, t_hi = intervals[v - start]
+            t_lo, t_hi = intervals[v]
             grow *= prefix[t_hi] - prefix[t_lo]
             shrink *= prefix[hi] - prefix[lo]
         self._rotate_T(rotated)
         prefix = self.prefix
         for v, (lo, hi) in in_S.items():
-            t_lo, t_hi = intervals[v - start]
+            t_lo, t_hi = intervals[v]
             grow *= prefix[hi] - prefix[lo]
             shrink *= prefix[t_hi] - prefix[t_lo]
         ev = RotationEvent(rotated, len(plan) - 1, grow, shrink)
@@ -463,14 +456,13 @@ def accounting_run(n: int, queries, strategy: str = "oracle-witness") -> tuple:
     reference = MachineProgram([op for seg in segments for op in seg])
     M, R = reference.move_count, reference.rotation_count
 
-    st = init_prime(T0)
-    S = st.prime.copy()
-    run = InterleavedRun(S, st.prime)
+    prime, sim = init_prime(T0)
+    run = InterleavedRun(prime.copy(), prime)
     start_S, start_T = (prod(sums.values()) for sums in run.sums())
     restricted = MachineProgram([])
     for k, q in enumerate(queries):
-        run.splay_query(q)
-        restricted.ops += apply_t_ops(st, segments[k], rotate=run.apply_T_rotation)
+        run.splay_query(q + 1)  # T's key q is the restricted tree's q + 1
+        restricted.ops += apply_t_ops(prime, sim, segments[k], rotate=run.apply_T_rotation)
 
     m_prime, r_prime = restricted.move_count, restricted.rotation_count
     e = run.organizing_count

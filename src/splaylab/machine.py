@@ -1,13 +1,13 @@
 """Cursor-based binary search tree machine.
 
-A tree holds the keys 0..n-1; the restricted tree of `splaylab.restricted`
-adds the sentinels -1 and n.  A tree keeps its left, right and parent links
-in three lists indexed by key: key k sits at index k and the sentinel -1 at
-the last index, where Python's negative indexing puts it, so the kernels
-subscript a list with the key itself.  A list would take a key outside the
-tree without complaint (-1 on a 0..n-1 tree is the last key's slot), so
-every entry point that takes a key from outside checks it against the
-tree's key range and raises KeyError before any link moves.
+Every tree holds the keys 0..n-1, n its node count, so a key is its own
+in-order rank.  The restricted tree of `splaylab.restricted` is one too:
+T's key k is its k + 1, between the sentinels 0 and n + 1.  A tree keeps
+its left, right and parent links in three lists indexed by key, so the
+kernels subscript a list with the key itself.  A list would take a key
+outside the tree without complaint (-1 is the last key's slot), so every
+entry point that takes a key from outside checks it against the tree's key
+range and raises KeyError before any link moves.
 
 A single cursor moves between adjacent nodes; the only structural primitive
 is an upward rotation of the node at the cursor.  A program is a sequence of
@@ -54,16 +54,14 @@ _L, _R, _U, _ROT = OpKind.LEFT, OpKind.RIGHT, OpKind.UP, OpKind.ROTATE
 class TreeState:
     """Mutable BST with parent links and a cursor.
 
-    `keys` is `range(n)`, or `range(-1, n + 1)` for a restricted tree;
-    `left`, `right` and `parent` are lists indexed by key (see the module
-    docstring), one slot per key, each holding a key or None.  `copy`
-    shares `keys`."""
+    `left`, `right` and `parent` are lists indexed by key, one slot per
+    key, each holding a key or None; `keys` is `range(len(left))`."""
 
     __slots__ = ("keys", "left", "right", "parent", "root", "cursor")
 
-    def __init__(self, keys: range, left: list, right: list, parent: list,
+    def __init__(self, left: list, right: list, parent: list,
                  root: int, cursor: int | None = None):
-        self.keys = keys
+        self.keys = range(len(left))
         self.left = left
         self.right = right
         self.parent = parent
@@ -73,7 +71,7 @@ class TreeState:
     # -- construction -----------------------------------------------------
 
     def copy(self) -> "TreeState":
-        return TreeState(self.keys, self.left.copy(), self.right.copy(), self.parent.copy(),
+        return TreeState(self.left.copy(), self.right.copy(), self.parent.copy(),
                          self.root, self.cursor)
 
     # -- queries -----------------------------------------------------------
@@ -151,7 +149,7 @@ def tree_from_roots(n: int, pick) -> TreeState:
             if key == i:
                 break
             j, par, links = key, key, left
-    return TreeState(range(n), left, right, parent, root)
+    return TreeState(left, right, parent, root)
 
 
 # -- shape descriptors ------------------------------------------------------

@@ -84,7 +84,7 @@ def _steps(sid: int, cursor: int) -> tuple:
         steps.append((_R, sid, right[cursor], right[cursor] == root))
     if parent[cursor] is not None:
         steps.append((_U, sid, parent[cursor], parent[cursor] == root))
-        tree = TreeState(range(len(parent)), left, right, list(parent), root)
+        tree = TreeState(left, right, list(parent), root)
         tree.rotate_up(cursor)
         steps.append((_ROT, _shape_id(tuple(tree.parent)), cursor, tree.root == cursor))
     steps = _STEPS[sid][cursor] = tuple(steps)
@@ -108,8 +108,6 @@ def opt_cost(T0: TreeState, queries) -> tuple[int, list]:
     queries = list(queries)
     if len(queries) > MAX_OPT_QUERIES:
         raise ValueError(f"instance too large: m={len(queries)}")
-    if T0.keys != range(n):
-        raise ValueError(f"tree keys must be 0..{n - 1}")
     if T0.cursor != T0.root:
         raise ValueError(f"the cursor must start at the root {T0.root}, not at {T0.cursor}")
     for q in queries:

@@ -4,7 +4,7 @@ Weights come from the reference tree's depths: a node at depth d weighs
 4^(-d).  All subtree sums are kept as exact integers at a common scale of
 4^D (D = the reference tree's maximum depth).  A weight vector is the pair
 (D, weights): `weights` lists the scaled weights in key order, so key k
-weighs `weights[k - tree.keys.start]`.  Every bound is decided on products
+weighs `weights[k]`.  Every bound is decided on products
 of those integers; floating point enters only in the potentials a report or
 a message reads, as base-2 logarithms.  A BST subtree holds a contiguous run
 of keys, so it sums to the difference of two prefix sums of the weight list;
@@ -16,7 +16,7 @@ reference tree across reference rotations and applies the formula to the
 kept depths.  The powers of 4 are read off one module-level table that grows
 to the largest scale exponent seen, so a reweighing after a reference
 rotation computes no power.  A function that meets two trees refuses them,
-with KeyError, unless they share one key set.
+with KeyError, unless they share one key set, that is, one size.
 """
 
 from __future__ import annotations
@@ -34,23 +34,21 @@ def require_same_keys(S: TreeState, T: TreeState) -> None:
 
 
 def rank_layout(tree: TreeState) -> tuple[list, list]:
-    """Each node's rank interval and depth, listed by rank (a key's offset
-    from `tree.keys.start`), from one walk down `tree`: the node of rank r
-    with interval (lo, hi) roots the subtree over the keys of ranks
+    """Each node's key interval and depth, listed by key, from one walk down
+    `tree`: the node with interval (lo, hi) roots the subtree over the keys
     lo..hi-1."""
-    left, right, start = tree.left, tree.right, tree.keys.start
+    left, right = tree.left, tree.right
     intervals = [None] * len(tree)
     depths = [0] * len(tree)
     stack = [(tree.root, 0, len(tree), 0)]
     while stack:
         node, lo, hi, d = stack.pop()
-        r = node - start
-        intervals[r] = lo, hi
-        depths[r] = d
+        intervals[node] = lo, hi
+        depths[node] = d
         if left[node] is not None:
-            stack.append((left[node], lo, r, d + 1))
+            stack.append((left[node], lo, node, d + 1))
         if right[node] is not None:
-            stack.append((right[node], r + 1, hi, d + 1))
+            stack.append((right[node], node + 1, hi, d + 1))
     return intervals, depths
 
 
@@ -88,7 +86,6 @@ def subtree_sums(tree: TreeState, weights: list) -> dict:
     if len(weights) != len(tree):
         raise KeyError(f"{len(weights)} weights for a tree of {len(tree)} keys")
     left, right = tree.left, tree.right
-    start = tree.keys.start
     preorder = []
     stack = [tree.root]
     while stack:
@@ -101,7 +98,7 @@ def subtree_sums(tree: TreeState, weights: list) -> dict:
             stack.append(l)
     sums = {}
     for node, l, r in reversed(preorder):
-        s = weights[node - start]
+        s = weights[node]
         if l is not None:
             s += sums[l]
         if r is not None:
@@ -141,8 +138,7 @@ def check_weight_sum_bounds(S: TreeState, T: TreeState) -> CheckReport:
     unit = 4 ** scale
     sums_t = subtree_sums(T, weights)
     sums_s = subtree_sums(S, weights)
-    start = T.keys.start
-    for v, w in zip(T.keys, weights):
+    for v, w in enumerate(weights):
         report.tick(2)
         if not 0 <= w:
             report.fail(f"eq1 node {v}: weight {w} negative")
@@ -151,13 +147,13 @@ def check_weight_sum_bounds(S: TreeState, T: TreeState) -> CheckReport:
     for label, sums in (("T", sums_t), ("S", sums_s)):
         for v, s in sums.items():
             report.tick(2)
-            if not weights[v - start] <= s:
+            if not weights[v] <= s:
                 report.fail(f"eq3 node {v} in {label}: s < w")
             if not s < 2 * unit:
                 report.fail(f"eq5 node {v} in {label}: s >= 2")
     for v, s in sums_t.items():
         report.tick()
-        if not s < 2 * weights[v - start]:
+        if not s < 2 * weights[v]:
             report.fail(f"eq4 node {v}: s_T >= 2 w_T")
     report.tick()
     if sums_s[S.root] != sums_t[T.root]:

@@ -1,10 +1,12 @@
 """Simulation of an arbitrary cursor program by a restricted one.
 
-The restricted tree carries two sentinel keys bracketing the key universe and
-keeps the simulated cursor's key pinned at its root.  Every simulated move
-costs exactly 4 moves + 2 rotations, every simulated rotation exactly
-3 moves + 1 rotation, and the emitted program touches only nodes of depth
-less than 3, returning the cursor to the root after each rotation.
+The restricted tree brackets the simulated tree T's keys with two sentinel
+keys and keeps the simulated cursor's key pinned at its root.  Like every
+tree it is over 0..len-1: T's key k is the restricted tree's k + 1, and the
+sentinels are 0 and n + 1.  Every simulated move costs exactly 4 moves +
+2 rotations, every simulated rotation exactly 3 moves + 1 rotation, and the
+emitted program touches only nodes of depth less than 3, returning the
+cursor to the root after each rotation.
 
 `apply_t_ops` steps the tracked tree through a whole list of simulated ops
 in one `apply_ops` call, then runs each op's restricted sequence in one call,
@@ -41,59 +43,40 @@ _ROTATE = ((_L, _L, _ROT, _U), (_R, _R, _ROT, _U))
 _SEQUENCES = {_L: (_DOWN_LEFT,) * 2, _R: (_DOWN_RIGHT,) * 2, _U: _UP, _ROT: _ROTATE}
 
 
-class SentineledTree:
-    """Restricted tree plus the tracked plain tree it simulates.
+def init_prime(T: TreeState) -> tuple[TreeState, TreeState]:
+    """The initial restricted tree and the tracked copy of T it simulates.
 
-    The tracked tree is bookkeeping only; the restricted tree itself stores no
-    extra per-node information.
-    """
-
-    __slots__ = ("prime", "sim")
-
-    def __init__(self, prime: TreeState, sim: TreeState):
-        self.prime = prime
-        self.sim = sim
-
-
-def init_prime(T: TreeState) -> SentineledTree:
-    """Initial restricted configuration over T's keys 0..n-1 and the sentinels
-    -1 and n: -1 and n hang below T's root on its left and right, with the
-    root's left subtree below -1 and its right subtree below n.
-
-    The sentinels' slots are appended to copies of T's lists, n at index n
-    and -1 at the last index.  A T over other keys, such as a restricted
-    tree, raises ValueError.
+    The restricted tree is over 0..n+1: T's key k is its k + 1, and the
+    sentinels 0 and n + 1 hang below the root on its left and right, with
+    the root's left subtree below 0 and its right subtree below n + 1.
     """
     n = len(T)
-    if T.keys != range(n):
-        raise ValueError(f"tree keys must be 0..{n - 1}")
-    pad = [None, None]
-    left, right, parent = T.left + pad, T.right + pad, T.parent + pad
-    r = T.root
+    # T's links with every key one up, and an empty slot for each sentinel.
+    left, right, parent = ([None, *[None if k is None else k + 1 for k in links], None]
+                           for links in (T.left, T.right, T.parent))
+    r = T.root + 1
     lsub, rsub = left[r], right[r]
-    left[r] = -1
-    right[r] = n
-    right[-1] = lsub
-    parent[-1] = r
-    left[n] = rsub
-    parent[n] = r
+    left[r] = 0
+    right[r] = n + 1
+    right[0] = lsub
+    parent[0] = r
+    left[n + 1] = rsub
+    parent[n + 1] = r
     if lsub is not None:
-        parent[lsub] = -1
+        parent[lsub] = 0
     if rsub is not None:
-        parent[rsub] = n
-    prime = TreeState(range(-1, n + 1), left, right, parent, r)
+        parent[rsub] = n + 1
     sim = T.copy()
     sim.cursor = sim.root
-    return SentineledTree(prime, sim)
+    return TreeState(left, right, parent, r), sim
 
 
-def op_sequence(st: SentineledTree, t_op: OpKind) -> tuple:
-    """Apply one simulated op to the tracked tree and return the restricted ops
-    that simulate it, read off `_SEQUENCES`.
+def op_sequence(sim: TreeState, t_op: OpKind) -> tuple:
+    """Apply one simulated op to the tracked tree `sim` and return the
+    restricted ops that simulate it, read off `_SEQUENCES`.
 
     `apply_op` raises IllegalOpError on an illegal op before anything moves.
     """
-    sim = st.sim
     cursor = sim.cursor
     parent = sim.parent[cursor]
     apply_op(sim, t_op)
@@ -101,17 +84,18 @@ def op_sequence(st: SentineledTree, t_op: OpKind) -> tuple:
     return _SEQUENCES[t_op][other > cursor]
 
 
-def apply_t_ops(st: SentineledTree, t_ops, rotate=None) -> list:
-    """Translate and execute the simulated ops of the list `t_ops` in order;
-    the restricted ops that simulate them, concatenated.
+def apply_t_ops(prime: TreeState, sim: TreeState, t_ops, rotate=None) -> list:
+    """Translate and execute the simulated ops of the list `t_ops` in order,
+    on the tracked tree `sim` and the restricted tree `prime`; the restricted
+    ops that simulate them, concatenated.
 
     One `apply_ops` call steps the tracked tree through all of `t_ops`, noting
     each rotation's side before it rotates; a move's side is read off the keys
     the cursor leaves and reaches.  Then, for each op the tracked tree took,
     its sequence runs on the restricted tree in one `apply_ops` call and the
-    restricted root is checked against the simulated cursor.  `rotate(key)`,
-    if given, performs each emitted rotation of the cursor's key in place of
-    `TreeState.rotate_up`.
+    restricted root is checked against the simulated cursor (key k of `sim`
+    is key k + 1 of `prime`).  `rotate(key)`, if given, performs each
+    emitted rotation of the cursor's key in place of `TreeState.rotate_up`.
 
     An IllegalOpError names the index in `t_ops` of the op at fault.  If the
     tracked tree refuses op i, the ops before i still run on the restricted
@@ -122,7 +106,6 @@ def apply_t_ops(st: SentineledTree, t_ops, rotate=None) -> list:
     """
     if not t_ops:
         return []
-    sim, prime = st.sim, st.prime
     parent = sim.parent
     was = sim.cursor
     trace = []
@@ -151,7 +134,7 @@ def apply_t_ops(st: SentineledTree, t_ops, rotate=None) -> list:
             apply_ops(prime, seq, rotate=rotate)
         except IllegalOpError as exc:
             raise IllegalOpError(exc.reason, i) from None
-        if prime.root != key:  # pinned-root invariant
+        if prime.root != key + 1:  # pinned-root invariant
             raise IllegalOpError("restricted-tree root lost the simulated cursor key", i)
         out += seq
         was = key
@@ -163,7 +146,7 @@ def apply_t_ops(st: SentineledTree, t_ops, rotate=None) -> list:
 def simulate_program(T: TreeState, program: MachineProgram) -> MachineProgram:
     """Translate a whole cursor program; the restricted program has 4M+3R moves
     and 2M+R rotations."""
-    return MachineProgram(apply_t_ops(init_prime(T), program.ops))
+    return MachineProgram(apply_t_ops(*init_prime(T), program.ops))
 
 
 def check_restricted(initial: TreeState, ops) -> CheckReport:

@@ -111,14 +111,16 @@ def run_lemma3(suite: Suite, config: ExperimentConfig, report: CheckReport) -> d
         program = random_t_program(T, rng)
         M, R = program.move_count, program.rotation_count
         out = simulate_program(T, program)
-        prime = init_prime(T).prime
+        prime = init_prime(T)[0]
         report.tick(3)
         moves, rotations = out.move_count, out.rotation_count
         if (moves, rotations) != (4 * M + 3 * R, 2 * M + R):
             report.fail(f"{label}: cost ({moves},{rotations}) != (4M+3R,2M+R) for M={M} R={R}")
         if not check_restricted(prime, out.ops).passed:
             report.fail(f"{label}: output program not restricted")
-        if not is_subsequence(cursor_trace(T, program.ops), cursor_trace(prime, out.ops)):
+        # T's key k is the restricted tree's k + 1.
+        t_trace = [k + 1 for k in cursor_trace(T, program.ops)]
+        if not is_subsequence(t_trace, cursor_trace(prime, out.ops)):
             report.fail(f"{label}: cursor trace not embedded")
     return {}
 

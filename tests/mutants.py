@@ -19,10 +19,13 @@ The bound rows loosen one constant of an exact integer comparison each, or
 drop one factor of the telescoping identity; `tests/test_bounds.py` pins
 those constants at their boundaries.  The kernel rows break one link write of
 `splay.splay` or `TreeState.rotate_up`, drop the key check either makes
-before any link moves, or make the link lists one slot too long.  The rank
-rows drop one subtraction of `keys.start` where `lab` or `potential` turns a
-key into its index in a per-key list; on a plain tree over 0..n-1 each edit
-changes nothing, so only restricted trees over -1..n can kill these rows.
+before any link moves, or make the link lists one slot too long.  The shift
+rows drop one `+ 1` of the four places that meet T's key k as the
+restricted tree's k + 1: the restricted root `init_prime` builds, the
+pinned-root check of `apply_t_ops`, the key `accounting_run` splays for a
+query, and the `lemma3` suite's shift of T's cursor trace before the
+embedding check; `tests/test_restricted.py`, `tests/test_suites.py` and the
+golden digests must reject each.
 The key-set rows drop the check that `subtree_sums` makes of its weight
 count, or the one `potential.require_same_keys` makes where two trees meet
 (`phi`, the two bound checks and `InterleavedRun`); `tests/test_potential.py`
@@ -32,9 +35,9 @@ change one op of the restricted sequence table, or change one constant of
 the 4M + 3R moves and 2M + R rotations that the `lemma3` suite and
 `accounting_run` expect of the emitted program; `tests/test_suites.py` runs
 every suite, and a theorem7 run there rotates the reference.  The layout rows
-give a right child of `potential.rank_layout` its parent's rank in its
+give a right child of `potential.rank_layout` its parent's key in its
 interval, or a left child a depth two below its parent's; the kept-state
-rows put p's kept T-interval on the wrong side of x, or swap the rank slices
+rows put p's kept T-interval on the wrong side of x, or swap the key slices
 that move up and down a level, in `InterleavedRun`'s reference rotation.
 `tests/test_lab.py` checks the kept intervals and depths against fresh walks
 from a run's construction on and after every event.  The product rows keep
@@ -52,7 +55,7 @@ row drops the last batch of JSON chunks that `render_report` joins when it
 holds fewer than a full batch.  The golden digests of `tests/test_golden.py`
 must reject each.
 
-The catalogue has 42 rows; a full run takes about 110 s on two vCPUs with
+The catalogue has 43 rows; a full run takes about 110 s on two vCPUs with
 Python 3.11.
 """
 
@@ -71,7 +74,7 @@ SRC = ROOT / "src" / "splaylab"
 
 BOUND_TESTS = ("tests/test_bounds.py",)
 KERNEL_TESTS = ("tests/test_splay.py", "tests/test_machine.py")
-RANK_TESTS = ("tests/test_lab.py", "tests/test_potential.py")
+SHIFT_TESTS = ("tests/test_restricted.py", "tests/test_suites.py", "tests/test_golden.py")
 LEMMA3_TESTS = ("tests/test_suites.py",)
 KEPT_TESTS = ("tests/test_lab.py",)
 ORACLE_TESTS = ("tests/test_oracle.py",)
@@ -96,8 +99,8 @@ class Mutant:
 SPLAY_B = "parent[p] = x\n        if b is not None:\n            parent[b] = p"
 ROTATE_B = "far[key] = p\n        if b is not None:\n            parent[b] = p"
 # The two depth-slice updates of `InterleavedRun`'s reference rotation.
-DEPTH_SLICES = ("for r in up:\n            depths[r] -= 1\n"
-                "        for r in down:\n            depths[r] += 1")
+DEPTH_SLICES = ("for k in up:\n            depths[k] -= 1\n"
+                "        for k in down:\n            depths[k] += 1")
 # The key checks of `splay` and `rotate_up`, told apart from those of
 # `splay_step` and `depth` by the line that follows each.
 SPLAY_GUARD = 'if key not in state.keys:\n        raise KeyError(f"unknown key {key!r}")\n    left'
@@ -153,13 +156,16 @@ MUTANTS = (
            ROTATE_GUARD, ROTATE_GUARD.replace("key not in self.keys", "False"), KERNEL_TESTS),
     Mutant("slot length off by one", "machine.py",
            "[None] * n", "[None] * (n + 1)", KERNEL_TESTS),
-    # -- ranks as offsets from the first key ----------------------------------
-    Mutant("key_path: rank of node without - start", "lab.py",
-           "hi = node - start", "hi = node", RANK_TESTS),
-    Mutant("checked_splay: rank of x without - start", "lab.py",
-           "r_x = key - start", "r_x = key", RANK_TESTS),
-    Mutant("subtree_sums: weight read without - start", "potential.py",
-           "weights[node - start]", "weights[node]", RANK_TESTS),
+    # -- T's key k as the restricted tree's k + 1 -------------------------------
+    Mutant("init_prime: root without + 1", "restricted.py",
+           "r = T.root + 1", "r = T.root", SHIFT_TESTS),
+    Mutant("apply_t_ops: pinned root without + 1", "restricted.py",
+           "prime.root != key + 1", "prime.root != key", SHIFT_TESTS),
+    Mutant("accounting_run: splays q, not q + 1", "lab.py",
+           "run.splay_query(q + 1)", "run.splay_query(q)", SHIFT_TESTS),
+    Mutant("lemma3: T's cursor trace not shifted", "suites.py",
+           "[k + 1 for k in cursor_trace(T, program.ops)]", "cursor_trace(T, program.ops)",
+           SHIFT_TESTS),
     # -- key-set guards ---------------------------------------------------------
     Mutant("subtree_sums: weight-count guard dropped", "potential.py",
            "if len(weights) != len(tree):", "if False:", KEY_SET_TESTS),
@@ -178,14 +184,14 @@ MUTANTS = (
            "r_prime != 2 * M + R", "r_prime != 2 * M + 2 * R", LEMMA3_TESTS),
     # -- T's rank layout, kept T state and the oracle's BFS state --------------
     Mutant("rank_layout: right child's interval starts at its parent's rank", "potential.py",
-           "(right[node], r + 1, hi, d + 1)", "(right[node], r, hi, d + 1)", KEPT_TESTS),
+           "(right[node], node + 1, hi, d + 1)", "(right[node], node, hi, d + 1)", KEPT_TESTS),
     Mutant("rank_layout: left child two levels down", "potential.py",
-           "(left[node], lo, r, d + 1)", "(left[node], lo, r, d + 2)", KEPT_TESTS),
+           "(left[node], lo, node, d + 1)", "(left[node], lo, node, d + 2)", KEPT_TESTS),
     Mutant("kept T: p's interval on the wrong side of x", "lab.py",
-           "intervals[r_p] = r_x + 1, hi", "intervals[r_p] = lo, r_x", KEPT_TESTS),
+           "intervals[p] = x + 1, hi", "intervals[p] = lo, x", KEPT_TESTS),
     Mutant("kept T: up and down depth slices swapped", "lab.py", DEPTH_SLICES,
-           "for r in down:\n            depths[r] -= 1\n"
-           "        for r in up:\n            depths[r] += 1", KEPT_TESTS),
+           "for k in down:\n            depths[k] -= 1\n"
+           "        for k in up:\n            depths[k] += 1", KEPT_TESTS),
     # -- the power table and the running products ----------------------------
     Mutant("weights_of_depths: power table never grows", "potential.py",
            "if scale >= len(powers):", "if False:", PRODUCT_TESTS),

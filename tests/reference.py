@@ -58,7 +58,7 @@ from splaylab.machine import (
     apply_op,
     build_tree,
 )
-from splaylab.restricted import SentineledTree, op_sequence
+from splaylab.restricted import op_sequence
 from splaylab.splay import total_access_cost
 
 MAX_ENUM_KEYS = 8
@@ -73,30 +73,33 @@ def link_view(tree: TreeState, name: str) -> dict:
 
 def tree_from_links(left: dict, right: dict, parent: dict, root: int) -> TreeState:
     """The tree whose links are the per-key dicts `left`, `right` and
-    `parent`, each over the keys 0..n-1, or over -1..n for a restricted tree,
-    laid out in lists by the slot rule: key k at index k, -1 at the last."""
-    keys = range(min(left), max(left) + 1)
-    assert keys.start in (0, -1) and len(left) == len(keys), "keys are not 0..n-1 or -1..n"
+    `parent`, each over the keys 0..n-1, laid out in lists: key k at index k."""
+    n = len(left)
+    assert sorted(left) == list(range(n)), "keys are not 0..n-1"
     lists = []
     for links in (left, right, parent):
-        slots = [None] * len(keys)
+        slots = [None] * n
         for key, linked in links.items():
             slots[key] = linked
         lists.append(slots)
-    return TreeState(keys, *lists, root)
+    return TreeState(*lists, root)
 
 
 def in_order(tree: TreeState) -> list:
-    """The keys of `tree` in in-order, walked by its child links."""
+    """The keys of `tree` in in-order, walked by its child links.  The walk
+    refuses to list more nodes than the tree holds, so a cycle in the child
+    links fails here instead of walking forever."""
     out = []
     stack = []
     node = tree.root
     while stack or node is not None:
         while node is not None:
             stack.append(node)
+            assert len(stack) <= len(tree.keys), "the child links have a cycle"
             node = tree.left[node]
         node = stack.pop()
         out.append(node)
+        assert len(out) <= len(tree.keys), "the child links have a cycle"
         node = tree.right[node]
     return out
 
@@ -134,7 +137,7 @@ def validate(tree: TreeState) -> None:
                 f"{side} child {child} of {key} has a bad parent link"
     assert tree.cursor in tree.keys, "cursor is not a node of the tree"
     n = len(tree.keys)
-    assert tree.keys in (range(n), range(-1, n - 1)), "keys are not 0..n-1 or -1..n"
+    assert tree.keys == range(len(tree.left)), "keys are not 0..n-1"
     assert len(tree.left) == len(tree.right) == len(tree.parent) == n, \
         "link lists do not have one slot per key"
 
@@ -281,7 +284,7 @@ def _tree_of_parents(parent: tuple) -> TreeState:
     for key, p in enumerate(parent):
         if p is not None:
             (left if key < p else right)[p] = key
-    return TreeState(range(n), left, right, list(parent), parent.index(None))
+    return TreeState(left, right, list(parent), parent.index(None))
 
 
 def reference_opt_cost(T0: TreeState, queries) -> tuple[int, list]:
@@ -346,7 +349,7 @@ def reference_subtree_sums(tree: TreeState, weights: list) -> dict:
         if node is None:
             continue
         if done:
-            s = weights[node - tree.keys.start]
+            s = weights[node]
             l, r = tree.left[node], tree.right[node]
             if l is not None:
                 s += sums[l]
@@ -424,17 +427,17 @@ def reference_cursor_trace(initial: TreeState, ops) -> list:
     return trace
 
 
-def reference_apply_t_op(st: SentineledTree, t_op: OpKind, rotate=None) -> tuple:
-    """One simulated op on the restricted tree, one call per restricted op;
-    `rotate(key)`, if given, performs each rotation."""
-    seq = op_sequence(st, t_op)
-    prime = st.prime
+def reference_apply_t_op(prime: TreeState, sim: TreeState, t_op: OpKind,
+                         rotate=None) -> tuple:
+    """One simulated op on the restricted tree `prime`, one call per
+    restricted op; `rotate(key)`, if given, performs each rotation."""
+    seq = op_sequence(sim, t_op)
     for op in seq:
         if op is OpKind.ROTATE and rotate is not None:
             rotate(prime.cursor)
         else:
             reference_apply_op(prime, op)
-    if prime.root != st.sim.cursor:
+    if prime.root != sim.cursor + 1:
         raise IllegalOpError("restricted-tree root lost the simulated cursor key")
     return seq
 

@@ -132,9 +132,10 @@ class TestOrganizingPlans:
         assert log == []
 
     def test_unknown_key_rejected_before_any_link_moves(self):
-        # n and past it would read past T's parent list, and -1 on a plain
-        # tree or -2 on a restricted one its slots from the end; each is refused with a `KeyError`
-        # before an organizing splay or the rotation moves a link of S or T.
+        # n and past it would read past T's parent list, and -1 its last slot
+        # (on a restricted tree, the sentinel n + 1's); each is refused with a
+        # `KeyError` before an organizing splay or the rotation moves a link
+        # of S or T.
         rng = rng_for_trial(103, 0)
         for restricted in (False, True):
             for _ in range(10):
@@ -142,8 +143,8 @@ class TestOrganizingPlans:
                 S, T = random_pair(n, rng)
                 keys = (n, n + 3, -1)
                 if restricted:
-                    S, T = init_prime(S).prime, init_prime(T).prime
-                    keys = (-2, n + 1)
+                    S, T = init_prime(S)[0], init_prime(T)[0]
+                    keys = (-1, n + 2)
                 run = InterleavedRun(S, T)
                 links = [(tree.left[:], tree.right[:], tree.parent[:], tree.root) for tree in (S, T)]
                 for key in keys:
@@ -178,8 +179,8 @@ class TestPerSplayBounds:
         # `splay_query` reads the key's reference depth off T's kept depths, so
         # it refuses an unknown key before that read and before any link moves.
         T = build_tree("((..)(..))")
-        restricted = init_prime(T).prime  # keys -1..3
-        for S, keys in ((T, (3, 7, -1)), (restricted, (-2, 4))):
+        restricted = init_prime(T)[0]  # keys 0..4
+        for S, keys in ((T, (3, 7, -1)), (restricted, (-1, 5))):
             run = InterleavedRun(S.copy(), S.copy())
             links = run.S.left[:], run.S.right[:], run.S.parent[:], run.S.root
             for key in keys:
@@ -189,11 +190,12 @@ class TestPerSplayBounds:
             assert run.s_cost == 0 and run.report.checked == 0
 
     def test_unknown_key_rejected(self):
-        # -1 on a plain tree and -2 on a restricted one would index a list
-        # from its end, and n+1 past it; each is refused before any link moves.
+        # -1 would index a list from its end (on a restricted tree, the
+        # sentinel n + 1's slot), and n + 2 past it; each is refused before
+        # any link moves.
         T = build_tree("((..)(..))")
-        restricted = init_prime(T).prime  # keys -1..3
-        for S, keys in ((T, (7, -1)), (restricted, (-2, 4))):
+        restricted = init_prime(T)[0]  # keys 0..4
+        for S, keys in ((T, (7, -1)), (restricted, (-1, 5))):
             links = S.left[:], S.right[:], S.parent[:], S.root
             for key in keys:
                 with pytest.raises(KeyError, match=f"unknown key {key}"):
@@ -467,7 +469,7 @@ class TestKeptSums:
             for _ in range(20):
                 S, T = random_pair(rng.randint(3, 24), rng)
                 if restricted:
-                    S, T = init_prime(S).prime, init_prime(T).prime
+                    S, T = init_prime(S)[0], init_prime(T)[0]
                 run = InterleavedRun(S, T)
                 assert log == [("layout", T)]
                 log.clear()
@@ -613,7 +615,7 @@ class TestKeptSums:
 @given(st.data(), st.integers(1, 40), st.integers(0, 2 ** 32), st.booleans(), st.booleans())
 def test_interval_sums_and_deltas_match_fresh_passes(data, n, seed, per_step, restricted):
     # Random interleavings of splays and depth-1/2 reference rotations, on
-    # plain trees over 0..n-1 or restricted trees over -1..n.  After every
+    # plain trees over 0..n-1 or restricted trees over 0..n+1.  After every
     # event each node's key-interval sum equals the reference sums under the
     # reference weights; a rotation's ratio equals 2 to the change of a
     # fresh phi over copies of the trees, taken after the organizing splays,
@@ -624,7 +626,7 @@ def test_interval_sums_and_deltas_match_fresh_passes(data, n, seed, per_step, re
     # fresh walk's.  Every comparison is of exact integers.
     S, T = random_pair(n, rng_for_trial(seed, 0))
     if restricted:
-        S, T = init_prime(S).prime, init_prime(T).prime
+        S, T = init_prime(S)[0], init_prime(T)[0]
 
     class DepthChecked(InterleavedRun):
         def splay_query(self, key):

@@ -6,7 +6,7 @@ from splaylab import oracle
 from splaylab.generators import ExperimentConfig, random_tree, rng_for_trial
 from splaylab.machine import apply_op, build_tree
 from splaylab.oracle import opt_cost, program_search, per_query_segments, static_optimal
-from splaylab.restricted import cursor_trace, init_prime
+from splaylab.restricted import cursor_trace
 from splaylab.suites import run_suite
 
 from reference import (
@@ -68,14 +68,6 @@ class TestOptCost:
     def test_rejects_oversized_instances(self):
         with pytest.raises(ValueError):
             opt_cost(build_tree("(((((((..).).).).).).)"), [0])
-
-    def test_rejects_keys_other_than_0_to_n_minus_1(self):
-        # A restricted tree holds the keys -1..n, two more than its T.
-        for shape in ("(..)", "((..).)", "((..)(..))", "(((..).)(..))"):
-            prime = init_prime(build_tree(shape)).prime
-            assert len(prime) <= 6 and prime.cursor == prime.root
-            with pytest.raises(ValueError, match="tree keys must be 0.."):
-                opt_cost(prime, [0])
 
     def test_rejects_cursor_off_the_root(self):
         # program_search starts at T0's cursor: from 0 the query is served at

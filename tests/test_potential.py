@@ -139,13 +139,13 @@ class TestBoundSuites:
             subtree_sums(S, assign_weights(T)[1])
 
     def test_two_tree_entry_points_refuse_different_key_sets(self):
-        # Keys -1..3 against 0..4: the same count, so only comparing the key
-        # ranges themselves tells them apart.  Every function that meets two
-        # trees refuses the pair, either way round, with no link moved.
-        plain = build_tree(T_DESC)
-        restricted = init_prime(build_tree("((..)(..))")).prime
+        # Keys 0..4 against 0..2: every tree is over 0..len-1, so key sets
+        # differ exactly when sizes do.  Every function that meets two trees
+        # refuses the pair, either way round, with no link moved.
+        larger = build_tree(T_DESC)
+        smaller = build_tree("((..)(..))")
         entry_points = (phi, check_weight_sum_bounds, check_potential_floor, InterleavedRun)
-        for S, T in ((plain, restricted), (restricted, plain)):
+        for S, T in ((larger, smaller), (smaller, larger)):
             links = [(t.left[:], t.right[:], t.parent[:], t.root) for t in (S, T)]
             for entry_point in entry_points:
                 with pytest.raises(KeyError, match="share one key set"):
@@ -157,9 +157,9 @@ class TestBoundSuites:
 @given(st.integers(1, 64), st.integers(0, 2 ** 32))
 def test_subtree_sums_match_reference_in_order(n, seed):
     # `potential` adds the logs in the dict's order, so the order is pinned too.
-    # The restricted trees over -1..n read each weight at key + 1.
+    # So is the order on the restricted trees built from the pair.
     S, T = random_pair(n, rng_for_trial(seed, 0))
-    for S, T in ((S, T), (init_prime(S).prime, init_prime(T).prime)):
+    for S, T in ((S, T), (init_prime(S)[0], init_prime(T)[0])):
         _, weights = assign_weights(T)
         for tree in (S, T):
             fast, ref = subtree_sums(tree, weights), reference_subtree_sums(tree, weights)

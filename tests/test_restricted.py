@@ -42,83 +42,106 @@ from reference import (
 L, R, U, ROT = OpKind.LEFT, OpKind.RIGHT, OpKind.UP, OpKind.ROTATE
 
 
-def apply_t_op(st, t_op, rotate=None) -> tuple:
+def apply_t_op(prime, sim, t_op, rotate=None) -> tuple:
     """`apply_t_ops` on the one op `t_op`: its restricted sequence, or an
     IllegalOpError that names no index."""
     try:
-        return tuple(apply_t_ops(st, (t_op,), rotate))
+        return tuple(apply_t_ops(prime, sim, (t_op,), rotate))
     except IllegalOpError as exc:
         raise IllegalOpError(exc.reason) from None
 
 
+def test_every_built_tree_is_over_0_to_len_minus_1():
+    # A key is its own rank and list index in every tree the package builds:
+    # by `tree_from_roots`, by `init_prime` and by `copy`.  The restricted
+    # tree's in-order is 0..n+1, T's key k at k + 1 below the same parent
+    # one up, or below a sentinel where that parent is T's root.
+    for n in (1, 2, 7, 30):
+        T = tree_from_roots(n, rng_for_trial(71, n).randrange)
+        prime, sim = init_prime(T)
+        for tree in (T, prime, sim, T.copy(), prime.copy()):
+            assert tree.keys == range(len(tree.left))
+        r = T.root
+        assert prime.root == r + 1
+        assert (prime.left[r + 1], prime.right[r + 1]) == (0, n + 1)
+        validate(prime)
+        assert in_order(prime) == list(range(n + 2))
+        for k in T.keys:
+            p = T.parent[k]
+            if p is not None:
+                below = p + 1 if p != r else 0 if k < r else n + 1
+                assert prime.parent[k + 1] == below
+
+
 class TestInitPrime:
     def test_singleton(self):
-        st = init_prime(build_tree("(..)"))
-        prime = st.prime
-        assert prime.root == 0
-        assert prime.left[0] == -1 and prime.right[0] == 1
+        prime, _ = init_prime(build_tree("(..)"))
+        assert prime.root == 1
+        assert prime.left[1] == 0 and prime.right[1] == 2
         assert len(prime) == 3
-        assert in_order(prime) == [-1, 0, 1]
+        assert in_order(prime) == [0, 1, 2]
 
     def test_five_keys(self):
         T = build_tree("(((..)(..))(..))")  # root 3
-        st = init_prime(T)
-        prime = st.prime
-        assert prime.root == 3
-        keys = in_order(T)
-        assert prime.left[3] == keys[0] - 1 == -1
-        assert prime.right[3] == keys[-1] + 1 == 5
-        # T's subtrees hang verbatim under the sentinels.
-        assert prime.right[-1] == 1 and prime.left[5] == 4
-        assert prime.left[1] == 0 and prime.right[1] == 2
-        assert in_order(prime) == [-1, 0, 1, 2, 3, 4, 5]
+        prime, _ = init_prime(T)
+        assert prime.root == 3 + 1
+        # The sentinels 0 and n + 1 = 6 hang below the root.
+        assert prime.left[4] == 0 and prime.right[4] == 6
+        # T's subtrees hang verbatim under the sentinels, T's key k as k + 1.
+        assert prime.right[0] == 1 + 1 and prime.left[6] == 4 + 1
+        assert prime.left[2] == 0 + 1 and prime.right[2] == 2 + 1
+        assert in_order(prime) == [0, 1, 2, 3, 4, 5, 6]
 
     def test_node_count(self):
         for n in (1, 2, 7):
             T = random_tree(n, rng_for_trial(1, n))
-            assert len(init_prime(T).prime) == n + 2
+            assert len(init_prime(T)[0]) == n + 2
 
     def test_sentinel_slots_over_contiguous_keys(self):
-        # Over 0..n-1 the sentinels -1 and n take the two slots appended.
-        # Every key of T keeps its links except the root's two, whose subtrees
-        # hang below the sentinels: slot for slot the tree laid out per key.
+        # Over 0..n+1, T's key k is k + 1 and the sentinels are 0 and n + 1.
+        # Every key of T keeps its links, each linked key one up, except the
+        # root's two, whose subtrees hang below the sentinels: slot for slot
+        # the tree laid out per key.
         for n in (1, 2, 7, 30):
             for seed in range(5):
                 T = random_tree(n, rng_for_trial(3 + seed, n))
-                st = init_prime(T)
-                prime = st.prime
-                assert prime.keys == range(-1, n + 1)
+                prime, sim = init_prime(T)
+                assert prime.keys == range(n + 2)
                 assert len(prime.left) == len(prime.right) == len(prime.parent) == n + 2
-                assert in_order(prime) == list(range(-1, n + 1))
-                left, right, parent = (link_view(T, name) for name in ("left", "right", "parent"))
-                r = T.root
-                left.update({r: -1, -1: None, n: T.right[r]})
-                right.update({r: n, -1: T.left[r], n: None})
-                parent.update({-1: r, n: r})
-                for sub, sentinel in ((T.left[r], -1), (T.right[r], n)):
+                assert in_order(prime) == list(range(n + 2))
+                up = {k: k + 1 for k in T.keys} | {None: None}
+                left, right, parent = (
+                    {up[k]: up[v] for k, v in link_view(T, name).items()}
+                    for name in ("left", "right", "parent"))
+                r = T.root + 1
+                sub_left, sub_right = left[r], right[r]
+                left.update({r: 0, 0: None, n + 1: sub_right})
+                right.update({r: n + 1, 0: sub_left, n + 1: None})
+                parent.update({0: r, n + 1: r})
+                for sub, sentinel in ((sub_left, 0), (sub_right, n + 1)):
                     if sub is not None:
                         parent[sub] = sentinel
                 assert snapshot(prime) == snapshot(tree_from_links(left, right, parent, r))
                 validate(prime)
-                validate(st.sim)
-                assert snapshot(st.sim) == snapshot(T)
+                validate(sim)
+                assert snapshot(sim) == snapshot(T)
 
     @pytest.mark.parametrize("keys", [[-1000, 0, 5, 1000], [5, 9, 10], [-30, -7, -6],
                                       [-1], [0], [-3, 3], [0, 1, 2, 3, 4]])
     def test_sentinels_over_sparse_keys(self, keys):
         # Keys are read only through their order, so a tree over sparse keys
         # is the tree over their ranks 0..n-1.  Relabelled rank by rank, the
-        # restricted tree built over the ranks is the per-key construction
-        # over the sparse keys, with sentinels min-1 and max+1: every key
-        # keeps its links except the root's two, whose subtrees hang below
-        # the sentinels.
+        # restricted tree built over the ranks 0..n+1 is the per-key
+        # construction over the sparse keys, with sentinels min-1 and max+1
+        # at the ranks 0 and n+1: every key keeps its links except the
+        # root's two, whose subtrees hang below the sentinels.
         n = len(keys)
         mn, mx = keys[0] - 1, keys[-1] + 1
-        label = {rank: key for rank, key in enumerate(keys)} | {-1: mn, n: mx, None: None}
+        label = dict(enumerate(keys)) | {None: None}
+        prime_label = dict(enumerate([mn, *keys, mx])) | {None: None}
         for seed in range(5):
             T = tree_from_roots(n, rng_for_trial(seed, n).randrange)
-            st = init_prime(T)
-            prime = st.prime
+            prime, sim = init_prime(T)
             left, right, parent = (
                 {label[k]: label[v] for k, v in link_view(T, name).items()}
                 for name in ("left", "right", "parent"))
@@ -130,102 +153,96 @@ class TestInitPrime:
             for sub, sentinel in ((sub_left, mn), (sub_right, mx)):
                 if sub is not None:
                     parent[sub] = sentinel
-            got = [{label[k]: label[v] for k, v in link_view(prime, name).items()}
+            got = [{prime_label[k]: prime_label[v] for k, v in link_view(prime, name).items()}
                    for name in ("left", "right", "parent")]
             assert got == [left, right, parent]
-            assert label[prime.root] == r
-            assert [label[k] for k in in_order(prime)] == [mn, *keys, mx]
+            assert prime_label[prime.root] == r
+            assert [prime_label[k] for k in in_order(prime)] == [mn, *keys, mx]
             validate(prime)
-            assert snapshot(st.sim) == snapshot(T)
-
-    def test_refuses_a_restricted_tree(self):
-        # Its keys are -1..n, not 0..n-1; nothing is built from it.
-        prime = init_prime(build_tree("((..)(..))")).prime
-        before = snapshot(prime)
-        with pytest.raises(ValueError, match="tree keys must be 0..4"):
-            init_prime(prime)
-        assert snapshot(prime) == before
+            assert snapshot(sim) == snapshot(T)
 
 
 class TestMoveSimulation:
     def test_down_then_up_restores_shape(self):
         T = build_tree("(((..)(..))(..))")
-        st = init_prime(T)
-        before = st.prime.copy()
-        out = MachineProgram(list(apply_t_op(st, L)))
-        assert st.prime.root == 1  # new simulated cursor pinned at the root
-        out.ops += apply_t_op(st, U)
-        assert same_structure(st.prime, before)
+        prime, sim = init_prime(T)
+        before = prime.copy()
+        out = MachineProgram(list(apply_t_op(prime, sim, L)))
+        assert prime.root == 1 + 1  # new simulated cursor pinned at the root
+        out.ops += apply_t_op(prime, sim, U)
+        assert same_structure(prime, before)
         assert (out.move_count, out.rotation_count) == (8, 4)
 
     def test_move_costs(self):
         T = build_tree("((..)(..))")
-        st = init_prime(T)
-        out = MachineProgram(list(apply_t_op(st, R)))
+        prime, sim = init_prime(T)
+        out = MachineProgram(list(apply_t_op(prime, sim, R)))
         assert (out.move_count, out.rotation_count) == (4, 2)
-        out.ops += apply_t_op(st, ROT)
+        out.ops += apply_t_op(prime, sim, ROT)
         assert (out.move_count, out.rotation_count) == (7, 3)
 
     def test_in_order_preserved(self):
         rng = rng_for_trial(23, 0)
         for _ in range(50):
             T = random_tree(rng.randint(2, 10), rng)
-            st = init_prime(T)
-            order = in_order(st.prime)
+            prime, sim = init_prime(T)
+            order = in_order(prime)
             program = random_t_program(T, rng, max_moves=30, max_rotations=15)
             for op in program.ops:
-                apply_t_op(st, op)
-                validate(st.prime)
-            assert in_order(st.prime) == order
+                apply_t_op(prime, sim, op)
+                validate(prime)
+            assert in_order(prime) == order
 
     def test_illegal_move_rejected(self):
         T = build_tree("(..)")
-        st = init_prime(T)
+        prime, sim = init_prime(T)
         with pytest.raises(IllegalOpError):
-            apply_t_op(st, L)
+            apply_t_op(prime, sim, L)
         with pytest.raises(IllegalOpError):
-            apply_t_op(st, ROT)
+            apply_t_op(prime, sim, ROT)
 
     def test_illegal_op_changes_nothing(self):
         # The tracked tree steps first: an illegal simulated op must leave the
         # restricted tree and the tracked tree alone.
         T = build_tree("(((..)(..))(..))")  # root 3; 0 is a leaf under 1
-        st = init_prime(T)
+        prime, sim = init_prime(T)
         for steps, illegal in (([], (U, ROT)), ([L, L], (L, R))):
             for op in steps:
-                apply_t_op(st, op)
-            prime, sim = st.prime.copy(), st.sim.copy()
+                apply_t_op(prime, sim, op)
+            prime_before, sim_before = prime.copy(), sim.copy()
             for op in illegal:
                 with pytest.raises(IllegalOpError):
-                    apply_t_op(st, op)
-                assert same_structure(st.prime, prime) and st.prime.cursor == prime.cursor
-                assert same_structure(st.sim, sim) and st.sim.cursor == sim.cursor
+                    apply_t_op(prime, sim, op)
+                assert same_structure(prime, prime_before) and prime.cursor == prime_before.cursor
+                assert same_structure(sim, sim_before) and sim.cursor == sim_before.cursor
 
     def test_failed_rotation_hook_keeps_earlier_moves(self):
-        # A hook that refuses the first rotation stops the sequence there.
+        # A hook that refuses the first rotation stops the sequence there:
+        # at T's key 0, the restricted tree's 1.
         T = build_tree("((..)(..))")
-        st = init_prime(T)
+        prime, sim = init_prime(T)
 
         def refuse(key):
             raise IllegalOpError(f"refused rotation at {key}")
 
-        with pytest.raises(IllegalOpError, match="refused rotation at 0"):
-            apply_t_op(st, L, rotate=refuse)
-        assert st.prime.cursor == 0  # the moves before the refused rotation stand
+        with pytest.raises(IllegalOpError, match="refused rotation at 1"):
+            apply_t_op(prime, sim, L, rotate=refuse)
+        assert prime.cursor == 1  # the moves before the refused rotation stand
 
     def test_refused_sequence_names_the_simulated_op_once(self):
         # A restricted cursor moved off the root corrupts the configuration:
-        # from -1, the sequence of the simulated RIGHT at index 0 moves right
-        # to 0 and is refused at its own op 1, LEFT, for 0 has no left child.
-        # The error names the simulated op's index and no other.
-        st = init_prime(build_tree("((..)(..))"))
-        st.prime.cursor = -1
+        # from the sentinel 0, the sequence of the simulated RIGHT at index 0
+        # moves right to 1 (T's key 0) and is refused at its own op 1, LEFT,
+        # for 1 has no left child.  The error names the simulated op's index
+        # and no other.
+        prime, sim = init_prime(build_tree("((..)(..))"))
+        prime.cursor = 0
         with pytest.raises(IllegalOpError) as err:
-            apply_t_ops(st, [R, L])
+            apply_t_ops(prime, sim, [R, L])
         assert str(err.value).count("(op index") == 1
         assert err.value.index == 0
-        assert err.value.reason == "no left child at 0"
-        assert str(err.value) == "no left child at 0 (op index 0)"
+        assert err.value.reason == "no left child at 1"
+        assert str(err.value) == "no left child at 1 (op index 0)"
 
 
 class TestProgramSimulation:
@@ -238,11 +255,12 @@ class TestProgramSimulation:
             out = simulate_program(T, program)
             assert out.move_count == 4 * M + 3 * Rc
             assert out.rotation_count == 2 * M + Rc
-            assert check_restricted(init_prime(T).prime, out.ops).passed
+            assert check_restricted(init_prime(T)[0], out.ops).passed
 
     def test_simulation_tracks_t_program(self):
         # After the simulation, the subtrees hanging off the restricted tree's
-        # sentinel spine match the simulated tree around its cursor.
+        # sentinel spine match the simulated tree around its cursor, each key
+        # k of the simulated tree as k + 1.
         rng = rng_for_trial(31, 0)
         for _ in range(100):
             T = random_tree(rng.randint(2, 8), rng)
@@ -250,12 +268,11 @@ class TestProgramSimulation:
             sim = T.copy()
             for op in program.ops:
                 apply_op(sim, op)
-            st = init_prime(T)
+            prime, tracked = init_prime(T)
             for op in program.ops:
-                apply_t_op(st, op)
-            assert st.prime.root == sim.cursor
-            keys = in_order(T)
-            assert in_order(st.prime) == [keys[0] - 1] + in_order(sim) + [keys[-1] + 1]
+                apply_t_op(prime, tracked, op)
+            assert prime.root == sim.cursor + 1
+            assert in_order(prime) == [0, *(k + 1 for k in in_order(sim)), len(T) + 1]
 
     def test_cursor_trace_subsequence(self):
         rng = rng_for_trial(37, 0)
@@ -263,36 +280,36 @@ class TestProgramSimulation:
             T = random_tree(rng.randint(2, 10), rng)
             program = random_t_program(T, rng, max_moves=30, max_rotations=10)
             out = simulate_program(T, program)
-            sim_keys = cursor_trace(T, program.ops)
-            prime_keys = cursor_trace(init_prime(T).prime, out.ops)
+            sim_keys = [k + 1 for k in cursor_trace(T, program.ops)]
+            prime_keys = cursor_trace(init_prime(T)[0], out.ops)
             assert is_subsequence(sim_keys, prime_keys)
 
 
 class TestRestrictedChecker:
     def test_deep_visit_flagged(self):
         T = build_tree("(((..)(..))((..)(..)))")
-        prime = init_prime(T).prime
+        prime = init_prime(T)[0]
         report = check_restricted(prime, [L, R, L])  # walks to depth 3
         assert not report.passed
         assert any("depth >= 3" in v for v in report.violations)
 
     def test_missed_return_flagged(self):
         T = build_tree("(((..)(..))(..))")
-        prime = init_prime(T).prime
+        prime = init_prime(T)[0]
         report = check_restricted(prime, [L, R, ROT])  # rotation at depth 2
         assert not report.passed
         assert any("ends before" in v for v in report.violations)
 
     def test_sideways_after_rotation_flagged(self):
         T = build_tree("(((..)(..))(..))")
-        prime = init_prime(T).prime
+        prime = init_prime(T)[0]
         report = check_restricted(prime, [L, R, ROT, R])
         assert not report.passed
         assert any("sideways" in v for v in report.violations)
 
     def test_legal_sequence_passes(self):
         T = build_tree("((..)(..))")
-        prime = init_prime(T).prime
+        prime = init_prime(T)[0]
         report = check_restricted(prime, [L, ROT])  # zig; ends at the new root
         assert report.passed
 
@@ -324,7 +341,7 @@ class TestRestrictedChecker:
         flagged = 0
         for _ in range(150):
             T = random_tree(rng.randint(2, 10), rng)
-            prime = init_prime(T).prime
+            prime = init_prime(T)[0]
             program = random_t_program(T, rng, max_moves=20, max_rotations=10)
             out = simulate_program(T, program).ops
             for initial, ops in ((T, program.ops), (prime, out)):
@@ -365,13 +382,14 @@ def illegal_at(tree):
                                (U, tree.parent[c] is None), (ROT, tree.parent[c] is None)) if bad]
 
 
-def one_at_a_time(step, st, ops, rotate):
-    """`step(st, op, rotate=rotate)` on each op in turn: the concatenated
-    sequences, or the error of the op at fault, naming its index in `ops`."""
+def one_at_a_time(step, prime, sim, ops, rotate):
+    """`step(prime, sim, op, rotate=rotate)` on each op in turn: the
+    concatenated sequences, or the error of the op at fault, naming its index
+    in `ops`."""
     out = []
     for i, op in enumerate(ops):
         try:
-            out += step(st, op, rotate=rotate)
+            out += step(prime, sim, op, rotate=rotate)
         except IllegalOpError as exc:
             raise IllegalOpError(str(exc), i) from None
     return out
@@ -433,17 +451,18 @@ class TestBatchedTransition:
         for T, ops in programs(53 + hooked, 200):
             runs = []
             for step in (apply_t_op, reference_apply_t_op):
-                st, calls, results = init_prime(T), [], []
+                (prime, sim), calls, results = init_prime(T), [], []
 
-                def hook(key, st=st, calls=calls):
-                    calls.append((key, st.prime.cursor))
-                    st.prime.rotate_up(key)
+                def hook(key, prime=prime, calls=calls):
+                    calls.append((key, prime.cursor))
+                    prime.rotate_up(key)
 
                 for op in ops:
-                    results.append(outcome(lambda: step(st, op, rotate=hook if hooked else None)))
+                    results.append(outcome(
+                        lambda: step(prime, sim, op, rotate=hook if hooked else None)))
                     if results[-1][0] != "ok":
                         break
-                runs.append((results, calls, snapshot(st.prime), snapshot(st.sim)))
+                runs.append((results, calls, snapshot(prime), snapshot(sim)))
             assert runs[0] == runs[1]
             raised += any(r[0] != "ok" for r in runs[0][0])
             hooked_calls += len(runs[0][1])
@@ -460,16 +479,16 @@ class TestBatchedTransition:
         for T, ops in programs(59 + hooked, 200):
             runs = []
             for batched in (True, False):
-                st, calls = init_prime(T), []
+                (prime, sim), calls = init_prime(T), []
 
-                def hook(key, st=st, calls=calls):
-                    calls.append((key, st.prime.cursor))
-                    st.prime.rotate_up(key)
+                def hook(key, prime=prime, calls=calls):
+                    calls.append((key, prime.cursor))
+                    prime.rotate_up(key)
 
                 rotate = hook if hooked else None
-                result = outcome(lambda: apply_t_ops(st, ops, rotate) if batched
-                                 else one_at_a_time(reference_apply_t_op, st, ops, rotate))
-                runs.append((result, calls, snapshot(st.prime), snapshot(st.sim)))
+                result = outcome(lambda: apply_t_ops(prime, sim, ops, rotate) if batched
+                                 else one_at_a_time(reference_apply_t_op, prime, sim, ops, rotate))
+                runs.append((result, calls, snapshot(prime), snapshot(sim)))
             assert runs[0] == runs[1]
             raised += runs[0][0][0] is IllegalOpError
             hooked_calls += len(runs[0][1])
@@ -488,18 +507,18 @@ class TestBatchedTransition:
         for k, (T, ops) in enumerate(programs(61, 200)):
             runs = []
             for batched in (True, False):
-                st, calls = init_prime(T), []
+                (prime, sim), calls = init_prime(T), []
 
-                def hook(key, st=st, calls=calls):
+                def hook(key, prime=prime, calls=calls):
                     calls.append(key)
                     if len(calls) <= k % 7:
-                        st.prime.rotate_up(key)
+                        prime.rotate_up(key)
                     elif not skip:
                         raise IllegalOpError(f"refused rotation at {key}")
 
-                result = outcome(lambda: apply_t_ops(st, ops, hook) if batched
-                                 else one_at_a_time(apply_t_op, st, ops, hook))
-                runs.append((result, calls, snapshot(st.prime), st.sim))
+                result = outcome(lambda: apply_t_ops(prime, sim, ops, hook) if batched
+                                 else one_at_a_time(apply_t_op, prime, sim, ops, hook))
+                runs.append((result, calls, snapshot(prime), sim))
             assert runs[0][:3] == runs[1][:3]
             result, _, _, sim = runs[0]
             if result[0] is IllegalOpError and result[1].startswith(fault):
@@ -511,19 +530,19 @@ class TestBatchedTransition:
         # trees and both cursors as they were.
         states = []
         for T, _ in programs(67, 20):
-            st = init_prime(T)
+            prime, sim = init_prime(T)
             # One legal move first, where there is one, so a cursor is off the root.
-            apply_t_ops(st, [op for op in (L, R) if op not in illegal_at(st.sim)][:1])
-            states.append(st)
+            apply_t_ops(prime, sim, [op for op in (L, R) if op not in illegal_at(sim)][:1])
+            states.append((prime, sim))
         replays = []
         monkeypatch.setattr(splaylab.restricted, "apply_ops",
                             lambda *args, **kwargs: replays.append(args))
-        for st in states:
-            before = snapshot(st.prime), snapshot(st.sim)
+        for prime, sim in states:
+            before = snapshot(prime), snapshot(sim)
             calls = []
             for empty in ([], ()):
-                assert apply_t_ops(st, empty, calls.append) == []
-            assert (snapshot(st.prime), snapshot(st.sim)) == before
+                assert apply_t_ops(prime, sim, empty, calls.append) == []
+            assert (snapshot(prime), snapshot(sim)) == before
             assert calls == [] and replays == []
 
     def test_lemma3_applies_no_op_per_restricted_op(self, monkeypatch):

@@ -194,11 +194,11 @@ def test_kernel_matches_textbook_splayer(data, n, seed):
 
 def drawn_tree(data):
     """A tree over 0..n-1 for 1-40 keys, shaped by drawn roots through
-    `tree_from_roots`, or the restricted tree `init_prime` builds from one,
-    whose sentinel -1 sits in the lists' last slot."""
+    `tree_from_roots`, or the restricted tree over 0..n+1 that `init_prime`
+    builds from one."""
     n = data.draw(st.integers(1, 40))
     tree = tree_from_roots(n, lambda i, j: data.draw(st.integers(i, j - 1)))
-    return init_prime(tree).prime if data.draw(st.booleans()) else tree
+    return init_prime(tree)[0] if data.draw(st.booleans()) else tree
 
 
 @settings(max_examples=100, deadline=None)
@@ -362,13 +362,13 @@ def test_splay_of_unknown_key_moves_no_link():
 
 def unknown_key_cases():
     """(tree, key) pairs whose key is not in the tree: -1 wraps onto the last
-    key's slot of a 0..n-1 tree and n is one past it; on a restricted tree
-    over -1..n, -2 lands on n's slot and n + 1 on -1's, the last, so a list
-    would take either without complaint."""
+    key's slot of a 0..n-1 tree, so a list would take it without complaint,
+    and n is one past it; on a restricted tree over 0..n+1, -1 lands on the
+    sentinel n + 1 and n + 2 is one past it."""
     for key in (-1, 20):
         yield random_tree(20, rng_for_trial(23, 0)), key
-    prime = init_prime(random_tree(20, rng_for_trial(29, 0))).prime
-    for key in (-2, 21):
+    prime = init_prime(random_tree(20, rng_for_trial(29, 0)))[0]
+    for key in (-1, 22):
         yield prime.copy(), key
 
 
