@@ -11,7 +11,8 @@ read as key-interval sums: every tree is over 0..len-1, so with the weights
 listed in key order and `prefix` their prefix sums, the subtree over the
 keys lo..hi-1 sums to prefix[hi] - prefix[lo].  A splay reads the 2-3 sums
 each step changes; a reference rotation reads only the nodes on S's paths
-to the keys it splayed.  Whole-tree passes are left to the start and the end
+to the keys it splayed.  Both read those paths off `machine.key_path`, which
+refuses an unknown key.  Whole-tree passes are left to the start and the end
 of an accounting run (`InterleavedRun.sums`).
 
 A run keeps T's key interval and depth per key, listed at its start by
@@ -41,7 +42,7 @@ from itertools import accumulate
 from math import prod
 from operator import itemgetter
 
-from .machine import IllegalOpError, MachineProgram, TreeState
+from .machine import IllegalOpError, MachineProgram, TreeState, key_path
 from .oracle import per_query_segments, static_optimal
 from .potential import (
     potential,
@@ -52,7 +53,7 @@ from .potential import (
 )
 from .report import CheckReport
 from .restricted import apply_t_ops, init_prime
-from .splay import ROTATIONS, ZIG, ZIGZAG, ZIGZIG, splay
+from .splay import ZIG, ZIGZAG, ZIGZIG, splay
 
 # 2 to the power of the bound on a reference rotation's jump of phi:
 # 2^(11 + log2 11), and 2^(7 + log2 11) at depth 1.
@@ -67,16 +68,15 @@ def log2_ratio(grow: int, shrink: int) -> float:
 
 
 class StepCheck:
-    """One splay step: the key's subtree sum before and after it, and the
-    change of P(S) over it as 2^delta = grow / shrink.  `cost` is 1 for a
-    zig, 2 for a zig-zig or a zig-zag."""
+    """One splay step: its kind, the key's subtree sum before and after it,
+    and the change of P(S) over it as 2^delta = grow / shrink.  The kind
+    decides the step's cost: 1 rotation for a zig, 2 for a zig-zig or a
+    zig-zag."""
 
-    __slots__ = ("kind", "cost", "s_before", "s_after", "grow", "shrink")
+    __slots__ = ("kind", "s_before", "s_after", "grow", "shrink")
 
-    def __init__(self, kind: str, cost: int, s_before: int, s_after: int,
-                 grow: int, shrink: int):
+    def __init__(self, kind: str, s_before: int, s_after: int, grow: int, shrink: int):
         self.kind = kind
-        self.cost = cost
         self.s_before = s_before
         self.s_after = s_after
         self.grow = grow
@@ -115,23 +115,6 @@ class RotationEvent:
         self.shrink = shrink
 
 
-def key_path(tree: TreeState, key: int) -> list:
-    """The path from `tree`'s root down to `key`, each node as (node, lo, hi):
-    its subtree holds exactly the keys lo..hi-1."""
-    left, right = tree.left, tree.right
-    node, lo, hi = tree.root, 0, len(tree.keys)
-    path = [(node, lo, hi)]
-    while node != key:
-        if key < node:
-            hi = node
-            node = left[node]
-        else:
-            lo = node + 1
-            node = right[node]
-        path.append((node, lo, hi))
-    return path
-
-
 def checked_splay(
     S: TreeState,
     prefix: list,
@@ -153,9 +136,8 @@ def checked_splay(
     any link moves, the kind by key order (x < p < g or x > p > g is the
     zig-zig that `splay` tells by p hanging on g's `near` side); one `splay`
     call then restructures S, and its return, the key's depth, is the
-    splay's cost."""
-    if key not in S.keys:
-        raise KeyError(f"unknown key {key!r}")
+    splay's cost.  An unknown key raises KeyError, from `key_path`, before
+    any link moves."""
     path = key_path(S, key)
     _, lo, hi = path.pop()
     s_x = s_key = prefix[hi] - prefix[lo]
@@ -182,7 +164,7 @@ def checked_splay(
         grow *= up
         shrink *= down
         if per_step:
-            steps.append(StepCheck(kind, ROTATIONS[kind], s_key, s_top, up, down))
+            steps.append(StepCheck(kind, s_key, s_top, up, down))
         s_key = s_top
     return SplayEvent(key, splay(S, key), depth_ref, prefix[-1], s_x, grow, shrink, steps)
 
@@ -191,7 +173,7 @@ def check_access_lemma(ev: SplayEvent, report: CheckReport) -> CheckReport:
     """Amortized splay cost <= 1 + 3[r(root) - r(key)], that is
     2^cost grow s(key)^3 <= 2 s(root)^3 shrink; and each step's amortized
     cost <= [zig] + 3[r'(key) - r(key)], that is
-    2^cost grow s(key)^3 <= 2^[zig] s'(key)^3 shrink."""
+    2^cost grow s(key)^3 <= 2^[zig] s'(key)^3 shrink, a step's cost 2 - [zig]."""
     steps = ev.steps
     report.tick(1 + len(steps))
     if ev.grow * ev.s_key ** 3 << ev.cost > 2 * ev.s_root ** 3 * ev.shrink:
@@ -200,8 +182,9 @@ def check_access_lemma(ev: SplayEvent, report: CheckReport) -> CheckReport:
         report.fail(f"splay {ev.key}: amortized {amortized:.9f} > 1+3*dr = {bound:.9f}")
     for i, step in enumerate(steps):
         zig = step.kind == ZIG
-        if step.grow * step.s_before ** 3 << step.cost > step.s_after ** 3 * step.shrink << zig:
-            amortized = step.cost + log2_ratio(step.grow, step.shrink)
+        cost = 2 - zig
+        if step.grow * step.s_before ** 3 << cost > step.s_after ** 3 * step.shrink << zig:
+            amortized = cost + log2_ratio(step.grow, step.shrink)
             bound = zig + 3 * log2_ratio(step.s_after, step.s_before)
             report.fail(f"splay {ev.key} step {i} ({step.kind}): "
                         f"amortized {amortized:.9f} > {bound:.9f}")
@@ -468,7 +451,9 @@ def accounting_run(n: int, queries, strategy: str = "oracle-witness") -> tuple:
     e = run.organizing_count
     sums_S, sums_T = run.sums()
     phi_final = potential(sums_S, run.scale) - potential(sums_T, run.scale)
-    check = CheckReport("accounting", checked=5, violations=list(run.report.violations))
+    check = CheckReport("accounting")
+    check.tick(5)
+    check.violations += run.report.violations
     if m_prime != 4 * M + 3 * R or r_prime != 2 * M + R:
         check.fail("simulated op counts off")
     if e > ORGANIZING_SPLAYS_PER_ROTATION * r_prime:

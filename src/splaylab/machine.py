@@ -7,7 +7,8 @@ its left, right and parent links in three lists indexed by key, so the
 kernels subscript a list with the key itself.  A list would take a key
 outside the tree without complaint (-1 is the last key's slot), so every
 entry point that takes a key from outside checks it against the tree's key
-range and raises KeyError before any link moves.
+range and raises KeyError before any link moves.  `key_path` is the one
+walk from the root down to a key, with that check.
 
 A single cursor moves between adjacent nodes; the only structural primitive
 is an upward rotation of the node at the cursor.  A program is a sequence of
@@ -121,6 +122,26 @@ class TreeState:
             self.right[g] = key
 
 
+def key_path(tree: TreeState, key: int) -> list:
+    """The path from `tree`'s root down to `key`, each node as (node, lo, hi):
+    its subtree holds exactly the keys lo..hi-1.  An unknown key raises
+    KeyError."""
+    if key not in tree.keys:
+        raise KeyError(f"unknown key {key!r}")
+    left, right = tree.left, tree.right
+    node, lo, hi = tree.root, 0, len(tree.keys)
+    path = [(node, lo, hi)]
+    while node != key:
+        if key < node:
+            hi = node
+            node = left[node]
+        else:
+            lo = node + 1
+            node = right[node]
+        path.append((node, lo, hi))
+    return path
+
+
 def tree_from_roots(n: int, pick) -> TreeState:
     """The tree over the keys 0..n-1 whose subtree over the keys i..j-1 is
     rooted at pick(i, j).
@@ -210,18 +231,12 @@ def build_tree(shape: str) -> TreeState:
 
 
 class MachineProgram:
-    """An op list for the cursor machine; two programs are equal when their
-    op lists are."""
+    """An op list for the cursor machine."""
 
     __slots__ = ("ops",)
 
     def __init__(self, ops: list):
         self.ops = ops
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.ops == other.ops
 
     @property
     def move_count(self) -> int:

@@ -7,7 +7,9 @@ for a statically optimal tree.  A parent tuple, the parent of each key in
 a fixed key order, fixes a tree's shape.  The program-space search keys its
 states by that tuple; the breadth-first search keys them by a small int id
 that a process-wide table gives each parent tuple, and reads each shape and
-cursor's legal steps from a table built once per pair.
+cursor's legal steps from a table built once per pair.  A reference
+program is either `opt_cost`'s witness or the static tree's walk down each
+query's `machine.key_path` and back up.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .machine import (
     IllegalOpError,
     TreeState,
     apply_op,
+    key_path,
     tree_from_roots,
 )
 
@@ -232,22 +235,6 @@ def static_optimal(counts: list) -> TreeState:
 # -- strategy programs -----------------------------------------------------------
 
 
-def path_ops(tree: TreeState, key: int) -> list:
-    """Downward moves from the root to `key`."""
-    ops = []
-    node = tree.root
-    while node != key:
-        if key < node:
-            ops.append(_L)
-            node = tree.left[node]
-        else:
-            ops.append(_R)
-            node = tree.right[node]
-        if node is None:
-            raise KeyError(f"unknown key {key!r}")
-    return ops
-
-
 def per_query_segments(strategy: str, T0: TreeState, queries) -> list:
     """Cursor-op segments, one per query, for the chosen reference strategy."""
     if strategy not in STRATEGIES:
@@ -255,7 +242,7 @@ def per_query_segments(strategy: str, T0: TreeState, queries) -> list:
     if strategy == "static":
         segments = []
         for q in queries:
-            down = path_ops(T0, q)
+            down = [_L if q < node else _R for node, _, _ in key_path(T0, q)[:-1]]
             segments.append(down + [_U] * len(down))
         return segments
     return opt_cost(T0, queries)[1]

@@ -8,10 +8,10 @@ class CheckReport:
 
     __slots__ = ("name", "checked", "violations")
 
-    def __init__(self, name: str, checked: int = 0, violations: list | None = None):
+    def __init__(self, name: str):
         self.name = name
-        self.checked = checked
-        self.violations = [] if violations is None else violations
+        self.checked = 0
+        self.violations = []
 
     @property
     def passed(self) -> bool:

@@ -19,7 +19,6 @@ from .machine import IllegalOpError, TreeState
 ZIG = "zig"
 ZIGZIG = "zigzig"
 ZIGZAG = "zigzag"
-ROTATIONS = {ZIG: 1, ZIGZIG: 2, ZIGZAG: 2}
 
 
 def splay_step(state: TreeState, key: int) -> str:

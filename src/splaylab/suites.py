@@ -46,12 +46,6 @@ SCHEMA_VERSION = 1
 JSON_ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
 RENDER_BATCH = 2048
 
-CSV_COLUMNS = [
-    "seed", "n", "m", "M", "R", "M_prime", "R_prime", "e",
-    "total_S_cost", "phi_final", "max_ratio",
-]
-
-
 class Suite:
     """One suite: its runner, its default --trials and the ranges it draws from.
 
@@ -200,8 +194,9 @@ def run_theorem7(suite: Suite, config: ExperimentConfig, report: CheckReport) ->
 
 
 def rows_to_csv(rows) -> str:
+    """The rows as CSV, the first row's keys in order as the header."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
     return buf.getvalue()

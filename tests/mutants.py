@@ -8,18 +8,31 @@ edit is made.  For each row the script copies src/ to a temporary directory,
 applies the edit there and runs pytest on the row's test files against that
 copy; a row whose tests all pass is a surviving mutant.  Before any mutant,
 each set of test files must pass against an unedited copy, so a broken
-harness cannot pass for a kill.  The script prints one line per row and
-exits 1 if any mutant survives or any run ends without a verdict, else 0.
+harness cannot pass for a kill.  The script prints one line per row, with
+its time, and exits 1 if any mutant survives or any run ends without a
+verdict, else 0.
+
+Each pytest child runs under a time limit (`ROW_SECONDS`) and an
+address-space limit (`ROW_ADDRESS_SPACE`), so a mutant that makes a test
+loop or grow without end costs one bounded run.  A child past its time is
+killed; a child past its address space gets a MemoryError, which a hook
+below turns into the exit code `OUT_OF_MEMORY` rather than a test failure
+that would read as a kill.  Either ends the row as "no verdict".  Only the
+exit code `TESTS_FAILED`, which another hook sets when pytest finishes with
+failed tests, reads as a kill: pytest's own 1 also means that the process
+died of an uncaught exception.
 
 Tier-1 does not collect this script (its name does not start with `test_`);
 `tests/test_bounds.py::test_every_mutant_target_occurs_once` checks every
 row's target against src/, so the catalogue cannot rot silently.
 
-The bound rows loosen one constant of an exact integer comparison each, or
-drop one factor of the telescoping identity; `tests/test_bounds.py` pins
+The bound rows loosen one constant of an exact integer comparison each,
+charge a zig step the two rotations of the other kinds, or drop one factor
+of the telescoping identity; `tests/test_bounds.py` pins
 those constants at their boundaries.  The kernel rows break one link write of
 `splay.splay` or `TreeState.rotate_up`, drop the key check either makes
-before any link moves, or make the link lists one slot too long.  The shift
+before any link moves, or the one `machine.key_path` makes for every walk
+down to a key, or make the link lists one slot too long.  The shift
 rows drop one `+ 1` of the four places that meet T's key k as the
 restricted tree's k + 1: the restricted root `init_prime` builds, the
 pinned-root check of `apply_t_ops`, the key `accounting_run` splays for a
@@ -55,19 +68,23 @@ row drops the last batch of JSON chunks that `render_report` joins when it
 holds fewer than a full batch.  The golden digests of `tests/test_golden.py`
 must reject each.
 
-The catalogue has 43 rows; a full run takes about 110 s on two vCPUs with
+The catalogue has 45 rows; a full run took 107–126 s on two vCPUs with
 Python 3.11.
 """
 
 from __future__ import annotations
 
 import os
+import resource
 import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import dataclass
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "splaylab"
@@ -81,6 +98,13 @@ ORACLE_TESTS = ("tests/test_oracle.py",)
 KEY_SET_TESTS = ("tests/test_potential.py",)
 PRODUCT_TESTS = ("tests/test_lab.py", "tests/test_golden.py")
 GOLDEN_TESTS = ("tests/test_golden.py",)
+
+# Each pytest child's limits.  Every test set passes unedited in under 7 s
+# and within 64 MB of address space on two vCPUs with Python 3.11.
+ROW_SECONDS = 60
+ROW_ADDRESS_SPACE = 512 << 20
+TESTS_FAILED = 85
+OUT_OF_MEMORY = 86
 
 
 @dataclass(frozen=True)
@@ -115,6 +139,8 @@ MUTANTS = (
            "ev.s_key ** 4 << ev.cost > 2 * ev.s_root ** 4", BOUND_TESTS),
     Mutant("zig step 1 + 3dr -> 2 + 3dr", "lab.py",
            "step.shrink << zig", "step.shrink << 2 * zig", BOUND_TESTS),
+    Mutant("check_access_lemma: a zig charged 2", "lab.py",
+           "cost = 2 - zig", "cost = 2", BOUND_TESTS),
     Mutant("4 + 6d -> 5 + 6d", "lab.py",
            "bound = 4 + 6 * ev.depth_ref", "bound = 5 + 6 * ev.depth_ref", BOUND_TESTS),
     Mutant("4 + 6d -> 4 + 7d", "lab.py",
@@ -154,6 +180,8 @@ MUTANTS = (
            SPLAY_GUARD, SPLAY_GUARD.replace("key not in state.keys", "False"), KERNEL_TESTS),
     Mutant("rotate_up: key guard dropped", "machine.py",
            ROTATE_GUARD, ROTATE_GUARD.replace("key not in self.keys", "False"), KERNEL_TESTS),
+    Mutant("key_path: unknown-key guard dropped", "machine.py",
+           "if key not in tree.keys:", "if False:", KERNEL_TESTS),
     Mutant("slot length off by one", "machine.py",
            "[None] * n", "[None] * (n + 1)", KERNEL_TESTS),
     # -- T's key k as the restricted tree's k + 1 -------------------------------
@@ -215,16 +243,53 @@ MUTANTS = (
 )
 
 
-def run_tests(src: Path, tests: tuple, work: Path) -> int:
-    """pytest's exit code for `tests` run against the package copy under `src`.
+# The hooks below are loaded into each row's pytest child with `-p mutants`.
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_pyfunc_call(pyfuncitem):
+    """A test function that raises MemoryError ends the child with
+    OUT_OF_MEMORY at once.  Its traceback still holds what filled the
+    address space, so pytest would fail to report it."""
+    try:
+        return (yield)
+    except MemoryError:
+        os._exit(OUT_OF_MEMORY)
+
+
+def pytest_sessionfinish(session, exitstatus):
+    if exitstatus == pytest.ExitCode.TESTS_FAILED:
+        session.exitstatus = TESTS_FAILED
+
+
+def limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ROW_ADDRESS_SPACE, ROW_ADDRESS_SPACE))
+
+
+def run_tests(src: Path, tests: tuple, work: Path) -> int | None:
+    """pytest's exit code for `tests` run against the package copy under `src`,
+    or None if the run took longer than ROW_SECONDS.
 
     The run's working directory is `work`, so hypothesis keeps its example
     database there and not in the repository."""
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    path = os.pathsep.join((str(src), str(ROOT / "tests")))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-           *(str(ROOT / t) for t in tests)]
-    return subprocess.run(cmd, cwd=work, env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL).returncode
+           "-p", "mutants", *(str(ROOT / t) for t in tests)]
+    try:
+        return subprocess.run(cmd, cwd=work, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, timeout=ROW_SECONDS,
+                              preexec_fn=limit_address_space).returncode
+    except subprocess.TimeoutExpired:
+        return None
+
+
+def verdict(code: int | None) -> str:
+    if code is None:
+        return f"no verdict (over {ROW_SECONDS} s)"
+    if code == OUT_OF_MEMORY:
+        return f"no verdict (over {ROW_ADDRESS_SPACE >> 20} MB of address space)"
+    return {0: "SURVIVED", TESTS_FAILED: "killed"}.get(code, f"no verdict (pytest exit {code})")
 
 
 def copy_src(work: Path, mutant: Mutant | None = None) -> Path:
@@ -250,13 +315,14 @@ def main() -> int:
         for tests in dict.fromkeys(m.tests for m in rows):
             code = run_tests(copy_src(work), tests, work)
             if code != 0:
-                print(f"baseline FAILED (pytest exit {code}): {' '.join(tests)}")
+                why = "a test failed" if code == TESTS_FAILED else verdict(code)
+                print(f"baseline FAILED ({why}): {' '.join(tests)}")
                 return 1
         for m in rows:
+            start = time.perf_counter()
             code = run_tests(copy_src(work, m), m.tests, work)
-            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"no verdict (pytest exit {code})")
-            bad += code != 1
-            print(f"{verdict:>8}  {m.name}")
+            bad += code != TESTS_FAILED
+            print(f"{time.perf_counter() - start:5.1f} s  {verdict(code):>8}  {m.name}")
     print(f"{len(rows) - bad} of {len(rows)} mutants killed")
     return 1 if bad else 0
 

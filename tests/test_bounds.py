@@ -78,7 +78,7 @@ def test_step_bound(side, kind, cost, constant, dr):
     # 3 dr, with dr the key's rank change over the step.  The splay as a
     # whole stays far inside its own bound.
     bound = constant + 3 * dr
-    step = StepCheck(kind, cost, UNIT, ratio(dr)[0], *ratio(bound + side * EPS - cost))
+    step = StepCheck(kind, UNIT, ratio(dr)[0], *ratio(bound + side * EPS - cost))
     ev = SplayEvent(0, 0, 0, UNIT, UNIT, 1, 1 << 10, [step])
     assert holds(checked(check_access_lemma, ev), side)
 

@@ -278,3 +278,5 @@ class TestSuiteApi:
         }]
         text = rows_to_csv(rows)
         assert "1,3,2,4,1,19,9,20,7,0.5,0.9" in text
+        # The header is the first row's keys, in the row's order.
+        assert text.splitlines()[0] == ",".join(rows[0])

@@ -31,8 +31,8 @@ from splaylab.machine import IllegalOpError, TreeState, build_tree
 from splaylab.potential import assign_weights, potential, potential_of, subtree_sums
 from splaylab.report import CheckReport
 from splaylab.restricted import init_prime
-from splaylab.splay import total_access_cost
-from splaylab.suites import CSV_COLUMNS, run_suite
+from splaylab.splay import ZIG, total_access_cost
+from splaylab.suites import render_report, run_suite
 
 from reference import (
     all_depths,
@@ -42,6 +42,11 @@ from reference import (
     reference_subtree_sums,
     same_structure,
 )
+
+
+def step_cost(step):
+    """A splay step's rotations, decided by its kind: 1 for a zig, else 2."""
+    return 1 if step.kind == ZIG else 2
 
 
 def shallow_keys(run):
@@ -602,7 +607,7 @@ class TestKeptSums:
                 after = sums_product(run.S, run.weights)
                 assert ev.grow * before == ev.shrink * after
                 if per_step:
-                    assert sum(step.cost for step in ev.steps) == ev.cost
+                    assert sum(step_cost(step) for step in ev.steps) == ev.cost
                     assert prod(step.grow for step in ev.steps) == ev.grow
                     assert prod(step.shrink for step in ev.steps) == ev.shrink
                 checked += ev.cost > 0
@@ -664,7 +669,7 @@ def test_interval_sums_and_deltas_match_fresh_passes(data, n, seed, per_step, re
             after = sums_product(run.S, weights)
             assert ev.grow * before == ev.shrink * after
             if per_step:
-                assert sum(step.cost for step in ev.steps) == ev.cost
+                assert sum(step_cost(step) for step in ev.steps) == ev.cost
                 assert prod(step.grow for step in ev.steps) == ev.grow
                 assert prod(step.shrink for step in ev.steps) == ev.shrink
         assert_sums_fresh()
@@ -711,8 +716,9 @@ class TestAccountingRun:
         assert row["M_prime"] == 4 * row["M"] + 3 * row["R"]
 
     def test_theorem7_reports_each_row_as_returned(self, monkeypatch):
-        # A trial's row is the one record of its counts: its keys are the
-        # CSV columns but the seed, and the report lists it with the seed.
+        # A trial's row is the one record of its counts: the report lists it
+        # with the seed, and the CSV header is the reported row's keys.
+        header = "seed,n,m,M,R,M_prime,R_prime,e,total_S_cost,phi_final,max_ratio"
         rows = []
 
         def recorded(*args, **kwargs):
@@ -723,8 +729,10 @@ class TestAccountingRun:
         monkeypatch.setattr(splaylab.suites, "accounting_run", recorded)
         code, report = run_suite("theorem7", ExperimentConfig(seed=3, trials=20))
         assert code == 0 and len(rows) == 20
-        assert all(list(row) == [c for c in CSV_COLUMNS if c != "seed"] for row in rows)
+        assert all(",".join(["seed", *row]) == header for row in rows)
         assert report["runs"] == [{"seed": 3, **row} for row in rows]
+        config = ExperimentConfig(seed=3, trials=20, output_path="runs.csv")
+        assert render_report("theorem7", config, report).split("\n", 1)[0] == header
 
     def test_unknown_query_rejected(self):
         # -1 would count into the last key's slot of a list of counts.

@@ -10,6 +10,7 @@ from splaylab.machine import (
     ShapeError,
     apply_op,
     build_tree,
+    key_path,
     tree_from_roots,
 )
 from splaylab.generators import (
@@ -124,6 +125,34 @@ class TestRotation:
             applied += 1
         validate(tree)
         assert in_order(tree) == order
+
+
+class TestKeyPath:
+    def test_path_is_the_root_chain_with_subtree_intervals(self):
+        # The path runs from the root down the parent links to the key, and
+        # each node's (lo, hi) bounds exactly the keys of its subtree.
+        rng = rng_for_trial(11, 0)
+        for _ in range(30):
+            tree = random_tree(rng.randint(1, 20), rng)
+            for key in tree.keys:
+                chain = [key]
+                while tree.parent[chain[-1]] is not None:
+                    chain.append(tree.parent[chain[-1]])
+                path = key_path(tree, key)
+                assert [node for node, _, _ in path] == chain[::-1]
+                for node, lo, hi in path:
+                    assert subtree_keys(tree, node) == set(range(lo, hi))
+
+    def test_unknown_key_rejected_before_any_link_moves(self):
+        # n and past it would walk off the right spine, -1 off the left one;
+        # each is refused with a KeyError and the tree is left as it was.
+        for n in (1, 5, 12):
+            tree = random_tree(n, rng_for_trial(17, n))
+            links = tree.left[:], tree.right[:], tree.parent[:], tree.root, tree.cursor
+            for key in (n, n + 3, -1):
+                with pytest.raises(KeyError, match=f"unknown key {key}"):
+                    key_path(tree, key)
+                assert (tree.left, tree.right, tree.parent, tree.root, tree.cursor) == links
 
 
 class TestPrograms:

@@ -4,7 +4,7 @@ import pytest
 
 from splaylab import oracle
 from splaylab.generators import ExperimentConfig, random_tree, rng_for_trial
-from splaylab.machine import apply_op, build_tree
+from splaylab.machine import OpKind, apply_op, build_tree
 from splaylab.oracle import opt_cost, program_search, per_query_segments, static_optimal
 from splaylab.restricted import cursor_trace
 from splaylab.suites import run_suite
@@ -140,15 +140,31 @@ class TestStaticOptimal:
 
 class TestStrategyPrograms:
     def test_static_segments_return_to_root(self):
+        # Each static segment is the query's depth in moves down to it, then
+        # as many UPs.  Static segments never rotate, so each one replays on
+        # T itself, passing the query at that depth and ending at the root.
+        rng = rng_for_trial(59, 0)
+        trees = [build_tree("(((..)(..))(..))")]
+        trees += [random_tree(rng.randint(1, 12), rng) for _ in range(20)]
+        for T in trees:
+            queries = list(T.keys)
+            segments = per_query_segments("static", T, queries)
+            assert len(segments) == len(queries)
+            for seg, q in zip(segments, queries):
+                depth = T.depth(q)
+                assert len(seg) == 2 * depth
+                assert seg[depth:] == [OpKind.UP] * depth
+                keys = cursor_trace(T, seg)
+                assert keys[depth] == q and keys[-1] == T.root
+
+    def test_static_unknown_query_rejected_before_any_link_moves(self):
         T = build_tree("(((..)(..))(..))")
-        queries = [0, 4, 2]
-        segments = per_query_segments("static", T, queries)
-        assert len(segments) == 3
-        for seg, q in zip(segments, queries):
-            # Static segments never rotate, so each one replays on T itself.
-            keys = cursor_trace(T, seg)
-            assert keys[-1] == T.root
-            assert q in keys
+        n = len(T)
+        links = T.left[:], T.right[:], T.parent[:], T.root, T.cursor
+        for q in (n, -1):
+            with pytest.raises(KeyError, match=f"unknown key {q}"):
+                per_query_segments("static", T, [0, q])
+            assert (T.left, T.right, T.parent, T.root, T.cursor) == links
 
     def test_split_covers_whole_program(self):
         rng = rng_for_trial(53, 0)

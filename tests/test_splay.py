@@ -8,9 +8,12 @@ from hypothesis import given, settings, strategies as st
 from splaylab.generators import random_tree, rng_for_trial, spine_tree
 from splaylab.machine import IllegalOpError, TreeState, build_tree, tree_from_roots
 from splaylab.restricted import init_prime
-from splaylab.splay import ROTATIONS, ZIG, ZIGZAG, ZIGZIG, splay, splay_step, total_access_cost
+from splaylab.splay import ZIG, ZIGZAG, ZIGZIG, splay, splay_step, total_access_cost
 
 from reference import in_order, reference_rotate_up, same_structure, validate
+
+# The rotations each step kind makes, so the depth it lifts the key by.
+ROTATIONS = {ZIG: 1, ZIGZIG: 2, ZIGZAG: 2}
 
 # Each test here takes well under a second; a kernel that corrupts a parent
 # link can instead make a parent walk loop forever.
