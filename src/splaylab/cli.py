@@ -1,4 +1,8 @@
-"""Command-line harness: run a named verification suite and emit its report."""
+"""Command-line harness: run a named verification suite and emit its report.
+
+Each flag but --suite and --config sets the `ExperimentConfig` field its dest
+names (`--out` sets `output_path`), over the config file's value.
+"""
 
 from __future__ import annotations
 
@@ -31,7 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="reference-tree strategy for accounting runs")
     parser.add_argument("--trials", type=int, default=None,
                         help="number of randomized trials (suite-specific default)")
-    parser.add_argument("--out", default=None, metavar="PATH",
+    parser.add_argument("--out", dest="output_path", default=None, metavar="PATH",
                         help="write the report here instead of stdout "
                              "(.csv selects CSV rows; theorem7 only)")
     parser.add_argument("--config", default=None, metavar="PATH",
@@ -40,22 +44,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    text = Path(args.config).read_text() if args.config else "{}"
-    config = ExperimentConfig.from_json(text)
-    if "trials" not in json.loads(text):  # the file leaves it to the suite
+    data = json.loads(Path(args.config).read_text()) if args.config else {}
+    config = ExperimentConfig.from_dict(data)
+    if "trials" not in data:  # the file leaves it to the suite
         config.trials = SUITES[args.suite].trials
-    overrides = {
-        "seed": args.seed,
-        "n": args.n,
-        "m": args.m,
-        "generator": args.generator,
-        "strategy": args.strategy,
-        "trials": args.trials,
-        "output_path": args.out,
-    }
-    for key, value in overrides.items():
+    for field in ExperimentConfig.__slots__:  # a flag's dest is its field's name
+        value = getattr(args, field)
         if value is not None:
-            setattr(config, key, value)
+            setattr(config, field, value)
     if config.output_path:
         out = Path(config.output_path)
         if out.is_dir():

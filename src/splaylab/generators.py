@@ -1,8 +1,7 @@
-"""Random trees, query sequences, and experiment configuration."""
+"""Random trees, query sequences, and a run's config, keyed by field name."""
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import re
@@ -193,8 +192,7 @@ class ExperimentConfig:
         self.output_path = output_path
 
     @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        data = json.loads(text)
+    def from_dict(cls, data) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ValueError("config file must hold a JSON object")
         unknown = set(data) - set(CONFIG_TYPES)

@@ -3,14 +3,15 @@
     python tests/mutants.py
 
 Each row names a module of `src/splaylab`, a target text that occurs exactly
-once in src/, its replacement, and the test files that must fail once the
-edit is made.  For each row the script copies src/ to a temporary directory,
-applies the edit there and runs pytest on the row's test files against that
-copy; a row whose tests all pass is a surviving mutant.  Before any mutant,
-each set of test files must pass against an unedited copy, so a broken
-harness cannot pass for a kill.  The script prints one line per row, with
-its time, and exits 1 if any mutant survives or any run ends without a
-verdict, else 0.
+once in src/, its replacement, and the tests that must fail once the edit is
+made: test files, or the pytest node ids of the tests that kill the row where
+its files would run long before the first failure.  For each row the script
+copies src/ to a temporary directory, applies the edit there and runs pytest
+on the row's tests against that copy; a row whose tests all pass is a
+surviving mutant.  Before any mutant, each distinct selection of tests must
+pass against an unedited copy, so a broken harness cannot pass for a kill.
+The script prints one line per row, with its time, and exits 1 if any mutant
+survives or any run ends without a verdict, else 0.
 
 Each pytest child runs under a time limit (`ROW_SECONDS`) and an
 address-space limit (`ROW_ADDRESS_SPACE`), so a mutant that makes a test
@@ -24,7 +25,9 @@ died of an uncaught exception.
 
 Tier-1 does not collect this script (its name does not start with `test_`);
 `tests/test_bounds.py::test_every_mutant_target_occurs_once` checks every
-row's target against src/, so the catalogue cannot rot silently.
+row's target against src/ and every named test against tests/, and
+`tests/test_mutants.py` runs `main` on one killed row and one no-op row, so
+neither the catalogue nor its runner can rot silently.
 
 The bound rows loosen one constant of an exact integer comparison each,
 charge a zig step the two rotations of the other kinds, or drop one factor
@@ -66,9 +69,11 @@ candidate below its target depth, off the run's kept depths; the ratio row
 drops R' from the denominator of a theorem7 row's `max_ratio`; the render
 row drops the last batch of JSON chunks that `render_report` joins when it
 holds fewer than a full batch.  The golden digests of `tests/test_golden.py`
-must reject each.
+must reject each.  The command-line rows drop every flag's override of the
+config, or the config file's own `trials`; `tests/test_cli.py` must reject
+each.
 
-The catalogue has 45 rows; a full run took 107–126 s on two vCPUs with
+The catalogue has 47 rows; a full run took 103 s on two vCPUs with
 Python 3.11.
 """
 
@@ -98,6 +103,7 @@ ORACLE_TESTS = ("tests/test_oracle.py",)
 KEY_SET_TESTS = ("tests/test_potential.py",)
 PRODUCT_TESTS = ("tests/test_lab.py", "tests/test_golden.py")
 GOLDEN_TESTS = ("tests/test_golden.py",)
+CLI_TESTS = ("tests/test_cli.py",)
 
 # Each pytest child's limits.  Every test set passes unedited in under 7 s
 # and within 64 MB of address space on two vCPUs with Python 3.11.
@@ -158,8 +164,8 @@ MUTANTS = (
     Mutant("telescoping: the run's grow dropped", "lab.py",
            "run.grow * prod(sums_T.values())", "prod(sums_T.values())", BOUND_TESTS),
     # -- the splay kernel -------------------------------------------------
-    Mutant("splay: parent[c] = g dropped", "splay.py",
-           "parent[c] = g", "pass", KERNEL_TESTS),
+    Mutant("splay: parent[c] = g dropped", "splay.py", "parent[c] = g", "pass",
+           ("tests/test_splay.py::test_splay_cases_match_textbook_link_for_link",)),
     Mutant("splay: parent[b] = p dropped", "splay.py",
            SPLAY_B, SPLAY_B.replace("parent[b] = p", "pass"), KERNEL_TESTS),
     Mutant("splay: zig-zag far[g] -> near[g]", "splay.py",
@@ -240,6 +246,11 @@ MUTANTS = (
            "while batch := list(islice(chunks, RENDER_BATCH)):",
            "while len(batch := list(islice(chunks, RENDER_BATCH))) == RENDER_BATCH:",
            GOLDEN_TESTS),
+    # -- the command line's flags over the config file -----------------------------
+    Mutant("config_from_args: flags not applied", "cli.py",
+           "if value is not None:", "if False:", CLI_TESTS),
+    Mutant("config_from_args: the file's trials ignored", "cli.py",
+           '"trials" not in data', "True", CLI_TESTS),
 )
 
 

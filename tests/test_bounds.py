@@ -37,7 +37,7 @@ from splaylab.potential import assign_weights, check_potential_floor
 from splaylab.report import CheckReport
 from splaylab.splay import ZIG, ZIGZAG, ZIGZIG
 
-from mutants import MUTANTS, SRC
+from mutants import MUTANTS, ROOT, SRC
 from reference import reference_subtree_sums
 
 EPS = 1e-3
@@ -238,10 +238,15 @@ def test_organizing_splay_budget(extra, passed, monkeypatch):
 
 def test_every_mutant_target_occurs_once():
     # A row whose target text has moved or doubled would mutate nothing, or
-    # the wrong place, so the catalogue is checked against src/ here.
+    # the wrong place, and a row whose test has moved would run nothing, so
+    # the catalogue is checked against src/ and tests/ here.
     sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
     assert len({m.name for m in MUTANTS}) == len(MUTANTS)
     for m in MUTANTS:
         counts = {name: text.count(m.old) for name, text in sources.items()}
         assert counts[m.module] == 1 == sum(counts.values()), m.name
         assert m.old != m.new, m.name
+        for test in m.tests:  # a test file, or a node id of a test in one
+            path, _, node = test.partition("::")
+            text = (ROOT / path).read_text()
+            assert not node or f"def {node.rpartition('::')[2]}(" in text, (m.name, test)

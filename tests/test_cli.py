@@ -51,7 +51,8 @@ BAD_INPUTS = [
      "--generator 'repeated-extremes(2)': repeated-extremes takes no argument"),
 ]
 
-# Config-file contents the CLI must reject, and the start of its message.
+# Config-file contents the CLI must reject, and the start of its message; a
+# string is the file's text, anything else is written as JSON.
 BAD_CONFIGS = [
     ({"n": "64"}, "config key 'n' must be an int"),
     ({"trials": 2.5}, "config key 'trials' must be an int"),
@@ -63,6 +64,7 @@ BAD_CONFIGS = [
     ({"output_path": 3}, "config key 'output_path' must be a string or null"),
     ({"strategy": "bogus"}, "unknown strategy 'bogus'"),
     ([1], "config file must hold a JSON object"),
+    ("{", "Expecting property name"),  # a file cut off after its first byte
 ]
 
 
@@ -148,11 +150,30 @@ class TestCli:
                              ids=[json.dumps(fields) for fields, _ in BAD_CONFIGS])
     def test_bad_config_file_is_error_exit(self, tmp_path, capsys, fields, message):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(fields))
+        cfg.write_text(fields if isinstance(fields, str) else json.dumps(fields))
         code = main(["--suite", "lemma1", "--config", str(cfg)])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err.startswith(f"splaylab: error: {message}")
+
+    def test_flag_dests_are_the_config_fields(self):
+        args = cli.build_parser().parse_args(["--suite", "lemma1"])
+        fields = tuple(dest for dest in vars(args) if dest not in ("suite", "config"))
+        assert fields == ExperimentConfig.__slots__
+
+    def test_every_flag_overrides_the_config_file(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 1, "n": 10, "m": 20, "generator": "uniform",
+                                   "strategy": "static", "trials": 2,
+                                   "output_path": str(tmp_path / "file.json")}))
+        flags = {"seed": 5, "n": 12, "m": 30, "generator": "zipf(1.5)",
+                 "strategy": "oracle-witness", "trials": 4,
+                 "output_path": str(tmp_path / "flag.json")}
+        argv = ["--suite", "theorem7", "--config", str(cfg), "--seed", "5", "--n", "12",
+                "--m", "30", "--generator", "zipf(1.5)", "--strategy", "oracle-witness",
+                "--trials", "4", "--out", flags["output_path"]]
+        config = cli.config_from_args(cli.build_parser().parse_args(argv))
+        assert {field: getattr(config, field) for field in ExperimentConfig.__slots__} == flags
 
     def test_scan9n_config_trials_is_error_exit(self, tmp_path, capsys):
         # scan9n makes one pass, so a config file's trials other than 1 is refused too.

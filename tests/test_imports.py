@@ -1,16 +1,18 @@
 """The runtime stays standard-library only, importing the command line pulls in
-no heavy standard module, src/ carries no dead top-level names, and src/ reads
-`OpKind` members only at import."""
+no heavy standard module, the package root re-exports nothing, src/ carries no
+dead top-level names, and src/ reads `OpKind` members only at import."""
 
 import ast
 import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
+import splaylab
 from splaylab.machine import OpKind
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -43,10 +45,20 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     assert proc.stdout.split() == []
 
 
+def test_package_root_binds_only_its_submodules_and_splay_step():
+    """Callers import the submodules, so the root binds nothing else but
+    `splay_step`, the one binding of it that the benchmark's tracer wraps."""
+    extra = [name for name, value in vars(splaylab).items()
+             if not (name.startswith("__") and name.endswith("__"))
+             and not (isinstance(value, types.ModuleType) and value.__name__ == f"splaylab.{name}")
+             and name != "splay_step"]
+    assert extra == []
+
+
 def defined_names(stmt):
     """The names a top-level statement defines: a function, a class, or the
-    plain names an assignment binds.  Dunder names such as `__version__` are
-    package metadata, not code, and are left out."""
+    plain names an assignment binds.  Dunder names are module metadata, not
+    code, and are left out."""
     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         names = {stmt.name}
     elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
